@@ -4,7 +4,7 @@ Conventions used across the package:
 
 * everything is complex128; exactness statements become tolerance checks
 * bipartite basis order is row-major, index = a * dim_b + b, which makes
-  ``vec`` and ``kron`` mutually consistent:  vec(X D Y^T) = (X kron Y) vec(D)
+  ``vec`` and ``np.kron`` mutually consistent:  vec(X D Y^T) = (X kron Y) vec(D)
 * eigen- and singular vectors are sorted by descending value and phase-fixed
   (largest-magnitude component made real positive) so repeated runs produce
   identical output
@@ -45,21 +45,22 @@ def as_vector(a) -> np.ndarray:
 
 
 def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
+    """Conjugate transpose; of each matrix, for a stack of shape (..., m, m)."""
+    return np.asarray(a).conj().swapaxes(-1, -2)
 
 
-def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
-    """Max-entry check against the conjugate transpose."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
+def is_hermitian(a, tol: float = HERMITIAN_TOL):
+    """Max-entry check against the conjugate transpose.
+
+    A stack of shape (..., m, m) gets one verdict per matrix, as a bool array.
+    """
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim < 2:
+        raise InvalidShapeError(f"expected a matrix, got ndim={m.ndim}")
+    if m.shape[-1] != m.shape[-2]:
         return False
-    return float(np.abs(m - m.conj().T).max(initial=0.0)) <= tol
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product in row-major bipartite order."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    ok = np.abs(m - dagger(m)).max(axis=(-2, -1), initial=0.0) <= tol
+    return ok if m.ndim > 2 else bool(ok)
 
 
 def vec(d) -> np.ndarray:
@@ -171,12 +172,6 @@ def partial_trace(rho, dims: tuple[int, int], keep: str = "A") -> np.ndarray:
     raise InvalidShapeError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def density_of(psi) -> np.ndarray:
-    """Rank-one density matrix psi psi^*."""
-    v = as_vector(psi)
-    return np.outer(v, v.conj())
-
-
 def reduced_densities(psi, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Both reduced density matrices of a bipartite vector, without forming psi psi^*."""
     m = unvec(psi, dims)
@@ -238,7 +233,7 @@ def hermitian_eig(a, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise InvalidShapeError(f"expected a square matrix, got {m.shape}")
-    if float(np.abs(m - m.conj().T).max(initial=0.0)) > tol:
+    if not is_hermitian(m, tol):
         raise NonHermitianError("matrix is not Hermitian at tolerance")
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     order = np.arange(w.size - 1, -1, -1)

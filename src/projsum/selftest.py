@@ -90,7 +90,6 @@ class SyncReport:
 
 def sync_residuals(strategy: Strategy, reference: Correlation) -> SyncReport:
     """Agreement residuals of a strategy against a synchronous reference."""
-    strategy.validate()
     if synchronicity_defect(reference) > 1e-10:
         raise InvalidReferenceError("reference correlation is not synchronous")
     n, k = strategy.n_questions, strategy.n_outcomes
@@ -103,8 +102,8 @@ def sync_residuals(strategy: Strategy, reference: Correlation) -> SyncReport:
     values = np.zeros((n, k, 5))
     for v in range(n):
         for i in range(k):
-            e = as_matrix(strategy.alice[v][i])
-            f = as_matrix(strategy.bob[v][i])
+            e = strategy.alice[v, i]
+            f = strategy.bob[v, i]
             em = e @ m
             mft = m @ f.T
             emft = e @ mft
@@ -125,7 +124,6 @@ def tracial_residual(strategy: Strategy, degree: int = 2, party: str = "alice") 
     1..degree; rho is that party's reduced state.  Raises
     BudgetExceededError when the pair count would exceed one million.
     """
-    strategy.validate()
     n = strategy.n_questions
     count = sum(n**l for l in range(1, degree + 1))
     if count * count > PAIR_BUDGET:
@@ -134,10 +132,10 @@ def tracial_residual(strategy: Strategy, degree: int = 2, party: str = "alice") 
         )
     rho_a, rho_b = reduced_densities(strategy.state, (strategy.dim_a, strategy.dim_b))
     if party == "alice":
-        ops = [as_matrix(povm[0]) for povm in strategy.alice]
+        ops = strategy.alice[:, 0]
         rho = rho_a
     elif party == "bob":
-        ops = [as_matrix(povm[0]) for povm in strategy.bob]
+        ops = strategy.bob[:, 0]
         rho = rho_b
     else:
         raise InvalidStrategyError(f"party must be 'alice' or 'bob', got {party!r}")
@@ -213,26 +211,24 @@ def approx_rep_residuals(
     strategy: Strategy, x: Fraction | float, monomial_degree: int = 2
 ) -> ResidualReport:
     """Full residual diagnostics of a two-outcome strategy against (n, x)."""
-    strategy.validate()
     if strategy.n_outcomes != 2:
         raise UnsupportedOutcomeCountError("residual diagnostics need two outcomes")
     x = Fraction(x)
     n = strategy.n_questions
-    reference = ideal_correlation(n, x)
-    delta = correlation_distance(induced_correlation(strategy), reference)
+    sync = sync_residuals(strategy, ideal_correlation(n, x))
+    delta = sync.delta
     c_bound = float(np.sqrt(n**2 + (1 + 2 * float(x)) * np.sqrt(delta)) * delta**0.25)
     rho_a, rho_b = reduced_densities(strategy.state, (strategy.dim_a, strategy.dim_b))
     xf = float(x)
 
     def side_residuals(povms, rho, dim):
-        ops = [as_matrix(povm[0]) for povm in povms]
+        ops = povms[:, 0]
         idem = np.array([seminorm(op @ op - op, rho) for op in ops])
-        total = sum(ops) - xf * np.eye(dim)
+        total = ops.sum(axis=0) - xf * np.eye(dim)
         return idem, seminorm(total, rho)
 
     idem_a, sum_a = side_residuals(strategy.alice, rho_a, strategy.dim_a)
     idem_b, sum_b = side_residuals(strategy.bob, rho_b, strategy.dim_b)
-    sync = sync_residuals(strategy, reference)
     tr_a = tracial_residual(strategy, degree=monomial_degree, party="alice")
     tr_b = tracial_residual(strategy, degree=monomial_degree, party="bob")
     return ResidualReport(
@@ -541,8 +537,8 @@ def _dilation_residuals(
         raise InvalidShapeError(
             f"junk length {junk.size} != ancilla product {ka * kb}"
         )
-    psi = as_vector(strategy.state)
-    psi_ref = as_vector(reference.state)
+    psi = strategy.state
+    psi_ref = reference.state
     big = np.kron(v_a, v_b)
     lifted = big @ psi
     out = [np.linalg.norm(lifted - _interleave(np.kron(psi_ref, junk), da, db, ka, kb))]
@@ -551,12 +547,8 @@ def _dilation_residuals(
         for i in range(k):
             for w in range(n):
                 for j in range(k):
-                    op = np.kron(
-                        as_matrix(strategy.alice[v][i]), as_matrix(strategy.bob[w][j])
-                    )
-                    ref_vec = np.kron(
-                        as_matrix(reference.alice[v][i]), as_matrix(reference.bob[w][j])
-                    ) @ psi_ref
+                    op = np.kron(strategy.alice[v, i], strategy.bob[w, j])
+                    ref_vec = np.kron(reference.alice[v, i], reference.bob[w, j]) @ psi_ref
                     target = _interleave(np.kron(ref_vec, junk), da, db, ka, kb)
                     out.append(np.linalg.norm(big @ (op @ psi) - target))
     return np.array(out)
@@ -594,19 +586,16 @@ def extract_dilation(
     freedom of the certificate.  Raises JunkExtractionError when the
     projected weight alpha falls below alpha_min.
     """
-    strategy.validate()
     if strategy.n_outcomes != 2:
         raise UnsupportedOutcomeCountError("dilation extraction needs two outcomes")
     if strategy.n_questions != fam.n:
         raise InvalidStrategyError(
             f"strategy has {strategy.n_questions} questions, family has {fam.n}"
         )
-    psi = as_vector(strategy.state)
+    psi = strategy.state
     rho_a, rho_b = reduced_densities(psi, (strategy.dim_a, strategy.dim_b))
-    fit_a = fit_isometry([povm[0] for povm in strategy.alice], fam, rho_a)
-    fit_b = fit_isometry(
-        [povm[0] for povm in strategy.bob], transpose_family(fam), rho_b
-    )
+    fit_a = fit_isometry(strategy.alice[:, 0], fam, rho_a)
+    fit_b = fit_isometry(strategy.bob[:, 0], transpose_family(fam), rho_b)
     spectral = n_operator(fam)
     d = fam.d
     sa, sb = fit_a.s, fit_b.s

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import SerializationError
+from .errors import InvalidStrategyError, SerializationError
 from .families import ProjectionFamily
 from .selftest import DilationCertificate, ResidualReport
 from .strategies import Correlation, Strategy
@@ -166,7 +166,7 @@ def strategy_from_dict(data: dict, where: str = "strategy") -> Strategy:
             alice=povms("alice"),
             bob=povms("bob"),
         )
-    except SerializationError:
+    except (SerializationError, InvalidStrategyError):
         raise
     except Exception as exc:
         raise SerializationError(f"{where}: {exc}") from exc

@@ -24,8 +24,9 @@ from .errors import (
 )
 from .families import ProjectionFamily, scalar_is_admissible
 from .linalg import (
-    as_matrix,
-    as_vector,
+    STATE_TOL,
+    dagger,
+    is_hermitian,
     maximally_entangled,
     random_hermitian,
     random_state,
@@ -34,7 +35,6 @@ from .linalg import (
 )
 
 POVM_TOL = 1e-8
-CORRELATION_TOL = 1e-10
 
 NOISE_MODELS = ("state-mixing", "povm-jitter", "outcome-noise")
 
@@ -43,61 +43,90 @@ NOISE_MODELS = ("state-mixing", "povm-jitter", "outcome-noise")
 class Strategy:
     """Shared state with per-question POVMs for both parties.
 
-    ``alice[v][i]`` is the operator for outcome i of question v; all
-    questions carry the same number of outcomes and both parties answer the
-    same question set.
+    ``alice[v, i]`` is the operator for outcome i of question v: ``alice``
+    and ``bob`` are (n, k, d, d) complex128 stacks, so every question has
+    the same number of outcomes and both parties answer the same question
+    set.  The constructor takes any nested sequence of that shape, stores
+    read-only copies of the state and both stacks, and validates them once;
+    a constructed strategy is therefore valid for its whole lifetime.
     """
 
     state: np.ndarray
     dim_a: int
     dim_b: int
-    alice: tuple[tuple[np.ndarray, ...], ...]
-    bob: tuple[tuple[np.ndarray, ...], ...]
+    alice: np.ndarray
+    bob: np.ndarray
+
+    def __post_init__(self):
+        for name, ndim, layout in (
+            ("state", 1, "a vector"),
+            ("alice", 4, "an (n, k, d, d) stack"),
+            ("bob", 4, "an (n, k, d, d) stack"),
+        ):
+            # a C-ordered copy: slices of a transposed input would make
+            # every np.kron of them copy its d^2 x d^2 result once more
+            try:
+                arr = np.array(getattr(self, name), dtype=np.complex128, order="C")
+            except (TypeError, ValueError) as exc:  # ragged or non-numeric
+                raise InvalidStrategyError(f"{name}: entries do not form {layout}") from exc
+            if arr.ndim != ndim or 0 in arr.shape:
+                raise InvalidStrategyError(f"{name}: expected {layout}, got shape {arr.shape}")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        self.validate()
 
     @property
     def n_questions(self) -> int:
-        return len(self.alice)
+        return self.alice.shape[0]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.alice[0])
+        return self.alice.shape[1]
 
-    def validate(self, povm_tol: float = POVM_TOL, state_tol: float = 1e-9) -> None:
-        """Raise InvalidStrategyError on any structural violation."""
-        psi = as_vector(self.state)
+    def validate(self) -> None:
+        """Raise InvalidStrategyError on any structural violation.
+
+        The constructor calls this once.  Each check covers a party's whole
+        stack at once; the message names the first offending question and
+        outcome.
+        """
+        psi = self.state
         if psi.size != self.dim_a * self.dim_b:
             raise InvalidStrategyError(
                 f"state length {psi.size} != dim_a*dim_b = {self.dim_a * self.dim_b}"
             )
-        if abs(np.linalg.norm(psi) - 1.0) > state_tol:
+        if not np.isfinite(psi).all():
+            raise InvalidStrategyError("state vector has a non-finite entry")
+        if abs(np.linalg.norm(psi) - 1.0) > STATE_TOL:
             raise InvalidStrategyError("state vector is not normalized")
-        if len(self.alice) != len(self.bob):
+        n, k = self.alice.shape[:2]
+        if self.bob.shape[0] != n:
             raise InvalidStrategyError("parties disagree on the question count")
-        k = len(self.alice[0])
-        for side, povms, dim in (("alice", self.alice, self.dim_a), ("bob", self.bob, self.dim_b)):
-            for v, povm in enumerate(povms):
-                if len(povm) != k:
-                    raise InvalidStrategyError(
-                        f"{side} question {v}: outcome count {len(povm)} != {k}"
-                    )
-                total = np.zeros((dim, dim), dtype=np.complex128)
-                for i, e in enumerate(povm):
-                    m = as_matrix(e)
-                    if m.shape != (dim, dim):
-                        raise InvalidStrategyError(
-                            f"{side} question {v} outcome {i}: shape {m.shape}, expected {(dim, dim)}"
-                        )
-                    if np.abs(m - m.conj().T).max(initial=0.0) > povm_tol:
+        for side, stack, dim in (("alice", self.alice, self.dim_a), ("bob", self.bob, self.dim_b)):
+            if stack.shape[1] != k:
+                raise InvalidStrategyError(f"{side} question 0: outcome count {stack.shape[1]} != {k}")
+            if stack.shape[2:] != (dim, dim):
+                raise InvalidStrategyError(
+                    f"{side} question 0 outcome 0: shape {stack.shape[2:]}, expected {(dim, dim)}"
+                )
+            finite = np.isfinite(stack).all(axis=(2, 3))
+            if not finite.all():
+                v, i = np.argwhere(~finite)[0]
+                raise InvalidStrategyError(f"{side} question {v} outcome {i}: non-finite entry")
+            hermitian = is_hermitian(stack, POVM_TOL)
+            low = np.linalg.eigvalsh((stack + dagger(stack)) / 2).min(axis=-1)
+            sums = np.abs(stack.sum(axis=1) - np.eye(dim)).max(axis=(1, 2)) <= POVM_TOL
+            for v in range(n):
+                for i in range(k):
+                    if not hermitian[v, i]:
                         raise InvalidStrategyError(
                             f"{side} question {v} outcome {i}: not Hermitian at tolerance"
                         )
-                    low = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
-                    if low < -povm_tol:
+                    if low[v, i] < -POVM_TOL:
                         raise InvalidStrategyError(
-                            f"{side} question {v} outcome {i}: negative eigenvalue {low:.3e}"
+                            f"{side} question {v} outcome {i}: negative eigenvalue {low[v, i]:.3e}"
                         )
-                    total += m
-                if np.abs(total - np.eye(dim)).max() > povm_tol:
+                if not sums[v]:
                     raise InvalidStrategyError(
                         f"{side} question {v}: POVM does not sum to identity"
                     )
@@ -118,6 +147,7 @@ class Correlation:
                 f"table shape {t.shape} does not match (n, n, k, k) = "
                 f"{(self.n, self.n, self.k, self.k)}"
             )
+        object.__setattr__(self, "table", t)
 
 
 def canonical_strategy(fam: ProjectionFamily) -> Strategy:
@@ -127,15 +157,14 @@ def canonical_strategy(fam: ProjectionFamily) -> Strategy:
     correlation is synchronous and matches ideal_correlation(n, x).
     """
     d = fam.d
-    eye = np.eye(d, dtype=np.complex128)
-    alice = tuple((p.copy(), eye - p) for p in fam.projections)
-    bob = tuple((p.T.copy(), eye - p.T) for p in fam.projections)
+    p = np.stack(fam.projections)
+    alice = np.stack([p, np.eye(d, dtype=np.complex128) - p], axis=1)
     return Strategy(
         state=maximally_entangled(d),
         dim_a=d,
         dim_b=d,
         alice=alice,
-        bob=bob,
+        bob=alice.swapaxes(2, 3),
     )
 
 
@@ -163,25 +192,18 @@ def ideal_correlation(n: int, x: Fraction | float) -> Correlation:
     return Correlation(n=n, k=2, table=table)
 
 
-def induced_correlation(strategy: Strategy, povm_tol: float = POVM_TOL) -> Correlation:
+def induced_correlation(strategy: Strategy) -> Correlation:
     """Correlation table of a strategy, p = <(E kron F) psi, psi>.
 
     Computed through the reshaped state: with M the dim_a x dim_b matrix of
     psi, p(i,j|v,w) = sum over entries of (M^* E M) .* F.
     """
-    strategy.validate(povm_tol=povm_tol)
-    n = strategy.n_questions
-    k = strategy.n_outcomes
     m = unvec(strategy.state, (strategy.dim_a, strategy.dim_b))
-    table = np.zeros((n, n, k, k))
-    for v in range(n):
-        for i in range(k):
-            kernel = m.conj().T @ as_matrix(strategy.alice[v][i]) @ m
-            for w in range(n):
-                for j in range(k):
-                    val = np.sum(kernel * as_matrix(strategy.bob[w][j]))
-                    table[v, w, i, j] = val.real
-    return Correlation(n=n, k=k, table=table)
+    kernels = m.conj().T @ strategy.alice @ m
+    # [v, w, i, j] -> sum over the d x d entries of kernels[v, i] .* bob[w, j]
+    products = kernels[:, None, :, None] * strategy.bob[None, :, None, :]
+    table = np.sum(products, axis=(4, 5)).real
+    return Correlation(n=strategy.n_questions, k=strategy.n_outcomes, table=table)
 
 
 def chsh_fixture() -> Strategy:
@@ -282,21 +304,14 @@ def schmidt_reduce(strategy: Strategy) -> SchmidtReduction:
     induces a synchronous correlation the compressed strategy induces the
     same one.
     """
-    strategy.validate()
     dec = schmidt(strategy.state, (strategy.dim_a, strategy.dim_b))
     r = dec.rank
     iota_a = dec.left                  # (dim_a, r), isometric columns
     iota_b = dec.right
     state = np.zeros(r * r, dtype=np.complex128)
     state[(np.arange(r)) * r + np.arange(r)] = dec.coefficients
-    alice = tuple(
-        tuple(iota_a.conj().T @ as_matrix(e) @ iota_a for e in povm)
-        for povm in strategy.alice
-    )
-    bob = tuple(
-        tuple(iota_b.conj().T @ as_matrix(f) @ iota_b for f in povm)
-        for povm in strategy.bob
-    )
+    alice = dagger(iota_a) @ strategy.alice @ iota_a
+    bob = dagger(iota_b) @ strategy.bob @ iota_b
     reduced = Strategy(state=state, dim_a=r, dim_b=r, alice=alice, bob=bob)
 
     def dilation_isometry(iota, dim):
@@ -322,15 +337,12 @@ def _unitary_from_hermitian(h: np.ndarray, angle: float) -> np.ndarray:
     return (v * np.exp(1j * angle * w)) @ v.conj().T
 
 
-def _renormalize_povm(povm: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    total = sum(povm)
+def _renormalize_povm(povm: np.ndarray) -> np.ndarray:
+    total = povm.sum(axis=0)
     w, v = np.linalg.eigh((total + total.conj().T) / 2)
     inv_sqrt = (v * (1.0 / np.sqrt(np.maximum(w, 1e-300)))) @ v.conj().T
-    out = []
-    for e in povm:
-        m = inv_sqrt @ e @ inv_sqrt
-        out.append((m + m.conj().T) / 2)
-    return tuple(out)
+    m = inv_sqrt @ povm @ inv_sqrt
+    return (m + dagger(m)) / 2
 
 
 def perturb(strategy: Strategy, model: str, level: float, seed: int) -> Strategy:
@@ -353,7 +365,7 @@ def perturb(strategy: Strategy, model: str, level: float, seed: int) -> Strategy
     rng = np.random.default_rng(seed)
 
     if model == "state-mixing":
-        psi = as_vector(strategy.state)
+        psi = strategy.state
         dim = psi.size
         for _ in range(64):
             chi = random_state(dim, rng)
@@ -368,23 +380,25 @@ def perturb(strategy: Strategy, model: str, level: float, seed: int) -> Strategy
         return replace(strategy, state=new_state)
 
     if model == "povm-jitter":
-        new_alice = []
-        for povm in strategy.alice:
-            u = _unitary_from_hermitian(random_hermitian(strategy.dim_a, rng), level)
-            new_alice.append(_renormalize_povm([u @ e @ u.conj().T for e in povm]))
-        new_bob = []
-        for povm in strategy.bob:
-            u = _unitary_from_hermitian(random_hermitian(strategy.dim_b, rng), level)
-            new_bob.append(_renormalize_povm([u @ f @ u.conj().T for f in povm]))
-        return replace(strategy, alice=tuple(new_alice), bob=tuple(new_bob))
+
+        def jitter(stack, dim):
+            out = np.empty_like(stack)
+            for v, povm in enumerate(stack):
+                u = _unitary_from_hermitian(random_hermitian(dim, rng), level)
+                out[v] = _renormalize_povm(u @ povm @ u.conj().T)
+            return out
+
+        # the seeded draws run over Alice's questions, then Bob's
+        new_alice = jitter(strategy.alice, strategy.dim_a)
+        new_bob = jitter(strategy.bob, strategy.dim_b)
+        return replace(strategy, alice=new_alice, bob=new_bob)
 
     # outcome-noise
     k = strategy.n_outcomes
 
-    def mix(povm, dim):
-        uniform = np.eye(dim, dtype=np.complex128) / k
-        return tuple((1.0 - level) * as_matrix(e) + level * uniform for e in povm)
+    def mix(stack, dim):
+        return (1.0 - level) * stack + level * (np.eye(dim, dtype=np.complex128) / k)
 
-    new_alice = tuple(mix(povm, strategy.dim_a) for povm in strategy.alice)
-    new_bob = tuple(mix(povm, strategy.dim_b) for povm in strategy.bob)
-    return replace(strategy, alice=new_alice, bob=new_bob)
+    return replace(
+        strategy, alice=mix(strategy.alice, strategy.dim_a), bob=mix(strategy.bob, strategy.dim_b)
+    )

@@ -78,6 +78,34 @@ def test_correlate_rejects_malformed_strategy(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_invalid_strategy_file_reports_one_error_line(tmp_path, capsys):
+    strat = tmp_path / "strategy.json"
+    main(["strategy", "canonical", "--n", "4", "--k", "1", "--out", str(strat)])
+    capsys.readouterr()
+    good = load_json(strat)
+    cases = (
+        (("alice", 0, 0, 1, 1), float("nan"), "alice question 0 outcome 0: non-finite entry"),
+        (("bob", 3, 1, 2, 2), float("inf"), "bob question 3 outcome 1: non-finite entry"),
+        (("state", 0), float("nan"), "state vector has a non-finite entry"),
+        (("alice", 0, 0, 0, 0), 1.5, "alice question 0: POVM does not sum to identity"),
+    )
+    for path, value, message in cases:
+        doc = json.loads(json.dumps(good))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = [value, 0.0]
+        bad = tmp_path / "bad.json"
+        save_json(doc, bad)
+        assert main(["correlate", str(bad), "--out", str(tmp_path / "c.json")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "c.json").exists()
+        cert = tmp_path / "cert.json"
+        assert main(["selftest", str(bad), "--n", "4", "--k", "1", "--cert", str(cert)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not cert.exists()
+
+
 def test_sweep_command_csv_and_json(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(

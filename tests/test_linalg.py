@@ -207,6 +207,10 @@ def test_is_hermitian_and_dagger():
     assert is_hermitian(x)
     assert np.array_equal(dagger(x), x.conj().T)
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # a stack gets one verdict per matrix
+    stack = np.stack([x, np.array([[0.0, 1.0], [0.0, 0.0]]), x]).reshape(3, 1, 2, 2)
+    assert is_hermitian(stack).tolist() == [[True], [False], [True]]
+    assert np.array_equal(dagger(stack)[1, 0], stack[1, 0].conj().T)
 
 
 def test_state_checks_raise():

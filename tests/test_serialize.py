@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from projsum.errors import SerializationError
+from projsum.errors import InvalidStrategyError, SerializationError
 from projsum.families import four_family, validate_family
 from projsum.selftest import extract_dilation
 from projsum.serialize import (
@@ -19,7 +19,12 @@ from projsum.serialize import (
     strategy_from_dict,
     strategy_to_dict,
 )
-from projsum.strategies import canonical_strategy, induced_correlation
+from projsum.strategies import (
+    Correlation,
+    canonical_strategy,
+    correlation_distance,
+    induced_correlation,
+)
 
 
 def test_complex_encoding_round_trip():
@@ -61,6 +66,19 @@ def test_family_dict_rejects_bad_scalar():
         family_from_dict(data2)
 
 
+def test_strategy_from_dict_keeps_validation_errors_unwrapped():
+    data = strategy_to_dict(canonical_strategy(four_family(1)))
+    data["alice"][0][0][0][0] = [1.5, 0.0]
+    with pytest.raises(InvalidStrategyError) as info:
+        strategy_from_dict(data)
+    assert not isinstance(info.value, SerializationError)
+    assert str(info.value) == "alice question 0: POVM does not sum to identity"
+    data = strategy_to_dict(canonical_strategy(four_family(1)))
+    data["dimA"] = "x"
+    with pytest.raises(SerializationError, match="^strategy: "):
+        strategy_from_dict(data)
+
+
 def test_strategy_round_trip(tmp_path):
     strat = canonical_strategy(four_family(1))
     path = tmp_path / "strategy.json"
@@ -80,6 +98,10 @@ def test_correlation_round_trip():
     assert np.array_equal(back.table, corr.table)
     with pytest.raises(SerializationError):
         correlation_from_dict({"n": 4, "k": 2, "table": "zzz"})
+    # a nested list is stored as the array it was checked as
+    nested = Correlation(n=1, k=2, table=[[[[0.5, 0.0], [0.0, 0.5]]]])
+    assert isinstance(nested.table, np.ndarray)
+    assert correlation_distance(nested, nested) == 0.0
 
 
 def test_save_json_is_deterministic(tmp_path):

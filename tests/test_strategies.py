@@ -158,6 +158,47 @@ def test_strategy_validate_rejects_bad_inputs():
         Strategy(
             state=strat.state, dim_a=2, dim_b=2, alice=broken, bob=strat.bob
         ).validate()
+    ragged = strat.alice.tolist()
+    ragged[2].append(ragged[2][0])
+    with pytest.raises(InvalidStrategyError):
+        Strategy(state=strat.state, dim_a=2, dim_b=2, alice=ragged, bob=strat.bob)
+    for bad in (np.nan, np.inf):
+        state = strat.state.copy()
+        state[1] = bad
+        with pytest.raises(InvalidStrategyError, match="non-finite"):
+            Strategy(state=state, dim_a=2, dim_b=2, alice=strat.alice, bob=strat.bob)
+        bob = strat.bob.copy()
+        bob[2, 1, 0, 0] = bad
+        with pytest.raises(InvalidStrategyError, match="bob question 2 outcome 1: non-finite"):
+            Strategy(state=strat.state, dim_a=2, dim_b=2, alice=strat.alice, bob=bob)
+
+
+def test_strategy_stores_read_only_copies():
+    fam = simplex_family(3)
+    p = np.stack(fam.projections)
+    alice = np.stack([p, np.eye(2) - p], axis=1)
+    bob = alice.swapaxes(2, 3).copy()
+    state = maximally_entangled(2)
+    before = alice.copy()
+    strat = Strategy(state=state, dim_a=2, dim_b=2, alice=alice, bob=bob)
+    assert strat.alice.shape == (3, 2, 2, 2) and strat.alice.dtype == np.complex128
+    assert (strat.n_questions, strat.n_outcomes) == (3, 2)
+    for stored in (strat.state, strat.alice, strat.bob):
+        assert not stored.flags.writeable
+    with pytest.raises(ValueError):
+        strat.alice[0, 0] = np.eye(2)
+    with pytest.raises(ValueError):
+        strat.state[0] = 1.0
+    # the caller's arrays are neither frozen nor shared
+    assert alice.flags.writeable and bob.flags.writeable and state.flags.writeable
+    alice[0, 0] = 0.0
+    assert np.array_equal(strat.alice, before)
+    # nested tuples of nested lists build the same stack
+    nested = tuple(tuple(e.tolist() for e in povm) for povm in strat.alice)
+    rebuilt = Strategy(state=state, dim_a=2, dim_b=2, alice=nested, bob=bob)
+    assert np.array_equal(rebuilt.alice, strat.alice)
+    # stored C-ordered, also when built from a transposed view
+    assert canonical_strategy(fam).bob.flags.c_contiguous
 
 
 def test_schmidt_reduce_planted_instance():
