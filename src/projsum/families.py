@@ -49,11 +49,13 @@ class ProjectionFamily:
             raise InvalidFamilyError(
                 f"expected {self.n} projections, got {len(self.projections)}"
             )
-        for p in self.projections:
+        for v, p in enumerate(self.projections):
             if p.shape != (self.d, self.d):
                 raise InvalidFamilyError(
                     f"projection of shape {p.shape} does not match d={self.d}"
                 )
+            if not np.isfinite(p).all():
+                raise InvalidFamilyError(f"projection {v}: non-finite entry")
 
     @property
     def x_float(self) -> float:

@@ -180,18 +180,20 @@ def reduced_densities(psi, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarra
     return rho_a, rho_b
 
 
-def seminorm(x, rho) -> float:
+def seminorm(x, rho):
     """State-weighted seminorm  sqrt(tr(X^* X rho))  for rho PSD with unit trace.
 
     Vanishes exactly on the kernel of rho; tiny negative traces from roundoff
-    are clipped to zero.
+    are clipped to zero.  A stack x of shape (..., m, m) gets one value per
+    matrix, as a float array, all weighted by the same rho.
     """
-    xm = as_matrix(x)
+    xm = np.asarray(x, dtype=np.complex128)
     rm = as_matrix(rho)
-    if xm.shape != rm.shape or xm.shape[0] != xm.shape[1]:
+    if xm.ndim < 2 or xm.shape[-2:] != rm.shape or rm.shape[0] != rm.shape[1]:
         raise InvalidShapeError(f"operator {xm.shape} and weight {rm.shape} must be square and equal")
-    val = np.trace(xm.conj().T @ xm @ rm).real
-    return float(np.sqrt(max(val, 0.0)))
+    val = np.trace(dagger(xm) @ xm @ rm, axis1=-2, axis2=-1).real
+    root = np.sqrt(np.maximum(val, 0.0))
+    return root if xm.ndim > 2 else float(root)
 
 
 def state_seminorm(x, psi, dims: tuple[int, int], side: str = "A") -> float:

@@ -6,7 +6,9 @@ state-weighted seminorm; an isometry is fitted that compresses each party
 onto the reference family; the compressed state is projected onto the top
 eigenspace of the family's correlation operator N = sum_v P_v kron P_v^T to
 read off the junk state; and the final certificate reports the worst
-residual of the local-dilation conditions, evaluated directly.
+residual of the local-dilation conditions.  Residuals are evaluated through
+the vec identity on the stacks: a bipartite vector is its dim_a x dim_b
+matrix M, on which X kron Y acts as X M Y^T (see linalg.vec).
 
 All certified quantities are measured, never assumed: every bound stored in
 a certificate is recomputed from the returned isometries and junk state.
@@ -35,6 +37,7 @@ from .families import ProjectionFamily, transpose_family
 from .linalg import (
     as_matrix,
     as_vector,
+    dagger,
     hermitian_eig,
     maximally_entangled,
     nearest_isometry,
@@ -55,6 +58,8 @@ from .strategies import (
 
 ALPHA_MIN = 0.1
 PAIR_BUDGET = 1_000_000
+# rows of fit_isometry's dense (r d s)^2 form: 4096^2 complex entries are 268 MB
+FORM_BUDGET = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -99,19 +104,12 @@ def sync_residuals(strategy: Strategy, reference: Correlation) -> SyncReport:
         )
     delta = correlation_distance(induced_correlation(strategy), reference)
     m = unvec(strategy.state, (strategy.dim_a, strategy.dim_b))
-    values = np.zeros((n, k, 5))
-    for v in range(n):
-        for i in range(k):
-            e = strategy.alice[v, i]
-            f = strategy.bob[v, i]
-            em = e @ m
-            mft = m @ f.T
-            emft = e @ mft
-            values[v, i, 0] = np.linalg.norm(em - mft)
-            values[v, i, 1] = np.linalg.norm(em - emft)
-            values[v, i, 2] = np.linalg.norm(mft - emft)
-            values[v, i, 3] = np.linalg.norm((e @ e - e) @ m)
-            values[v, i, 4] = np.linalg.norm(m @ (f @ f - f).T)
+    e, f = strategy.alice, strategy.bob
+    em = e @ m
+    mft = m @ f.swapaxes(-1, -2)
+    emft = e @ mft
+    parts = (em - mft, em - emft, mft - emft, (e @ e - e) @ m, m @ (f @ f - f).swapaxes(-1, -2))
+    values = np.linalg.norm(np.stack(parts, axis=2), axis=(-2, -1))
     root = np.sqrt(delta)
     budgets = np.array([root, root, root, 2 * root, 2 * root])
     return SyncReport(values=values, budgets=budgets, delta=delta)
@@ -132,20 +130,17 @@ def tracial_residual(strategy: Strategy, degree: int = 2, party: str = "alice") 
         )
     rho_a, rho_b = reduced_densities(strategy.state, (strategy.dim_a, strategy.dim_b))
     if party == "alice":
-        ops = strategy.alice[:, 0]
-        rho = rho_a
+        ops, rho = strategy.alice[:, 0], rho_a
     elif party == "bob":
-        ops = strategy.bob[:, 0]
-        rho = rho_b
+        ops, rho = strategy.bob[:, 0], rho_b
     else:
         raise InvalidStrategyError(f"party must be 'alice' or 'bob', got {party!r}")
-    words = list(ops)
-    frontier = list(ops)
+    words = [ops]
     for _ in range(degree - 1):
-        frontier = [w @ op for w in frontier for op in ops]
-        words.extend(frontier)
-    stacked = np.stack(words)
-    weighted = np.stack([w @ rho for w in words])
+        # word w followed by op o sits at index w * n + o
+        words.append((words[-1][:, None] @ ops[None]).reshape(-1, *rho.shape))
+    stacked = np.concatenate(words)
+    weighted = stacked @ rho
     gram = np.einsum("iab,jba->ij", stacked, weighted)
     return float(np.abs(gram - gram.T).max())
 
@@ -223,9 +218,9 @@ def approx_rep_residuals(
 
     def side_residuals(povms, rho, dim):
         ops = povms[:, 0]
-        idem = np.array([seminorm(op @ op - op, rho) for op in ops])
         total = ops.sum(axis=0) - xf * np.eye(dim)
-        return idem, seminorm(total, rho)
+        values = seminorm(np.concatenate([ops @ ops - ops, total[None]]), rho)
+        return values[:-1], float(values[-1])
 
     idem_a, sum_a = side_residuals(strategy.alice, rho_a, strategy.dim_a)
     idem_b, sum_b = side_residuals(strategy.bob, rho_b, strategy.dim_b)
@@ -398,16 +393,20 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     Minimizes sum_v ||(P_v kron I_s) T - T E_v||^2 weighted by rho over
     matrices T (the quadratic form's lowest eigenvectors), then projects the
     best-conditioned solution onto the isometries by polar decomposition.
+    ``ops`` is an (n, r, r) stack, or a sequence of n equal-shape matrices.
     The ancilla dimension s is r/d rounded, raised if needed so that an
-    isometry into C^(d s) exists.
+    isometry into C^(d s) exists.  Raises BudgetExceededError, before
+    allocating, when the dense form would have more than FORM_BUDGET rows.
     """
-    mats = [as_matrix(op) for op in ops]
-    if len(mats) != fam.n:
-        raise InvalidShapeError(f"expected {fam.n} operators, got {len(mats)}")
-    r = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (r, r):
-            raise InvalidShapeError("operators must share a square shape")
+    try:
+        ops = np.asarray(ops, dtype=np.complex128)
+    except ValueError as exc:  # ragged
+        raise InvalidShapeError("operators must share a square shape") from exc
+    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+        raise InvalidShapeError("operators must share a square shape")
+    if len(ops) != fam.n:
+        raise InvalidShapeError(f"expected {fam.n} operators, got {len(ops)}")
+    r = ops.shape[1]
     rho = as_matrix(rho)
     if rho.shape != (r, r):
         raise InvalidShapeError(f"weight shape {rho.shape} does not match operators")
@@ -416,6 +415,10 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     while d * s < r:
         s += 1
     ds = d * s
+    if r * ds > FORM_BUDGET:
+        raise BudgetExceededError(
+            f"a {r * ds}-row quadratic form exceeds the {FORM_BUDGET}-row budget"
+        )
     # The form is linear in rho, so adding a uniform ridge means: minimize
     # the rho-weighted residual, breaking ties in its null directions by the
     # unweighted residual.  Without it, a rank-deficient rho leaves the
@@ -425,16 +428,13 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     trace = float(np.trace(rho).real)
     rho_reg = (rho + lam * (trace / r) * np.eye(r)) / (1.0 + lam)
 
-    eye_s = np.eye(s)
-    eye_ds = np.eye(ds)
-    quad = np.zeros((r * ds, r * ds), dtype=np.complex128)
-    for pv, ev in zip(fam.projections, mats):
-        av = np.kron(pv, eye_s)
-        er = ev @ rho_reg
-        quad += np.kron(rho_reg.T, av)
-        quad -= np.kron(er.T, av)
-        quad -= np.kron(er.conj(), av)          # (rho E)^T = conj(E rho)
-        quad += np.kron((er @ ev).T, eye_ds)    # (E rho E)^T kron I
+    # quad = sum_v (rho - E_v rho - rho E_v)^T kron A_v + (sum_v E_v rho E_v)^T kron I
+    # with A_v = P_v kron I_s, and (E rho)^* = rho E
+    targets = np.kron(np.stack(fam.projections), np.eye(s))
+    er = ops @ rho_reg
+    weights = (rho_reg - er - dagger(er)).swapaxes(-1, -2)
+    quad = np.einsum("vab,vxy->axby", weights, targets).reshape(r * ds, r * ds)
+    quad += np.kron((er @ ops).sum(axis=0).T, np.eye(ds))
     quad = (quad + quad.conj().T) / 2.0
     w, vecs = np.linalg.eigh(quad)
     span = [vecs[:, i].reshape((ds, r), order="F") for i in range(s * s)]
@@ -465,12 +465,7 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     if sv[0] <= 0 or sv[-1] <= 1e-8 * sv[0]:
         raise FitDegenerateError("fitted map has a rank-deficient polar factor")
     v_iso = nearest_isometry(t)
-    residuals = np.array(
-        [
-            seminorm(ev - v_iso.conj().T @ np.kron(pv, eye_s) @ v_iso, rho)
-            for pv, ev in zip(fam.projections, mats)
-        ]
-    )
+    residuals = seminorm(ops - dagger(v_iso) @ targets @ v_iso, rho)
     return IsometryFit(isometry=v_iso, s=s, residuals=residuals)
 
 
@@ -513,11 +508,6 @@ class DilationCertificate:
         return int(self.v_b.shape[1])
 
 
-def _interleave(vec4: np.ndarray, da: int, db: int, ka: int, kb: int) -> np.ndarray:
-    """Reorder (ref_a, ref_b, anc_a, anc_b) into (ref_a, anc_a, ref_b, anc_b)."""
-    return vec4.reshape(da, db, ka, kb).transpose(0, 2, 1, 3).reshape(-1)
-
-
 def _dilation_residuals(
     strategy: Strategy,
     reference: Strategy,
@@ -525,6 +515,11 @@ def _dilation_residuals(
     v_b: np.ndarray,
     junk: np.ndarray,
 ) -> np.ndarray:
+    """The state residual, then the (v, i, w, j) residuals in row-major order.
+
+    With M, M0, J the matrices of the source state, reference state and junk:
+    ||V_A M V_B^T - M0 kron J|| and ||V_A E M F^T V_B^T - (P M0 Q^T) kron J||.
+    """
     da, db = reference.dim_a, reference.dim_b
     if v_a.shape[0] % da != 0 or v_b.shape[0] % db != 0:
         raise InvalidShapeError("isometry ranges are not multiples of the reference dims")
@@ -537,21 +532,18 @@ def _dilation_residuals(
         raise InvalidShapeError(
             f"junk length {junk.size} != ancilla product {ka * kb}"
         )
-    psi = strategy.state
-    psi_ref = reference.state
-    big = np.kron(v_a, v_b)
-    lifted = big @ psi
-    out = [np.linalg.norm(lifted - _interleave(np.kron(psi_ref, junk), da, db, ka, kb))]
-    n, k = strategy.n_questions, strategy.n_outcomes
-    for v in range(n):
-        for i in range(k):
-            for w in range(n):
-                for j in range(k):
-                    op = np.kron(strategy.alice[v, i], strategy.bob[w, j])
-                    ref_vec = np.kron(reference.alice[v, i], reference.bob[w, j]) @ psi_ref
-                    target = _interleave(np.kron(ref_vec, junk), da, db, ka, kb)
-                    out.append(np.linalg.norm(big @ (op @ psi) - target))
-    return np.array(out)
+    junk_m = junk.reshape(ka, kb)
+    m = unvec(strategy.state, (strategy.dim_a, strategy.dim_b))
+    m0 = unvec(reference.state, (da, db))
+    # the kron of two matrices is already in (ref, anc) x (ref, anc) order
+    state = np.linalg.norm(v_a @ m @ v_b.T - np.kron(m0, junk_m))
+    # [v, i, w, j] -> V_A E_vi M F_wj^T V_B^T and P_vi M0 Q_wj^T
+    left = v_a @ strategy.alice @ m
+    right = strategy.bob.swapaxes(-1, -2) @ v_b.T
+    lifted = left[:, :, None, None] @ right[None, None]
+    ref = (reference.alice @ m0)[:, :, None, None] @ reference.bob.swapaxes(-1, -2)[None, None]
+    pairs = np.linalg.norm(lifted - np.kron(ref, junk_m), axis=(-2, -1))
+    return np.concatenate([[state], pairs.reshape(-1)])
 
 
 def dilation_epsilon(
@@ -600,7 +592,7 @@ def extract_dilation(
     d = fam.d
     sa, sb = fit_a.s, fit_b.s
 
-    lifted = np.kron(fit_a.isometry, fit_b.isometry) @ psi
+    lifted = fit_a.isometry @ unvec(psi, (strategy.dim_a, strategy.dim_b)) @ fit_b.isometry.T
     junk_block = np.einsum("iaib->ab", lifted.reshape(d, sa, d, sb)) / np.sqrt(d)
     alpha = float(np.linalg.norm(junk_block))
     if alpha <= alpha_min:

@@ -147,6 +147,8 @@ class Correlation:
                 f"table shape {t.shape} does not match (n, n, k, k) = "
                 f"{(self.n, self.n, self.k, self.k)}"
             )
+        if not np.isfinite(t).all():
+            raise InvalidStrategyError("table has a non-finite entry")
         object.__setattr__(self, "table", t)
 
 

@@ -106,6 +106,21 @@ def test_invalid_strategy_file_reports_one_error_line(tmp_path, capsys):
         assert not cert.exists()
 
 
+def test_non_finite_family_file_reports_one_error_line(tmp_path, capsys):
+    fam = tmp_path / "fam.json"
+    main(["family", "gen", "--n", "4", "--k", "1", "--out", str(fam)])
+    capsys.readouterr()
+    for value in (float("nan"), float("inf")):
+        doc = load_json(fam)
+        doc["projections"][2][1][0] = [0.0, value]
+        bad = tmp_path / "bad.json"
+        save_json(doc, bad)
+        assert main(["family", "verify", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: family: projection 2: non-finite entry\n"
+        assert captured.out == ""
+
+
 def test_sweep_command_csv_and_json(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(

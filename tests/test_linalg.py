@@ -127,6 +127,14 @@ def test_seminorm_oracle():
     rho2 = np.outer(psi, psi.conj())
     z = np.array([[1.0, 0.0], [0.0, -1.0]])
     assert abs(seminorm(z, rho2) - 1.0) < 1e-12
+    # a stack gets one value per matrix, each equal to the single-matrix call
+    stack = np.array([[x, z], [z, 2 * x]])
+    values = seminorm(stack, rho)
+    assert values.shape == (2, 2)
+    for idx in np.ndindex(2, 2):
+        assert abs(values[idx] - seminorm(stack[idx], rho)) < 1e-12
+    with pytest.raises(InvalidShapeError):
+        seminorm(np.zeros((3, 2, 2)), np.eye(3))
 
 
 def test_state_seminorm_matches_matrix_seminorm():

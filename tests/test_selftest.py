@@ -1,13 +1,17 @@
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from projsum.errors import (
     BudgetExceededError,
     FitDegenerateError,
     IntertwinerError,
     InvalidReferenceError,
+    InvalidShapeError,
     JunkExtractionError,
     NotARepresentationError,
     SpectralDegeneracyError,
@@ -20,12 +24,14 @@ from projsum.families import (
 )
 from projsum.linalg import (
     maximally_entangled,
+    partial_trace,
     random_state,
     random_unitary,
     reduced_densities,
 )
 from projsum.selftest import (
     DilationCertificate,
+    _dilation_residuals,
     aligned_junk_fidelity,
     approx_rep_residuals,
     compose_dilations,
@@ -39,12 +45,116 @@ from projsum.selftest import (
     tracial_residual,
 )
 from projsum.strategies import (
+    NOISE_MODELS,
     canonical_strategy,
     ideal_correlation,
     induced_correlation,
     perturb,
 )
 from test_strategies import planted_strategy
+
+
+# --- Kronecker oracles: the residuals as their definitions state them
+
+
+def kron_dilation_residuals(strategy, reference, v_a, v_b, junk):
+    """State residual, then (v, i, w, j) residuals, one kron product per term."""
+    da, db = reference.dim_a, reference.dim_b
+    ka, kb = v_a.shape[0] // da, v_b.shape[0] // db
+
+    def interleave(vec4):
+        # (ref_a, ref_b, anc_a, anc_b) -> (ref_a, anc_a, ref_b, anc_b)
+        return vec4.reshape(da, db, ka, kb).transpose(0, 2, 1, 3).reshape(-1)
+
+    big = np.kron(v_a, v_b)
+    psi, psi_ref = strategy.state, reference.state
+    out = [np.linalg.norm(big @ psi - interleave(np.kron(psi_ref, junk)))]
+    n, k = strategy.n_questions, strategy.n_outcomes
+    for v, i, w, j in itertools.product(range(n), range(k), range(n), range(k)):
+        op = np.kron(strategy.alice[v, i], strategy.bob[w, j])
+        ref_vec = np.kron(reference.alice[v, i], reference.bob[w, j]) @ psi_ref
+        out.append(np.linalg.norm(big @ (op @ psi) - interleave(np.kron(ref_vec, junk))))
+    return np.array(out)
+
+
+def kron_sync_values(strategy):
+    """The five agreement residuals of SyncReport, one (v, i) at a time."""
+    psi, da, db = strategy.state, strategy.dim_a, strategy.dim_b
+    eye_a, eye_b = np.eye(da), np.eye(db)
+    values = np.zeros((strategy.n_questions, strategy.n_outcomes, 5))
+    for v, i in np.ndindex(*values.shape[:2]):
+        e, f = strategy.alice[v, i], strategy.bob[v, i]
+        ea = np.kron(e, eye_b) @ psi
+        fb = np.kron(eye_a, f) @ psi
+        ef = np.kron(e, f) @ psi
+        values[v, i] = [
+            np.linalg.norm(ea - fb),
+            np.linalg.norm(ea - ef),
+            np.linalg.norm(fb - ef),
+            np.linalg.norm(np.kron(e - e @ e, eye_b) @ psi),
+            np.linalg.norm(np.kron(eye_a, f - f @ f) @ psi),
+        ]
+    return values
+
+
+def loop_tracial(strategy, degree, party):
+    """max |tr((W1 W2 - W2 W1) rho)| over words built as Python lists."""
+    dims = (strategy.dim_a, strategy.dim_b)
+    side = "A" if party == "alice" else "B"
+    rho = partial_trace(np.outer(strategy.state, strategy.state.conj()), dims, keep=side)
+    ops = list((strategy.alice if party == "alice" else strategy.bob)[:, 0])
+    words, frontier = list(ops), list(ops)
+    for _ in range(degree - 1):
+        frontier = [w @ op for w in frontier for op in ops]
+        words.extend(frontier)
+    return max(
+        abs(np.trace((w1 @ w2 - w2 @ w1) @ rho)) for w1 in words for w2 in words
+    )
+
+
+def noisy_planted(dims, seed, model, level):
+    fam = four_family(1)
+    strat, _ = planted_strategy(fam, *dims, seed=seed)
+    return fam, perturb(strat, model, level, seed=seed)
+
+
+planted_cases = dict(
+    dims=st.sampled_from([(1, 1), (2, 1), (1, 3), (2, 2)]),
+    seed=st.integers(0, 2**16),
+    model=st.sampled_from(NOISE_MODELS),
+    level=st.sampled_from([0.0, 1e-3, 1e-1]),
+)
+
+
+@given(planted_isometries=st.booleans(), **planted_cases)
+def test_dilation_residuals_match_kron_oracle(planted_isometries, dims, seed, model, level):
+    fam, strat = noisy_planted(dims, seed, model, level)
+    ka, kb = dims
+    # with the planting seed these are the inverses of the planted unitaries
+    rng = np.random.default_rng(seed if planted_isometries else [seed, 1])
+    v_a = random_unitary(fam.d * ka, rng).conj().T
+    v_b = random_unitary(fam.d * kb, rng).conj().T
+    junk = random_state(ka * kb, np.random.default_rng([seed, 2]))
+    reference = canonical_strategy(fam)
+    fast = _dilation_residuals(strat, reference, v_a, v_b, junk)
+    oracle = kron_dilation_residuals(strat, reference, v_a, v_b, junk)
+    assert fast.shape == oracle.shape == (1 + 4 * 4 * 2 * 2,)
+    assert np.abs(fast - oracle).max() < 1e-12
+    assert abs(dilation_epsilon(strat, reference, v_a, v_b, junk) - oracle.max()) < 1e-12
+
+
+@given(**planted_cases)
+def test_sync_residuals_match_kron_oracle(dims, seed, model, level):
+    fam, strat = noisy_planted(dims, seed, model, level)
+    report = sync_residuals(strat, ideal_correlation(fam.n, fam.x))
+    assert np.abs(report.values - kron_sync_values(strat)).max() < 1e-12
+
+
+@given(party=st.sampled_from(["alice", "bob"]), **planted_cases)
+def test_tracial_residual_matches_list_oracle(party, dims, seed, model, level):
+    _, strat = noisy_planted(dims, seed, model, level)
+    fast = tracial_residual(strat, degree=3, party=party)
+    assert abs(fast - loop_tracial(strat, 3, party)) < 1e-12
 
 
 # --- synchronicity and tracial bounds
@@ -231,6 +341,26 @@ def test_fit_isometry_exact_conjugated_family():
         assert fit.max_residual < 1e-8
         v = fit.isometry
         assert np.allclose(v.conj().T @ v, np.eye(fam.d * s), atol=1e-10)
+
+
+def test_fit_isometry_shape_and_budget_guards():
+    fam = four_family(1)
+    with pytest.raises(InvalidShapeError, match="square shape"):
+        fit_isometry([np.eye(3)] * 3 + [np.eye(4)], fam, np.eye(3) / 3)
+    with pytest.raises(InvalidShapeError, match="expected 4 operators"):
+        fit_isometry(np.zeros((3, 3, 3)), fam, np.eye(3) / 3)
+    # r = 70 against d = 3 gives s = 24 and a 70 * 72 = 5040-row form
+    ops = np.zeros((4, 70, 70))
+    rho = np.eye(70) / 70
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="5040-row"):
+            fit_isometry(ops, fam, rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the form alone would take 5040^2 complex entries, about 406 MB
+    assert peak < 4_000_000
 
 
 def test_fit_isometry_degenerate_candidate_raises():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from projsum.errors import InvalidStrategyError, SerializationError
-from projsum.families import four_family, validate_family
+from projsum.errors import InvalidFamilyError, InvalidStrategyError, SerializationError
+from projsum.families import ProjectionFamily, four_family, validate_family
 from projsum.selftest import extract_dilation
 from projsum.serialize import (
     certificate_to_dict,
@@ -64,6 +64,28 @@ def test_family_dict_rejects_bad_scalar():
     del data2["d"]
     with pytest.raises(SerializationError, match="missing field 'd'"):
         family_from_dict(data2)
+
+
+def test_non_finite_families_and_correlations_are_rejected():
+    fam = four_family(1)
+    corr = induced_correlation(canonical_strategy(fam))
+    for value in (float("nan"), float("inf"), float("-inf")):
+        data = family_to_dict(fam)
+        data["projections"][1][0][2] = [value, 0.0]
+        with pytest.raises(SerializationError, match="^family: projection 1: non-finite entry$"):
+            family_from_dict(data)
+        projections = tuple(p.copy() for p in fam.projections)
+        projections[3][1, 1] = value
+        with pytest.raises(InvalidFamilyError, match="projection 3"):
+            ProjectionFamily(n=4, x=fam.x, d=3, projections=projections)
+        data = correlation_to_dict(corr)
+        data["table"][0][1][1][0] = value
+        with pytest.raises(SerializationError, match="^correlation: table has a non-finite entry$"):
+            correlation_from_dict(data)
+        table = corr.table.copy()
+        table[2, 2, 0, 0] = value
+        with pytest.raises(InvalidStrategyError, match="non-finite"):
+            Correlation(n=4, k=2, table=table)
 
 
 def test_strategy_from_dict_keeps_validation_errors_unwrapped():
