@@ -15,20 +15,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     DegenerateInputError,
     InvalidFamilyError,
+    SpectralDegeneracyError,
     UnsupportedQuestionCountError,
     UnsupportedScalarError,
 )
-from .linalg import as_matrix, fix_phases, null_space
+from .linalg import as_matrix, fix_phases, krylov_eigh, null_space
 
 Rational = Fraction
 
 PROJECTION_TOL = 1e-9
+# relative to max(1, top eigenvalue)
+GAP_DEGENERACY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,33 @@ class ProjectionFamily:
     @property
     def x_float(self) -> float:
         return float(self.x)
+
+    @cached_property
+    def correlation_gap(self) -> float:
+        """Gap below the top eigenvalue of N = sum_v P_v kron P_v^T, measured once.
+
+        N acts on vec(X) as X -> sum_v P_v X P_v (see linalg.vec), so the top
+        two eigenvalues come from a matrix-free block-2 Krylov solve that
+        never forms the d^2 x d^2 matrix.  The block of two measures a
+        degenerate top eigenvalue instead of assuming it simple; one raises
+        SpectralDegeneracyError.  selftest.n_operator is the dense reference.
+        """
+        d = self.d
+        stack = np.stack(self.projections)[:, None]
+
+        def apply(rows):
+            return (stack @ rows.reshape(-1, d, d) @ stack).sum(axis=0).reshape(rows.shape)
+
+        w, _ = krylov_eigh(apply, d * d, count=2)
+        return top_gap(w)
+
+
+def top_gap(w: np.ndarray) -> float:
+    """w[0] - w[1] of a descending spectrum; SpectralDegeneracyError if the
+    top eigenvalue is not simple at GAP_DEGENERACY_TOL."""
+    if w.size < 2 or w[1] > w[0] - GAP_DEGENERACY_TOL * max(1.0, abs(float(w[0]))):
+        raise SpectralDegeneracyError("top eigenspace is degenerate at tolerance")
+    return float(w[0] - w[1])
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,15 @@ residual of the local-dilation conditions.  Residuals are evaluated through
 the vec identity on the stacks: a bipartite vector is its dim_a x dim_b
 matrix M, on which X kron Y acts as X M Y^T (see linalg.vec).
 
+The two d^2 x d^2 eigenproblems are solved without forming d^2 x d^2
+matrices once they are large.  The spectral gap of N, which enters beta, is
+ProjectionFamily.correlation_gap: measured matrix-free once per family, with
+n_operator kept as the dense reference.  fit_isometry diagonalizes its form
+densely up to KRYLOV_MIN_ROWS rows and matrix-free above, by
+linalg.krylov_eigh; both paths return phase-fixed eigenvectors, so they give
+the same isometry, and both refuse a form whose solution eigenspace is not
+separated from the next eigenvalue.
+
 All certified quantities are measured, never assumed: every bound stored in
 a certificate is recomputed from the returned isometries and junk state.
 """
@@ -33,12 +42,14 @@ from .errors import (
     SpectralDegeneracyError,
     UnsupportedOutcomeCountError,
 )
-from .families import ProjectionFamily, transpose_family
+from .families import ProjectionFamily, top_gap, transpose_family
 from .linalg import (
     as_matrix,
     as_vector,
     dagger,
+    fix_phases,
     hermitian_eig,
+    krylov_eigh,
     maximally_entangled,
     nearest_isometry,
     null_space,
@@ -58,8 +69,10 @@ from .strategies import (
 
 ALPHA_MIN = 0.1
 PAIR_BUDGET = 1_000_000
-# rows of fit_isometry's dense (r d s)^2 form: 4096^2 complex entries are 268 MB
-FORM_BUDGET = 4096
+# fit forms with more rows are solved matrix-free; measured crossover
+KRYLOV_MIN_ROWS = 400
+# relative to tr(rho), the scale of the fit form
+FIT_SEPARATION_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -263,22 +276,22 @@ class CorrelationOperator:
     entangled_overlap: float
 
 
-def n_operator(fam: ProjectionFamily, degeneracy_tol: float = 1e-8) -> CorrelationOperator:
-    """Assemble and diagonalize the family's correlation operator."""
+def n_operator(fam: ProjectionFamily) -> CorrelationOperator:
+    """Assemble and diagonalize the family's correlation operator densely.
+
+    The dense reference for ProjectionFamily.correlation_gap, which
+    extract_dilation uses instead.
+    """
     mat = sum(np.kron(p, p.T) for p in fam.projections)
     w, v = hermitian_eig(mat)
-    scale = max(1.0, abs(float(w[0])))
-    if w.size < 2 or w[1] > w[0] - degeneracy_tol * scale:
-        raise SpectralDegeneracyError(
-            "top eigenspace is degenerate at tolerance"
-        )
+    gap = top_gap(w)
     top = v[:, 0]
     overlap = abs(np.vdot(maximally_entangled(fam.d), top))
     return CorrelationOperator(
         matrix=mat,
         spectrum=w,
         lambda_max=float(w[0]),
-        gap=float(w[0] - w[1]),
+        gap=gap,
         top_vector=top,
         entangled_overlap=float(overlap),
     )
@@ -395,8 +408,12 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     best-conditioned solution onto the isometries by polar decomposition.
     ``ops`` is an (n, r, r) stack, or a sequence of n equal-shape matrices.
     The ancilla dimension s is r/d rounded, raised if needed so that an
-    isometry into C^(d s) exists.  Raises BudgetExceededError, before
-    allocating, when the dense form would have more than FORM_BUDGET rows.
+    isometry into C^(d s) exists.  A form of up to KRYLOV_MIN_ROWS rows is
+    diagonalized densely, a larger one matrix-free by linalg.krylov_eigh,
+    whose basis budget raises BudgetExceededError before allocating.
+    Raises FitDegenerateError when the lowest s^2 eigenvalues are not
+    separated from the next one by FIT_SEPARATION_TOL * tr(rho): the
+    solution would then be an arbitrary pick from a larger eigenspace.
     """
     try:
         ops = np.asarray(ops, dtype=np.complex128)
@@ -415,10 +432,8 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     while d * s < r:
         s += 1
     ds = d * s
-    if r * ds > FORM_BUDGET:
-        raise BudgetExceededError(
-            f"a {r * ds}-row quadratic form exceeds the {FORM_BUDGET}-row budget"
-        )
+    rows = r * ds
+    count = s * s
     # The form is linear in rho, so adding a uniform ridge means: minimize
     # the rho-weighted residual, breaking ties in its null directions by the
     # unweighted residual.  Without it, a rank-deficient rho leaves the
@@ -428,28 +443,51 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     trace = float(np.trace(rho).real)
     rho_reg = (rho + lam * (trace / r) * np.eye(r)) / (1.0 + lam)
 
-    # quad = sum_v (rho - E_v rho - rho E_v)^T kron A_v + (sum_v E_v rho E_v)^T kron I
-    # with A_v = P_v kron I_s, and (E rho)^* = rho E
+    # On column-major vec(T) the form is T -> sum_v A_v T W_v + T C, with
+    # A_v = P_v kron I_s, W_v = rho - E_v rho - rho E_v, C = sum_v E_v rho E_v;
+    # W_v and C are made exactly Hermitian, so both paths solve one operator
     targets = np.kron(np.stack(fam.projections), np.eye(s))
     er = ops @ rho_reg
-    weights = (rho_reg - er - dagger(er)).swapaxes(-1, -2)
-    quad = np.einsum("vab,vxy->axby", weights, targets).reshape(r * ds, r * ds)
-    quad += np.kron((er @ ops).sum(axis=0).T, np.eye(ds))
-    quad = (quad + quad.conj().T) / 2.0
-    w, vecs = np.linalg.eigh(quad)
-    span = [vecs[:, i].reshape((ds, r), order="F") for i in range(s * s)]
-
-    if len(span) == 1:
-        t = span[0]
+    weights = rho_reg - er - dagger(er)
+    weights = ((weights + dagger(weights)) / 2.0).swapaxes(-1, -2)
+    c = (er @ ops).sum(axis=0)
+    c_t = ((c + dagger(c)) / 2.0).T
+    if rows <= KRYLOV_MIN_ROWS:
+        # quad = sum_v W_v^T kron A_v + C^T kron I
+        quad = np.einsum("vab,vxy->axby", weights, targets).reshape(rows, rows)
+        quad += np.kron(c_t, np.eye(ds))
+        w, vecs = np.linalg.eigh(quad)
+        w, vecs = w[: count + 1], fix_phases(vecs[:, :count])
     else:
-        # any full-rank combination of near-solutions works; draw fixed,
-        # reproducible weights until the polar factor is well conditioned
+        targets_t = targets.swapaxes(-1, -2)
+
+        def negated_form(x):
+            # a row is vec(T), which reshapes to T^T: apply the transposed map
+            u = x.reshape(-1, r, ds)
+            image = (weights[:, None] @ u @ targets_t[:, None]).sum(axis=0) + c_t @ u
+            return -image.reshape(x.shape)
+
+        # a block of s^2 + 1 measures whether the next eigenvalue coincides
+        w, vecs = krylov_eigh(negated_form, rows, count + 1)
+        w, vecs = -w, vecs[:, :count]
+    if w.size > count and w[count] - w[count - 1] <= FIT_SEPARATION_TOL * trace:
+        raise FitDegenerateError(
+            f"the fit form's eigenvalues {count} and {count + 1} are not separated "
+            f"({w[count - 1]:.6e} vs {w[count]:.6e})"
+        )
+
+    if count == 1:
+        t = vecs[:, 0].reshape((ds, r), order="F")
+    else:
+        # any full-rank element of the solution space works: project fixed,
+        # reproducible draws onto it (which does not depend on the basis the
+        # eigensolver returned) until the polar factor is well conditioned
         rng = np.random.default_rng(7)
         t = None
         best, best_cond = None, -1.0
         for _ in range(32):
-            coeff = rng.normal(size=len(span)) + 1j * rng.normal(size=len(span))
-            cand = sum(c * m for c, m in zip(coeff, span))
+            draw = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+            cand = (vecs @ (vecs.conj().T @ draw)).reshape((ds, r), order="F")
             sv = np.linalg.svd(cand, compute_uv=False)
             cond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
             if cond > best_cond:
@@ -588,7 +626,7 @@ def extract_dilation(
     rho_a, rho_b = reduced_densities(psi, (strategy.dim_a, strategy.dim_b))
     fit_a = fit_isometry(strategy.alice[:, 0], fam, rho_a)
     fit_b = fit_isometry(strategy.bob[:, 0], transpose_family(fam), rho_b)
-    spectral = n_operator(fam)
+    gap = fam.correlation_gap
     d = fam.d
     sa, sb = fit_a.s, fit_b.s
 
@@ -620,7 +658,7 @@ def extract_dilation(
     # into eps_prime makes the beta bound hold unconditionally
     eps_eff = max(eps_prime, delta)
     n = fam.n
-    beta = float(np.sqrt(2.0 * (2 * n + 1) * eps_eff / spectral.gap))
+    beta = float(np.sqrt(2.0 * (2 * n + 1) * eps_eff / gap))
     return DilationCertificate(
         v_a=v_a,
         v_b=v_b,
@@ -632,7 +670,7 @@ def extract_dilation(
         epsilon=float(residuals.max()),
         alpha=alpha,
         beta=beta,
-        gap=spectral.gap,
+        gap=gap,
         state_residual=float(residuals[0]),
         fit_residuals_a=fit_a.residuals,
         fit_residuals_b=fit_b.residuals,

@@ -66,6 +66,23 @@ def test_strategy_correlate_selftest_chain(tmp_path, capsys):
     assert abs(table[0][0][0][0] - 1.0 / 3) < 1e-12
 
 
+def test_selftest_refuses_a_degenerate_fit(tmp_path, capsys):
+    # the k=1 canonical strategy against the k=2 family: the fit form's lowest
+    # eigenvalue is triply degenerate, so any isometry would be roundoff's pick
+    strat = tmp_path / "strategy.json"
+    cert = tmp_path / "certificate.json"
+    assert main(["strategy", "canonical", "--n", "4", "--k", "1", "--out", str(strat)]) == 0
+    capsys.readouterr()
+    assert main(["selftest", str(strat), "--n", "4", "--k", "2", "--cert", str(cert)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the fit form's eigenvalues 1 and 2 are not separated "
+        "(8.888889e-02 vs 8.888889e-02)\n"
+    )
+    assert not cert.exists()
+
+
 def test_correlate_rejects_malformed_strategy(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

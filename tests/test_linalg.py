@@ -1,12 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from projsum.errors import InvalidShapeError, InvalidStateError, NonHermitianError
+import projsum.linalg as linalg
+from projsum.errors import (
+    BudgetExceededError,
+    InvalidShapeError,
+    InvalidStateError,
+    NonHermitianError,
+)
 from projsum.linalg import (
     dagger,
     fix_phases,
     hermitian_eig,
     is_hermitian,
+    krylov_eigh,
     maximally_entangled,
     nearest_isometry,
     null_space,
@@ -180,6 +190,77 @@ def test_hermitian_eig_descending_and_reconstructs():
         assert np.allclose(v @ np.diag(w) @ v.conj().T, h, atol=1e-10)
     with pytest.raises(NonHermitianError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def matrix_action(a):
+    """The action on row vectors that krylov_eigh expects, of a Hermitian matrix."""
+    return lambda rows: rows @ a.T
+
+
+@given(
+    dim=st.integers(4, 40),
+    count=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_krylov_eigh_matches_eigh(dim, count, seed):
+    h = random_hermitian(dim, np.random.default_rng(seed))
+    w, v = krylov_eigh(matrix_action(h), dim, count)
+    ref_w, ref_v = hermitian_eig(h)
+    scale = np.abs(ref_w).max()
+    assert np.allclose(w, ref_w[:count], rtol=0, atol=1e-12 * scale)
+    assert np.allclose(v.conj().T @ v, np.eye(count), atol=1e-12)
+    assert np.linalg.norm(h @ v - v * w, axis=0).max() <= 1e-12 * scale
+    for j in range(count):
+        # a simple eigenvalue fixes its vector, and the phase convention its phase
+        neighbours = np.delete(ref_w, j)
+        if np.abs(neighbours - ref_w[j]).min() > 1e-3 * scale:
+            assert np.abs(v[:, j] - ref_v[:, j]).max() < 1e-9
+
+
+def test_krylov_eigh_planted_degenerate_spectrum():
+    rng = np.random.default_rng(11)
+    dim = 30
+    u = random_unitary(dim, rng)
+    spectrum = np.concatenate([[5.0, 5.0, 3.0, 3.0, 3.0], rng.uniform(-1.0, 1.0, dim - 5)])
+    h = (u * spectrum) @ u.conj().T
+    top2 = u[:, :2]
+    w, v = krylov_eigh(matrix_action(h), dim, 1)
+    assert abs(w[0] - 5.0) < 1e-11
+    assert np.linalg.norm(v - top2 @ (top2.conj().T @ v)) < 1e-10
+    idx = np.argmax(np.abs(v[:, 0]))
+    assert v[idx, 0].real > 0 and abs(v[idx, 0].imag) < 1e-15
+    # a block as large as the multiplicity measures it
+    w, v = krylov_eigh(matrix_action(h), dim, 2)
+    assert np.allclose(w, [5.0, 5.0], atol=1e-11)
+    assert np.linalg.norm(v - top2 @ (top2.conj().T @ v)) < 1e-10
+    w, v = krylov_eigh(matrix_action(h), dim, 4)
+    assert np.allclose(w, [5.0, 5.0, 3.0, 3.0], atol=1e-11)
+    assert np.allclose(v.conj().T @ v, np.eye(4), atol=1e-12)
+
+
+def test_krylov_eigh_guards(monkeypatch):
+    h = random_hermitian(50, np.random.default_rng(12))
+    with pytest.raises(InvalidShapeError):
+        krylov_eigh(matrix_action(h), 50, 0)
+    with pytest.raises(InvalidShapeError):
+        krylov_eigh(matrix_action(h), 50, 51)
+
+    def unreachable(rows):
+        raise AssertionError("apply called despite the budget")
+
+    # a basis of 1,200 vectors of length 10^6 is refused before any allocation
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="1000000-row"):
+            krylov_eigh(unreachable, 1_000_000, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # a full basis without convergence raises instead of returning
+    monkeypatch.setattr(linalg, "KRYLOV_MAX_BLOCKS", 3)
+    with pytest.raises(BudgetExceededError, match="no convergence within 3 basis vectors"):
+        krylov_eigh(matrix_action(h), 50, 1)
 
 
 def test_fix_phases_largest_entry_real_positive():

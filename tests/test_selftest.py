@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import projsum.selftest as selftest
 from projsum.errors import (
     BudgetExceededError,
     FitDegenerateError,
@@ -246,6 +247,18 @@ def test_n_operator_rejects_degenerate_top():
     )
     with pytest.raises(SpectralDegeneracyError):
         n_operator(fam)
+    with pytest.raises(SpectralDegeneracyError):
+        fam.correlation_gap
+
+
+def test_ladder_gap_is_four_over_d_squared():
+    # the matrix-free gap against 4/d^2, and against the dense oracle up to d=31
+    for k in (1, 5, 10, 15, 30):
+        fam = four_family(k)
+        expected = 4.0 / fam.d**2
+        assert abs(fam.correlation_gap - expected) <= 1e-12 * expected
+        if k <= 15:
+            assert abs(n_operator(fam).gap - fam.correlation_gap) <= 1e-12 * expected
 
 
 def test_eigvec_overlap_bound_two_level_equality():
@@ -372,6 +385,44 @@ def test_fit_isometry_degenerate_candidate_raises():
         fit_isometry(ops, fam, rho)
 
 
+def fit_paths(monkeypatch, ops, fam, rho):
+    """fit_isometry on the dense path, then on the matrix-free one."""
+    fits = []
+    for min_rows in (10**9, 0):
+        monkeypatch.setattr(selftest, "KRYLOV_MIN_ROWS", min_rows)
+        fits.append(fit_isometry(ops, fam, rho))
+    return fits
+
+
+@pytest.mark.parametrize(
+    "k, ka, model",
+    [(1, 1, "povm-jitter"), (5, 1, "state-mixing"), (7, 1, "povm-jitter"),
+     (1, 2, "povm-jitter"), (3, 2, "outcome-noise")],
+)
+def test_fit_isometry_paths_agree(monkeypatch, k, ka, model):
+    # s = ka; for s = 2 the isometry is drawn from the solution space
+    # independently of its basis, so equal isometries mean equal subspaces
+    fam = four_family(k)
+    strat, _ = planted_strategy(fam, ka, 2, seed=k)
+    noisy = perturb(strat, model, 1e-3, seed=k)
+    rho_a, _ = reduced_densities(noisy.state, (noisy.dim_a, noisy.dim_b))
+    dense, krylov = fit_paths(monkeypatch, noisy.alice[:, 0], fam, rho_a)
+    assert dense.s == krylov.s == ka
+    assert np.abs(dense.isometry - krylov.isometry).max() < 1e-10
+    assert np.abs(dense.residuals - krylov.residuals).max() < 1e-10
+
+
+def test_fit_isometry_rejects_degenerate_form_on_both_paths(monkeypatch):
+    # the k=1 canonical operators against the k=2 family: the lowest
+    # eigenvalue (0.0889) of the 15-row form is triply degenerate
+    strat = canonical_strategy(four_family(1))
+    rho_a, _ = reduced_densities(strat.state, (strat.dim_a, strat.dim_b))
+    for min_rows in (10**9, 0):
+        monkeypatch.setattr(selftest, "KRYLOV_MIN_ROWS", min_rows)
+        with pytest.raises(FitDegenerateError, match="not separated"):
+            fit_isometry(strat.alice[:, 0], four_family(2), rho_a)
+
+
 # --- representation residual reports
 
 
@@ -441,6 +492,32 @@ def test_extract_dilation_epsilon_matches_direct_check():
         strat, canonical_strategy(fam), cert.v_a, cert.v_b, cert.junk
     )
     assert abs(direct - cert.epsilon) < 1e-12
+
+
+def test_extract_dilation_matrix_free_matches_dense_oracle(monkeypatch):
+    # d = 21: both 441-row fits and the gap are matrix-free by default
+    fam = four_family(10)
+    noisy = perturb(canonical_strategy(fam), "povm-jitter", 1e-3, seed=23)
+    cert = extract_dilation(noisy, fam)
+    monkeypatch.setattr(selftest, "KRYLOV_MIN_ROWS", 10**9)
+    oracle = extract_dilation(noisy, fam)
+    assert abs(cert.gap - n_operator(fam).gap) < 1e-10
+    for field in ("epsilon", "alpha", "beta", "state_residual", "delta"):
+        assert abs(getattr(cert, field) - getattr(oracle, field)) < 1e-10, field
+    for field in ("v_a", "v_b", "junk", "fit_residuals_a", "fit_residuals_b"):
+        assert np.abs(getattr(cert, field) - getattr(oracle, field)).max() < 1e-10, field
+
+
+def test_extract_dilation_at_d61():
+    # the 3721-row fits and the 3721-dimensional gap, all matrix-free
+    fam = four_family(30)
+    noisy = perturb(canonical_strategy(fam), "outcome-noise", 1e-3, seed=29)
+    cert = extract_dilation(noisy, fam)
+    direct = dilation_epsilon(noisy, canonical_strategy(fam), cert.v_a, cert.v_b, cert.junk)
+    assert abs(direct - cert.epsilon) < 1e-12
+    assert 1e-6 < cert.epsilon < 1e-1
+    assert abs(cert.gap - 4.0 / 61**2) < 1e-12
+    assert cert.alpha > 0.99
 
 
 def test_extract_dilation_alpha_threshold():
