@@ -78,6 +78,10 @@ class FitDegenerateError(ProjsumError, RuntimeError):
     """The fitted map has a rank-deficient polar factor."""
 
 
+class EigensolverError(ProjsumError, RuntimeError):
+    """An eigensolver failed, or did not converge within its sweep budget."""
+
+
 class JunkExtractionError(ProjsumError, RuntimeError):
     """The compressed state has too little overlap with the target block."""
 

@@ -40,7 +40,9 @@ class ProjectionFamily:
     """n projections in M_d summing to x * I_d.
 
     d is the ambient matrix dimension; for the canonical constructions it
-    equals the denominator of x in lowest terms.
+    equals the denominator of x in lowest terms.  The constructor stores
+    read-only C-ordered complex128 copies of the projections, so the
+    quantities cached below stay true to them.
     """
 
     n: int
@@ -53,13 +55,21 @@ class ProjectionFamily:
             raise InvalidFamilyError(
                 f"expected {self.n} projections, got {len(self.projections)}"
             )
+        projections = []
         for v, p in enumerate(self.projections):
+            try:
+                p = np.array(p, dtype=np.complex128, order="C")
+            except (TypeError, ValueError) as exc:  # ragged or non-numeric
+                raise InvalidFamilyError(f"projection {v}: entries do not form a matrix") from exc
             if p.shape != (self.d, self.d):
                 raise InvalidFamilyError(
                     f"projection of shape {p.shape} does not match d={self.d}"
                 )
             if not np.isfinite(p).all():
                 raise InvalidFamilyError(f"projection {v}: non-finite entry")
+            p.flags.writeable = False
+            projections.append(p)
+        object.__setattr__(self, "projections", tuple(projections))
 
     @property
     def x_float(self) -> float:
@@ -83,6 +93,13 @@ class ProjectionFamily:
 
         w, _ = krylov_eigh(apply, d * d, count=2)
         return top_gap(w)
+
+    @cached_property
+    def canonical_strategy(self):
+        """strategies.canonical_strategy of this family, built once."""
+        from .strategies import canonical_strategy  # strategies imports this module
+
+        return canonical_strategy(self)
 
 
 def top_gap(w: np.ndarray) -> float:
@@ -274,7 +291,7 @@ def transpose_family(fam: ProjectionFamily) -> ProjectionFamily:
         n=fam.n,
         x=fam.x,
         d=fam.d,
-        projections=tuple(p.T.copy() for p in fam.projections),
+        projections=tuple(p.T for p in fam.projections),
     )
 
 

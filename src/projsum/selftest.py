@@ -13,11 +13,13 @@ matrix M, on which X kron Y acts as X M Y^T (see linalg.vec).
 The two d^2 x d^2 eigenproblems are solved without forming d^2 x d^2
 matrices once they are large.  The spectral gap of N, which enters beta, is
 ProjectionFamily.correlation_gap: measured matrix-free once per family, with
-n_operator kept as the dense reference.  fit_isometry diagonalizes its form
-densely up to KRYLOV_MIN_ROWS rows and matrix-free above, by
-linalg.krylov_eigh; both paths return phase-fixed eigenvectors, so they give
-the same isometry, and both refuse a form whose solution eigenspace is not
-separated from the next eigenvalue.
+n_operator kept as the dense reference.  fit_isometry needs only the lowest
+eigenpairs of its form: up to KRYLOV_MIN_ROWS rows it forms the matrix, takes
+its eigenvalues alone and the wanted eigenvectors by shifted inverse
+iteration (linalg.lowest_eigvecs); above, it applies the form matrix-free to
+linalg.krylov_eigh.  Both paths return phase-fixed eigenvectors, so they
+give the same isometry, and both refuse a form whose solution eigenspace is
+not separated from the next eigenvalue.
 
 All certified quantities are measured, never assumed: every bound stored in
 a certificate is recomputed from the returned isometries and junk state.
@@ -47,9 +49,10 @@ from .linalg import (
     as_matrix,
     as_vector,
     dagger,
-    fix_phases,
     hermitian_eig,
+    hermitian_spectrum,
     krylov_eigh,
+    lowest_eigvecs,
     maximally_entangled,
     nearest_isometry,
     null_space,
@@ -60,7 +63,6 @@ from .linalg import (
 from .strategies import (
     Correlation,
     Strategy,
-    canonical_strategy,
     correlation_distance,
     ideal_correlation,
     induced_correlation,
@@ -70,7 +72,7 @@ from .strategies import (
 ALPHA_MIN = 0.1
 PAIR_BUDGET = 1_000_000
 # fit forms with more rows are solved matrix-free; measured crossover
-KRYLOV_MIN_ROWS = 400
+KRYLOV_MIN_ROWS = 625
 # relative to tr(rho), the scale of the fit form
 FIT_SEPARATION_TOL = 1e-8
 
@@ -400,6 +402,16 @@ class IsometryFit:
         return float(self.residuals.max(initial=0.0))
 
 
+def _require_separation(w: np.ndarray, count: int, trace: float) -> None:
+    """FitDegenerateError unless the ascending w[count - 1] < w[count] by
+    more than FIT_SEPARATION_TOL * trace."""
+    if w.size > count and w[count] - w[count - 1] <= FIT_SEPARATION_TOL * trace:
+        raise FitDegenerateError(
+            f"the fit form's eigenvalues {count} and {count + 1} are not separated "
+            f"({w[count - 1]:.6e} vs {w[count]:.6e})"
+        )
+
+
 def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     """Least-squares isometry aligning measured operators with a family.
 
@@ -409,11 +421,14 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     ``ops`` is an (n, r, r) stack, or a sequence of n equal-shape matrices.
     The ancilla dimension s is r/d rounded, raised if needed so that an
     isometry into C^(d s) exists.  A form of up to KRYLOV_MIN_ROWS rows is
-    diagonalized densely, a larger one matrix-free by linalg.krylov_eigh,
-    whose basis budget raises BudgetExceededError before allocating.
-    Raises FitDegenerateError when the lowest s^2 eigenvalues are not
-    separated from the next one by FIT_SEPARATION_TOL * tr(rho): the
-    solution would then be an arbitrary pick from a larger eigenspace.
+    formed densely: its spectrum comes from linalg.hermitian_spectrum and
+    only its s^2 lowest eigenvectors from linalg.lowest_eigvecs.  A larger
+    one is solved matrix-free by linalg.krylov_eigh, whose basis budget
+    raises BudgetExceededError before allocating.  Raises
+    FitDegenerateError, before any eigenvector is computed on the dense
+    path, when the lowest s^2 eigenvalues are not separated from the next
+    one by FIT_SEPARATION_TOL * tr(rho): the solution would then be an
+    arbitrary pick from a larger eigenspace.
     """
     try:
         ops = np.asarray(ops, dtype=np.complex128)
@@ -453,11 +468,14 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     c = (er @ ops).sum(axis=0)
     c_t = ((c + dagger(c)) / 2.0).T
     if rows <= KRYLOV_MIN_ROWS:
-        # quad = sum_v W_v^T kron A_v + C^T kron I
-        quad = np.einsum("vab,vxy->axby", weights, targets).reshape(rows, rows)
-        quad += np.kron(c_t, np.eye(ds))
-        w, vecs = np.linalg.eigh(quad)
-        w, vecs = w[: count + 1], fix_phases(vecs[:, :count])
+        # quad = sum_v W_v^T kron A_v + C^T kron I: one matmul over the
+        # flattened stacks, C^T paired with the identity as one more term
+        left = np.concatenate([weights, c_t[None]]).reshape(fam.n + 1, -1)
+        right = np.concatenate([targets, np.eye(ds)[None]]).reshape(fam.n + 1, -1)
+        quad = (left.T @ right).reshape(r, r, ds, ds).transpose(0, 2, 1, 3).reshape(rows, rows)
+        w = hermitian_spectrum(quad)
+        _require_separation(w, count, trace)
+        vecs = lowest_eigvecs(quad, w, count)
     else:
         targets_t = targets.swapaxes(-1, -2)
 
@@ -470,11 +488,7 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
         # a block of s^2 + 1 measures whether the next eigenvalue coincides
         w, vecs = krylov_eigh(negated_form, rows, count + 1)
         w, vecs = -w, vecs[:, :count]
-    if w.size > count and w[count] - w[count - 1] <= FIT_SEPARATION_TOL * trace:
-        raise FitDegenerateError(
-            f"the fit form's eigenvalues {count} and {count + 1} are not separated "
-            f"({w[count - 1]:.6e} vs {w[count]:.6e})"
-        )
+        _require_separation(w, count, trace)
 
     if count == 1:
         t = vecs[:, 0].reshape((ds, r), order="F")
@@ -648,7 +662,7 @@ def extract_dilation(
     m = min(sa, sb)
     junk[np.arange(m) * sb + np.arange(m)] = sv[:m]
 
-    reference = canonical_strategy(fam)
+    reference = fam.canonical_strategy
     residuals = _dilation_residuals(strategy, reference, v_a, v_b, junk)
     delta = correlation_distance(
         induced_correlation(strategy), ideal_correlation(fam.n, fam.x)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -134,14 +135,18 @@ class Strategy:
 
 @dataclass(frozen=True)
 class Correlation:
-    """Conditional outcome table, table[v, w, i, j] = p(i, j | v, w)."""
+    """Conditional outcome table, table[v, w, i, j] = p(i, j | v, w).
+
+    The constructor stores a read-only float copy of the table, so a
+    correlation can be shared (ideal_correlation caches its results).
+    """
 
     n: int
     k: int
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
+        t = np.array(self.table, dtype=float)
         if t.shape != (self.n, self.n, self.k, self.k):
             raise InvalidStrategyError(
                 f"table shape {t.shape} does not match (n, n, k, k) = "
@@ -149,6 +154,7 @@ class Correlation:
             )
         if not np.isfinite(t).all():
             raise InvalidStrategyError("table has a non-finite entry")
+        t.flags.writeable = False
         object.__setattr__(self, "table", t)
 
 
@@ -157,6 +163,7 @@ def canonical_strategy(fam: ProjectionFamily) -> Strategy:
 
     Alice measures {P_v, I - P_v}, Bob the transposes.  The induced
     correlation is synchronous and matches ideal_correlation(n, x).
+    ProjectionFamily.canonical_strategy builds it once per family.
     """
     d = fam.d
     p = np.stack(fam.projections)
@@ -170,11 +177,14 @@ def canonical_strategy(fam: ProjectionFamily) -> Strategy:
     )
 
 
+@lru_cache(maxsize=64)
 def ideal_correlation(n: int, x: Fraction | float) -> Correlation:
     """Closed-form synchronous two-outcome target correlation for (n, x).
 
     Exact in Fraction arithmetic before the final float conversion. Raises
     UnsupportedScalarError when x is not an admissible scalar for n.
+    Cached: a float and a Fraction of equal value hash alike, so calls with
+    the same (n, Fraction(x)) share one read-only result.
     """
     x = Fraction(x)
     if not scalar_is_admissible(n, x):

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import FitDegenerateError, JunkExtractionError, SerializationError
 from .families import ProjectionFamily, four_family, simplex_family
 from .selftest import approx_rep_residuals, extract_dilation
-from .strategies import NOISE_MODELS, canonical_strategy, perturb
+from .strategies import NOISE_MODELS, perturb
 
 CSV_HEADER = (
     "level,trial,delta,epsilon,alpha,rep_residual_A,rep_residual_B,"
@@ -117,7 +117,7 @@ def build_family(n: int, k: int) -> ProjectionFamily:
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Execute every (level, trial) cell; deterministic given the config."""
     fam = build_family(config.n, config.k)
-    canon = canonical_strategy(fam)
+    canon = fam.canonical_strategy
     rows: list[SweepRow] = []
     for li, level in enumerate(config.levels):
         for ti in range(config.trials_per_level):

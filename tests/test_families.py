@@ -20,6 +20,8 @@ from projsum.families import (
     transpose_family,
     validate_family,
 )
+from projsum.selftest import n_operator
+from projsum.strategies import canonical_strategy
 from reference_data import (
     LADDER_RUNG2_PROJECTIONS,
     TETRAHEDRON_PROJECTIONS,
@@ -196,3 +198,31 @@ def test_validate_family_flags_defects():
 def test_simplex_family_rejects_small_n():
     with pytest.raises(UnsupportedQuestionCountError):
         simplex_family(2)
+
+
+def test_family_stores_read_only_copies():
+    # a cached gap must stay true to the projections: an in-place write
+    # used to leave correlation_gap at 0.160 while n_operator gave 0.207
+    fam = four_family(2)
+    gap = fam.correlation_gap
+    with pytest.raises(ValueError, match="read-only"):
+        fam.projections[0][0, 0] = 1.0
+    assert gap == fam.correlation_gap
+    assert abs(gap - n_operator(fam).gap) < 1e-12
+    mine = [p.real.copy() for p in fam.projections]
+    copy = ProjectionFamily(n=4, x=fam.x, d=fam.d, projections=tuple(mine))
+    mine[0][0, 0] = 7.0
+    assert copy.projections[0][0, 0] != 7.0
+    for p in copy.projections:
+        assert p.dtype == np.complex128 and p.flags.c_contiguous and not p.flags.writeable
+    with pytest.raises(InvalidFamilyError, match="projection 1: entries do not form a matrix"):
+        ProjectionFamily(n=2, x=fam.x, d=2, projections=(np.eye(2), [[1, 0], [0]]))
+
+
+def test_canonical_strategy_built_once_per_family():
+    fam = four_family(2)
+    ref = fam.canonical_strategy
+    assert fam.canonical_strategy is ref
+    fresh = canonical_strategy(fam)
+    assert np.array_equal(ref.alice, fresh.alice) and np.array_equal(ref.bob, fresh.bob)
+    assert np.array_equal(ref.state, fresh.state)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 import projsum.linalg as linalg
 from projsum.errors import (
     BudgetExceededError,
+    EigensolverError,
     InvalidShapeError,
     InvalidStateError,
     NonHermitianError,
@@ -15,8 +16,10 @@ from projsum.linalg import (
     dagger,
     fix_phases,
     hermitian_eig,
+    hermitian_spectrum,
     is_hermitian,
     krylov_eigh,
+    lowest_eigvecs,
     maximally_entangled,
     nearest_isometry,
     null_space,
@@ -261,6 +264,104 @@ def test_krylov_eigh_guards(monkeypatch):
     monkeypatch.setattr(linalg, "KRYLOV_MAX_BLOCKS", 3)
     with pytest.raises(BudgetExceededError, match="no convergence within 3 basis vectors"):
         krylov_eigh(matrix_action(h), 50, 1)
+
+
+@given(
+    dim=st.integers(4, 40),
+    count=st.sampled_from([1, 2, 4]),
+    seed=st.integers(0, 2**16),
+)
+def test_lowest_eigvecs_matches_hermitian_eig(dim, count, seed):
+    h = random_hermitian(dim, np.random.default_rng(seed))
+    w = hermitian_spectrum(h)
+    v = lowest_eigvecs(h, w, count)
+    ref_w, ref_v = hermitian_eig(h)
+    ref_w, ref_v = ref_w[::-1], ref_v[:, ::-1]
+    scale = np.abs(ref_w).max()
+    assert np.allclose(w, ref_w, rtol=0, atol=1e-12 * scale)
+    assert np.allclose(v.conj().T @ v, np.eye(count), atol=1e-12)
+    assert np.linalg.norm(h @ v - v * w[:count], axis=0).max() <= 1e-12 * scale
+    for j in range(count):
+        neighbours = np.delete(ref_w, j)
+        if np.abs(neighbours - ref_w[j]).min() > 1e-3 * scale:
+            assert np.abs(v[:, j] - ref_v[:, j]).max() < 1e-9
+
+
+def planted(head, seed, dim=30):
+    """A Hermitian matrix with the given lowest eigenvalues, the rest in [2, 4],
+    and its eigenvectors (columns, in the order of the spectrum)."""
+    rng = np.random.default_rng(seed)
+    u = random_unitary(dim, rng)
+    spectrum = np.concatenate([head, rng.uniform(2.0, 4.0, dim - len(head))])
+    return (u * spectrum) @ u.conj().T, u
+
+
+def assert_spans(v, basis):
+    assert np.allclose(v.conj().T @ v, np.eye(v.shape[1]), atol=1e-12)
+    assert np.linalg.norm(v - basis @ (basis.conj().T @ v)) < 1e-10
+
+
+def test_lowest_eigvecs_planted_cluster_and_degeneracy():
+    # a cluster of three eigenvalues 1e-9 apart inside the wanted four
+    h, u = planted([-1.0, 0.5, 0.5 + 1e-9, 0.5 + 2e-9], seed=14)
+    for count in (1, 4):
+        assert_spans(lowest_eigvecs(h, hermitian_spectrum(h), count), u[:, :count])
+    # an exactly degenerate lowest eigenvalue, wanted once, twice, and with
+    # two of the next (also degenerate) one
+    h, u = planted([-1.0, -1.0, 0.5, 0.5, 0.5], seed=15)
+    w = hermitian_spectrum(h)
+    assert_spans(lowest_eigvecs(h, w, 1), u[:, :2])
+    assert_spans(lowest_eigvecs(h, w, 2), u[:, :2])
+    v = lowest_eigvecs(h, w, 4)
+    assert_spans(v, u[:, :5])
+    assert_spans(v[:, :2], u[:, :2])
+
+
+def test_lowest_eigvecs_narrow_band_takes_one_solve_per_sweep(monkeypatch):
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(b.shape) or solve(a, b))
+    # eight wanted eigenvalues 1e-7 apart, the rest at least 2 above them
+    h, u = planted(1e-7 * np.arange(8.0), seed=17)
+    w = hermitian_spectrum(h)
+    v = lowest_eigvecs(h, w, 8)
+    assert_spans(v, u[:, :8])
+    assert np.linalg.norm(h @ v - v * w[:8], axis=0).max() <= 1e-12 * np.abs(w).max()
+    assert solves and all(shape == (30, 8) for shape in solves)
+
+
+def test_lowest_eigvecs_exact_diagonal_and_singular_shifts(monkeypatch):
+    h = np.diag(np.arange(12.0))
+    flat = np.diag(np.r_[0.0, 0.0, 0.0, np.arange(1.0, 10.0)])
+    for shift in (linalg.INVERSE_SHIFT, 0.0):
+        # with no offset every shift is an exact eigenvalue: the solve is
+        # singular and the shift must move instead of raising LinAlgError
+        monkeypatch.setattr(linalg, "INVERSE_SHIFT", shift)
+        for count in (1, 2, 4):
+            v = lowest_eigvecs(h, hermitian_spectrum(h), count)
+            assert np.allclose(v, np.eye(12)[:, :count], rtol=0, atol=1e-12)
+        # a threefold eigenvalue, wanted whole: one shared shift
+        assert_spans(lowest_eigvecs(flat, hermitian_spectrum(flat), 3), np.eye(12)[:, :3])
+
+
+def test_lowest_eigvecs_guards(monkeypatch):
+    h = random_hermitian(20, np.random.default_rng(16))
+    w = hermitian_spectrum(h)
+    for count in (0, 21):
+        with pytest.raises(InvalidShapeError):
+            lowest_eigvecs(h, w, count)
+    with pytest.raises(InvalidShapeError):
+        lowest_eigvecs(h[:19, :19], w, 1)
+    assert np.array_equal(lowest_eigvecs(np.zeros((3, 3)), np.zeros(3), 2), np.eye(3, 2))
+    # a shift far from the eigenvalue needs many sweeps: none left raises
+    monkeypatch.setattr(linalg, "INVERSE_SHIFT", 0.5)
+    monkeypatch.setattr(linalg, "INVERSE_MAX_SWEEPS", 1)
+    with pytest.raises(EigensolverError, match="no convergence within 1 inverse-iteration sweeps"):
+        lowest_eigvecs(h, w, 2)
+    bad = h.copy()
+    bad[3, 3] = np.nan
+    with pytest.raises(EigensolverError, match="20-row"):
+        hermitian_spectrum(bad)
 
 
 def test_fix_phases_largest_entry_real_positive():

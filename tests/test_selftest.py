@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -24,6 +27,7 @@ from projsum.families import (
     transpose_family,
 )
 from projsum.linalg import (
+    fix_phases,
     maximally_entangled,
     partial_trace,
     random_state,
@@ -423,6 +427,59 @@ def test_fit_isometry_rejects_degenerate_form_on_both_paths(monkeypatch):
             fit_isometry(strat.alice[:, 0], four_family(2), rho_a)
 
 
+def full_eigh_vectors(quad, w, count):
+    """The dense fit's eigenvectors from a full eigendecomposition: the oracle."""
+    return fix_phases(np.linalg.eigh(quad)[1][:, :count])
+
+
+@pytest.mark.parametrize(
+    "k, ka, model, level",
+    [(1, 1, "povm-jitter", 1e-3), (5, 1, "state-mixing", 1e-3), (5, 1, "povm-jitter", 0.1),
+     (1, 2, "povm-jitter", 1e-3), (5, 2, "outcome-noise", 1e-3)],
+)
+def test_dense_fit_matches_full_eigh_oracle(monkeypatch, k, ka, model, level):
+    fam = four_family(k)
+    strat, _ = planted_strategy(fam, ka, 2, seed=k)
+    noisy = perturb(strat, model, level, seed=k)
+    rho_a, _ = reduced_densities(noisy.state, (noisy.dim_a, noisy.dim_b))
+    monkeypatch.setattr(selftest, "KRYLOV_MIN_ROWS", 10**9)
+    fit = fit_isometry(noisy.alice[:, 0], fam, rho_a)
+    monkeypatch.setattr(selftest, "lowest_eigvecs", full_eigh_vectors)
+    oracle = fit_isometry(noisy.alice[:, 0], fam, rho_a)
+    assert fit.s == oracle.s == ka
+    assert np.abs(fit.isometry - oracle.isometry).max() < 1e-12
+    assert np.abs(fit.residuals - oracle.residuals).max() < 1e-12
+
+
+def test_dense_fit_checks_separation_before_vectors(monkeypatch):
+    def unreachable(quad, w, count):
+        raise AssertionError("eigenvectors computed for a degenerate form")
+
+    monkeypatch.setattr(selftest, "lowest_eigvecs", unreachable)
+    strat = canonical_strategy(four_family(1))
+    rho_a, _ = reduced_densities(strat.state, (strat.dim_a, strat.dim_b))
+    with pytest.raises(FitDegenerateError, match="not separated"):
+        fit_isometry(strat.alice[:, 0], four_family(2), rho_a)
+
+
+def test_import_and_fit_load_no_scipy():
+    # importing scipy.linalg alone takes longer than the whole package setup
+    code = (
+        "import sys, numpy as np, projsum\n"
+        "fam = projsum.four_family(2)\n"
+        "strat = projsum.perturb(fam.canonical_strategy, 'povm-jitter', 1e-3, 1)\n"
+        "rho, _ = projsum.reduced_densities(strat.state, (strat.dim_a, strat.dim_b))\n"
+        "projsum.fit_isometry(strat.alice[:, 0], fam, rho)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 # --- representation residual reports
 
 
@@ -495,9 +552,10 @@ def test_extract_dilation_epsilon_matches_direct_check():
 
 
 def test_extract_dilation_matrix_free_matches_dense_oracle(monkeypatch):
-    # d = 21: both 441-row fits and the gap are matrix-free by default
+    # d = 21: both 441-row fits forced matrix-free, as larger ones are by default
     fam = four_family(10)
     noisy = perturb(canonical_strategy(fam), "povm-jitter", 1e-3, seed=23)
+    monkeypatch.setattr(selftest, "KRYLOV_MIN_ROWS", 0)
     cert = extract_dilation(noisy, fam)
     monkeypatch.setattr(selftest, "KRYLOV_MIN_ROWS", 10**9)
     oracle = extract_dilation(noisy, fam)

@@ -13,6 +13,7 @@ from projsum.linalg import maximally_entangled, random_state, random_unitary
 from projsum.selftest import dilation_epsilon
 from projsum.strategies import (
     NOISE_MODELS,
+    Correlation,
     Strategy,
     canonical_strategy,
     chsh_fixture,
@@ -280,3 +281,16 @@ def test_perturb_rejects_bad_arguments():
         perturb(strat, "state-mixing", 1.5, seed=0)
     with pytest.raises(InvalidLevelError):
         perturb(strat, "state-mixing", -0.1, seed=0)
+
+
+def test_ideal_correlation_is_cached_and_read_only():
+    corr = ideal_correlation(4, Fraction(4, 3))
+    assert ideal_correlation(4, Fraction(4, 3)) is corr
+    assert ideal_correlation(3, 1.5) is ideal_correlation(3, Fraction(3, 2))
+    with pytest.raises(ValueError, match="read-only"):
+        corr.table[0, 0, 0, 0] = 1.0
+    mine = corr.table.copy()
+    copy = Correlation(n=4, k=2, table=mine)
+    mine[0, 0, 0, 0] = 1.0
+    assert copy.table[0, 0, 0, 0] == corr.table[0, 0, 0, 0]
+    assert not copy.table.flags.writeable
