@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fam_sub = family.add_subparsers(dest="family_command", required=True)
     gen = fam_sub.add_parser("gen", help="construct a family and write it to JSON")
     gen.add_argument("--n", type=int, required=True, help="number of projections")
-    gen.add_argument("--k", type=int, default=1, help="ladder level (n = 4 only)")
+    gen.add_argument("--k", type=int, default=1, help="ladder level (1 only for n = 3)")
     gen.add_argument("--out", required=True, help="output path for family.json")
     verify = fam_sub.add_parser("verify", help="validate a family file")
     verify.add_argument("path", help="family.json to check")
@@ -198,7 +198,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (SerializationError, FileNotFoundError) as exc:
+    except (SerializationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ProjsumError as exc:

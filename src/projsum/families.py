@@ -8,8 +8,9 @@ n >= 4 the admissible scalars form the increasing rational sequence
 
 kept exact here with Fraction arithmetic.  Two concrete constructions are
 provided: rank-one families built from the vertices of a regular simplex
-(one per n >= 3), and for n = 4 an inductive ladder that climbs the scalar
-sequence, raising the rank by one per step.
+(one per n >= 3), and for every n >= 4 an inductive ladder that climbs the
+scalar sequence from the simplex, multiplying the dimension by n - 1 - x
+per step.
 """
 from __future__ import annotations
 
@@ -20,13 +21,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    BudgetExceededError,
     DegenerateInputError,
     InvalidFamilyError,
     SpectralDegeneracyError,
     UnsupportedQuestionCountError,
     UnsupportedScalarError,
 )
-from .linalg import as_matrix, fix_phases, krylov_eigh, null_space
+from .linalg import KRYLOV_BUDGET, as_matrix, fix_phases, krylov_eigh, null_space
 
 Rational = Fraction
 
@@ -140,6 +142,11 @@ class FamilyReport:
         )
 
 
+def _next_scalar(n: int, x: Fraction) -> Fraction:
+    """The admissible scalar after x for n >= 4 questions."""
+    return 1 + Fraction(1, n - 1 - x)
+
+
 def lambda_sequence(n: int, count: int = 1) -> list[Fraction]:
     """First ``count`` admissible scalars for n questions, exactly.
 
@@ -154,7 +161,7 @@ def lambda_sequence(n: int, count: int = 1) -> list[Fraction]:
         return [Fraction(3, 2)]
     seq = [Fraction(0)]
     while len(seq) < count:
-        seq.append(1 + Fraction(1, n - 1 - seq[-1]))
+        seq.append(_next_scalar(n, seq[-1]))
     return seq
 
 
@@ -173,7 +180,7 @@ def scalar_is_admissible(n: int, x: Fraction) -> bool:
         return False
     current = Fraction(0)
     while current < x:
-        current = 1 + Fraction(1, n - 1 - current)
+        current = _next_scalar(n, current)
     return current == x
 
 
@@ -208,81 +215,87 @@ def simplex_family(n: int) -> ProjectionFamily:
     return ProjectionFamily(n=n, x=Fraction(n, n - 1), d=n - 1, projections=projs)
 
 
-def four_family_step(fam: ProjectionFamily) -> ProjectionFamily:
-    """One rung of the n = 4 ladder: scalar 4k/(2k+1) -> 4(k+1)/(2k+3).
+def ladder_step(fam: ProjectionFamily) -> ProjectionFamily:
+    """One rung up the ladder of n >= 4 projections: x -> 1 + 1/(n - 1 - x).
 
-    Given rank-k projections in M_(2k+1), stack orthonormal range bases of
-    the complements Q_v = I - P_v into a wide matrix, take an orthonormal
-    basis of its null space, slice it back into four blocks R_v, and rescale
-    R_v R_v^* to the new projections in M_(2k+3).
+    Given projections of rank xd/n in M_d, stack orthonormal range bases of
+    the complements Q_v = I - P_v (rank d - xd/n each) into a wide matrix,
+    take an orthonormal basis of its null space, of dimension d(n - 1 - x),
+    slice it back into n blocks R_v, and rescale R_v R_v^* to the new
+    projections.  This is the functor of Kruglyak, Rabanovich & Samoilenko,
+    "On sums of projections", Funct. Anal. Appl. 36 (2002).
     """
-    if fam.n != 4:
-        raise InvalidFamilyError(f"the ladder is defined for n = 4, got n = {fam.n}")
-    k2 = fam.d - 1
-    if k2 <= 0 or k2 % 2 != 0:
-        raise InvalidFamilyError(f"expected odd ambient dimension > 1, got d = {fam.d}")
-    k = k2 // 2
-    if fam.x != Fraction(4 * k, 2 * k + 1):
-        raise InvalidFamilyError(
-            f"scalar {fam.x} does not sit on the ladder for d = {fam.d}"
-        )
-    report = validate_family(fam, tol=1e-8)
-    if not report.passed:
+    n, x, d = fam.n, fam.x, fam.d
+    if n < 4:
+        raise InvalidFamilyError(f"the ladder is defined for n >= 4, got n = {n}")
+    rank = x * d / n
+    if rank.denominator != 1 or not 0 <= rank < d:
+        raise InvalidFamilyError(f"scalar {x} gives no rank in 0..d-1 at d = {d}")
+    if not validate_family(fam, tol=1e-8).passed:
         raise InvalidFamilyError("input family fails validation at 1e-8")
 
-    d_in = fam.d
-    eye = np.eye(d_in, dtype=np.complex128)
+    c = d - int(rank)
+    eye = np.eye(d, dtype=np.complex128)
     blocks = []
     for p in fam.projections:
         q = eye - p
         u, s, _ = np.linalg.svd(q)
         cols = int(np.count_nonzero(s > 0.5))
-        if cols != k + 1:
-            raise DegenerateInputError(
-                f"complement rank {cols}, expected {k + 1}"
-            )
+        if cols != c:
+            raise DegenerateInputError(f"complement rank {cols}, expected {c}")
         blocks.append(fix_phases(u[:, :cols]))
-    gamma1 = np.hstack(blocks)                      # (2k+1) x 4(k+1)
+    gamma1 = np.hstack(blocks)                      # d x n c
     kernel = null_space(gamma1, tol=1e-9)           # columns
-    d_out = 2 * k + 3
+    d_out = n * c - d                               # = d (n - 1 - x)
     if kernel.shape[1] != d_out:
         raise DegenerateInputError(
             f"null space dimension {kernel.shape[1]}, expected {d_out}"
         )
     gamma2 = kernel.T                               # rows are the basis, transposed
-    x_new = Fraction(4 * (k + 1), 2 * k + 3)
-    # each block satisfies R^* R = ((2k+3)/(4k+4)) I, so this rescale makes
-    # R R^* idempotent and the four blocks sum to x_new * I
-    scale = 4 * (k + 1) / (2 * k + 3)
-    projs = []
-    for v in range(4):
-        r = gamma2[:, v * (k + 1) : (v + 1) * (k + 1)]
-        projs.append(scale * (r @ r.conj().T))
-    out = ProjectionFamily(n=4, x=x_new, d=d_out, projections=tuple(projs))
-    check = validate_family(out, tol=1e-8)
-    if not check.passed:
+    x_new = _next_scalar(n, x)
+    # each block satisfies R^* R = ((n - 1 - x)/(n - x)) I, so this rescale
+    # makes R R^* idempotent and the n blocks sum to x_new * I
+    scale = float(x_new)
+    projs = tuple(scale * (r @ r.conj().T) for r in np.split(gamma2, n, axis=1))
+    out = ProjectionFamily(n=n, x=x_new, d=d_out, projections=projs)
+    if not validate_family(out, tol=1e-8).passed:
         raise DegenerateInputError("constructed family fails validation at 1e-8")
     return out
 
 
-def four_family(k: int) -> ProjectionFamily:
-    """Rank-k family of four projections in M_(2k+1) with scalar 4k/(2k+1).
+def ladder_family(n: int, level: int) -> ProjectionFamily:
+    """Rung ``level`` of the ladder of n projections, with scalar x_level.
 
-    The base case k = 1 is the tetrahedron family: rank-one projections onto
-    the four unit vectors
-
-        (1, 0, 0), (-1/3, 2*sqrt(2)/3, 0),
-        (-1/3, -sqrt(2)/3, +-sqrt(2/3)),
-
-    which the generic simplex construction reproduces verbatim.  Higher k
-    iterates four_family_step.
+    Level 1 is simplex_family(n), with scalar n/(n-1) in M_(n-1); each higher
+    level applies ladder_step, which takes d to d(n - 1 - x).  n = 3 has
+    level 1 only.  The dimensions are first run through exactly, and
+    BudgetExceededError is raised before anything is built once a rung's
+    n d^2 entries would exceed linalg.KRYLOV_BUDGET.
     """
-    if k < 1:
-        raise UnsupportedScalarError(f"need k >= 1, got {k}")
-    fam = simplex_family(4)
-    for _ in range(k - 1):
-        fam = four_family_step(fam)
+    if n < 3:
+        raise UnsupportedQuestionCountError(f"need n >= 3, got {n}")
+    if level < 1:
+        raise UnsupportedScalarError(f"need k >= 1, got {level}")
+    if n == 3 and level > 1:
+        raise UnsupportedScalarError(f"n = 3 has one admissible scalar, so no level k = {level}")
+    x, d = Fraction(n, n - 1), Fraction(n - 1)
+    for rung in range(1, level + 1):
+        if n * d * d > KRYLOV_BUDGET:
+            raise BudgetExceededError(
+                f"level {rung} of the n = {n} ladder has d = {d}: its {n} d^2 entries "
+                f"exceed the {KRYLOV_BUDGET}-entry budget"
+            )
+        x, d = _next_scalar(n, x), d * (n - 1 - x)
+    fam = simplex_family(n)
+    for _ in range(level - 1):
+        fam = ladder_step(fam)
     return fam
+
+
+def four_family(k: int) -> ProjectionFamily:
+    """Rank-k family of four projections in M_(2k+1) with scalar 4k/(2k+1):
+    ladder_family(4, k), whose k = 1 is the tetrahedron family."""
+    return ladder_family(4, k)
 
 
 def transpose_family(fam: ProjectionFamily) -> ProjectionFamily:

@@ -35,6 +35,7 @@ from .errors import (
     BudgetExceededError,
     FitDegenerateError,
     IntertwinerError,
+    InvalidDimensionError,
     InvalidShapeError,
     InvalidStateError,
     InvalidStrategyError,
@@ -55,7 +56,6 @@ from .linalg import (
     lowest_eigvecs,
     maximally_entangled,
     nearest_isometry,
-    null_space,
     reduced_densities,
     seminorm,
     unvec,
@@ -135,8 +135,11 @@ def tracial_residual(strategy: Strategy, degree: int = 2, party: str = "alice") 
 
     Words are products of the party's first-outcome operators with length
     1..degree; rho is that party's reduced state.  Raises
-    BudgetExceededError when the pair count would exceed one million.
+    InvalidDimensionError for a degree below 1, and BudgetExceededError when
+    the pair count would exceed one million.
     """
+    if degree < 1:
+        raise InvalidDimensionError(f"monomial degree must be at least 1, got {degree}")
     n = strategy.n_questions
     count = sum(n**l for l in range(1, degree + 1))
     if count * count > PAIR_BUDGET:
@@ -333,11 +336,11 @@ def find_intertwiner(fam: ProjectionFamily, candidate, tol: float = 1e-8) -> np.
     """Unitary U with U R_v U^* = P_v kron I_s for an exact representation.
 
     ``candidate`` is a sequence of n projections R_v in M_r where d | r and
-    s = r/d.  The linear system T P_v = R_v T is solved for all v at once;
-    its solution space must have dimension exactly s, and the normalized
-    basis elements are stacked into U.  Verification failures raise
-    IntertwinerError, a wrong solution-space dimension raises
-    NotARepresentationError.
+    s = r/d.  With r = d s the unweighted isometry fit (rho = I/r) is square,
+    and for an exact representation its solution is such a U.  A wrong count
+    or dimension, or a fit whose solution space is not s^2-dimensional,
+    raises NotARepresentationError; a conjugation residual above tol raises
+    IntertwinerError.
     """
     d, n = fam.d, fam.n
     mats = [as_matrix(c) for c in candidate]
@@ -349,35 +352,13 @@ def find_intertwiner(fam: ProjectionFamily, candidate, tol: float = 1e-8) -> np.
             raise InvalidShapeError("candidate operators must share a square shape")
     if r % d != 0:
         raise NotARepresentationError(f"family dimension {d} does not divide {r}")
-    s = r // d
-    eye_d = np.eye(d)
-    eye_r = np.eye(r)
-    rows = [
-        np.kron(eye_d, rv) - np.kron(pv.T, eye_r)
-        for pv, rv in zip(fam.projections, mats)
-    ]
-    system = np.vstack(rows)
-    # loose solve, strict verify: near-solutions of a perturbed candidate are
-    # admitted here and rejected by the residual check below
-    kernel = null_space(system, tol=1e-6)
-    if kernel.shape[1] != s:
-        raise NotARepresentationError(
-            f"intertwiner space has dimension {kernel.shape[1]}, expected {s}"
-        )
-    blocks = [kernel[:, i].reshape((r, d), order="F") * np.sqrt(d) for i in range(s)]
-    for i, ti in enumerate(blocks):
-        for j, tj in enumerate(blocks):
-            target = np.eye(d) if i == j else np.zeros((d, d))
-            if np.linalg.norm(ti.conj().T @ tj - target) > 1e-6:
-                raise IntertwinerError(
-                    "solution basis is not orthogonal in the representation sense"
-                )
-    w = np.zeros((r, d * s), dtype=np.complex128)
-    for i, ti in enumerate(blocks):
-        w[:, i::s] = ti
-    u = nearest_isometry(w).conj().T
+    try:
+        fit = fit_isometry(mats, fam, np.eye(r) / r)
+    except FitDegenerateError as exc:
+        raise NotARepresentationError(f"no unique intertwiner space: {exc}") from exc
+    u = fit.isometry
     worst = max(
-        float(np.linalg.norm(u @ rv @ u.conj().T - np.kron(pv, np.eye(s))))
+        float(np.linalg.norm(u @ rv @ u.conj().T - np.kron(pv, np.eye(fit.s))))
         for pv, rv in zip(fam.projections, mats)
     )
     if worst > tol:

@@ -77,6 +77,8 @@ def load_json(path) -> dict:
             raise SerializationError(
                 f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except UnicodeDecodeError as exc:
+            raise SerializationError(f"{path}: not a text file: {exc}") from exc
 
 
 def _require(data: dict, key: str, where: str):

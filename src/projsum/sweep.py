@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import FitDegenerateError, JunkExtractionError, SerializationError
-from .families import ProjectionFamily, four_family, simplex_family
+from .families import ProjectionFamily, ladder_family
 from .selftest import approx_rep_residuals, extract_dilation
 from .strategies import NOISE_MODELS, perturb
 
@@ -53,6 +53,8 @@ class SweepConfig:
             raise SerializationError("trials_per_level must be positive")
         if self.seed < 0:
             raise SerializationError("seed must be nonnegative")
+        if self.monomial_degree < 1:
+            raise SerializationError("monomial_degree must be at least 1")
         object.__setattr__(self, "levels", levels)
 
     @classmethod
@@ -106,12 +108,8 @@ def trial_seed(root_seed: int, level_index: int, trial_index: int) -> int:
 
 
 def build_family(n: int, k: int) -> ProjectionFamily:
-    """Family for a sweep: the n = 4 ladder at level k, else the simplex."""
-    if n == 4:
-        return four_family(k)
-    if k != 1:
-        raise SerializationError(f"k = {k} is only available for n = 4")
-    return simplex_family(n)
+    """Family for a sweep: level k of the ladder of n projections."""
+    return ladder_family(n, k)
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:

@@ -20,8 +20,56 @@ def test_family_gen_and_verify(tmp_path, capsys):
 def test_family_gen_rejects_bad_parameters(tmp_path, capsys):
     out = tmp_path / "fam.json"
     assert main(["family", "gen", "--n", "2", "--out", str(out)]) == 2
-    assert main(["family", "gen", "--n", "5", "--k", "2", "--out", str(out)]) == 2
+    assert main(["family", "gen", "--n", "3", "--k", "2", "--out", str(out)]) == 2
     assert "error" in capsys.readouterr().err
+    assert main(["family", "gen", "--n", "5", "--k", "2", "--out", str(out)]) == 0
+    assert family_from_dict(load_json(out)).d == 11
+
+
+def one_error_line(err: str) -> bool:
+    return err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_family_gen_refuses_an_over_budget_ladder(tmp_path, capsys):
+    # n = 8 rungs have d = 7, 41, 239, 1393, 8119: level 5 alone is 8 d^2 > 4096^2;
+    # the n = 1200 simplex used to end in a RecursionError traceback
+    out = tmp_path / "fam.json"
+    for n, k in (("8", "6"), ("8", "10000000"), ("1200", "1")):
+        assert main(["family", "gen", "--n", n, "--k", k, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert one_error_line(captured.err) and "budget" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
+def test_general_ladder_gen_verify_and_selftest(tmp_path, capsys):
+    fam = tmp_path / "fam.json"
+    assert main(["family", "gen", "--n", "5", "--k", "3", "--out", str(fam)]) == 0
+    assert "d=29" in capsys.readouterr().out
+    assert main(["family", "verify", str(fam)]) == 0
+    assert capsys.readouterr().out.endswith("PASS\n")
+    strat = tmp_path / "strategy.json"
+    cert = tmp_path / "certificate.json"
+    assert main(["strategy", "canonical", "--n", "5", "--k", "2", "--out", str(strat)]) == 0
+    assert main(["selftest", str(strat), "--n", "5", "--k", "2", "--cert", str(cert)]) == 0
+    assert load_json(cert)["epsilon"] < 1e-9
+    capsys.readouterr()
+
+
+def test_path_and_encoding_errors_report_one_error_line(tmp_path, capsys):
+    binary = tmp_path / "fam.bin"
+    binary.write_bytes(bytes(range(128, 256)))
+    runs = (
+        ["family", "gen", "--n", "4", "--out", str(tmp_path)],
+        ["family", "verify", str(tmp_path)],
+        ["family", "verify", str(binary)],
+        ["correlate", str(binary), "--out", str(tmp_path / "c.json")],
+    )
+    for argv in runs:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert one_error_line(captured.err), captured.err
+        assert captured.out == ""
 
 
 def test_family_verify_fails_on_corruption(tmp_path, capsys):

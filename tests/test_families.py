@@ -1,9 +1,12 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from projsum.errors import (
+    BudgetExceededError,
     DegenerateInputError,
     InvalidFamilyError,
     UnsupportedQuestionCountError,
@@ -12,7 +15,8 @@ from projsum.errors import (
 from projsum.families import (
     ProjectionFamily,
     four_family,
-    four_family_step,
+    ladder_family,
+    ladder_step,
     lambda_sequence,
     scalar_is_admissible,
     simplex_family,
@@ -21,7 +25,7 @@ from projsum.families import (
     validate_family,
 )
 from projsum.selftest import n_operator
-from projsum.strategies import canonical_strategy
+from projsum.strategies import canonical_strategy, ideal_correlation, induced_correlation
 from reference_data import (
     LADDER_RUNG2_PROJECTIONS,
     TETRAHEDRON_PROJECTIONS,
@@ -129,7 +133,7 @@ def test_four_family_ladder_dimensions_and_ranks():
 
 def test_four_family_step_advances_scalar():
     fam = four_family(1)
-    nxt = four_family_step(fam)
+    nxt = ladder_step(fam)
     assert nxt.x == Fraction(8, 5)
     assert nxt.d == 5
     assert validate_family(nxt).passed
@@ -166,14 +170,59 @@ def test_reference_rung2_is_valid_family():
 def test_four_family_step_rejects_wrong_input():
     fam3 = simplex_family(3)
     with pytest.raises(InvalidFamilyError):
-        four_family_step(fam3)
+        ladder_step(fam3)
     # corrupt one projection so the sum is off
     fam = four_family(1)
     bad = list(fam.projections)
     bad[0] = bad[0] * 0.5
     broken = ProjectionFamily(n=4, x=fam.x, d=fam.d, projections=tuple(bad))
     with pytest.raises((InvalidFamilyError, DegenerateInputError)):
-        four_family_step(broken)
+        ladder_step(broken)
+
+
+# every (n, level) with n in 4..8 whose rung has d <= 41
+SMALL_RUNGS = [(4, k) for k in range(1, 21)] + [
+    (5, 1), (5, 2), (5, 3), (6, 1), (6, 2), (7, 1), (7, 2), (8, 1), (8, 2)
+]
+
+
+@given(rung=st.sampled_from(SMALL_RUNGS))
+def test_ladder_rungs_have_closed_form_correlations(rung):
+    n, level = rung
+    fam = ladder_family(n, level)
+    assert fam.x == lambda_sequence(n, level + 1)[level]
+    assert fam.d == fam.x.denominator
+    report = validate_family(fam)
+    assert report.passed
+    assert report.ranks == (int(fam.x * fam.d / n),) * n
+    assert fam.correlation_gap > 0  # SpectralDegeneracyError if the top is not simple
+    corr = induced_correlation(fam.canonical_strategy)
+    assert np.abs(corr.table - ideal_correlation(n, fam.x).table).max() < 1e-11
+
+
+def test_ladder_family_refuses_before_allocating():
+    tracemalloc.start()
+    try:
+        # n = 8 rungs have d = 7, 41, 239, 1393, 8119, 47321
+        with pytest.raises(BudgetExceededError, match="level 5 of the n = 8 ladder has d = 8119"):
+            ladder_family(8, 6)
+        with pytest.raises(BudgetExceededError, match="level 1024 of the n = 4 ladder has d = 2049"):
+            ladder_family(4, 10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the level-6 family alone would take 8 * 47321^2 complex entries, about 286 GB
+    assert peak < 4_000_000
+
+
+def test_ladder_family_rejects_levels_out_of_range():
+    assert ladder_family(3, 1).x == Fraction(3, 2)
+    with pytest.raises(UnsupportedScalarError):
+        ladder_family(3, 2)
+    with pytest.raises(UnsupportedScalarError):
+        ladder_family(5, 0)
+    with pytest.raises(UnsupportedQuestionCountError):
+        ladder_family(2, 1)
 
 
 def test_transpose_family():

@@ -14,6 +14,7 @@ from projsum.errors import (
     BudgetExceededError,
     FitDegenerateError,
     IntertwinerError,
+    InvalidDimensionError,
     InvalidReferenceError,
     InvalidShapeError,
     JunkExtractionError,
@@ -23,6 +24,7 @@ from projsum.errors import (
 from projsum.families import (
     ProjectionFamily,
     four_family,
+    ladder_family,
     simplex_family,
     transpose_family,
 )
@@ -223,6 +225,12 @@ def test_tracial_residual_budget_guard():
 # --- spectral analysis of the correlation operator
 
 
+def test_tracial_residual_rejects_degree_below_one():
+    strat = canonical_strategy(four_family(1))
+    with pytest.raises(InvalidDimensionError, match="at least 1, got 0"):
+        tracial_residual(strat, degree=0)
+
+
 def test_n_operator_triangle_spectrum():
     op = n_operator(simplex_family(3))
     assert np.allclose(op.spectrum, [1.5, 0.75, 0.75, 0.0], atol=1e-10)
@@ -312,6 +320,17 @@ def test_find_intertwiner_recovers_conjugation():
         u = find_intertwiner(fam, candidate)
         for p, c in zip(fam.projections, candidate):
             assert np.linalg.norm(u @ c @ u.conj().T - p) < 1e-9
+
+
+def test_find_intertwiner_at_d21():
+    fam = four_family(10)
+    v = random_unitary(fam.d, np.random.default_rng(43))
+    candidate = [v @ p @ v.conj().T for p in fam.projections]
+    u = find_intertwiner(fam, candidate)
+    assert u.shape == (21, 21)
+    assert np.linalg.norm(u.conj().T @ u - np.eye(21)) < 1e-12
+    for p, c in zip(fam.projections, candidate):
+        assert np.linalg.norm(u @ c @ u.conj().T - p) < 1e-9
 
 
 def test_find_intertwiner_direct_sum_multiplicity_two():
@@ -564,6 +583,20 @@ def test_extract_dilation_matrix_free_matches_dense_oracle(monkeypatch):
         assert abs(getattr(cert, field) - getattr(oracle, field)) < 1e-10, field
     for field in ("v_a", "v_b", "junk", "fit_residuals_a", "fit_residuals_b"):
         assert np.abs(getattr(cert, field) - getattr(oracle, field)).max() < 1e-10, field
+
+
+def test_extract_dilation_five_question_ladder():
+    fam = ladder_family(5, 2)
+    noisy = perturb(fam.canonical_strategy, "povm-jitter", 1e-3, seed=5)
+    cert = extract_dilation(noisy, fam)
+    assert (cert.ref_dim_a, cert.anc_dim_a) == (11, 1)
+    assert cert.alpha > 0.999
+    assert cert.epsilon == dilation_epsilon(
+        noisy, fam.canonical_strategy, cert.v_a, cert.v_b, cert.junk
+    )
+    assert cert.epsilon < 1e-2
+    report = approx_rep_residuals(noisy, fam.x)
+    assert report.lemma35_pass and report.lemma63_pass and report.tracial_pass
 
 
 def test_extract_dilation_at_d61():

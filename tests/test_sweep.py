@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from projsum.errors import SerializationError
+from projsum.errors import BudgetExceededError, SerializationError, UnsupportedScalarError
 from projsum.sweep import (
     CSV_HEADER,
     SweepConfig,
@@ -45,6 +45,12 @@ def test_config_validation():
         small_config(seed=-1)
 
 
+def test_config_rejects_monomial_degree_below_one():
+    # degree 0 used to run, measuring degree-1 words against a zero budget
+    with pytest.raises(SerializationError, match="monomial_degree must be at least 1"):
+        small_config(monomial_degree=0)
+
+
 def test_config_from_dict_round_trip():
     data = {
         "n": 4,
@@ -72,8 +78,11 @@ def test_trial_seed_is_stable_and_distinct():
 def test_build_family_dispatch():
     assert build_family(4, 3).d == 7
     assert build_family(5, 1).d == 4
-    with pytest.raises(SerializationError):
-        build_family(5, 2)
+    assert build_family(5, 2).d == 11
+    with pytest.raises(UnsupportedScalarError):
+        build_family(3, 2)
+    with pytest.raises(BudgetExceededError):
+        build_family(8, 6)
 
 
 def test_run_sweep_is_deterministic_and_level_major():
