@@ -1,6 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error,
+3 internal error (an unexpected exception, reported on one line).
 The PROJSUM_TOL environment variable overrides the default tolerance of
 verification commands.
 """
@@ -205,6 +206,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         # bad inputs are usage errors; failed extractions are verification failures
         return 2 if isinstance(exc, ValueError) else 1
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

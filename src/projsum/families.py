@@ -10,7 +10,7 @@ kept exact here with Fraction arithmetic.  Two concrete constructions are
 provided: rank-one families built from the vertices of a regular simplex
 (one per n >= 3), and for every n >= 4 an inductive ladder that climbs the
 scalar sequence from the simplex, multiplying the dimension by n - 1 - x
-per step.
+per step.  Every function here works on a family's (n, d, d) stack whole.
 """
 from __future__ import annotations
 
@@ -28,9 +28,7 @@ from .errors import (
     UnsupportedQuestionCountError,
     UnsupportedScalarError,
 )
-from .linalg import KRYLOV_BUDGET, as_matrix, fix_phases, krylov_eigh, null_space
-
-Rational = Fraction
+from .linalg import KRYLOV_BUDGET, dagger, fix_phases, krylov_eigh, null_space
 
 PROJECTION_TOL = 1e-9
 # relative to max(1, top eigenvalue)
@@ -42,36 +40,37 @@ class ProjectionFamily:
     """n projections in M_d summing to x * I_d.
 
     d is the ambient matrix dimension; for the canonical constructions it
-    equals the denominator of x in lowest terms.  The constructor stores
-    read-only C-ordered complex128 copies of the projections, so the
-    quantities cached below stay true to them.
+    equals the denominator of x in lowest terms.  The constructor stores one
+    read-only C-ordered complex128 copy of the projections, of shape (n, d, d),
+    so the quantities cached below stay true to it.
     """
 
     n: int
     x: Fraction
     d: int
-    projections: tuple[np.ndarray, ...]
+    projections: np.ndarray
 
     def __post_init__(self):
-        if len(self.projections) != self.n:
-            raise InvalidFamilyError(
-                f"expected {self.n} projections, got {len(self.projections)}"
-            )
-        projections = []
-        for v, p in enumerate(self.projections):
-            try:
-                p = np.array(p, dtype=np.complex128, order="C")
-            except (TypeError, ValueError) as exc:  # ragged or non-numeric
-                raise InvalidFamilyError(f"projection {v}: entries do not form a matrix") from exc
-            if p.shape != (self.d, self.d):
-                raise InvalidFamilyError(
-                    f"projection of shape {p.shape} does not match d={self.d}"
-                )
-            if not np.isfinite(p).all():
-                raise InvalidFamilyError(f"projection {v}: non-finite entry")
-            p.flags.writeable = False
-            projections.append(p)
-        object.__setattr__(self, "projections", tuple(projections))
+        n, d = self.n, self.d
+        if len(self.projections) != n:
+            raise InvalidFamilyError(f"expected {n} projections, got {len(self.projections)}")
+        try:
+            stack = np.array(self.projections, dtype=np.complex128, order="C")
+        except (TypeError, ValueError):  # ragged or non-numeric: named below
+            stack = None
+        if stack is None or stack.shape != (n, d, d) or not np.isfinite(stack).all():
+            for v, p in enumerate(self.projections):
+                try:
+                    p = np.array(p, dtype=np.complex128)
+                except (TypeError, ValueError) as exc:
+                    raise InvalidFamilyError(f"projection {v}: entries do not form a matrix") from exc
+                if p.shape != (d, d):
+                    raise InvalidFamilyError(f"projection of shape {p.shape} does not match d={d}")
+                if not np.isfinite(p).all():
+                    raise InvalidFamilyError(f"projection {v}: non-finite entry")
+            raise InvalidFamilyError(f"projections do not form an ({n}, {d}, {d}) stack")
+        stack.flags.writeable = False
+        object.__setattr__(self, "projections", stack)
 
     @property
     def x_float(self) -> float:
@@ -88,7 +87,7 @@ class ProjectionFamily:
         SpectralDegeneracyError.  selftest.n_operator is the dense reference.
         """
         d = self.d
-        stack = np.stack(self.projections)[:, None]
+        stack = self.projections[:, None]
 
         def apply(rows):
             return (stack @ rows.reshape(-1, d, d) @ stack).sum(axis=0).reshape(rows.shape)
@@ -187,20 +186,23 @@ def scalar_is_admissible(n: int, x: Fraction) -> bool:
 def simplex_vertices(n: int) -> np.ndarray:
     """Unit vertices of a regular simplex in R^(n-1), one per row.
 
-    Built recursively: the first vertex is e_1 and the remaining ones share
-    first coordinate -1/(n-1), scaled copies of an (n-1)-vertex simplex in
-    the orthogonal complement.  Pairwise inner products are +-1/(n-1).
+    The first vertex is e_1 and the remaining ones share first coordinate
+    -1/(n-1): they are copies of an (n-1)-vertex simplex in the orthogonal
+    complement, scaled by c_n = sqrt(1 - 1/(n-1)^2).  Unrolled, column j
+    holds 1 on the diagonal and -1/(n-1-j) below it, both scaled by c_m for
+    every m from n-j+1 up to n, innermost first.  Pairwise inner products
+    are -1/(n-1).
     """
     if n < 2:
         raise UnsupportedQuestionCountError(f"need n >= 2, got {n}")
-    if n == 2:
-        return np.array([[1.0], [-1.0]])
-    sub = simplex_vertices(n - 1)
-    c = np.sqrt(1.0 - 1.0 / (n - 1) ** 2)
-    out = np.zeros((n, n - 1))
-    out[0, 0] = 1.0
-    out[1:, 0] = -1.0 / (n - 1)
-    out[1:, 1:] = c * sub
+    diag = np.ones(n - 1)
+    below = -1.0 / np.arange(n - 1, 0, -1)
+    for m in range(3, n + 1):
+        c = np.sqrt(1.0 - 1.0 / (m - 1) ** 2)
+        diag[n - m + 1:] *= c
+        below[n - m + 1:] *= c
+    out = np.tril(np.broadcast_to(below, (n, n - 1)), -1)
+    np.fill_diagonal(out, diag)
     return out
 
 
@@ -209,9 +211,7 @@ def simplex_family(n: int) -> ProjectionFamily:
     if n < 3:
         raise UnsupportedQuestionCountError(f"need n >= 3, got {n}")
     verts = simplex_vertices(n)
-    projs = tuple(
-        np.outer(verts[v], verts[v]).astype(np.complex128) for v in range(n)
-    )
+    projs = verts[:, :, None] * verts[:, None, :]
     return ProjectionFamily(n=n, x=Fraction(n, n - 1), d=n - 1, projections=projs)
 
 
@@ -235,28 +235,24 @@ def ladder_step(fam: ProjectionFamily) -> ProjectionFamily:
         raise InvalidFamilyError("input family fails validation at 1e-8")
 
     c = d - int(rank)
-    eye = np.eye(d, dtype=np.complex128)
-    blocks = []
-    for p in fam.projections:
-        q = eye - p
-        u, s, _ = np.linalg.svd(q)
-        cols = int(np.count_nonzero(s > 0.5))
-        if cols != c:
-            raise DegenerateInputError(f"complement rank {cols}, expected {c}")
-        blocks.append(fix_phases(u[:, :cols]))
-    gamma1 = np.hstack(blocks)                      # d x n c
-    kernel = null_space(gamma1, tol=1e-9)           # columns
+    u, s, _ = np.linalg.svd(np.eye(d, dtype=np.complex128) - fam.projections)
+    cols = np.count_nonzero(s > 0.5, axis=1)
+    if (cols != c).any():
+        raise DegenerateInputError(f"complement rank {cols[cols != c][0]}, expected {c}")
+    # the n range bases side by side, d x n c; fix_phases acts per column
+    gamma1 = fix_phases(u[:, :, :c].transpose(1, 0, 2).reshape(d, n * c))
+    kernel = null_space(gamma1)                     # columns
     d_out = n * c - d                               # = d (n - 1 - x)
     if kernel.shape[1] != d_out:
         raise DegenerateInputError(
             f"null space dimension {kernel.shape[1]}, expected {d_out}"
         )
-    gamma2 = kernel.T                               # rows are the basis, transposed
+    # the rows of kernel^T sliced into n blocks R_v of c columns each
+    blocks = kernel.T.reshape(d_out, n, c).transpose(1, 0, 2)
     x_new = _next_scalar(n, x)
     # each block satisfies R^* R = ((n - 1 - x)/(n - x)) I, so this rescale
     # makes R R^* idempotent and the n blocks sum to x_new * I
-    scale = float(x_new)
-    projs = tuple(scale * (r @ r.conj().T) for r in np.split(gamma2, n, axis=1))
+    projs = float(x_new) * (blocks @ dagger(blocks))
     out = ProjectionFamily(n=n, x=x_new, d=d_out, projections=projs)
     if not validate_family(out, tol=1e-8).passed:
         raise DegenerateInputError("constructed family fails validation at 1e-8")
@@ -300,12 +296,7 @@ def four_family(k: int) -> ProjectionFamily:
 
 def transpose_family(fam: ProjectionFamily) -> ProjectionFamily:
     """Entrywise transpose of every projection; same n, x, d."""
-    return ProjectionFamily(
-        n=fam.n,
-        x=fam.x,
-        d=fam.d,
-        projections=tuple(p.T for p in fam.projections),
-    )
+    return ProjectionFamily(n=fam.n, x=fam.x, d=fam.d, projections=fam.projections.swapaxes(1, 2))
 
 
 def validate_family(fam: ProjectionFamily, tol: float = PROJECTION_TOL) -> FamilyReport:
@@ -316,30 +307,19 @@ def validate_family(fam: ProjectionFamily, tol: float = PROJECTION_TOL) -> Famil
     against its two predicted values x/n and x(x-1)/(n(n-1)).
     """
     n, d, x = fam.n, fam.d, fam.x
-    projs = [as_matrix(p) for p in fam.projections]
-    herm = np.array([float(np.linalg.norm(p - p.conj().T)) for p in projs])
-    idem = np.array([float(np.linalg.norm(p @ p - p)) for p in projs])
-    total = sum(projs)
-    sum_residual = float(np.linalg.norm(total - float(x) * np.eye(d)))
-    ranks = tuple(
-        int(np.count_nonzero(np.linalg.eigvalsh((p + p.conj().T) / 2) > 0.5))
-        for p in projs
-    )
+    p = fam.projections
+    herm = np.linalg.norm(p - dagger(p), axis=(1, 2))
+    idem = np.linalg.norm(p @ p - p, axis=(1, 2))
+    sum_residual = float(np.linalg.norm(p.sum(axis=0) - float(x) * np.eye(d)))
+    ranks = tuple((np.linalg.eigvalsh((p + dagger(p)) / 2) > 0.5).sum(axis=1).tolist())
     xd = x * d
     expected_rank = None
     if xd.denominator == 1 and xd.numerator % n == 0:
         expected_rank = int(xd.numerator // n)
-    table = np.empty((n, n))
-    for v in range(n):
-        for w in range(n):
-            table[v, w] = np.trace(projs[v] @ projs[w]).real / d
-    diag_target = float(x) / n
-    off_target = float(x * (x - 1)) / (n * (n - 1))
-    dev = 0.0
-    for v in range(n):
-        for w in range(n):
-            target = diag_target if v == w else off_target
-            dev = max(dev, abs(table[v, w] - target))
+    table = np.trace(p[:, None] @ p[None], axis1=-2, axis2=-1).real / d
+    target = np.full((n, n), float(x * (x - 1)) / (n * (n - 1)))
+    np.fill_diagonal(target, float(x) / n)
+    dev = np.abs(table - target).max(initial=0.0)
     return FamilyReport(
         n=n,
         d=d,

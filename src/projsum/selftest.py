@@ -335,32 +335,27 @@ def eigvec_overlap_bound(a, xi, cluster_tol: float = 1e-8) -> tuple[float, float
 def find_intertwiner(fam: ProjectionFamily, candidate, tol: float = 1e-8) -> np.ndarray:
     """Unitary U with U R_v U^* = P_v kron I_s for an exact representation.
 
-    ``candidate`` is a sequence of n projections R_v in M_r where d | r and
-    s = r/d.  With r = d s the unweighted isometry fit (rho = I/r) is square,
-    and for an exact representation its solution is such a U.  A wrong count
-    or dimension, or a fit whose solution space is not s^2-dimensional,
-    raises NotARepresentationError; a conjugation residual above tol raises
-    IntertwinerError.
+    ``candidate`` holds n projections R_v in M_r, where d | r and s = r/d;
+    fit_isometry checks their shapes.  With r = d s the unweighted isometry
+    fit (rho = I/r) is square, and for an exact representation its solution
+    is such a U.  A wrong count or dimension, or a fit whose solution space
+    is not s^2-dimensional, raises NotARepresentationError; a conjugation
+    residual above tol raises IntertwinerError.
     """
     d, n = fam.d, fam.n
-    mats = [as_matrix(c) for c in candidate]
-    if len(mats) != n:
-        raise NotARepresentationError(f"expected {n} candidate operators, got {len(mats)}")
-    r = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (r, r):
-            raise InvalidShapeError("candidate operators must share a square shape")
+    if len(candidate) != n:
+        raise NotARepresentationError(f"expected {n} candidate operators, got {len(candidate)}")
+    r = len(candidate[0])
     if r % d != 0:
         raise NotARepresentationError(f"family dimension {d} does not divide {r}")
     try:
-        fit = fit_isometry(mats, fam, np.eye(r) / r)
+        fit = fit_isometry(candidate, fam, np.eye(r) / r)
     except FitDegenerateError as exc:
         raise NotARepresentationError(f"no unique intertwiner space: {exc}") from exc
     u = fit.isometry
-    worst = max(
-        float(np.linalg.norm(u @ rv @ u.conj().T - np.kron(pv, np.eye(fit.s))))
-        for pv, rv in zip(fam.projections, mats)
-    )
+    conjugated = u @ np.asarray(candidate, dtype=np.complex128) @ dagger(u)
+    targets = np.kron(fam.projections, np.eye(fit.s))
+    worst = float(np.linalg.norm(conjugated - targets, axis=(1, 2)).max())
     if worst > tol:
         raise IntertwinerError(f"conjugation residual {worst:.3e} exceeds {tol:.1e}")
     return u
@@ -442,7 +437,7 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     # On column-major vec(T) the form is T -> sum_v A_v T W_v + T C, with
     # A_v = P_v kron I_s, W_v = rho - E_v rho - rho E_v, C = sum_v E_v rho E_v;
     # W_v and C are made exactly Hermitian, so both paths solve one operator
-    targets = np.kron(np.stack(fam.projections), np.eye(s))
+    targets = np.kron(fam.projections, np.eye(s))
     er = ops @ rho_reg
     weights = rho_reg - er - dagger(er)
     weights = ((weights + dagger(weights)) / 2.0).swapaxes(-1, -2)

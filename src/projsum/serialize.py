@@ -38,7 +38,10 @@ def _pair(value, where: str) -> complex:
         or not all(isinstance(t, (int, float)) for t in value)
     ):
         raise SerializationError(f"{where}: expected a [real, imag] pair, got {value!r}")
-    return complex(value[0], value[1])
+    try:
+        return complex(value[0], value[1])
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise SerializationError(f"{where}: {exc}") from exc
 
 
 def lists_to_matrix(rows, where: str = "matrix") -> np.ndarray:
@@ -79,6 +82,8 @@ def load_json(path) -> dict:
             ) from exc
         except UnicodeDecodeError as exc:
             raise SerializationError(f"{path}: not a text file: {exc}") from exc
+        except ValueError as exc:  # an integer literal past Python's digit limit
+            raise SerializationError(f"{path}: {exc}") from exc
 
 
 def _require(data: dict, key: str, where: str):
@@ -184,7 +189,7 @@ def correlation_from_dict(data: dict, where: str = "correlation") -> Correlation
     table = _require(data, "table", where)
     try:
         arr = np.asarray(table, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SerializationError(f"{where}.table: not a numeric array: {exc}") from exc
     try:
         return Correlation(n=int(n), k=int(k), table=arr)

@@ -166,7 +166,7 @@ def canonical_strategy(fam: ProjectionFamily) -> Strategy:
     ProjectionFamily.canonical_strategy builds it once per family.
     """
     d = fam.d
-    p = np.stack(fam.projections)
+    p = fam.projections
     alice = np.stack([p, np.eye(d, dtype=np.complex128) - p], axis=1)
     return Strategy(
         state=maximally_entangled(d),

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from projsum import cli
 from projsum.cli import main
 from projsum.serialize import family_from_dict, family_to_dict, load_json, save_json
 from projsum.families import four_family
@@ -219,6 +220,99 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     cfg.write_text(json.dumps({"n": 4, "k": 1}))
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
     capsys.readouterr()
+
+
+SWEEP_CONFIG = {
+    "n": 4,
+    "k": 1,
+    "noise_model": "state-mixing",
+    "levels": [0.0, 0.01],
+    "trials_per_level": 1,
+    "seed": 7,
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", None),
+        ("n", "x"),
+        ("n", True),
+        ("k", 1.5),
+        ("k", float("nan")),
+        ("trials_per_level", [2]),
+        ("seed", "7"),
+        ("monomial_degree", 2.5),
+        ("levels", "ab"),
+        ("levels", None),
+        ("levels", [0.0, "0.1"]),
+        ("levels", [0, 10**400]),
+    ],
+)
+def test_sweep_rejects_a_non_numeric_config_field(tmp_path, capsys, field, value):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**SWEEP_CONFIG, field: value}))
+    out = tmp_path / "r.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert one_error_line(captured.err) and repr(field) in captured.err, captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_sweep_accepts_integral_floats(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    integral = {"n": 4.0, "k": 1.0, "seed": 7.0, "levels": [0, 0.01]}
+    cfg.write_text(json.dumps({**SWEEP_CONFIG, **integral}))
+    out = tmp_path / "r.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3
+    capsys.readouterr()
+
+
+def test_huge_json_integers_report_one_error_line(tmp_path, capsys):
+    fam, strat = tmp_path / "fam.json", tmp_path / "strategy.json"
+    main(["family", "gen", "--n", "4", "--k", "1", "--out", str(fam)])
+    main(["strategy", "canonical", "--n", "4", "--k", "1", "--out", str(strat)])
+    capsys.readouterr()
+    doc = load_json(fam)
+    doc["projections"][0][1][2] = [10**400, 0]
+    save_json(doc, fam)
+    doc = load_json(strat)
+    doc["state"][4] = [0, -(10**400)]
+    save_json(doc, strat)
+    digits = tmp_path / "digits.json"
+    digits.write_text("[" + "7" * 5000 + "]")
+    cert = tmp_path / "cert.json"
+    runs = (
+        (["family", "verify", str(fam)], "family.projections[0][1]"),
+        (["correlate", str(strat), "--out", str(tmp_path / "c.json")], "strategy.state[4]"),
+        (["selftest", str(strat), "--n", "4", "--cert", str(cert)], "strategy.state[4]"),
+        (["family", "verify", str(digits)], "digits.json"),
+    )
+    for argv, where in runs:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert one_error_line(captured.err) and where in captured.err, captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "c.json").exists() and not cert.exists()
+
+
+def test_unexpected_exception_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    strat = tmp_path / "strategy.json"
+    main(["strategy", "canonical", "--n", "4", "--k", "1", "--out", str(strat)])
+    capsys.readouterr()
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "extract_dilation", broken)
+    cert = tmp_path / "cert.json"
+    assert main(["selftest", str(strat), "--n", "4", "--k", "1", "--cert", str(cert)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: internal error: ZeroDivisionError: division by zero\n"
+    assert captured.out == ""
+    assert not cert.exists()
 
 
 def test_outputs_are_idempotent(tmp_path):

@@ -80,6 +80,15 @@ def test_simplex_vertices_gram():
                            1.0 / (n - 1), atol=1e-12)
 
 
+def test_simplex_vertices_without_recursion_limit():
+    n = 1001
+    verts = simplex_vertices(n)
+    assert verts.shape == (n, n - 1)
+    gram = verts @ verts.T
+    assert np.abs(np.diag(gram) - 1.0).max() < 1e-12
+    assert np.abs(gram[~np.eye(n, dtype=bool)] + 1.0 / (n - 1)).max() < 1e-12
+
+
 def test_simplex_vertices_match_references():
     assert np.allclose(simplex_vertices(4), TETRAHEDRON_VERTICES, atol=1e-12)
 
@@ -275,3 +284,55 @@ def test_canonical_strategy_built_once_per_family():
     fresh = canonical_strategy(fam)
     assert np.array_equal(ref.alice, fresh.alice) and np.array_equal(ref.bob, fresh.bob)
     assert np.array_equal(ref.state, fresh.state)
+
+
+def family_array_checks():
+    """Every SMALL_RUNGS family, then one with a non-Hermitian, non-idempotent
+    projection whose rank and sum are off."""
+    for n, level in SMALL_RUNGS:
+        yield ladder_family(n, level)
+    fam = four_family(2)
+    bad = np.array(fam.projections)
+    noise = 0.02 * np.random.default_rng(3).standard_normal((5, 5))
+    bad[1] += 0.6 * np.eye(5) + noise + 0.7j * np.eye(5, k=1)
+    yield ProjectionFamily(n=4, x=fam.x, d=5, projections=bad)
+
+
+def test_validate_family_matches_loop_oracle():
+    for fam in family_array_checks():
+        report = validate_family(fam)
+        d = fam.d
+        projs = list(fam.projections)
+        herm = np.array([np.linalg.norm(p - p.conj().T) for p in projs])
+        idem = np.array([np.linalg.norm(p @ p - p) for p in projs])
+        total = sum(projs)
+        sum_residual = np.linalg.norm(total - float(fam.x) * np.eye(d))
+        ranks = tuple(
+            int(np.count_nonzero(np.linalg.eigvalsh((p + p.conj().T) / 2) > 0.5)) for p in projs
+        )
+        table = np.array([[np.trace(p @ q).real / d for q in projs] for p in projs])
+        assert report.ranks == ranks
+        np.testing.assert_allclose(report.hermiticity, herm, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(report.idempotency, idem, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(report.sum_residual, sum_residual, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(report.trace_table, table, rtol=1e-15, atol=0)
+    assert not report.passed and report.hermiticity[1] > 0.1 and report.ranks[1] != 2
+
+
+def test_family_is_one_read_only_stack():
+    fam = four_family(3)
+    for stack in (fam.projections, transpose_family(fam).projections):
+        assert isinstance(stack, np.ndarray) and stack.shape == (4, 7, 7)
+        assert stack.dtype == np.complex128 and stack.flags.c_contiguous
+        assert not stack.flags.writeable
+    assert np.array_equal(transpose_family(fam).projections, fam.projections.swapaxes(1, 2))
+    # when stacking fails, the first offending projection is named
+    projs = list(fam.projections)
+    projs[2] = projs[2] * np.nan
+    with pytest.raises(InvalidFamilyError, match="projection 2: non-finite entry"):
+        ProjectionFamily(n=4, x=fam.x, d=7, projections=projs)
+    projs[1] = projs[1][0]
+    with pytest.raises(InvalidFamilyError, match=r"projection of shape \(7,\) does not match d=7"):
+        ProjectionFamily(n=4, x=fam.x, d=7, projections=projs)
+    with pytest.raises(InvalidFamilyError, match=r"projection of shape \(7, 7\) does not match d=5"):
+        ProjectionFamily(n=4, x=fam.x, d=5, projections=fam.projections)

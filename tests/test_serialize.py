@@ -88,6 +88,26 @@ def test_non_finite_families_and_correlations_are_rejected():
             Correlation(n=4, k=2, table=table)
 
 
+def test_huge_json_integers_raise_serialization_error(tmp_path):
+    fam = four_family(1)
+    data = family_to_dict(fam)
+    data["projections"][2][0][1] = [0, 10**400]
+    with pytest.raises(SerializationError, match=r"^family.projections\[2\]\[0\]: "):
+        family_from_dict(data)
+    data = strategy_to_dict(canonical_strategy(fam))
+    data["state"][0] = [10**400, 0]
+    with pytest.raises(SerializationError, match=r"^strategy.state\[0\]: "):
+        strategy_from_dict(data)
+    data = correlation_to_dict(induced_correlation(canonical_strategy(fam)))
+    data["table"][1][0][1][1] = -(10**400)
+    with pytest.raises(SerializationError, match="^correlation.table: not a numeric array"):
+        correlation_from_dict(data)
+    path = tmp_path / "digits.json"
+    path.write_text('{"n": ' + "9" * 5000 + "}")
+    with pytest.raises(SerializationError, match="digits.json: "):
+        load_json(path)
+
+
 def test_strategy_from_dict_keeps_validation_errors_unwrapped():
     data = strategy_to_dict(canonical_strategy(four_family(1)))
     data["alice"][0][0][0][0] = [1.5, 0.0]

@@ -166,6 +166,15 @@ def test_load_report_rejects_malformed(tmp_path):
     path.write_text("{\"a\": 1}")
     with pytest.raises(SerializationError):
         load_report(path)
+    for rows in ([1], [{"foo": 1}], [{}]):
+        path.write_text(json.dumps(rows))
+        with pytest.raises(SerializationError, match="report row 0"):
+            load_report(path)
+    path.write_bytes(bytes(range(128, 256)))
+    with pytest.raises(SerializationError, match="not a text file"):
+        load_report(path)
+    with pytest.raises(OSError):
+        load_report(tmp_path)
 
 
 def test_epsilon_tracks_noise_level():
