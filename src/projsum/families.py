@@ -52,23 +52,19 @@ class ProjectionFamily:
 
     def __post_init__(self):
         n, d = self.n, self.d
-        if len(self.projections) != n:
+        if n < 1 or len(self.projections) != n:
             raise InvalidFamilyError(f"expected {n} projections, got {len(self.projections)}")
-        try:
-            stack = np.array(self.projections, dtype=np.complex128, order="C")
-        except (TypeError, ValueError):  # ragged or non-numeric: named below
-            stack = None
-        if stack is None or stack.shape != (n, d, d) or not np.isfinite(stack).all():
-            for v, p in enumerate(self.projections):
-                try:
-                    p = np.array(p, dtype=np.complex128)
-                except (TypeError, ValueError) as exc:
-                    raise InvalidFamilyError(f"projection {v}: entries do not form a matrix") from exc
-                if p.shape != (d, d):
-                    raise InvalidFamilyError(f"projection of shape {p.shape} does not match d={d}")
-                if not np.isfinite(p).all():
-                    raise InvalidFamilyError(f"projection {v}: non-finite entry")
-            raise InvalidFamilyError(f"projections do not form an ({n}, {d}, {d}) stack")
+        stack = np.empty((n, d, d), dtype=np.complex128)
+        for v, p in enumerate(self.projections):
+            try:
+                p = np.asarray(p, dtype=np.complex128)
+            except (TypeError, ValueError) as exc:  # ragged or non-numeric
+                raise InvalidFamilyError(f"projection {v}: entries do not form a matrix") from exc
+            if p.shape != (d, d):
+                raise InvalidFamilyError(f"projection of shape {p.shape} does not match d={d}")
+            if not np.isfinite(p).all():
+                raise InvalidFamilyError(f"projection {v}: non-finite entry")
+            stack[v] = p
         stack.flags.writeable = False
         object.__setattr__(self, "projections", stack)
 
@@ -186,12 +182,10 @@ def scalar_is_admissible(n: int, x: Fraction) -> bool:
 def simplex_vertices(n: int) -> np.ndarray:
     """Unit vertices of a regular simplex in R^(n-1), one per row.
 
-    The first vertex is e_1 and the remaining ones share first coordinate
-    -1/(n-1): they are copies of an (n-1)-vertex simplex in the orthogonal
-    complement, scaled by c_n = sqrt(1 - 1/(n-1)^2).  Unrolled, column j
-    holds 1 on the diagonal and -1/(n-1-j) below it, both scaled by c_m for
-    every m from n-j+1 up to n, innermost first.  Pairwise inner products
-    are -1/(n-1).
+    The first vertex is e_1; the others share first coordinate -1/(n-1) and
+    are an (n-1)-vertex simplex scaled by c_n = sqrt(1 - 1/(n-1)^2).  So
+    column j holds 1 on the diagonal and -1/(n-1-j) below it, both scaled by
+    c_m for m = n-j+1..n.  Pairwise inner products are -1/(n-1).
     """
     if n < 2:
         raise UnsupportedQuestionCountError(f"need n >= 2, got {n}")
@@ -244,9 +238,7 @@ def ladder_step(fam: ProjectionFamily) -> ProjectionFamily:
     kernel = null_space(gamma1)                     # columns
     d_out = n * c - d                               # = d (n - 1 - x)
     if kernel.shape[1] != d_out:
-        raise DegenerateInputError(
-            f"null space dimension {kernel.shape[1]}, expected {d_out}"
-        )
+        raise DegenerateInputError(f"null space dimension {kernel.shape[1]}, expected {d_out}")
     # the rows of kernel^T sliced into n blocks R_v of c columns each
     blocks = kernel.T.reshape(d_out, n, c).transpose(1, 0, 2)
     x_new = _next_scalar(n, x)
@@ -316,7 +308,8 @@ def validate_family(fam: ProjectionFamily, tol: float = PROJECTION_TOL) -> Famil
     expected_rank = None
     if xd.denominator == 1 and xd.numerator % n == 0:
         expected_rank = int(xd.numerator // n)
-    table = np.trace(p[:, None] @ p[None], axis1=-2, axis2=-1).real / d
+    # one row of products at a time keeps the peak at n d^2 entries, not n^2 d^2
+    table = np.array([np.trace(pv @ p, axis1=1, axis2=2).real for pv in p]) / d
     target = np.full((n, n), float(x * (x - 1)) / (n * (n - 1)))
     np.fill_diagonal(target, float(x) / n)
     dev = np.abs(table - target).max(initial=0.0)

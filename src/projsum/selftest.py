@@ -335,25 +335,32 @@ def eigvec_overlap_bound(a, xi, cluster_tol: float = 1e-8) -> tuple[float, float
 def find_intertwiner(fam: ProjectionFamily, candidate, tol: float = 1e-8) -> np.ndarray:
     """Unitary U with U R_v U^* = P_v kron I_s for an exact representation.
 
-    ``candidate`` holds n projections R_v in M_r, where d | r and s = r/d;
-    fit_isometry checks their shapes.  With r = d s the unweighted isometry
-    fit (rho = I/r) is square, and for an exact representation its solution
-    is such a U.  A wrong count or dimension, or a fit whose solution space
-    is not s^2-dimensional, raises NotARepresentationError; a conjugation
-    residual above tol raises IntertwinerError.
+    ``candidate`` holds n projections R_v in M_r, where d | r and s = r/d.
+    With r = d s the unweighted isometry fit (rho = I/r) is square, and for
+    an exact representation its solution is such a U.  Operators that are
+    not matrices of one square shape raise InvalidShapeError.  A wrong count
+    or dimension, or a fit whose solution space is not s^2-dimensional,
+    raises NotARepresentationError; a conjugation residual above tol raises
+    IntertwinerError.
     """
     d, n = fam.d, fam.n
-    if len(candidate) != n:
-        raise NotARepresentationError(f"expected {n} candidate operators, got {len(candidate)}")
-    r = len(candidate[0])
+    try:
+        ops = np.asarray(candidate, dtype=np.complex128)
+    except ValueError as exc:  # ragged
+        raise InvalidShapeError("candidate operators must share a square shape") from exc
+    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+        raise InvalidShapeError("candidate operators must share a square shape")
+    if len(ops) != n:
+        raise NotARepresentationError(f"expected {n} candidate operators, got {len(ops)}")
+    r = ops.shape[1]
     if r % d != 0:
         raise NotARepresentationError(f"family dimension {d} does not divide {r}")
     try:
-        fit = fit_isometry(candidate, fam, np.eye(r) / r)
+        fit = fit_isometry(ops, fam, np.eye(r) / r)
     except FitDegenerateError as exc:
         raise NotARepresentationError(f"no unique intertwiner space: {exc}") from exc
     u = fit.isometry
-    conjugated = u @ np.asarray(candidate, dtype=np.complex128) @ dagger(u)
+    conjugated = u @ ops @ dagger(u)
     targets = np.kron(fam.projections, np.eye(fit.s))
     worst = float(np.linalg.norm(conjugated - targets, axis=(1, 2)).max())
     if worst > tol:

@@ -336,3 +336,18 @@ def test_family_is_one_read_only_stack():
         ProjectionFamily(n=4, x=fam.x, d=7, projections=projs)
     with pytest.raises(InvalidFamilyError, match=r"projection of shape \(7, 7\) does not match d=5"):
         ProjectionFamily(n=4, x=fam.x, d=5, projections=fam.projections)
+    with pytest.raises(InvalidFamilyError, match="expected 0 projections, got 0"):
+        ProjectionFamily(n=0, x=Fraction(0), d=1, projections=[])
+
+
+def test_validate_family_peak_memory_stays_near_family_size():
+    fam = simplex_family(60)
+    tracemalloc.start()
+    try:
+        report = validate_family(fam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    # all n^2 products of the trace table at once would take n = 60 times the family
+    assert peak < 4 * fam.projections.nbytes

@@ -362,6 +362,18 @@ def test_find_intertwiner_rejects_wrong_dimension():
         find_intertwiner(fam, candidate)
 
 
+def test_find_intertwiner_error_classes():
+    fam = four_family(1)
+    good = list(fam.projections)
+    for bad_first in (1.0, np.ones(4), np.ones((4, 3))):
+        with pytest.raises(InvalidShapeError):
+            find_intertwiner(fam, [bad_first] + good[1:])
+    with pytest.raises(InvalidShapeError):
+        find_intertwiner(fam, good[:3] + [np.eye(6)])
+    with pytest.raises(NotARepresentationError, match="expected 4 candidate operators, got 3"):
+        find_intertwiner(fam, good[:3])
+
+
 # --- isometry fitting
 
 
