@@ -54,6 +54,10 @@ class ProjectionFamily:
         n, d = self.n, self.d
         if n < 1 or len(self.projections) != n:
             raise InvalidFamilyError(f"expected {n} projections, got {len(self.projections)}")
+        # a sum of n projections is x I only for x in [0, n]; checked first, so
+        # a scalar too large for a float never reaches validate_family
+        if not 0 <= self.x <= n:
+            raise InvalidFamilyError(f"scalar x must lie in [0, n] = [0, {n}]")
         stack = np.empty((n, d, d), dtype=np.complex128)
         for v, p in enumerate(self.projections):
             try:
@@ -67,10 +71,6 @@ class ProjectionFamily:
             stack[v] = p
         stack.flags.writeable = False
         object.__setattr__(self, "projections", stack)
-
-    @property
-    def x_float(self) -> float:
-        return float(self.x)
 
     @cached_property
     def correlation_gap(self) -> float:

@@ -1,8 +1,9 @@
 """JSON encoding of the package's machine artifacts.
 
-Wire format: a complex scalar is a [real, imag] pair, a matrix is a list of
-row lists, a complex vector a list of pairs.  Documents are written with
-sorted keys so repeated runs produce identical bytes.
+Wire format: a complex scalar is a [real, imag] pair, and a complex array of
+any rank is nested lists of such pairs: a vector is a list of pairs, a matrix
+a list of row lists, a stack of matrices a list of matrices.  Documents are
+written with sorted keys so repeated runs produce identical bytes.
 """
 from __future__ import annotations
 
@@ -17,18 +18,10 @@ from .selftest import DilationCertificate, ResidualReport
 from .strategies import Correlation, Strategy
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def matrix_to_lists(m) -> list:
-    m = np.asarray(m, dtype=np.complex128)
-    return [[complex_to_pair(z) for z in row] for row in m]
-
-
-def vector_to_lists(v) -> list:
-    return [complex_to_pair(z) for z in np.asarray(v, dtype=np.complex128)]
+def to_pairs(a) -> list:
+    """Nested lists of an array of any rank, each complex entry a [real, imag] pair."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _pair(value, where: str) -> complex:
@@ -102,7 +95,7 @@ def family_to_dict(fam: ProjectionFamily) -> dict:
         "n": fam.n,
         "x": [fam.x.numerator, fam.x.denominator],
         "d": fam.d,
-        "projections": [matrix_to_lists(p) for p in fam.projections],
+        "projections": to_pairs(fam.projections),
     }
 
 
@@ -138,9 +131,9 @@ def strategy_to_dict(strategy: Strategy) -> dict:
     return {
         "dimA": strategy.dim_a,
         "dimB": strategy.dim_b,
-        "state": vector_to_lists(strategy.state),
-        "alice": [[matrix_to_lists(e) for e in povm] for povm in strategy.alice],
-        "bob": [[matrix_to_lists(f) for f in povm] for povm in strategy.bob],
+        "state": to_pairs(strategy.state),
+        "alice": to_pairs(strategy.alice),
+        "bob": to_pairs(strategy.bob),
     }
 
 
@@ -208,10 +201,10 @@ def certificate_to_dict(
         "delta": cert.delta,
         "fitA": None
         if cert.fit_residuals_a is None
-        else [float(r) for r in cert.fit_residuals_a],
+        else np.asarray(cert.fit_residuals_a, dtype=float).tolist(),
         "fitB": None
         if cert.fit_residuals_b is None
-        else [float(r) for r in cert.fit_residuals_b],
+        else np.asarray(cert.fit_residuals_b, dtype=float).tolist(),
     }
     if report is not None:
         residuals.update(
@@ -228,9 +221,9 @@ def certificate_to_dict(
         "alpha": cert.alpha,
         "beta": cert.beta,
         "gap": cert.gap,
-        "VA": matrix_to_lists(cert.v_a),
-        "VB": matrix_to_lists(cert.v_b),
-        "junk": vector_to_lists(cert.junk),
+        "VA": to_pairs(cert.v_a),
+        "VB": to_pairs(cert.v_b),
+        "junk": to_pairs(cert.junk),
         "dims": {
             "refA": cert.ref_dim_a,
             "refB": cert.ref_dim_b,

@@ -29,7 +29,6 @@ from .linalg import (
     dagger,
     is_hermitian,
     maximally_entangled,
-    random_hermitian,
     random_state,
     schmidt,
     unvec,
@@ -190,17 +189,14 @@ def ideal_correlation(n: int, x: Fraction | float) -> Correlation:
     if not scalar_is_admissible(n, x):
         raise UnsupportedScalarError(f"x = {x} is not admissible for n = {n}")
     same = Fraction(x, n)
+
+    def block(p11):
+        # the 2 x 2 outcome block of a question pair whose p(1,1) is p11
+        p12 = same - p11
+        return [[float(p11), float(p12)], [float(p12), float(1 - 2 * same + p11)]]
+
     cross = Fraction(x * (x - 1), n * (n - 1))
-    table = np.zeros((n, n, 2, 2))
-    for v in range(n):
-        for w in range(n):
-            p11 = same if v == w else cross
-            p12 = same - p11          # zero on the diagonal
-            p22 = 1 - 2 * same + p11
-            table[v, w, 0, 0] = float(p11)
-            table[v, w, 0, 1] = float(p12)
-            table[v, w, 1, 0] = float(p12)
-            table[v, w, 1, 1] = float(p22)
+    table = np.where(np.eye(n, dtype=bool)[:, :, None, None], block(same), block(cross))
     return Correlation(n=n, k=2, table=table)
 
 
@@ -242,14 +238,11 @@ def chsh_win_probability(corr: Correlation) -> float:
     """Winning probability of the xor game under uniform question pairs."""
     if corr.n != 2 or corr.k != 2:
         raise InvalidStrategyError("the xor game needs a 2-question 2-outcome table")
-    total = 0.0
-    for v in range(2):
-        for w in range(2):
-            for i in range(2):
-                for j in range(2):
-                    if (i + j) % 2 == (v * w) % 2:
-                        total += corr.table[v, w, i, j]
-    return total / 4.0
+    v, w, i, j = np.indices(corr.table.shape)
+    wins = corr.table[(i + j) % 2 == (v * w) % 2]   # in the table's C order
+    # a running sum from 0.0 in that order, so the digits do not depend on
+    # how a reduction would pair the terms
+    return np.cumsum(np.append(0.0, wins))[-1] / 4.0
 
 
 def correlation_distance(p: Correlation, q: Correlation) -> float:
@@ -266,13 +259,9 @@ def synchronicity_defect(p: Correlation) -> float:
 
     Zero iff both parties always agree when asked the same question.
     """
-    worst = 0.0
-    for v in range(p.n):
-        for i in range(p.k):
-            for j in range(p.k):
-                if i != j:
-                    worst = max(worst, abs(float(p.table[v, v, i, j])))
-    return worst
+    off_diagonal = ~np.eye(p.k, dtype=bool)
+    # np.diagonal moves the question axis last: [i, j, v] = p(i, j | v, v)
+    return float(np.abs(np.diagonal(p.table)[off_diagonal]).max(initial=0.0))
 
 
 def marginals(p: Correlation) -> tuple[np.ndarray, np.ndarray, float]:
@@ -344,16 +333,13 @@ def schmidt_reduce(strategy: Strategy) -> SchmidtReduction:
     )
 
 
-def _unitary_from_hermitian(h: np.ndarray, angle: float) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * angle * w)) @ v.conj().T
-
-
-def _renormalize_povm(povm: np.ndarray) -> np.ndarray:
-    total = povm.sum(axis=0)
-    w, v = np.linalg.eigh((total + total.conj().T) / 2)
-    inv_sqrt = (v * (1.0 / np.sqrt(np.maximum(w, 1e-300)))) @ v.conj().T
-    m = inv_sqrt @ povm @ inv_sqrt
+def _renormalize_povm(stack: np.ndarray) -> np.ndarray:
+    """Conjugate each question's POVM in an (n, k, d, d) stack by T^(-1/2),
+    T its outcome sum, so that it sums to the identity again."""
+    total = stack.sum(axis=1)
+    w, v = np.linalg.eigh((total + dagger(total)) / 2)
+    inv_sqrt = (v * (1.0 / np.sqrt(np.maximum(w, 1e-300)))[:, None, :]) @ dagger(v)
+    m = inv_sqrt[:, None] @ stack @ inv_sqrt[:, None]
     return (m + dagger(m)) / 2
 
 
@@ -393,17 +379,17 @@ def perturb(strategy: Strategy, model: str, level: float, seed: int) -> Strategy
 
     if model == "povm-jitter":
 
-        def jitter(stack, dim):
-            out = np.empty_like(stack)
-            for v, povm in enumerate(stack):
-                u = _unitary_from_hermitian(random_hermitian(dim, rng), level)
-                out[v] = _renormalize_povm(u @ povm @ u.conj().T)
-            return out
+        def jitter(stack):
+            n, _, dim, _ = stack.shape
+            # the draws of one linalg.random_hermitian per question, in turn
+            g = rng.normal(size=(n, 2, dim, dim))
+            g = g[:, 0] + 1j * g[:, 1]
+            w, v = np.linalg.eigh((g + dagger(g)) / 2.0)
+            u = ((v * np.exp(1j * level * w)[:, None, :]) @ dagger(v))[:, None]
+            return _renormalize_povm(u @ stack @ dagger(u))
 
         # the seeded draws run over Alice's questions, then Bob's
-        new_alice = jitter(strategy.alice, strategy.dim_a)
-        new_bob = jitter(strategy.bob, strategy.dim_b)
-        return replace(strategy, alice=new_alice, bob=new_bob)
+        return replace(strategy, alice=jitter(strategy.alice), bob=jitter(strategy.bob))
 
     # outcome-noise
     k = strategy.n_outcomes

@@ -187,6 +187,18 @@ def test_non_finite_family_file_reports_one_error_line(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_family_scalar_outside_zero_to_n_reports_one_error_line(tmp_path, capsys):
+    fam, bad = tmp_path / "fam.json", tmp_path / "bad.json"
+    main(["family", "gen", "--n", "4", "--k", "1", "--out", str(fam)])
+    capsys.readouterr()
+    for x in ([10**400, 1], [-1, 3], [9, 1]):
+        save_json(dict(load_json(fam), x=x), bad)
+        assert main(["family", "verify", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: family: scalar x must lie in [0, n] = [0, 4]\n"
+        assert captured.out == ""
+
+
 def test_sweep_command_csv_and_json(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(

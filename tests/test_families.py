@@ -338,6 +338,10 @@ def test_family_is_one_read_only_stack():
         ProjectionFamily(n=4, x=fam.x, d=5, projections=fam.projections)
     with pytest.raises(InvalidFamilyError, match="expected 0 projections, got 0"):
         ProjectionFamily(n=0, x=Fraction(0), d=1, projections=[])
+    # a sum of n projections lies between 0 and n I
+    for x in (Fraction(-1, 3), Fraction(9), Fraction(10**400)):
+        with pytest.raises(InvalidFamilyError, match=r"^scalar x must lie in \[0, n\] = \[0, 4\]$"):
+            ProjectionFamily(n=4, x=x, d=7, projections=fam.projections)
 
 
 def test_validate_family_peak_memory_stays_near_family_size():

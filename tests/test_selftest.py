@@ -29,6 +29,7 @@ from projsum.families import (
     transpose_family,
 )
 from projsum.linalg import (
+    dagger,
     fix_phases,
     maximally_entangled,
     partial_trace,
@@ -53,6 +54,7 @@ from projsum.selftest import (
 )
 from projsum.strategies import (
     NOISE_MODELS,
+    Strategy,
     canonical_strategy,
     ideal_correlation,
     induced_correlation,
@@ -629,6 +631,29 @@ def test_extract_dilation_alpha_threshold():
     noisy = perturb(strat, "state-mixing", 0.05, seed=13)
     with pytest.raises(JunkExtractionError):
         extract_dilation(noisy, fam, alpha_min=1.0 - 1e-12)
+
+
+@given(
+    k=st.sampled_from([1, 2]),
+    model=st.sampled_from(NOISE_MODELS),
+    level=st.sampled_from([1e-3, 1e-2]),
+    seed=st.integers(0, 2**16),
+)
+def test_certificate_numbers_are_local_unitary_invariant(k, model, level, seed):
+    fam = four_family(k)
+    noisy = perturb(canonical_strategy(fam), model, level, seed=seed)
+    rng = np.random.default_rng(seed)
+    ua, ub = random_unitary(fam.d, rng), random_unitary(fam.d, rng)
+    rotated = Strategy(
+        state=np.kron(ua, ub) @ noisy.state,
+        dim_a=fam.d,
+        dim_b=fam.d,
+        alice=ua @ noisy.alice @ dagger(ua),
+        bob=ub @ noisy.bob @ dagger(ub),
+    )
+    cert, ref = extract_dilation(rotated, fam), extract_dilation(noisy, fam)
+    for field in ("epsilon", "alpha", "beta", "delta"):
+        assert getattr(cert, field) == pytest.approx(getattr(ref, field), rel=1e-9, abs=0), field
 
 
 def test_extract_dilation_beta_bounds_state_residual():

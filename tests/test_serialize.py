@@ -6,7 +6,6 @@ from projsum.families import ProjectionFamily, four_family, validate_family
 from projsum.selftest import extract_dilation
 from projsum.serialize import (
     certificate_to_dict,
-    complex_to_pair,
     correlation_from_dict,
     correlation_to_dict,
     family_from_dict,
@@ -14,23 +13,33 @@ from projsum.serialize import (
     lists_to_matrix,
     lists_to_vector,
     load_json,
-    matrix_to_lists,
     save_json,
     strategy_from_dict,
     strategy_to_dict,
+    to_pairs,
 )
 from projsum.strategies import (
     Correlation,
     canonical_strategy,
     correlation_distance,
     induced_correlation,
+    perturb,
 )
 
 
+def entry_pairs(a):
+    """The per-entry writer: one [real, imag] pair per complex entry."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim == 0:
+        z = complex(a)
+        return [z.real, z.imag]
+    return [entry_pairs(row) for row in a]
+
+
 def test_complex_encoding_round_trip():
-    assert complex_to_pair(1.5 - 2j) == [1.5, -2.0]
+    assert to_pairs(1.5 - 2j) == [1.5, -2.0]
     m = np.array([[1 + 2j, 0], [0.5j, -1]])
-    back = lists_to_matrix(matrix_to_lists(m))
+    back = lists_to_matrix(to_pairs(m))
     assert np.array_equal(back, m)
 
 
@@ -172,3 +181,35 @@ def test_certificate_to_dict_shape():
     va = lists_to_matrix(doc["VA"])
     assert np.array_equal(va, cert.v_a)
     assert "state" in doc["residuals"]
+
+
+def test_writers_match_the_per_entry_writer_byte_for_byte(tmp_path):
+    fam = four_family(2)
+    strat = perturb(canonical_strategy(fam), "povm-jitter", 1e-3, seed=5)
+    cert = extract_dilation(strat, fam)
+    cert_doc = certificate_to_dict(cert)
+    fits = {"fitA": cert.fit_residuals_a, "fitB": cert.fit_residuals_b}
+    cases = (
+        (family_to_dict(fam), {"projections": entry_pairs(fam.projections)}),
+        (
+            strategy_to_dict(strat),
+            {key: entry_pairs(getattr(strat, key)) for key in ("state", "alice", "bob")},
+        ),
+        (
+            cert_doc,
+            {
+                "VA": entry_pairs(cert.v_a),
+                "VB": entry_pairs(cert.v_b),
+                "junk": entry_pairs(cert.junk),
+                "residuals": dict(
+                    cert_doc["residuals"],
+                    **{key: [float(r) for r in fit] for key, fit in fits.items()},
+                ),
+            },
+        ),
+    )
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    for doc, oracle_fields in cases:
+        save_json(doc, new)
+        save_json(dict(doc, **oracle_fields), old)
+        assert new.read_bytes() == old.read_bytes()

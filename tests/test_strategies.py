@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,13 @@ from projsum.errors import (
     InvalidStrategyError,
     UnsupportedScalarError,
 )
-from projsum.families import four_family, simplex_family
-from projsum.linalg import maximally_entangled, random_state, random_unitary
+from projsum.families import four_family, ladder_family, lambda_sequence, simplex_family
+from projsum.linalg import (
+    maximally_entangled,
+    random_hermitian,
+    random_state,
+    random_unitary,
+)
 from projsum.selftest import dilation_epsilon
 from projsum.strategies import (
     NOISE_MODELS,
@@ -50,6 +56,105 @@ def planted_strategy(fam, ka, kb, seed):
         state=state, dim_a=d * ka, dim_b=d * kb, alice=alice, bob=bob
     )
     return strat, junk
+
+
+# --- loop oracles: the closed forms and the noise models one entry or one
+# question at a time, as their definitions state them
+
+
+def loop_ideal_correlation(n, x):
+    table = np.zeros((n, n, 2, 2))
+    same = Fraction(x, n)
+    cross = Fraction(x * (x - 1), n * (n - 1))
+    for v in range(n):
+        for w in range(n):
+            p11 = same if v == w else cross
+            p12 = same - p11
+            table[v, w] = [[float(p11), float(p12)], [float(p12), float(1 - 2 * same + p11)]]
+    return table
+
+
+def loop_synchronicity_defect(p):
+    worst = 0.0
+    for v in range(p.n):
+        for i in range(p.k):
+            for j in range(p.k):
+                if i != j:
+                    worst = max(worst, abs(float(p.table[v, v, i, j])))
+    return worst
+
+
+def loop_chsh_win_probability(corr):
+    total = 0.0
+    for v, w, i, j in np.ndindex(2, 2, 2, 2):
+        if (i + j) % 2 == (v * w) % 2:
+            total += corr.table[v, w, i, j]
+    return total / 4.0
+
+
+def loop_perturb(strategy, model, level, seed):
+    """perturb with one seeded draw and one renormalization per question."""
+    rng = np.random.default_rng(seed)
+    if model == "state-mixing":
+        psi = strategy.state
+        chi = random_state(psi.size, rng)
+        chi = chi - (psi.conj() @ chi) * psi
+        chi = chi / np.linalg.norm(chi)
+        return replace(strategy, state=np.cos(level) * psi + np.sin(level) * chi)
+    k = strategy.n_outcomes
+
+    def per_question(stack, dim):
+        out = np.empty_like(stack)
+        for v, povm in enumerate(stack):
+            if model == "outcome-noise":
+                out[v] = (1.0 - level) * povm + level * (np.eye(dim, dtype=np.complex128) / k)
+                continue
+            w, vecs = np.linalg.eigh(random_hermitian(dim, rng))
+            u = (vecs * np.exp(1j * level * w)) @ vecs.conj().T
+            povm = u @ povm @ u.conj().T
+            total = povm.sum(axis=0)
+            w, vecs = np.linalg.eigh((total + total.conj().T) / 2)
+            inv_sqrt = (vecs * (1.0 / np.sqrt(np.maximum(w, 1e-300)))) @ vecs.conj().T
+            m = inv_sqrt @ povm @ inv_sqrt
+            out[v] = (m + m.conj().swapaxes(-1, -2)) / 2
+        return out
+
+    return replace(
+        strategy,
+        alice=per_question(strategy.alice, strategy.dim_a),
+        bob=per_question(strategy.bob, strategy.dim_b),
+    )
+
+
+@pytest.mark.parametrize("n, level", [(3, 1), (4, 1), (4, 6), (5, 3), (7, 4)])
+def test_ideal_correlation_matches_fraction_loop(n, level):
+    for x in lambda_sequence(n, level):
+        assert np.array_equal(ideal_correlation(n, x).table, loop_ideal_correlation(n, x))
+
+
+def test_table_reductions_match_entry_loops():
+    rng = np.random.default_rng(31)
+    for n, k in ((2, 2), (3, 1), (4, 3), (5, 2)):
+        for _ in range(20):
+            corr = Correlation(n=n, k=k, table=rng.normal(size=(n, n, k, k)))
+            assert synchronicity_defect(corr) == loop_synchronicity_defect(corr)
+            if n == 2 and k == 2:
+                assert chsh_win_probability(corr) == loop_chsh_win_probability(corr)
+    chsh = induced_correlation(chsh_fixture())
+    assert chsh_win_probability(chsh) == loop_chsh_win_probability(chsh)
+
+
+@pytest.mark.parametrize("model", NOISE_MODELS)
+def test_perturb_matches_per_question_loop(model):
+    bases = [canonical_strategy(four_family(2)), canonical_strategy(ladder_family(5, 2))]
+    bases.append(planted_strategy(four_family(1), 2, 1, seed=3)[0])
+    for base in bases:
+        for level in (1e-4, 1e-2, 0.3, 1.0):
+            for seed in range(3):
+                new = perturb(base, model, level, seed)
+                old = loop_perturb(base, model, level, seed)
+                for field in ("state", "alice", "bob"):
+                    assert np.array_equal(getattr(new, field), getattr(old, field)), field
 
 
 def test_ideal_correlation_tetrahedron_values():
