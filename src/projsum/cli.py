@@ -8,6 +8,7 @@ verification commands.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -39,14 +40,17 @@ from .sweep import SweepConfig, build_family, emit_report, run_sweep
 DEFAULT_TOL = 1e-9
 
 
-def _env_tol() -> float:
-    raw = os.environ.get("PROJSUM_TOL")
-    if raw is None:
-        return DEFAULT_TOL
+def _tolerance(args) -> float:
+    """--tol, else PROJSUM_TOL, else DEFAULT_TOL: a finite number >= 0."""
+    name = "PROJSUM_TOL" if args.tol is None else "--tol"
+    raw = os.environ.get(name, DEFAULT_TOL) if args.tol is None else args.tol
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise SerializationError(f"PROJSUM_TOL={raw!r} is not a number") from exc
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise SerializationError(f"{name}={raw!r} is not a finite number >= 0")
+    return tol
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,7 +105,7 @@ def _cmd_family_gen(args) -> int:
 
 
 def _cmd_family_verify(args) -> int:
-    tol = args.tol if args.tol is not None else _env_tol()
+    tol = _tolerance(args)
     fam = family_from_dict(load_json(args.path))
     report = validate_family(fam, tol=tol)
     print(

@@ -58,7 +58,6 @@ class ProjectionFamily:
         # a scalar too large for a float never reaches validate_family
         if not 0 <= self.x <= n:
             raise InvalidFamilyError(f"scalar x must lie in [0, n] = [0, {n}]")
-        stack = np.empty((n, d, d), dtype=np.complex128)
         for v, p in enumerate(self.projections):
             try:
                 p = np.asarray(p, dtype=np.complex128)
@@ -68,6 +67,8 @@ class ProjectionFamily:
                 raise InvalidFamilyError(f"projection of shape {p.shape} does not match d={d}")
             if not np.isfinite(p).all():
                 raise InvalidFamilyError(f"projection {v}: non-finite entry")
+            if v == 0:  # the declared d is believed only once a projection has it
+                stack = np.empty((n, d, d), dtype=np.complex128)
             stack[v] = p
         stack.flags.writeable = False
         object.__setattr__(self, "projections", stack)

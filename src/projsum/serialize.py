@@ -4,15 +4,24 @@ Wire format: a complex scalar is a [real, imag] pair, and a complex array of
 any rank is nested lists of such pairs: a vector is a list of pairs, a matrix
 a list of row lists, a stack of matrices a list of matrices.  Documents are
 written with sorted keys so repeated runs produce identical bytes.
+
+Every reader goes through one check per kind: ``integral``, ``numbers`` (a
+rectangular array of JSON numbers) and ``from_pairs``, the inverse of
+``to_pairs``; ``from_fields`` applies them to a dataclass's fields.  A string,
+a boolean or an integer beyond the float range is bad input, named by the
+index of its entry.
 """
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields
 from fractions import Fraction
+from itertools import chain
+from typing import get_type_hints
 
 import numpy as np
 
-from .errors import InvalidStrategyError, SerializationError
+from .errors import InvalidFamilyError, InvalidStrategyError, SerializationError
 from .families import ProjectionFamily
 from .selftest import DilationCertificate, ResidualReport
 from .strategies import Correlation, Strategy
@@ -24,39 +33,91 @@ def to_pairs(a) -> list:
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _pair(value, where: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(t, (int, float)) for t in value)
-    ):
-        raise SerializationError(f"{where}: expected a [real, imag] pair, got {value!r}")
+def integral(value, where: str) -> int:
+    """A JSON integer, or a float with an integral value, as an int."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise SerializationError(f"{where}: not an integer: {value!r}")
+
+
+def numbers(raw, depth: int, where: str, entry: int | None = None) -> np.ndarray:
+    """float64 array of ``depth`` nested, rectangular, non-empty lists of JSON numbers.
+
+    The first bad entry is named by its index cut to ``entry`` axes, so that
+    ``from_pairs`` names the pair.  Depth 0 reads one number.
+    """
+    entry = depth if entry is None else entry
+    level, shape = [raw], []
+
+    def bad(p: int, problem: str):  # the index string is built only on failure
+        index = "".join(f"[{i}]" for i in np.unravel_index(p, shape)[:entry])
+        return SerializationError(f"{where}{index}: {problem}")
+
+    for _ in range(depth):
+        if set(map(type, level)) != {list}:
+            p = next(p for p, r in enumerate(level) if type(r) is not list)
+            raise bad(p, f"expected a list, got {level[p]!r}")
+        width = len(level[0])
+        if width == 0:
+            raise bad(0, "expected a non-empty list")
+        if set(map(len, level)) != {width}:
+            p = next(p for p, r in enumerate(level) if len(r) != width)
+            raise bad(p, f"length {len(level[p])}, expected {width}")
+        shape.append(width)
+        level = list(chain.from_iterable(level))
+    if not set(map(type, level)) <= {int, float}:
+        p = next(p for p, t in enumerate(level) if type(t) not in (int, float))
+        raise bad(p, f"not a number: {level[p]!r}")
     try:
-        return complex(value[0], value[1])
-    except OverflowError as exc:  # a JSON integer beyond the float range
-        raise SerializationError(f"{where}: {exc}") from exc
+        return np.array(level, dtype=np.float64).reshape(shape)
+    except OverflowError as exc:  # float() rounds |t| >= 2**1024 - 2**970 past the largest float
+        p = next(p for p, t in enumerate(level) if type(t) is int and abs(t) >= 2**1024 - 2**970)
+        raise bad(p, str(exc)) from exc
+
+
+def from_pairs(raw, rank: int, where: str) -> np.ndarray:
+    """The complex128 array of rank ``rank`` that ``to_pairs`` wrote, bit for bit.
+
+    A float64 view of the pairs keeps every bit, a -0.0 part included.
+    """
+    pairs = numbers(raw, rank + 1, where, entry=rank)
+    if pairs.shape[-1] != 2:
+        raise SerializationError(f"{where}: entries are not [real, imag] pairs")
+    return pairs.view(np.complex128)[..., 0]
+
+
+def from_fields(cls, data: dict, where: str):
+    """cls(**data) for a dataclass: every field without a default and no other
+    key, each read by the kind its annotation names."""
+    if not isinstance(data, dict):
+        raise SerializationError(f"{where}: expected an object")
+    kinds = get_type_hints(cls)
+    missing = sorted({f.name for f in fields(cls) if f.default is MISSING} - set(data))
+    if missing:
+        raise SerializationError(f"{where} is missing fields: {missing}")
+    if set(data) - set(kinds):
+        raise SerializationError(f"{where} has unknown fields: {sorted(set(data) - set(kinds))}")
+    values = {}
+    for name, value in data.items():
+        kind, at = kinds[name], f"{where} field {name!r}"
+        if kind is int:
+            value = integral(value, at)
+        elif kind == tuple[float, ...]:
+            value = numbers(value, 1, at)
+        elif kind is bool and type(value) is not bool:
+            raise SerializationError(f"{at}: not a boolean: {value!r}")
+        elif kind is float or kind == float | None and value is not None:
+            value = float(numbers(value, 0, at))
+        values[name] = value
+    return cls(**values)
 
 
 def lists_to_matrix(rows, where: str = "matrix") -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise SerializationError(f"{where}: expected a non-empty list of rows")
-    width = None
-    out = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise SerializationError(f"{where}: row {i} is not a list")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise SerializationError(f"{where}: row {i} has length {len(row)}, expected {width}")
-        out.append([_pair(z, f"{where}[{i}]") for z in row])
-    return np.array(out, dtype=np.complex128)
+    return from_pairs(rows, 2, where)
 
 
 def lists_to_vector(vals, where: str = "vector") -> np.ndarray:
-    if not isinstance(vals, list) or not vals:
-        raise SerializationError(f"{where}: expected a non-empty list of pairs")
-    return np.array([_pair(z, f"{where}[{i}]") for i, z in enumerate(vals)])
+    return from_pairs(vals, 1, where)
 
 
 def save_json(obj: dict, path) -> None:
@@ -100,27 +161,17 @@ def family_to_dict(fam: ProjectionFamily) -> dict:
 
 
 def family_from_dict(data: dict, where: str = "family") -> ProjectionFamily:
-    n = _require(data, "n", where)
-    x_pair = _require(data, "x", where)
-    d = _require(data, "d", where)
-    projs = _require(data, "projections", where)
-    if (
-        not isinstance(x_pair, list)
-        or len(x_pair) != 2
-        or not all(isinstance(t, int) for t in x_pair)
-        or x_pair[1] == 0
-    ):
+    n, x, d, projections = (_require(data, key, where) for key in ("n", "x", "d", "projections"))
+    if type(x) is not list or len(x) != 2 or x[1] == 0:
         raise SerializationError(f"{where}.x: expected [numerator, denominator]")
-    if not isinstance(projs, list):
-        raise SerializationError(f"{where}.projections: expected a list")
-    matrices = tuple(
-        lists_to_matrix(p, f"{where}.projections[{v}]") for v, p in enumerate(projs)
-    )
     try:
         return ProjectionFamily(
-            n=int(n), x=Fraction(x_pair[0], x_pair[1]), d=int(d), projections=matrices
+            n=integral(n, f"{where}.n"),
+            x=Fraction(integral(x[0], f"{where}.x[0]"), integral(x[1], f"{where}.x[1]")),
+            d=integral(d, f"{where}.d"),
+            projections=from_pairs(projections, 3, f"{where}.projections"),
         )
-    except Exception as exc:
+    except InvalidFamilyError as exc:
         raise SerializationError(f"{where}: {exc}") from exc
 
 
@@ -138,38 +189,16 @@ def strategy_to_dict(strategy: Strategy) -> dict:
 
 
 def strategy_from_dict(data: dict, where: str = "strategy") -> Strategy:
-    dim_a = _require(data, "dimA", where)
-    dim_b = _require(data, "dimB", where)
-    state = lists_to_vector(_require(data, "state", where), f"{where}.state")
-
-    def povms(key):
-        raw = _require(data, key, where)
-        if not isinstance(raw, list) or not raw:
-            raise SerializationError(f"{where}.{key}: expected a non-empty list")
-        out = []
-        for v, povm in enumerate(raw):
-            if not isinstance(povm, list) or not povm:
-                raise SerializationError(f"{where}.{key}[{v}]: expected a list of matrices")
-            out.append(
-                tuple(
-                    lists_to_matrix(e, f"{where}.{key}[{v}][{i}]")
-                    for i, e in enumerate(povm)
-                )
-            )
-        return tuple(out)
-
-    try:
-        return Strategy(
-            state=state,
-            dim_a=int(dim_a),
-            dim_b=int(dim_b),
-            alice=povms("alice"),
-            bob=povms("bob"),
-        )
-    except (SerializationError, InvalidStrategyError):
-        raise
-    except Exception as exc:
-        raise SerializationError(f"{where}: {exc}") from exc
+    dim_a, dim_b, state, alice, bob = (
+        _require(data, key, where) for key in ("dimA", "dimB", "state", "alice", "bob")
+    )
+    return Strategy(
+        state=from_pairs(state, 1, f"{where}.state"),
+        dim_a=integral(dim_a, f"{where}.dimA"),
+        dim_b=integral(dim_b, f"{where}.dimB"),
+        alice=from_pairs(alice, 4, f"{where}.alice"),
+        bob=from_pairs(bob, 4, f"{where}.bob"),
+    )
 
 
 def correlation_to_dict(corr: Correlation) -> dict:
@@ -177,16 +206,14 @@ def correlation_to_dict(corr: Correlation) -> dict:
 
 
 def correlation_from_dict(data: dict, where: str = "correlation") -> Correlation:
-    n = _require(data, "n", where)
-    k = _require(data, "k", where)
-    table = _require(data, "table", where)
+    n, k, table = (_require(data, key, where) for key in ("n", "k", "table"))
     try:
-        arr = np.asarray(table, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SerializationError(f"{where}.table: not a numeric array: {exc}") from exc
-    try:
-        return Correlation(n=int(n), k=int(k), table=arr)
-    except Exception as exc:
+        return Correlation(
+            n=integral(n, f"{where}.n"),
+            k=integral(k, f"{where}.k"),
+            table=numbers(table, 4, f"{where}.table"),
+        )
+    except InvalidStrategyError as exc:
         raise SerializationError(f"{where}: {exc}") from exc
 
 

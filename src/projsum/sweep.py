@@ -17,7 +17,7 @@ import numpy as np
 from .errors import FitDegenerateError, JunkExtractionError, SerializationError
 from .families import ProjectionFamily, ladder_family
 from .selftest import approx_rep_residuals, extract_dilation
-from .serialize import load_json
+from .serialize import from_fields, load_json
 from .strategies import NOISE_MODELS, perturb
 
 CSV_HEADER = (
@@ -60,37 +60,7 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepConfig":
-        required = {"n", "k", "noise_model", "levels", "trials_per_level", "seed"}
-        missing = required - set(data)
-        if missing:
-            raise SerializationError(f"sweep config is missing fields: {sorted(missing)}")
-        known = required | {"monomial_degree"}
-        unknown = set(data) - known
-        if unknown:
-            raise SerializationError(f"sweep config has unknown fields: {sorted(unknown)}")
-
-        def integral(key, default=None):
-            value = data.get(key, default)
-            if type(value) is int or isinstance(value, float) and value.is_integer():
-                return int(value)
-            raise SerializationError(f"sweep config field {key!r}: not an integer: {value!r}")
-
-        levels = data["levels"]
-        if not isinstance(levels, list) or not all(type(l) in (int, float) for l in levels):
-            raise SerializationError(f"sweep config field 'levels': not a list of numbers: {levels!r}")
-        try:
-            levels = tuple(float(l) for l in levels)
-        except OverflowError as exc:  # a JSON integer beyond the float range
-            raise SerializationError(f"sweep config field 'levels': {exc}") from exc
-        return cls(
-            n=integral("n"),
-            k=integral("k"),
-            noise_model=str(data["noise_model"]),
-            levels=levels,
-            trials_per_level=integral("trials_per_level"),
-            seed=integral("seed"),
-            monomial_degree=integral("monomial_degree", 2),
-        )
+        return from_fields(cls, data, "sweep config")
 
 
 @dataclass(frozen=True)
@@ -211,15 +181,11 @@ def emit_report(rows: list[SweepRow], fmt: str, path) -> None:
 
 
 def load_report(path) -> list[SweepRow]:
-    """Read back a JSON report produced by emit_report."""
+    """Read back a JSON report produced by emit_report, checking each field's kind."""
     data = load_json(path)
     if not isinstance(data, list):
         raise SerializationError("report JSON must be a list of rows")
-    fields = set(SweepRow.__dataclass_fields__)
-    for i, row in enumerate(data):
-        if not isinstance(row, dict) or set(row) != fields:
-            raise SerializationError(f"report row {i}: not an object with the fields of SweepRow")
-    return [SweepRow(**row) for row in data]
+    return [from_fields(SweepRow, row, f"report row {i}") for i, row in enumerate(data)]
 
 
 def spearman(xs, ys) -> float:

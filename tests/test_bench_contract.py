@@ -3,12 +3,21 @@
 bench/ patches projsum's module attributes by name and imports the package's
 public entry points.  These checks load its two modules read-only (no
 bytecode is written next to them), so renaming or deleting a traced stage or
-an imported helper fails here, in the main suite.
+an imported helper, or breaking a decoder the benchmark checks its outputs
+with, fails here, in the main suite.
 """
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from projsum.families import four_family
+from projsum.selftest import extract_dilation
+from projsum.serialize import certificate_to_dict, strategy_to_dict
+from projsum.strategies import canonical_strategy, perturb
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -38,3 +47,22 @@ def test_workloads_import(monkeypatch):
     workloads = load_bench_module("workloads", monkeypatch)
     assert {"sweep-n4k1", "sweep-n4k5", "ladder-certify"} <= set(workloads.WORKLOADS)
 
+
+def test_workload_decoders_read_what_the_writers_write(monkeypatch):
+    workloads = load_bench_module("workloads", monkeypatch)
+
+    def same_bytes(decoded, array):
+        assert decoded.dtype == array.dtype and decoded.shape == array.shape
+        assert decoded.tobytes() == array.tobytes()
+
+    fam = four_family(2)
+    strategy = perturb(canonical_strategy(fam), "povm-jitter", 1e-3, seed=3)
+    cert = extract_dilation(strategy, fam)
+    doc = json.loads(json.dumps(certificate_to_dict(cert)))
+    same_bytes(workloads.lists_to_matrix(doc["VA"], "VA"), cert.v_a)
+    same_bytes(workloads.lists_to_matrix(doc["VB"], "VB"), cert.v_b)
+    same_bytes(workloads.lists_to_vector(doc["junk"], "junk"), np.asarray(cert.junk))
+    back = workloads.strategy_from_dict(json.loads(json.dumps(strategy_to_dict(strategy))))
+    assert (back.dim_a, back.dim_b) == (strategy.dim_a, strategy.dim_b)
+    for key in ("state", "alice", "bob"):
+        same_bytes(getattr(back, key), getattr(strategy, key))

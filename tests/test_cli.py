@@ -5,8 +5,15 @@ import pytest
 
 from projsum import cli
 from projsum.cli import main
-from projsum.serialize import family_from_dict, family_to_dict, load_json, save_json
+from projsum.serialize import (
+    family_from_dict,
+    family_to_dict,
+    load_json,
+    save_json,
+    strategy_to_dict,
+)
 from projsum.families import four_family
+from projsum.strategies import canonical_strategy
 from projsum.sweep import CSV_HEADER
 
 
@@ -229,9 +236,10 @@ def test_sweep_command_csv_and_json(tmp_path, capsys):
 
 def test_sweep_rejects_bad_config(tmp_path, capsys):
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"n": 4, "k": 1}))
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
-    capsys.readouterr()
+    for doc in ({"n": 4, "k": 1}, 5, ["n"]):
+        cfg.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        assert one_error_line(capsys.readouterr().err)
 
 
 SWEEP_CONFIG = {
@@ -308,6 +316,114 @@ def test_huge_json_integers_report_one_error_line(tmp_path, capsys):
         assert one_error_line(captured.err) and where in captured.err, captured.err
         assert captured.out == ""
     assert not (tmp_path / "c.json").exists() and not cert.exists()
+
+
+DROP = object()  # deletes the entry at the path, leaving its list one short
+COMMANDS = {
+    "family verify": lambda doc, out: ["family", "verify", str(doc)],
+    "correlate": lambda doc, out: ["correlate", str(doc), "--out", str(out)],
+    "selftest": lambda doc, out: ["selftest", str(doc), "--n", "4", "--cert", str(out)],
+    "sweep": lambda doc, out: ["sweep", "--config", str(doc), "--out", str(out)],
+}
+FAMILY_CASES = [
+    (("d",), 3.9, "family.d: not an integer: 3.9"),
+    (("n",), "4", "family.n: not an integer: '4'"),
+    (("n",), True, "family.n: not an integer: True"),
+    (("x", 1), 3.5, "family.x[1]: not an integer: 3.5"),
+    (("projections", 1, 0, 2, 0), "0.5", "family.projections[1][0][2]: not a number: '0.5'"),
+    (("projections", 1, 0, 2, 1), False, "family.projections[1][0][2]: not a number: False"),
+    (("projections", 1, 2, 2), DROP, "family.projections[1][2]: length 2, expected 3"),
+    (
+        ("projections", 0, 1, 2, 0),
+        10**400,
+        "family.projections[0][1][2]: int too large to convert to float",
+    ),
+]
+STRATEGY_CASES = [
+    (("dimA",), 3.7, "strategy.dimA: not an integer: 3.7"),
+    (("dimB",), "3", "strategy.dimB: not an integer: '3'"),
+    (("dimA",), True, "strategy.dimA: not an integer: True"),
+    (("alice", 0, 1, 2, 0, 0), "0.5", "strategy.alice[0][1][2][0]: not a number: '0.5'"),
+    (("state", 4, 1), True, "strategy.state[4]: not a number: True"),
+    (("bob", 3, 1, 0, 2), DROP, "strategy.bob[3][1][0]: length 2, expected 3"),
+    (("state", 4, 1), -(10**400), "strategy.state[4]: int too large to convert to float"),
+]
+SWEEP_CASES = [
+    (("k",), "1", "sweep config field 'k': not an integer: '1'"),
+    (("seed",), True, "sweep config field 'seed': not an integer: True"),
+    (("trials_per_level",), 2.5, "sweep config field 'trials_per_level': not an integer: 2.5"),
+    (("levels", 1), "0.01", "sweep config field 'levels'[1]: not a number: '0.01'"),
+    (("levels", 1), False, "sweep config field 'levels'[1]: not a number: False"),
+    (("levels", 1), [0.01], "sweep config field 'levels'[1]: not a number: [0.01]"),
+    (("levels", 1), 10**400, "sweep config field 'levels'[1]: int too large to convert to float"),
+]
+
+
+def good_document(command):
+    if command == "family verify":
+        return family_to_dict(four_family(1))
+    if command == "sweep":
+        return json.loads(json.dumps(SWEEP_CONFIG))
+    return strategy_to_dict(canonical_strategy(four_family(1)))
+
+
+BAD_INPUTS = (
+    [("family verify", *case) for case in FAMILY_CASES]
+    + [(command, *case) for command in ("correlate", "selftest") for case in STRATEGY_CASES]
+    + [("sweep", *case) for case in SWEEP_CASES]
+)
+
+
+@pytest.mark.parametrize(
+    "command, path, value, message",
+    BAD_INPUTS,
+    ids=[f"{c}-{'.'.join(map(str, p))}-{type(v).__name__}" for c, p, v, _ in BAD_INPUTS],
+)
+def test_a_mistyped_field_or_entry_reports_one_error_line(
+    tmp_path, capsys, command, path, value, message
+):
+    doc = good_document(command)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    save_json(doc, bad)
+    assert main(COMMANDS[command](bad, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, env, message",
+    [
+        ("inf", None, "--tol=inf"),
+        ("nan", None, "--tol=nan"),
+        ("-1", None, "--tol=-1.0"),
+        (None, "inf", "PROJSUM_TOL='inf'"),
+        (None, "nan", "PROJSUM_TOL='nan'"),
+        (None, "-1e-3", "PROJSUM_TOL='-1e-3'"),
+    ],
+)
+def test_family_verify_refuses_a_non_finite_or_negative_tolerance(
+    tmp_path, monkeypatch, capsys, flag, env, message
+):
+    fam = tmp_path / "fam.json"
+    doc = family_to_dict(four_family(1))
+    doc["projections"][0][0][0] = [0.9, 0.0]
+    save_json(doc, fam)
+    if env is not None:
+        monkeypatch.setenv("PROJSUM_TOL", env)
+    argv = ["family", "verify", str(fam)] + ([] if flag is None else ["--tol", flag])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message} is not a finite number >= 0\n"
+    assert captured.out == ""
 
 
 def test_unexpected_exception_exits_3_with_one_line(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,10 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from projsum.errors import InvalidFamilyError, InvalidStrategyError, SerializationError
 from projsum.families import ProjectionFamily, four_family, validate_family
@@ -10,6 +15,7 @@ from projsum.serialize import (
     correlation_to_dict,
     family_from_dict,
     family_to_dict,
+    from_pairs,
     lists_to_matrix,
     lists_to_vector,
     load_json,
@@ -36,6 +42,57 @@ def entry_pairs(a):
     return [entry_pairs(row) for row in a]
 
 
+def entry_reader(raw, rank):
+    """The per-entry reader: one complex(real, imag) per pair."""
+    if rank == 0:
+        return complex(raw[0], raw[1])
+    return [entry_reader(row, rank - 1) for row in raw]
+
+
+def assert_same_bytes(decoded, array):
+    array = np.asarray(array, dtype=np.complex128)
+    assert decoded.dtype == array.dtype and decoded.shape == array.shape
+    assert decoded.tobytes() == array.tobytes()
+
+
+@given(
+    arrays(
+        np.float64,
+        array_shapes(min_dims=1, max_dims=4, max_side=3).map(lambda shape: shape + (2,)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+@example(
+    np.array(
+        [
+            [-0.0, -0.0],
+            [0.0, -0.0],
+            [5e-324, -2.2250738585072014e-308],
+            [1.7976931348623157e308, -1.7976931348623157e308],
+        ]
+    )
+)
+def test_from_pairs_inverts_to_pairs_bit_for_bit(pairs):
+    a = pairs.view(np.complex128)[..., 0]
+    raw = json.loads(json.dumps(to_pairs(a)))
+    assert_same_bytes(from_pairs(raw, a.ndim, "a"), a)
+    assert_same_bytes(from_pairs(raw, a.ndim, "a"), entry_reader(raw, a.ndim))
+
+
+def test_readers_match_the_per_entry_reader_on_written_documents():
+    fam = four_family(2)
+    strat = perturb(canonical_strategy(fam), "state-mixing", 1e-3, seed=5)
+    cert = certificate_to_dict(extract_dilation(strat, fam))
+    doc = json.loads(json.dumps(family_to_dict(fam)))
+    assert_same_bytes(family_from_dict(doc).projections, entry_reader(doc["projections"], 3))
+    doc = json.loads(json.dumps(strategy_to_dict(strat)))
+    back = strategy_from_dict(doc)
+    for key, rank in (("state", 1), ("alice", 4), ("bob", 4)):
+        assert_same_bytes(getattr(back, key), entry_reader(doc[key], rank))
+    assert_same_bytes(lists_to_matrix(cert["VA"]), entry_reader(cert["VA"], 2))
+    assert_same_bytes(lists_to_vector(cert["junk"]), entry_reader(cert["junk"], 1))
+
+
 def test_complex_encoding_round_trip():
     assert to_pairs(1.5 - 2j) == [1.5, -2.0]
     m = np.array([[1 + 2j, 0], [0.5j, -1]])
@@ -46,7 +103,7 @@ def test_complex_encoding_round_trip():
 def test_matrix_decoding_errors_carry_context():
     with pytest.raises(SerializationError, match="projections"):
         lists_to_matrix([[1, 2]], where="family.projections[0]")
-    with pytest.raises(SerializationError, match="row 1"):
+    with pytest.raises(SerializationError, match=r"^matrix\[1\]: length 2, expected 1$"):
         lists_to_matrix([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
     with pytest.raises(SerializationError):
         lists_to_vector([], where="state")
@@ -75,6 +132,42 @@ def test_family_dict_rejects_bad_scalar():
         family_from_dict(data2)
 
 
+def test_a_declared_dimension_is_not_allocated_before_it_is_checked():
+    data = dict(family_to_dict(four_family(1)), d=4000)
+    tracemalloc.start()
+    try:
+        message = r"^family: projection of shape \(3, 3\) does not match d=4000$"
+        with pytest.raises(SerializationError, match=message):
+            family_from_dict(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a stack of the declared size would take 4 * 4000^2 complex entries, 1 GB
+    assert peak < 4_000_000
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("n",), 4.5, "correlation.n: not an integer: 4.5"),
+        (("k",), True, "correlation.k: not an integer: True"),
+        (("table", 0, 1, 1, 0), "0.3", "correlation.table[0][1][1][0]: not a number: '0.3'"),
+        (("table", 2, 2, 0, 1), True, "correlation.table[2][2][0][1]: not a number: True"),
+        (("table", 3, 0, 1), [0.5], "correlation.table[3][0][1]: length 1, expected 2"),
+        (("table", 1), "ab", "correlation.table[1]: expected a list, got 'ab'"),
+    ],
+)
+def test_correlation_fields_of_the_wrong_kind_are_rejected(path, value, message):
+    data = correlation_to_dict(induced_correlation(canonical_strategy(four_family(1))))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(SerializationError) as info:
+        correlation_from_dict(data)
+    assert str(info.value) == message
+
+
 def test_non_finite_families_and_correlations_are_rejected():
     fam = four_family(1)
     corr = induced_correlation(canonical_strategy(fam))
@@ -101,7 +194,10 @@ def test_huge_json_integers_raise_serialization_error(tmp_path):
     fam = four_family(1)
     data = family_to_dict(fam)
     data["projections"][2][0][1] = [0, 10**400]
-    with pytest.raises(SerializationError, match=r"^family.projections\[2\]\[0\]: "):
+    overflow = "int too large to convert to float"
+    with pytest.raises(
+        SerializationError, match=rf"^family.projections\[2\]\[0\]\[1\]: {overflow}$"
+    ):
         family_from_dict(data)
     data = strategy_to_dict(canonical_strategy(fam))
     data["state"][0] = [10**400, 0]
@@ -109,7 +205,9 @@ def test_huge_json_integers_raise_serialization_error(tmp_path):
         strategy_from_dict(data)
     data = correlation_to_dict(induced_correlation(canonical_strategy(fam)))
     data["table"][1][0][1][1] = -(10**400)
-    with pytest.raises(SerializationError, match="^correlation.table: not a numeric array"):
+    with pytest.raises(
+        SerializationError, match=rf"^correlation.table\[1\]\[0\]\[1\]\[1\]: {overflow}$"
+    ):
         correlation_from_dict(data)
     path = tmp_path / "digits.json"
     path.write_text('{"n": ' + "9" * 5000 + "}")
@@ -126,7 +224,7 @@ def test_strategy_from_dict_keeps_validation_errors_unwrapped():
     assert str(info.value) == "alice question 0: POVM does not sum to identity"
     data = strategy_to_dict(canonical_strategy(four_family(1)))
     data["dimA"] = "x"
-    with pytest.raises(SerializationError, match="^strategy: "):
+    with pytest.raises(SerializationError, match="^strategy.dimA: not an integer: 'x'$"):
         strategy_from_dict(data)
 
 

@@ -170,6 +170,21 @@ def test_load_report_rejects_malformed(tmp_path):
         path.write_text(json.dumps(rows))
         with pytest.raises(SerializationError, match="report row 0"):
             load_report(path)
+    row = {name: 0.0 for name in SweepRow.__dataclass_fields__}
+    row.update(trial=0, seed=1, epsilon=None, extraction_failed=False)
+    row.update(lemma35_pass=True, lemma63_pass=True, tracial_pass=True)
+    path.write_text(json.dumps([row]))
+    assert load_report(path)[0].seed == 1
+    cases = (
+        ("level", "x", "not a number: 'x'"),
+        ("trial", 1.5, "not an integer: 1.5"),
+        ("extraction_failed", "no", "not a boolean: 'no'"),
+        ("delta", None, "not a number: None"),
+    )
+    for field, value, problem in cases:
+        path.write_text(json.dumps([row, {**row, field: value}]))
+        with pytest.raises(SerializationError, match=f"^report row 1 field '{field}': {problem}$"):
+            load_report(path)
     path.write_bytes(bytes(range(128, 256)))
     with pytest.raises(SerializationError, match="not a text file"):
         load_report(path)
