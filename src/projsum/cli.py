@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
-3 internal error (an unexpected exception, reported on one line).
+3 internal error (an unexpected exception).  Every error, a bad command
+line included, is reported on one stderr line starting with "error: ".
 The PROJSUM_TOL environment variable overrides the default tolerance of
 verification commands.
 """
@@ -53,8 +54,15 @@ def _tolerance(args) -> float:
     return tol
 
 
+class _Parser(argparse.ArgumentParser):
+    """Hands a parse error to main, which reports it on one line."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="projsum",
         description="projection families, their strategies, and self-test certificates",
     )
@@ -189,8 +197,11 @@ def _cmd_demo(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     handlers = {
         "family": lambda a: _cmd_family_gen(a)
         if a.family_command == "gen"

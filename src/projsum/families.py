@@ -60,9 +60,11 @@ class ProjectionFamily:
             raise InvalidFamilyError(f"scalar x must lie in [0, n] = [0, {n}]")
         for v, p in enumerate(self.projections):
             try:
-                p = np.asarray(p, dtype=np.complex128)
-            except (TypeError, ValueError) as exc:  # ragged or non-numeric
+                p = np.asarray(p)
+            except (TypeError, ValueError) as exc:  # ragged
                 raise InvalidFamilyError(f"projection {v}: entries do not form a matrix") from exc
+            if p.dtype.kind not in "iufc":  # a cast would read "1" as 1, True as 1
+                raise InvalidFamilyError(f"projection {v}: entries must be numbers, got {p.dtype}")
             if p.shape != (d, d):
                 raise InvalidFamilyError(f"projection of shape {p.shape} does not match d={d}")
             if not np.isfinite(p).all():

@@ -11,7 +11,8 @@ Conventions used across the package:
 * operators too large to form densely are applied matrix-free and
   diagonalized by ``krylov_eigh``; of a dense one whose few lowest
   eigenpairs are wanted, ``hermitian_spectrum`` computes only the
-  eigenvalues and ``lowest_eigvecs`` only the wanted eigenvectors
+  eigenvalues and ``lowest_eigvecs`` the wanted eigenvectors, by inverse
+  iteration for a narrow band and one full eigh for a spread cluster
 """
 from __future__ import annotations
 
@@ -42,8 +43,8 @@ KRYLOV_MAX_BLOCKS = 600
 # much as a dense 4096 x 4096 operator
 KRYLOV_BUDGET = 4096**2
 KRYLOV_SEED = 2021
-# lowest_eigvecs shifts this fraction of max|eigenvalue| below each wanted
-# eigenvalue, a few units in the last place.  Its residual test is a tenth
+# lowest_eigvecs shifts at least this fraction of max|eigenvalue| below the
+# wanted band, a few units in the last place.  Its residual test is a tenth
 # of krylov_eigh's: one sweep leaves residuals of 3e-15 (9 rows) to 1.4e-13
 # (625 rows) times max|eigenvalue|, a second one about 4e-16, below the 1e-15
 # of a full np.linalg.eigh
@@ -52,7 +53,7 @@ INVERSE_TOL = 1e-14
 INVERSE_MAX_SWEEPS = 8
 # wanted eigenvalues spanning at most this fraction of their distance to the
 # next one share a single shift: each sweep then damps the unwanted part by
-# 2 * INVERSE_BAND or better with one solve instead of one per eigenvalue
+# 2 * INVERSE_BAND or better with one solve; a wider cluster takes one eigh
 INVERSE_BAND = 1e-3
 
 
@@ -357,16 +358,17 @@ def lowest_eigvecs(a, w, count: int) -> np.ndarray:
 
     ``a`` is Hermitian and ``w`` its whole spectrum, ascending, as
     hermitian_spectrum returns it, so a caller can judge the eigenvalues
-    before any vector is computed.  Shifted inverse iteration (Ipsen, SIAM
-    Review 39, 1997): column i of a seeded random block is solved against
-    a - sigma_i I, with sigma_i just below w[i], or, when the wanted
-    eigenvalues form a band narrow against the gap above it (INVERSE_BAND),
-    the whole block against one shift a band's width below it; the block is
-    orthonormalised and refined by Rayleigh-Ritz, and the sweep repeats
-    until every residual ||A x - theta x|| is at most INVERSE_TOL * max|w|.
-    A shift that makes the solve exactly singular is moved further down.
-    EigensolverError is raised after INVERSE_MAX_SWEEPS sweeps; an
-    unconverged result is never returned.
+    before any vector is computed.  When the wanted eigenvalues form a band
+    narrow against the gap above it (INVERSE_BAND), as one eigenvalue always
+    does, shifted block inverse iteration (Ipsen, SIAM Review 39, 1997)
+    solves a seeded random block against a - sigma I, sigma a band's width
+    below the band, orthonormalises and refines it by Rayleigh-Ritz, and
+    repeats until every residual ||A x - theta x|| is at most
+    INVERSE_TOL * max|w|; a shift that makes the solve singular is moved
+    further down.  A wider cluster takes one np.linalg.eigh, which reads the
+    lower triangle as hermitian_spectrum does.  EigensolverError is raised
+    when LAPACK fails or after INVERSE_MAX_SWEEPS sweeps; an unconverged
+    result is never returned.
     """
     m = as_matrix(a)
     w = np.asarray(w, dtype=float)
@@ -379,26 +381,26 @@ def lowest_eigvecs(a, w, count: int) -> np.ndarray:
     scale = float(np.abs(w).max())
     if scale == 0.0:  # the zero matrix: any orthonormal block is an answer
         return np.eye(dim, count, dtype=np.complex128)
-    offset = INVERSE_SHIFT * scale
     band = w[count - 1] - w[0]
-    if count == dim or band <= INVERSE_BAND * (w[count] - w[count - 1]):
-        # far enough below the band that no member swamps the others
-        shifts, blocks = np.array([w[0] - max(offset, band)]), [slice(0, count)]
-    else:
-        shifts, blocks = w[:count] - offset, [slice(i, i + 1) for i in range(count)]
+    if count < dim and band > INVERSE_BAND * (w[count] - w[count - 1]):
+        try:
+            return fix_phases(np.linalg.eigh(m)[1][:, :count])
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"eigenvectors of a {dim}-row matrix: {exc}") from exc
+    # far enough below the band that no member swamps the others
+    shift = w[0] - max(INVERSE_SHIFT * scale, band)
     eye = np.eye(dim)
     rng = np.random.default_rng(KRYLOV_SEED)
     x = rng.normal(size=(dim, count)) + 1j * rng.normal(size=(dim, count))
     for _ in range(INVERSE_MAX_SWEEPS):
-        for i, cols in enumerate(blocks):
-            for attempt in range(4):
-                try:
-                    x[:, cols] = np.linalg.solve(m - shifts[i] * eye, x[:, cols])
-                    break
-                except np.linalg.LinAlgError:
-                    shifts[i] -= 16 * np.spacing(scale)
-            else:
-                raise EigensolverError(f"shifted solves of a {dim}-row matrix stay singular")
+        for attempt in range(4):
+            try:
+                x = np.linalg.solve(m - shift * eye, x)
+                break
+            except np.linalg.LinAlgError:
+                shift -= 16 * np.spacing(scale)
+        else:
+            raise EigensolverError(f"shifted solves of a {dim}-row matrix stay singular")
         q = x / np.linalg.norm(x) if count == 1 else np.linalg.qr(x)[0]
         mq = m @ q
         theta, y = np.linalg.eigh(dagger(q) @ mq)

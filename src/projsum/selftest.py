@@ -15,11 +15,12 @@ matrices once they are large.  The spectral gap of N, which enters beta, is
 ProjectionFamily.correlation_gap: measured matrix-free once per family, with
 n_operator kept as the dense reference.  fit_isometry needs only the lowest
 eigenpairs of its form: up to KRYLOV_MIN_ROWS rows it forms the matrix, takes
-its eigenvalues alone and the wanted eigenvectors by shifted inverse
-iteration (linalg.lowest_eigvecs); above, it applies the form matrix-free to
-linalg.krylov_eigh.  Both paths return phase-fixed eigenvectors, so they
-give the same isometry, and both refuse a form whose solution eigenspace is
-not separated from the next eigenvalue.
+its eigenvalues alone and the wanted eigenvectors from linalg.lowest_eigvecs
+(inverse iteration for a narrow band, one full eigh for a spread cluster);
+above, it applies the form matrix-free to linalg.krylov_eigh.  Both paths
+return phase-fixed eigenvectors, so they give the same isometry, and both
+refuse a form whose solution eigenspace is not separated from the next
+eigenvalue.
 
 All certified quantities are measured, never assumed: every bound stored in
 a certificate is recomputed from the returned isometries and junk state.
@@ -399,8 +400,10 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     """Least-squares isometry aligning measured operators with a family.
 
     Minimizes sum_v ||(P_v kron I_s) T - T E_v||^2 weighted by rho over
-    matrices T (the quadratic form's lowest eigenvectors), then projects the
-    best-conditioned solution onto the isometries by polar decomposition.
+    matrices T (the quadratic form's lowest eigenvectors), then projects a
+    solution onto the isometries by polar decomposition: the lowest
+    eigenvector for s = 1, else one seeded draw projected onto the
+    s^2-dimensional solution space.
     ``ops`` is an (n, r, r) stack, or a sequence of n equal-shape matrices.
     The ancilla dimension s is r/d rounded, raised if needed so that an
     isometry into C^(d s) exists.  A form of up to KRYLOV_MIN_ROWS rows is
@@ -411,7 +414,8 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     FitDegenerateError, before any eigenvector is computed on the dense
     path, when the lowest s^2 eigenvalues are not separated from the next
     one by FIT_SEPARATION_TOL * tr(rho): the solution would then be an
-    arbitrary pick from a larger eigenspace.
+    arbitrary pick from a larger eigenspace, and when the solution's
+    smallest singular value is at most 1e-8 of its largest.
     """
     try:
         ops = np.asarray(ops, dtype=np.complex128)
@@ -476,26 +480,12 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     if count == 1:
         t = vecs[:, 0].reshape((ds, r), order="F")
     else:
-        # any full-rank element of the solution space works: project fixed,
-        # reproducible draws onto it (which does not depend on the basis the
-        # eigensolver returned) until the polar factor is well conditioned
+        # any full-rank element of the solution space works: project one
+        # fixed, reproducible draw onto it, which does not depend on the
+        # basis the eigensolver returned
         rng = np.random.default_rng(7)
-        t = None
-        best, best_cond = None, -1.0
-        for _ in range(32):
-            draw = rng.normal(size=rows) + 1j * rng.normal(size=rows)
-            cand = (vecs @ (vecs.conj().T @ draw)).reshape((ds, r), order="F")
-            sv = np.linalg.svd(cand, compute_uv=False)
-            cond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-            if cond > best_cond:
-                best, best_cond = cand, cond
-            if cond > 1e-6:
-                t = cand
-                break
-        if t is None:
-            if best_cond <= 1e-12:
-                raise FitDegenerateError("no well-conditioned solution combination found")
-            t = best
+        draw = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+        t = (vecs @ (vecs.conj().T @ draw)).reshape((ds, r), order="F")
     sv = np.linalg.svd(t, compute_uv=False)
     if sv[0] <= 0 or sv[-1] <= 1e-8 * sv[0]:
         raise FitDegenerateError("fitted map has a rank-deficient polar factor")

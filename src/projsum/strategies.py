@@ -63,12 +63,15 @@ class Strategy:
             ("alice", 4, "an (n, k, d, d) stack"),
             ("bob", 4, "an (n, k, d, d) stack"),
         ):
+            try:
+                arr = np.asarray(getattr(self, name))
+            except (TypeError, ValueError) as exc:  # ragged
+                raise InvalidStrategyError(f"{name}: entries do not form {layout}") from exc
+            if arr.dtype.kind not in "iufc":  # a cast would read "1" as 1, True as 1
+                raise InvalidStrategyError(f"{name}: entries must be numbers, got {arr.dtype}")
             # a C-ordered copy: slices of a transposed input would make
             # every np.kron of them copy its d^2 x d^2 result once more
-            try:
-                arr = np.array(getattr(self, name), dtype=np.complex128, order="C")
-            except (TypeError, ValueError) as exc:  # ragged or non-numeric
-                raise InvalidStrategyError(f"{name}: entries do not form {layout}") from exc
+            arr = np.array(arr, dtype=np.complex128, order="C")
             if arr.ndim != ndim or 0 in arr.shape:
                 raise InvalidStrategyError(f"{name}: expected {layout}, got shape {arr.shape}")
             arr.flags.writeable = False
@@ -145,7 +148,10 @@ class Correlation:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.table, dtype=float)
+        t = np.asarray(self.table)
+        if t.dtype.kind not in "iufc":  # a cast would read "0.5" as 0.5, True as 1
+            raise InvalidStrategyError(f"table: entries must be numbers, got {t.dtype}")
+        t = np.array(t, dtype=float)
         if t.shape != (self.n, self.n, self.k, self.k):
             raise InvalidStrategyError(
                 f"table shape {t.shape} does not match (n, n, k, k) = "

@@ -14,7 +14,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import FitDegenerateError, JunkExtractionError, SerializationError
+from .errors import (
+    BudgetExceededError,
+    FitDegenerateError,
+    JunkExtractionError,
+    SerializationError,
+)
 from .families import ProjectionFamily, ladder_family
 from .selftest import approx_rep_residuals, extract_dilation
 from .serialize import from_fields, load_json
@@ -24,11 +29,17 @@ CSV_HEADER = (
     "level,trial,delta,epsilon,alpha,rep_residual_A,rep_residual_B,"
     "tracial_residual,sync_max,lemma35_pass,lemma63_pass"
 )
+# rows of one sweep: 100,000 SweepRows hold about 56 MB
+SWEEP_MAX_ROWS = 100_000
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Plan for one sweep: family, noise model, levels, trial count."""
+    """Plan for one sweep: family, noise model, levels, trial count.
+
+    A plan of more than SWEEP_MAX_ROWS rows (levels x trials) raises
+    BudgetExceededError at construction, before any trial runs.
+    """
 
     n: int
     k: int
@@ -52,6 +63,12 @@ class SweepConfig:
             raise SerializationError("levels must be sorted ascending")
         if self.trials_per_level < 1:
             raise SerializationError("trials_per_level must be positive")
+        rows = len(levels) * self.trials_per_level
+        if rows > SWEEP_MAX_ROWS:
+            raise BudgetExceededError(
+                f"{len(levels)} levels x {self.trials_per_level} trials make {rows} rows, "
+                f"over the {SWEEP_MAX_ROWS}-row sweep budget"
+            )
         if self.seed < 0:
             raise SerializationError("seed must be nonnegative")
         if self.monomial_degree < 1:

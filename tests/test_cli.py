@@ -38,6 +38,32 @@ def one_error_line(err: str) -> bool:
     return err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["family", "verify", "--tol", "zzz", "f.json"], "argument --tol: invalid float value: 'zzz'"),
+        (["selftest", "s.json", "--n", "4", "--k", "abc", "--cert", "c.json"],
+         "argument --k: invalid int value: 'abc'"),
+        ([], "the following arguments are required: command"),
+        (["sweep", "--config", "c.json", "--out", "r.csv", "--format", "xml"],
+         "argument --format: invalid choice: 'xml'"),
+        (["selftest", "s.json", "--n", "4"], "the following arguments are required: --cert"),
+    ],
+)
+def test_a_bad_command_line_reports_one_error_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert one_error_line(captured.err) and message in captured.err, captured.err
+    assert captured.out == ""
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: projsum")
+
+
 def test_family_gen_refuses_an_over_budget_ladder(tmp_path, capsys):
     # n = 8 rungs have d = 7, 41, 239, 1393, 8119: level 5 alone is 8 d^2 > 4096^2;
     # the n = 1200 simplex used to end in a RecursionError traceback
@@ -240,6 +266,18 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
         cfg.write_text(json.dumps(doc))
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
         assert one_error_line(capsys.readouterr().err)
+
+
+def test_sweep_refuses_an_over_budget_config(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    out = tmp_path / "r.csv"
+    cfg.write_text(json.dumps({"n": 4, "k": 1, "noise_model": "state-mixing",
+                               "levels": [0.0], "trials_per_level": 1e18, "seed": 7}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert one_error_line(captured.err) and "budget" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 SWEEP_CONFIG = {

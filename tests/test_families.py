@@ -275,6 +275,11 @@ def test_family_stores_read_only_copies():
         assert p.dtype == np.complex128 and p.flags.c_contiguous and not p.flags.writeable
     with pytest.raises(InvalidFamilyError, match="projection 1: entries do not form a matrix"):
         ProjectionFamily(n=2, x=fam.x, d=2, projections=(np.eye(2), [[1, 0], [0]]))
+    # a cast to a number would read "1" as 1 and True as 1
+    for bad in ([["1"]], [[True]]):
+        with pytest.raises(InvalidFamilyError, match="projection 0: entries must be numbers"):
+            ProjectionFamily(n=1, x=Fraction(1), d=1, projections=[bad])
+    assert ProjectionFamily(n=1, x=Fraction(1), d=1, projections=[[[1]]]).projections[0, 0, 0] == 1
 
 
 def test_canonical_strategy_built_once_per_family():

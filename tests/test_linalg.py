@@ -287,6 +287,48 @@ def test_lowest_eigvecs_matches_hermitian_eig(dim, count, seed):
             assert np.abs(v[:, j] - ref_v[:, j]).max() < 1e-9
 
 
+def loop_lowest_eigvecs(a, w, count):
+    """lowest_eigvecs by inverse iteration alone: a spread cluster takes a
+    shift and a solve per wanted eigenvalue and sweep."""
+    m = np.asarray(a, dtype=np.complex128)
+    dim = len(w)
+    scale = float(np.abs(w).max())
+    if scale == 0.0:
+        return np.eye(dim, count, dtype=np.complex128)
+    offset = linalg.INVERSE_SHIFT * scale
+    band = w[count - 1] - w[0]
+    if count == dim or band <= linalg.INVERSE_BAND * (w[count] - w[count - 1]):
+        shifts, blocks = np.array([w[0] - max(offset, band)]), [slice(0, count)]
+    else:
+        shifts, blocks = w[:count] - offset, [slice(i, i + 1) for i in range(count)]
+    eye = np.eye(dim)
+    rng = np.random.default_rng(linalg.KRYLOV_SEED)
+    x = rng.normal(size=(dim, count)) + 1j * rng.normal(size=(dim, count))
+    for _ in range(linalg.INVERSE_MAX_SWEEPS):
+        for i, cols in enumerate(blocks):
+            for attempt in range(4):
+                try:
+                    x[:, cols] = np.linalg.solve(m - shifts[i] * eye, x[:, cols])
+                    break
+                except np.linalg.LinAlgError:
+                    shifts[i] -= 16 * np.spacing(scale)
+            else:
+                raise EigensolverError("shifted solves stay singular")
+        q = x / np.linalg.norm(x) if count == 1 else np.linalg.qr(x)[0]
+        mq = m @ q
+        theta, y = np.linalg.eigh(dagger(q) @ mq)
+        x = q @ y
+        residual = np.linalg.norm(mq @ y - x * theta, axis=0)
+        if residual.max() <= linalg.INVERSE_TOL * scale:
+            return fix_phases(x)
+    raise EigensolverError("no convergence")
+
+
+def is_narrow(w, count):
+    """Whether lowest_eigvecs takes inverse iteration for these eigenvalues."""
+    return count == len(w) or w[count - 1] - w[0] <= linalg.INVERSE_BAND * (w[count] - w[count - 1])
+
+
 def planted(head, seed, dim=30):
     """A Hermitian matrix with the given lowest eigenvalues, the rest in [2, 4],
     and its eigenvectors (columns, in the order of the spectrum)."""
@@ -315,6 +357,53 @@ def test_lowest_eigvecs_planted_cluster_and_degeneracy():
     v = lowest_eigvecs(h, w, 4)
     assert_spans(v, u[:, :5])
     assert_spans(v[:, :2], u[:, :2])
+
+
+def test_lowest_eigvecs_matches_the_loop_on_planted_narrow_bands():
+    cases = [
+        (planted([-1.0, 0.5, 0.5 + 1e-9, 0.5 + 2e-9], seed=14)[0], 1),
+        (planted([-1.0, -1.0, 0.5, 0.5, 0.5], seed=15)[0], 1),
+        (planted([-1.0, -1.0, 0.5, 0.5, 0.5], seed=15)[0], 2),
+        (planted(1e-7 * np.arange(8.0), seed=17)[0], 8),
+        (np.diag(np.arange(12.0)), 1),
+        (np.diag(np.r_[0.0, 0.0, 0.0, np.arange(1.0, 10.0)]), 3),
+        (random_hermitian(20, np.random.default_rng(16)), 1),
+    ]
+    for h, count in cases:
+        w = hermitian_spectrum(h)
+        assert is_narrow(w, count)
+        assert np.array_equal(lowest_eigvecs(h, w, count), loop_lowest_eigvecs(h, w, count))
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls of the named np.linalg functions until monkeypatch.undo()."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_lowest_eigvecs_spread_cluster_takes_one_eigh(monkeypatch):
+    cases = [
+        (planted([-1.0, -0.5, 0.0, 0.5], seed=18)[0], 4),
+        (planted([-1.0, 0.5, 0.5 + 1e-9, 0.5 + 2e-9], seed=14)[0], 4),
+        (planted([-1.0, 1.0], seed=19, dim=9)[0], 2),
+    ]
+    for h, count in cases:
+        w = hermitian_spectrum(h)
+        assert not is_narrow(w, count)
+        basis = hermitian_eig(h)[1][:, ::-1][:, :count]
+        assert_spans(loop_lowest_eigvecs(h, w, count), basis)
+        calls = count_calls(monkeypatch, "eigh", "solve")
+        v = lowest_eigvecs(h, w, count)
+        monkeypatch.undo()
+        assert calls == {"eigh": 1, "solve": 0}
+        assert_spans(v, basis)
+        assert np.abs(v - fix_phases(v)).max() < 1e-15
 
 
 def test_lowest_eigvecs_narrow_band_takes_one_solve_per_sweep(monkeypatch):
@@ -357,7 +446,7 @@ def test_lowest_eigvecs_guards(monkeypatch):
     monkeypatch.setattr(linalg, "INVERSE_SHIFT", 0.5)
     monkeypatch.setattr(linalg, "INVERSE_MAX_SWEEPS", 1)
     with pytest.raises(EigensolverError, match="no convergence within 1 inverse-iteration sweeps"):
-        lowest_eigvecs(h, w, 2)
+        lowest_eigvecs(h, w, 1)
     bad = h.copy()
     bad[3, 3] = np.nan
     with pytest.raises(EigensolverError, match="20-row"):

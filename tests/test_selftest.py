@@ -31,6 +31,7 @@ from projsum.families import (
 from projsum.linalg import (
     dagger,
     fix_phases,
+    lowest_eigvecs,
     maximally_entangled,
     partial_trace,
     random_state,
@@ -60,6 +61,7 @@ from projsum.strategies import (
     induced_correlation,
     perturb,
 )
+from test_linalg import count_calls, is_narrow, loop_lowest_eigvecs
 from test_strategies import planted_strategy
 
 
@@ -482,6 +484,63 @@ def test_dense_fit_matches_full_eigh_oracle(monkeypatch, k, ka, model, level):
     assert fit.s == oracle.s == ka
     assert np.abs(fit.isometry - oracle.isometry).max() < 1e-12
     assert np.abs(fit.residuals - oracle.residuals).max() < 1e-12
+
+
+def recorded_fit_forms(monkeypatch, fits):
+    """Run fits(); return (quad, w, count) of every dense fit it made."""
+    forms = []
+    real = selftest.lowest_eigvecs
+    monkeypatch.setattr(
+        selftest, "lowest_eigvecs", lambda *form: forms.append(form) or real(*form)
+    )
+    fits()
+    monkeypatch.undo()
+    return forms
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_dense_fit_vectors_match_the_loop_on_ladder_fits(monkeypatch, k):
+    fam = four_family(k)
+    noisy = [
+        perturb(fam.canonical_strategy, model, level, seed=k)
+        for model in NOISE_MODELS
+        for level in (1e-4, 1e-3, 1e-2, 1e-1)
+    ]
+
+    def fits():
+        for strat in noisy:
+            rho_a, rho_b = reduced_densities(strat.state, (strat.dim_a, strat.dim_b))
+            fit_isometry(strat.alice[:, 0], fam, rho_a)
+            fit_isometry(strat.bob[:, 0], transpose_family(fam), rho_b)
+
+    forms = recorded_fit_forms(monkeypatch, fits)
+    assert len(forms) == 2 * len(noisy)
+    for quad, w, count in forms:
+        assert count == 1 and is_narrow(w, count)
+        assert np.array_equal(lowest_eigvecs(quad, w, count), loop_lowest_eigvecs(quad, w, count))
+
+
+def test_spread_ancilla_fit_takes_one_eigh_and_no_solve(monkeypatch):
+    # a 4-dimensional junk ancilla on Alice's side: 16 wanted eigenvalues of
+    # a 400-row form, spread wide against the gap above them
+    fam = four_family(2)
+    strat, _ = planted_strategy(fam, 4, 1, seed=3)
+    noisy = perturb(strat, "povm-jitter", 1e-3, seed=3)
+    rho_a, _ = reduced_densities(noisy.state, (noisy.dim_a, noisy.dim_b))
+    ops = noisy.alice[:, 0]
+    calls = count_calls(monkeypatch, "eigh", "solve")
+    fit = fit_isometry(ops, fam, rho_a)
+    monkeypatch.undo()
+    assert fit.s == 4 and calls == {"eigh": 1, "solve": 0}
+    (_, w, count), = recorded_fit_forms(monkeypatch, lambda: fit_isometry(ops, fam, rho_a))
+    assert count == 16 and not is_narrow(w, count)
+    monkeypatch.setattr(selftest, "lowest_eigvecs", loop_lowest_eigvecs)
+    loop = fit_isometry(ops, fam, rho_a)
+    # rho_a has rank 5 of 20, so the ridge sets the wanted eigenvalues, and
+    # their gap is 2e-8 of max|w|: two backward-stable solvers agree on the
+    # solution space to about eps * max|w| / gap, 1.2e-8 here
+    tol = np.finfo(float).eps * np.abs(w).max() / (w[count] - w[count - 1])
+    assert np.abs(fit.residuals - loop.residuals).max() <= tol
 
 
 def test_dense_fit_checks_separation_before_vectors(monkeypatch):

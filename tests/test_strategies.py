@@ -279,6 +279,20 @@ def test_strategy_validate_rejects_bad_inputs():
             Strategy(state=strat.state, dim_a=2, dim_b=2, alice=strat.alice, bob=bob)
 
 
+def test_constructors_refuse_strings_and_booleans():
+    # a cast to a number would read "0.5" as 0.5 and True as 1
+    for table in ([[[["0.5", "0"], ["0", "0.5"]]]], [[[[True, False], [False, True]]]]):
+        with pytest.raises(InvalidStrategyError, match="table: entries must be numbers"):
+            Correlation(n=1, k=2, table=table)
+    assert Correlation(n=1, k=2, table=[[[[1, 0], [0, 1]]]]).table[0, 0, 0, 0] == 1.0
+    eye = [[[[1]]]]
+    for field, bad in (("state", ["1"]), ("alice", [[[["1"]]]]), ("bob", [[[[True]]]])):
+        fields = {"state": [1], "alice": eye, "bob": eye, field: bad}
+        with pytest.raises(InvalidStrategyError, match=f"{field}: entries must be numbers"):
+            Strategy(dim_a=1, dim_b=1, **fields)
+    assert Strategy(state=[1], dim_a=1, dim_b=1, alice=eye, bob=eye).state[0] == 1
+
+
 def test_strategy_stores_read_only_copies():
     fam = simplex_family(3)
     p = np.stack(fam.projections)

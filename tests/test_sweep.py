@@ -6,6 +6,7 @@ import pytest
 from projsum.errors import BudgetExceededError, SerializationError, UnsupportedScalarError
 from projsum.sweep import (
     CSV_HEADER,
+    SWEEP_MAX_ROWS,
     SweepConfig,
     SweepRow,
     build_family,
@@ -49,6 +50,18 @@ def test_config_rejects_monomial_degree_below_one():
     # degree 0 used to run, measuring degree-1 words against a zero budget
     with pytest.raises(SerializationError, match="monomial_degree must be at least 1"):
         small_config(monomial_degree=0)
+
+
+def test_config_refuses_more_rows_than_the_sweep_budget():
+    # 1e18 is an integral JSON number: without the budget run_sweep would
+    # append rows until memory runs out
+    data = {"n": 4, "k": 1, "noise_model": "state-mixing", "levels": [0.0], "seed": 1}
+    for trials in (1e18, SWEEP_MAX_ROWS + 1):
+        with pytest.raises(BudgetExceededError, match=f"over the {SWEEP_MAX_ROWS}-row"):
+            SweepConfig.from_dict({**data, "trials_per_level": trials})
+    # at the budget the plan is constructed (and not run here)
+    cfg = small_config(levels=(0.0, 0.1), trials_per_level=SWEEP_MAX_ROWS // 2)
+    assert len(cfg.levels) * cfg.trials_per_level == SWEEP_MAX_ROWS == 100_000
 
 
 def test_config_from_dict_round_trip():
