@@ -32,7 +32,6 @@ from .strategies import (
     canonical_strategy,
     chsh_fixture,
     chsh_win_probability,
-    induced_correlation,
     marginals,
     synchronicity_defect,
 )
@@ -140,8 +139,7 @@ def _cmd_strategy_canonical(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    strategy = strategy_from_dict(load_json(args.strategy))
-    corr = induced_correlation(strategy)
+    corr = strategy_from_dict(load_json(args.strategy)).correlation
     save_json(correlation_to_dict(corr), args.out)
     _, _, signaling = marginals(corr)
     print(
@@ -179,8 +177,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    strategy = chsh_fixture()
-    corr = induced_correlation(strategy)
+    corr = chsh_fixture().correlation
     print("correlation p(i,j|v,w) of the two-qubit xor-game strategy:")
     for v in range(2):
         for w in range(2):

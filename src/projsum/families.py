@@ -95,6 +95,11 @@ class ProjectionFamily:
         return top_gap(w)
 
     @cached_property
+    def transposed(self) -> ProjectionFamily:
+        """The entrywise transpose of every projection, same n, x and d, built once."""
+        return ProjectionFamily(self.n, self.x, self.d, self.projections.swapaxes(1, 2))
+
+    @cached_property
     def canonical_strategy(self):
         """strategies.canonical_strategy of this family, built once."""
         from .strategies import canonical_strategy  # strategies imports this module
@@ -287,11 +292,6 @@ def four_family(k: int) -> ProjectionFamily:
     """Rank-k family of four projections in M_(2k+1) with scalar 4k/(2k+1):
     ladder_family(4, k), whose k = 1 is the tetrahedron family."""
     return ladder_family(4, k)
-
-
-def transpose_family(fam: ProjectionFamily) -> ProjectionFamily:
-    """Entrywise transpose of every projection; same n, x, d."""
-    return ProjectionFamily(n=fam.n, x=fam.x, d=fam.d, projections=fam.projections.swapaxes(1, 2))
 
 
 def validate_family(fam: ProjectionFamily, tol: float = PROJECTION_TOL) -> FamilyReport:

@@ -162,18 +162,18 @@ class SchmidtDecomposition:
         ).reshape(-1)
 
 
-def schmidt(psi, dims: tuple[int, int], rank_tol: float = SCHMIDT_RANK_TOL) -> SchmidtDecomposition:
+def schmidt(psi, dims: tuple[int, int]) -> SchmidtDecomposition:
     """Schmidt decomposition of a bipartite vector.
 
-    rank_tol is relative: singular values <= rank_tol * sigma_max are
-    discarded.  Raises InvalidStateError on a (near-)zero vector.
+    The rank cut is relative: singular values <= SCHMIDT_RANK_TOL * sigma_max
+    are discarded.  Raises InvalidStateError on a (near-)zero vector.
     """
     m = unvec(psi, dims)
     nrm = float(np.linalg.norm(m))
     if nrm <= 1e-300:
         raise InvalidStateError("cannot decompose the zero vector")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    r = int(np.count_nonzero(s > rank_tol * s[0]))
+    r = int(np.count_nonzero(s > SCHMIDT_RANK_TOL * s[0]))
     u, s, vh = u[:, :r], s[:r], vh[:r, :]
     # joint phase freedom: fix the left vector, push the phase to the right
     for l in range(r):
@@ -204,9 +204,7 @@ def partial_trace(rho, dims: tuple[int, int], keep: str = "A") -> np.ndarray:
 def reduced_densities(psi, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Both reduced density matrices of a bipartite vector, without forming psi psi^*."""
     m = unvec(psi, dims)
-    rho_a = m @ m.conj().T
-    rho_b = m.T @ m.conj()
-    return rho_a, rho_b
+    return m @ m.conj().T, m.T @ m.conj()
 
 
 def seminorm(x, rho):
@@ -238,33 +236,33 @@ def state_seminorm(x, psi, dims: tuple[int, int], side: str = "A") -> float:
     return float(np.linalg.norm(m @ xm.T))
 
 
-def null_space(a, tol: float = NULL_SPACE_TOL) -> np.ndarray:
+def null_space(a) -> np.ndarray:
     """Orthonormal basis of the null space, as columns.
 
-    The rank cut is relative: singular values > tol * sigma_max count toward
-    the rank.  The returned columns are phase-fixed; the basis may be empty
-    (shape (n, 0)).
+    The rank cut is relative: singular values > NULL_SPACE_TOL * sigma_max
+    count toward the rank.  The returned columns are phase-fixed; the basis
+    may be empty (shape (n, 0)).
     """
     m = as_matrix(a)
     if m.size == 0:
         raise InvalidShapeError("cannot take the null space of an empty matrix")
     _, s, vh = np.linalg.svd(m, full_matrices=True)
     smax = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol * smax)) if smax > 0 else 0
+    rank = int(np.count_nonzero(s > NULL_SPACE_TOL * smax)) if smax > 0 else 0
     basis = vh[rank:, :].conj().T
     return fix_phases(basis) if basis.shape[1] else basis
 
 
-def hermitian_eig(a, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and phase-fixed eigenvectors of a Hermitian matrix.
 
     Raises NonHermitianError when the max-entry deviation from the conjugate
-    transpose exceeds tol.
+    transpose exceeds HERMITIAN_TOL.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise InvalidShapeError(f"expected a square matrix, got {m.shape}")
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise NonHermitianError("matrix is not Hermitian at tolerance")
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     order = np.arange(w.size - 1, -1, -1)

@@ -8,7 +8,9 @@ eigenspace of the family's correlation operator N = sum_v P_v kron P_v^T to
 read off the junk state; and the final certificate reports the worst
 residual of the local-dilation conditions.  Residuals are evaluated through
 the vec identity on the stacks: a bipartite vector is its dim_a x dim_b
-matrix M, on which X kron Y acts as X M Y^T (see linalg.vec).
+matrix M, on which X kron Y acts as X M Y^T (see linalg.vec).  M, the weights
+rho_A, rho_B and the correlation come from the Strategy, Bob's target family
+from ProjectionFamily.transposed; each owner derives them once.
 
 The two d^2 x d^2 eigenproblems are solved without forming d^2 x d^2
 matrices once they are large.  The spectral gap of N, which enters beta, is
@@ -46,7 +48,7 @@ from .errors import (
     SpectralDegeneracyError,
     UnsupportedOutcomeCountError,
 )
-from .families import ProjectionFamily, top_gap, transpose_family
+from .families import ProjectionFamily, top_gap
 from .linalg import (
     as_matrix,
     as_vector,
@@ -57,7 +59,6 @@ from .linalg import (
     lowest_eigvecs,
     maximally_entangled,
     nearest_isometry,
-    reduced_densities,
     seminorm,
     unvec,
 )
@@ -66,7 +67,6 @@ from .strategies import (
     Strategy,
     correlation_distance,
     ideal_correlation,
-    induced_correlation,
     synchronicity_defect,
 )
 
@@ -118,8 +118,8 @@ def sync_residuals(strategy: Strategy, reference: Correlation) -> SyncReport:
         raise InvalidReferenceError(
             f"reference shape {reference.table.shape} does not match the strategy"
         )
-    delta = correlation_distance(induced_correlation(strategy), reference)
-    m = unvec(strategy.state, (strategy.dim_a, strategy.dim_b))
+    delta = correlation_distance(strategy.correlation, reference)
+    m = strategy.state_matrix
     e, f = strategy.alice, strategy.bob
     em = e @ m
     mft = m @ f.swapaxes(-1, -2)
@@ -147,13 +147,10 @@ def tracial_residual(strategy: Strategy, degree: int = 2, party: str = "alice") 
         raise BudgetExceededError(
             f"{count * count} word pairs exceed the {PAIR_BUDGET} budget"
         )
-    rho_a, rho_b = reduced_densities(strategy.state, (strategy.dim_a, strategy.dim_b))
-    if party == "alice":
-        ops, rho = strategy.alice[:, 0], rho_a
-    elif party == "bob":
-        ops, rho = strategy.bob[:, 0], rho_b
-    else:
+    if party not in ("alice", "bob"):
         raise InvalidStrategyError(f"party must be 'alice' or 'bob', got {party!r}")
+    ops = getattr(strategy, party)[:, 0]
+    rho = strategy.reduced_densities[party == "bob"]
     words = [ops]
     for _ in range(degree - 1):
         # word w followed by op o sits at index w * n + o
@@ -232,7 +229,7 @@ def approx_rep_residuals(
     sync = sync_residuals(strategy, ideal_correlation(n, x))
     delta = sync.delta
     c_bound = float(np.sqrt(n**2 + (1 + 2 * float(x)) * np.sqrt(delta)) * delta**0.25)
-    rho_a, rho_b = reduced_densities(strategy.state, (strategy.dim_a, strategy.dim_b))
+    rho_a, rho_b = strategy.reduced_densities
     xf = float(x)
 
     def side_residuals(povms, rho, dim):
@@ -303,7 +300,7 @@ def n_operator(fam: ProjectionFamily) -> CorrelationOperator:
     )
 
 
-def eigvec_overlap_bound(a, xi, cluster_tol: float = 1e-8) -> tuple[float, float]:
+def eigvec_overlap_bound(a, xi) -> tuple[float, float]:
     """Measured top-eigenspace weight of xi and its spectral lower bound.
 
     Returns (||Q1 xi||^2, 1 - (l1 - <A xi, xi>) / (l1 - l2)) where Q1
@@ -317,7 +314,7 @@ def eigvec_overlap_bound(a, xi, cluster_tol: float = 1e-8) -> tuple[float, float
     if xi.size != w.size:
         raise InvalidShapeError("xi length does not match the matrix")
     scale = max(1.0, float(np.abs(w).max()))
-    top = w >= w[0] - cluster_tol * scale
+    top = w >= w[0] - 1e-8 * scale
     if bool(top.all()):
         raise SpectralDegeneracyError("all eigenvalues coincide at tolerance")
     l1 = float(w[0])
@@ -405,7 +402,7 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     eigenvector for s = 1, else one seeded draw projected onto the
     s^2-dimensional solution space.
     ``ops`` is an (n, r, r) stack, or a sequence of n equal-shape matrices.
-    The ancilla dimension s is r/d rounded, raised if needed so that an
+    The ancilla dimension s is the least one with d s >= r, so that an
     isometry into C^(d s) exists.  A form of up to KRYLOV_MIN_ROWS rows is
     formed densely: its spectrum comes from linalg.hermitian_spectrum and
     only its s^2 lowest eigenvectors from linalg.lowest_eigvecs.  A larger
@@ -430,9 +427,7 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     if rho.shape != (r, r):
         raise InvalidShapeError(f"weight shape {rho.shape} does not match operators")
     d = fam.d
-    s = max(1, round(r / d))
-    while d * s < r:
-        s += 1
+    s = max(1, -(-r // d))
     ds = d * s
     rows = r * ds
     count = s * s
@@ -554,12 +549,10 @@ def _dilation_residuals(
         raise InvalidShapeError("isometry domains do not match the source strategy")
     junk = as_vector(junk)
     if junk.size != ka * kb:
-        raise InvalidShapeError(
-            f"junk length {junk.size} != ancilla product {ka * kb}"
-        )
+        raise InvalidShapeError(f"junk length {junk.size} != ancilla product {ka * kb}")
     junk_m = junk.reshape(ka, kb)
-    m = unvec(strategy.state, (strategy.dim_a, strategy.dim_b))
-    m0 = unvec(reference.state, (da, db))
+    m = strategy.state_matrix
+    m0 = reference.state_matrix
     # the kron of two matrices is already in (ref, anc) x (ref, anc) order
     state = np.linalg.norm(v_a @ m @ v_b.T - np.kron(m0, junk_m))
     # [v, i, w, j] -> V_A E_vi M F_wj^T V_B^T and P_vi M0 Q_wj^T
@@ -588,20 +581,17 @@ def dilation_epsilon(
     )
 
 
-def extract_dilation(
-    strategy: Strategy,
-    fam: ProjectionFamily,
-    alpha_min: float = ALPHA_MIN,
-) -> DilationCertificate:
+def extract_dilation(strategy: Strategy, fam: ProjectionFamily) -> DilationCertificate:
     """Fit isometries, read off the junk state, and certify the dilation.
 
     Each party's first-outcome operators are compressed onto the family
-    (Bob against the transposed family); the compressed state is projected
+    (Bob against fam.transposed), weighted by the strategy's reduced
+    densities; the compressed state is projected
     onto the top eigenspace of the correlation operator, and the remainder
     is normalized into the junk state.  The ancilla bases are rotated so the
     junk state comes out in Schmidt-diagonal form, which fixes the gauge
     freedom of the certificate.  Raises JunkExtractionError when the
-    projected weight alpha falls below alpha_min.
+    projected weight alpha is at or below ALPHA_MIN, read at call time.
     """
     if strategy.n_outcomes != 2:
         raise UnsupportedOutcomeCountError("dilation extraction needs two outcomes")
@@ -609,20 +599,19 @@ def extract_dilation(
         raise InvalidStrategyError(
             f"strategy has {strategy.n_questions} questions, family has {fam.n}"
         )
-    psi = strategy.state
-    rho_a, rho_b = reduced_densities(psi, (strategy.dim_a, strategy.dim_b))
+    rho_a, rho_b = strategy.reduced_densities
     fit_a = fit_isometry(strategy.alice[:, 0], fam, rho_a)
-    fit_b = fit_isometry(strategy.bob[:, 0], transpose_family(fam), rho_b)
+    fit_b = fit_isometry(strategy.bob[:, 0], fam.transposed, rho_b)
     gap = fam.correlation_gap
     d = fam.d
     sa, sb = fit_a.s, fit_b.s
 
-    lifted = fit_a.isometry @ unvec(psi, (strategy.dim_a, strategy.dim_b)) @ fit_b.isometry.T
+    lifted = fit_a.isometry @ strategy.state_matrix @ fit_b.isometry.T
     junk_block = np.einsum("iaib->ab", lifted.reshape(d, sa, d, sb)) / np.sqrt(d)
     alpha = float(np.linalg.norm(junk_block))
-    if alpha <= alpha_min:
+    if alpha <= ALPHA_MIN:
         raise JunkExtractionError(
-            f"projected weight alpha = {alpha:.3e} is at or below {alpha_min}"
+            f"projected weight alpha = {alpha:.3e} is at or below {ALPHA_MIN}"
         )
     u, sv, vh = np.linalg.svd(junk_block / alpha, full_matrices=True)
     # rotate ancillas so the junk state is Schmidt-diagonal; the dilation
@@ -637,15 +626,12 @@ def extract_dilation(
 
     reference = fam.canonical_strategy
     residuals = _dilation_residuals(strategy, reference, v_a, v_b, junk)
-    delta = correlation_distance(
-        induced_correlation(strategy), ideal_correlation(fam.n, fam.x)
-    )
+    delta = correlation_distance(strategy.correlation, ideal_correlation(fam.n, fam.x))
     eps_prime = max(fit_a.max_residual, fit_b.max_residual)
     # the spectral argument needs the correlation defect as well; folding it
     # into eps_prime makes the beta bound hold unconditionally
     eps_eff = max(eps_prime, delta)
-    n = fam.n
-    beta = float(np.sqrt(2.0 * (2 * n + 1) * eps_eff / gap))
+    beta = float(np.sqrt(2.0 * (2 * fam.n + 1) * eps_eff / gap))
     return DilationCertificate(
         v_a=v_a,
         v_b=v_b,

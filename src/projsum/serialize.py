@@ -160,19 +160,19 @@ def family_to_dict(fam: ProjectionFamily) -> dict:
     }
 
 
-def family_from_dict(data: dict, where: str = "family") -> ProjectionFamily:
-    n, x, d, projections = (_require(data, key, where) for key in ("n", "x", "d", "projections"))
+def family_from_dict(data: dict) -> ProjectionFamily:
+    n, x, d, projections = (_require(data, key, "family") for key in ("n", "x", "d", "projections"))
     if type(x) is not list or len(x) != 2 or x[1] == 0:
-        raise SerializationError(f"{where}.x: expected [numerator, denominator]")
+        raise SerializationError("family.x: expected [numerator, denominator]")
     try:
         return ProjectionFamily(
-            n=integral(n, f"{where}.n"),
-            x=Fraction(integral(x[0], f"{where}.x[0]"), integral(x[1], f"{where}.x[1]")),
-            d=integral(d, f"{where}.d"),
-            projections=from_pairs(projections, 3, f"{where}.projections"),
+            n=integral(n, "family.n"),
+            x=Fraction(integral(x[0], "family.x[0]"), integral(x[1], "family.x[1]")),
+            d=integral(d, "family.d"),
+            projections=from_pairs(projections, 3, "family.projections"),
         )
     except InvalidFamilyError as exc:
-        raise SerializationError(f"{where}: {exc}") from exc
+        raise SerializationError(f"family: {exc}") from exc
 
 
 # -- strategies and correlations --------------------------------------------
@@ -188,16 +188,16 @@ def strategy_to_dict(strategy: Strategy) -> dict:
     }
 
 
-def strategy_from_dict(data: dict, where: str = "strategy") -> Strategy:
+def strategy_from_dict(data: dict) -> Strategy:
     dim_a, dim_b, state, alice, bob = (
-        _require(data, key, where) for key in ("dimA", "dimB", "state", "alice", "bob")
+        _require(data, key, "strategy") for key in ("dimA", "dimB", "state", "alice", "bob")
     )
     return Strategy(
-        state=from_pairs(state, 1, f"{where}.state"),
-        dim_a=integral(dim_a, f"{where}.dimA"),
-        dim_b=integral(dim_b, f"{where}.dimB"),
-        alice=from_pairs(alice, 4, f"{where}.alice"),
-        bob=from_pairs(bob, 4, f"{where}.bob"),
+        state=from_pairs(state, 1, "strategy.state"),
+        dim_a=integral(dim_a, "strategy.dimA"),
+        dim_b=integral(dim_b, "strategy.dimB"),
+        alice=from_pairs(alice, 4, "strategy.alice"),
+        bob=from_pairs(bob, 4, "strategy.bob"),
     )
 
 
@@ -205,16 +205,16 @@ def correlation_to_dict(corr: Correlation) -> dict:
     return {"n": corr.n, "k": corr.k, "table": corr.table.tolist()}
 
 
-def correlation_from_dict(data: dict, where: str = "correlation") -> Correlation:
-    n, k, table = (_require(data, key, where) for key in ("n", "k", "table"))
+def correlation_from_dict(data: dict) -> Correlation:
+    n, k, table = (_require(data, key, "correlation") for key in ("n", "k", "table"))
     try:
         return Correlation(
-            n=integral(n, f"{where}.n"),
-            k=integral(k, f"{where}.k"),
-            table=numbers(table, 4, f"{where}.table"),
+            n=integral(n, "correlation.n"),
+            k=integral(k, "correlation.k"),
+            table=numbers(table, 4, "correlation.table"),
         )
     except InvalidStrategyError as exc:
-        raise SerializationError(f"{where}: {exc}") from exc
+        raise SerializationError(f"correlation: {exc}") from exc
 
 
 # -- certificates ------------------------------------------------------------

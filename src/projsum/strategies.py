@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from .linalg import (
     is_hermitian,
     maximally_entangled,
     random_state,
+    reduced_densities,
     schmidt,
-    unvec,
 )
 
 POVM_TOL = 1e-8
@@ -48,7 +48,7 @@ class Strategy:
     the same number of outcomes and both parties answer the same question
     set.  The constructor takes any nested sequence of that shape, stores
     read-only copies of the state and both stacks, and validates them once;
-    a constructed strategy is therefore valid for its whole lifetime.
+    a constructed strategy, and each value it derives once below, stays valid.
     """
 
     state: np.ndarray
@@ -85,6 +85,23 @@ class Strategy:
     @property
     def n_outcomes(self) -> int:
         return self.alice.shape[1]
+
+    @property
+    def state_matrix(self) -> np.ndarray:
+        """The state as its read-only dim_a x dim_b matrix M (see linalg.vec)."""
+        return self.state.reshape(self.dim_a, self.dim_b)
+
+    @cached_property
+    def reduced_densities(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (rho_A, rho_B) from linalg.reduced_densities, computed once."""
+        rho_a, rho_b = reduced_densities(self.state, (self.dim_a, self.dim_b))
+        rho_a.flags.writeable = rho_b.flags.writeable = False
+        return rho_a, rho_b
+
+    @cached_property
+    def correlation(self) -> Correlation:
+        """induced_correlation of this strategy, computed once."""
+        return induced_correlation(self)
 
     def validate(self) -> None:
         """Raise InvalidStrategyError on any structural violation.
@@ -148,7 +165,10 @@ class Correlation:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table)
+        try:
+            t = np.asarray(self.table)
+        except (TypeError, ValueError) as exc:  # ragged
+            raise InvalidStrategyError("table: entries do not form an (n, n, k, k) array") from exc
         if t.dtype.kind not in "iufc":  # a cast would read "0.5" as 0.5, True as 1
             raise InvalidStrategyError(f"table: entries must be numbers, got {t.dtype}")
         t = np.array(t, dtype=float)
@@ -212,11 +232,11 @@ def induced_correlation(strategy: Strategy) -> Correlation:
     Computed through the reshaped state: with M the dim_a x dim_b matrix of
     psi, p(i,j|v,w) = sum over entries of (M^* E M) .* F.
     """
-    m = unvec(strategy.state, (strategy.dim_a, strategy.dim_b))
+    m = strategy.state_matrix
     kernels = m.conj().T @ strategy.alice @ m
-    # [v, w, i, j] -> sum over the d x d entries of kernels[v, i] .* bob[w, j]
-    products = kernels[:, None, :, None] * strategy.bob[None, :, None, :]
-    table = np.sum(products, axis=(4, 5)).real
+    bob = strategy.bob[:, None]
+    # row v at a time, peak n k^2 d^2: [w, i, j] -> sum of kernels[v, i] .* bob[w, j]
+    table = np.array([np.sum(kv[None, :, None] * bob, axis=(3, 4)).real for kv in kernels])
     return Correlation(n=strategy.n_questions, k=strategy.n_outcomes, table=table)
 
 

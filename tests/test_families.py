@@ -21,7 +21,6 @@ from projsum.families import (
     scalar_is_admissible,
     simplex_family,
     simplex_vertices,
-    transpose_family,
     validate_family,
 )
 from projsum.selftest import n_operator
@@ -236,8 +235,8 @@ def test_ladder_family_rejects_levels_out_of_range():
 
 def test_transpose_family():
     fam = four_family(2)
-    tfam = transpose_family(fam)
-    assert tfam.x == fam.x
+    tfam = fam.transposed
+    assert tfam is fam.transposed and tfam.x == fam.x
     for p, q in zip(fam.projections, tfam.projections):
         assert np.allclose(q, p.T)
     assert validate_family(tfam).passed
@@ -326,11 +325,11 @@ def test_validate_family_matches_loop_oracle():
 
 def test_family_is_one_read_only_stack():
     fam = four_family(3)
-    for stack in (fam.projections, transpose_family(fam).projections):
+    for stack in (fam.projections, fam.transposed.projections):
         assert isinstance(stack, np.ndarray) and stack.shape == (4, 7, 7)
         assert stack.dtype == np.complex128 and stack.flags.c_contiguous
         assert not stack.flags.writeable
-    assert np.array_equal(transpose_family(fam).projections, fam.projections.swapaxes(1, 2))
+    assert np.array_equal(fam.transposed.projections, fam.projections.swapaxes(1, 2))
     # when stacking fails, the first offending projection is named
     projs = list(fam.projections)
     projs[2] = projs[2] * np.nan

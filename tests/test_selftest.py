@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,6 @@ from projsum.families import (
     four_family,
     ladder_family,
     simplex_family,
-    transpose_family,
 )
 from projsum.linalg import (
     dagger,
@@ -511,7 +511,7 @@ def test_dense_fit_vectors_match_the_loop_on_ladder_fits(monkeypatch, k):
         for strat in noisy:
             rho_a, rho_b = reduced_densities(strat.state, (strat.dim_a, strat.dim_b))
             fit_isometry(strat.alice[:, 0], fam, rho_a)
-            fit_isometry(strat.bob[:, 0], transpose_family(fam), rho_b)
+            fit_isometry(strat.bob[:, 0], fam.transposed, rho_b)
 
     forms = recorded_fit_forms(monkeypatch, fits)
     assert len(forms) == 2 * len(noisy)
@@ -684,12 +684,52 @@ def test_extract_dilation_at_d61():
     assert cert.alpha > 0.99
 
 
-def test_extract_dilation_alpha_threshold():
+def test_extract_dilation_alpha_threshold(monkeypatch):
     fam = four_family(1)
     strat, _ = planted_strategy(fam, 2, 2, seed=13)
     noisy = perturb(strat, "state-mixing", 0.05, seed=13)
+    monkeypatch.setattr(selftest, "ALPHA_MIN", 1.0 - 1e-12)
     with pytest.raises(JunkExtractionError):
-        extract_dilation(noisy, fam, alpha_min=1.0 - 1e-12)
+        extract_dilation(noisy, fam)
+
+
+def count_projsum_calls(monkeypatch, *functions):
+    """Count calls of the functions, under every name a projsum module binds
+    them to, until monkeypatch.undo()."""
+    calls = Counter()
+    for fn in functions:
+        def counted(*args, _f=fn, **kwargs):
+            calls[_f.__name__] += 1
+            return _f(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "projsum" or name.startswith("projsum."):
+                for key, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, key, counted)
+    post_init = ProjectionFamily.__post_init__
+
+    def counted_post_init(self):
+        calls["ProjectionFamily"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(ProjectionFamily, "__post_init__", counted_post_init)
+    return calls
+
+
+def test_certificate_derives_each_strategy_quantity_once(monkeypatch):
+    fam = four_family(2)
+    first, second = (perturb(fam.canonical_strategy, "povm-jitter", 1e-3, seed) for seed in (2, 3))
+    calls = count_projsum_calls(monkeypatch, reduced_densities, induced_correlation)
+    report = approx_rep_residuals(first, fam.x)
+    cert = extract_dilation(first, fam)
+    # the first certificate builds the family's transpose, which Bob's fit keeps
+    assert calls == {"reduced_densities": 1, "induced_correlation": 1, "ProjectionFamily": 1}
+    calls.clear()
+    extract_dilation(second, fam)
+    assert calls == {"reduced_densities": 1, "induced_correlation": 1}
+    # both stages read one correlation, so they report one delta
+    assert cert.delta == report.delta
 
 
 @given(

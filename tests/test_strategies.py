@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from projsum.linalg import (
     random_hermitian,
     random_state,
     random_unitary,
+    reduced_densities,
 )
 from projsum.selftest import dilation_epsilon
 from projsum.strategies import (
@@ -291,6 +293,54 @@ def test_constructors_refuse_strings_and_booleans():
         with pytest.raises(InvalidStrategyError, match=f"{field}: entries must be numbers"):
             Strategy(dim_a=1, dim_b=1, **fields)
     assert Strategy(state=[1], dim_a=1, dim_b=1, alice=eye, bob=eye).state[0] == 1
+
+
+def test_correlation_refuses_a_ragged_table():
+    for table in ([[[[0.5, 0], [0]]]], [[[[0.5, 0], [0, 0.5]]], [[[0.5]]]]):
+        with pytest.raises(InvalidStrategyError, match="table: entries do not form"):
+            Correlation(n=1, k=2, table=table)
+
+
+def test_strategy_owns_its_state_matrix_densities_and_correlation():
+    strat, _ = planted_strategy(four_family(1), 2, 1, seed=3)
+    m = strat.state_matrix
+    assert m.shape == (6, 3) and np.shares_memory(m, strat.state) and not m.flags.writeable
+    assert np.array_equal(m.reshape(-1), strat.state)
+    rhos = strat.reduced_densities
+    assert rhos is strat.reduced_densities
+    for rho, expected in zip(rhos, reduced_densities(strat.state, (6, 3))):
+        assert np.array_equal(rho, expected) and not rho.flags.writeable
+    assert strat.correlation is strat.correlation
+    assert np.array_equal(strat.correlation.table, induced_correlation(strat).table)
+    # a perturbed copy derives its own values
+    noisy = perturb(strat, "state-mixing", 1e-2, seed=1)
+    assert not np.array_equal(noisy.reduced_densities[0], rhos[0])
+
+
+def whole_product_correlation(strategy):
+    """induced_correlation through the whole (n, n, k, k, d, d) product at once."""
+    m = strategy.state_matrix
+    kernels = m.conj().T @ strategy.alice @ m
+    products = kernels[:, None, :, None] * strategy.bob[None, :, None, :]
+    return np.sum(products, axis=(4, 5)).real
+
+
+def test_induced_correlation_builds_its_table_a_row_at_a_time():
+    bases = [canonical_strategy(four_family(k)) for k in (1, 5)]
+    bases += [simplex_family(10).canonical_strategy, planted_strategy(four_family(1), 2, 1, seed=3)[0]]
+    for base in bases:
+        for model in NOISE_MODELS:
+            noisy = perturb(base, model, 1e-3, seed=5)
+            assert np.array_equal(induced_correlation(noisy).table, whole_product_correlation(noisy))
+    strat = simplex_family(30).canonical_strategy  # d = 29: 1.6 MB of operators
+    tracemalloc.start()
+    try:
+        induced_correlation(strat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole (n, n, k, k, d, d) product of kernels and Bob's stack takes 48 MB
+    assert peak < 8_000_000
 
 
 def test_strategy_stores_read_only_copies():
