@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedQuestionCountError,
     UnsupportedScalarError,
 )
-from .linalg import KRYLOV_BUDGET, dagger, fix_phases, krylov_eigh, null_space
+from .linalg import KRYLOV_BUDGET, as_array, dagger, fix_phases, krylov_eigh, null_space
 
 PROJECTION_TOL = 1e-9
 # relative to max(1, top eigenvalue)
@@ -40,9 +40,10 @@ class ProjectionFamily:
     """n projections in M_d summing to x * I_d.
 
     d is the ambient matrix dimension; for the canonical constructions it
-    equals the denominator of x in lowest terms.  The constructor stores one
-    read-only C-ordered complex128 copy of the projections, of shape (n, d, d),
-    so the quantities cached below stay true to it.
+    equals the denominator of x in lowest terms.  The constructor reads each
+    projection with linalg.as_array and stores one read-only C-ordered
+    complex128 copy of them, of shape (n, d, d), so the quantities cached
+    below stay true to it.
     """
 
     n: int
@@ -59,16 +60,9 @@ class ProjectionFamily:
         if not 0 <= self.x <= n:
             raise InvalidFamilyError(f"scalar x must lie in [0, n] = [0, {n}]")
         for v, p in enumerate(self.projections):
-            try:
-                p = np.asarray(p)
-            except (TypeError, ValueError) as exc:  # ragged
-                raise InvalidFamilyError(f"projection {v}: entries do not form a matrix") from exc
-            if p.dtype.kind not in "iufc":  # a cast would read "1" as 1, True as 1
-                raise InvalidFamilyError(f"projection {v}: entries must be numbers, got {p.dtype}")
+            p = as_array(p, 2, f"projection {v}", InvalidFamilyError)
             if p.shape != (d, d):
                 raise InvalidFamilyError(f"projection of shape {p.shape} does not match d={d}")
-            if not np.isfinite(p).all():
-                raise InvalidFamilyError(f"projection {v}: non-finite entry")
             if v == 0:  # the declared d is believed only once a projection has it
                 stack = np.empty((n, d, d), dtype=np.complex128)
             stack[v] = p

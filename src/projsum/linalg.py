@@ -13,6 +13,9 @@ Conventions used across the package:
   eigenpairs are wanted, ``hermitian_spectrum`` computes only the
   eigenvalues and ``lowest_eigvecs`` the wanted eigenvectors, by inverse
   iteration for a narrow band and one full eigh for a spread cluster
+* array arguments are read by ``as_array``: ragged entries, strings,
+  booleans, the wrong rank, an empty axis and a non-finite entry are refused
+  with a ProjsumError naming the argument (and the entry), never cast
 """
 from __future__ import annotations
 
@@ -57,20 +60,35 @@ INVERSE_MAX_SWEEPS = 8
 INVERSE_BAND = 1e-3
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex128 array."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise InvalidShapeError(f"expected a matrix, got ndim={m.ndim}")
-    return m
+def as_array(a, ndim: int | None, where: str, error=InvalidShapeError, dtype=np.complex128):
+    """The one reader of a caller's array: ``a`` as ``dtype``, uncopied if it
+    already is, with ``ndim`` non-empty axes (None: any number).  Raises
+    ``error``, naming ``where``, for ragged entries, entries that are not
+    numbers (a cast would read "1" as 1 and True as 1), complex entries when
+    ``dtype`` is real, the wrong rank or an empty axis, and a non-finite
+    entry, named by its index as serialize.numbers names one.
+    """
+    try:
+        arr = np.asarray(a)
+    except (TypeError, ValueError) as exc:  # ragged
+        raise error(f"{where}: entries do not form {_layout(ndim)}") from exc
+    kind = arr.dtype.kind
+    if kind not in "iufc":
+        raise error(f"{where}: entries must be numbers, got {arr.dtype}")
+    if kind == "c" and np.dtype(dtype).kind != "c":
+        raise error(f"{where}: entries must be real, got {arr.dtype}")
+    if ndim is not None and arr.ndim != ndim or 0 in arr.shape:
+        raise error(f"{where}: expected {_layout(ndim)}, got shape {arr.shape}")
+    arr = arr.astype(dtype, copy=False)
+    finite = np.isfinite(arr)
+    if np.count_nonzero(finite) < arr.size:  # half the cost of finite.all() on a small array
+        index = "".join(f"[{i}]" for i in np.argwhere(~finite)[0])
+        raise error(f"{where}{index}: non-finite entry")
+    return arr
 
 
-def as_vector(a) -> np.ndarray:
-    """Coerce to a 1-d complex128 array."""
-    v = np.asarray(a, dtype=np.complex128)
-    if v.ndim != 1:
-        raise InvalidShapeError(f"expected a vector, got ndim={v.ndim}")
-    return v
+def _layout(ndim: int | None) -> str:
+    return {None: "an array", 1: "a vector", 2: "a matrix"}.get(ndim, f"a rank-{ndim} array")
 
 
 def dagger(a) -> np.ndarray:
@@ -98,12 +116,12 @@ def vec(d) -> np.ndarray:
     Satisfies (X kron Y) vec(D) = vec(X D Y^T) and
     <(X kron Y) vec(I/sqrt(d)), vec(I/sqrt(d))> = tr(X Y^T) / d.
     """
-    return as_matrix(d).reshape(-1)
+    return as_array(d, 2, "d").reshape(-1)
 
 
 def unvec(psi, dims: tuple[int, int]) -> np.ndarray:
     """Inverse of vec for a bipartite vector with the given factor dims."""
-    v = as_vector(psi)
+    v = as_array(psi, 1, "psi")
     da, db = dims
     if da <= 0 or db <= 0 or v.size != da * db:
         raise InvalidShapeError(f"cannot reshape length {v.size} to {dims}")
@@ -120,22 +138,21 @@ def maximally_entangled(d: int) -> np.ndarray:
 def fix_phases(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive.
 
-    Ties go to the earliest index; zero columns are left alone.  This is the
+    Ties go to the earliest index; zero columns keep their values.  This is the
     package-wide determinism convention for eigen/singular vectors.
     """
     out = np.array(v, dtype=np.complex128, copy=True)
-    if out.ndim == 1:
-        out = out[:, None]
-        squeeze = True
-    else:
-        squeeze = False
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        mag = abs(col[idx])
-        if mag > 0:
-            out[:, j] = col * (col[idx].conjugate() / mag)
-    return out[:, 0] if squeeze else out
+    cols = out if out.ndim > 1 else out[:, None]
+    cols *= _phase_factors(cols)
+    return out
+
+
+def _phase_factors(cols: np.ndarray) -> np.ndarray:
+    """conj(t) / |t|, t the first largest-magnitude entry of each column (1 for
+    a zero column).  |t| is np.hypot, as abs() of one entry is."""
+    top = cols[np.abs(cols).argmax(axis=0), np.arange(cols.shape[1])]
+    mag = np.hypot(top.real, top.imag)
+    return np.divide(top.conj(), mag, out=np.ones_like(top), where=mag > 0)
 
 
 @dataclass(frozen=True)
@@ -176,19 +193,15 @@ def schmidt(psi, dims: tuple[int, int]) -> SchmidtDecomposition:
     r = int(np.count_nonzero(s > SCHMIDT_RANK_TOL * s[0]))
     u, s, vh = u[:, :r], s[:r], vh[:r, :]
     # joint phase freedom: fix the left vector, push the phase to the right
-    for l in range(r):
-        idx = int(np.argmax(np.abs(u[:, l])))
-        mag = abs(u[idx, l])
-        if mag > 0:
-            ph = u[idx, l] / mag
-            u[:, l] *= ph.conjugate()
-            vh[l, :] *= ph
+    factors = _phase_factors(u)
+    u *= factors
+    vh *= factors.conj()[:, None]
     return SchmidtDecomposition(coefficients=s, left=u, right=vh.T.copy(), dims=(dims[0], dims[1]))
 
 
 def partial_trace(rho, dims: tuple[int, int], keep: str = "A") -> np.ndarray:
     """Trace out one factor of a density-like matrix on C^da tensor C^db."""
-    m = as_matrix(rho)
+    m = as_array(rho, 2, "rho")
     da, db = dims
     if da <= 0 or db <= 0 or m.shape != (da * db, da * db):
         raise InvalidShapeError(f"matrix of shape {m.shape} does not match dims {dims}")
@@ -214,8 +227,8 @@ def seminorm(x, rho):
     are clipped to zero.  A stack x of shape (..., m, m) gets one value per
     matrix, as a float array, all weighted by the same rho.
     """
-    xm = np.asarray(x, dtype=np.complex128)
-    rm = as_matrix(rho)
+    xm = as_array(x, None, "x")
+    rm = as_array(rho, 2, "rho")
     if xm.ndim < 2 or xm.shape[-2:] != rm.shape or rm.shape[0] != rm.shape[1]:
         raise InvalidShapeError(f"operator {xm.shape} and weight {rm.shape} must be square and equal")
     val = np.trace(dagger(xm) @ xm @ rm, axis1=-2, axis2=-1).real
@@ -230,7 +243,7 @@ def state_seminorm(x, psi, dims: tuple[int, int], side: str = "A") -> float:
     both equal the seminorm weighted by the matching reduced density.
     """
     m = unvec(psi, dims)
-    xm = as_matrix(x)
+    xm = as_array(x, 2, "x")
     if side.upper() == "A":
         return float(np.linalg.norm(xm @ m))
     return float(np.linalg.norm(m @ xm.T))
@@ -243,12 +256,9 @@ def null_space(a) -> np.ndarray:
     count toward the rank.  The returned columns are phase-fixed; the basis
     may be empty (shape (n, 0)).
     """
-    m = as_matrix(a)
-    if m.size == 0:
-        raise InvalidShapeError("cannot take the null space of an empty matrix")
+    m = as_array(a, 2, "a")
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > NULL_SPACE_TOL * smax)) if smax > 0 else 0
+    rank = int(np.count_nonzero(s > NULL_SPACE_TOL * s[0]))  # 0 for the zero matrix
     basis = vh[rank:, :].conj().T
     return fix_phases(basis) if basis.shape[1] else basis
 
@@ -259,7 +269,7 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     Raises NonHermitianError when the max-entry deviation from the conjugate
     transpose exceeds HERMITIAN_TOL.
     """
-    m = as_matrix(a)
+    m = as_array(a, 2, "a")
     if m.shape[0] != m.shape[1]:
         raise InvalidShapeError(f"expected a square matrix, got {m.shape}")
     if not is_hermitian(m):
@@ -339,9 +349,10 @@ def hermitian_spectrum(a) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending, without eigenvectors.
 
     Reads the lower triangle, as np.linalg.eigvalsh does.  Raises
-    EigensolverError when LAPACK fails or an eigenvalue is not finite.
+    EigensolverError for a matrix as_array refuses, a non-finite one
+    included, when LAPACK fails, or when an eigenvalue is not finite.
     """
-    m = as_matrix(a)
+    m = as_array(a, 2, "a", EigensolverError)
     try:
         w = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
@@ -365,11 +376,11 @@ def lowest_eigvecs(a, w, count: int) -> np.ndarray:
     INVERSE_TOL * max|w|; a shift that makes the solve singular is moved
     further down.  A wider cluster takes one np.linalg.eigh, which reads the
     lower triangle as hermitian_spectrum does.  EigensolverError is raised
-    when LAPACK fails or after INVERSE_MAX_SWEEPS sweeps; an unconverged
-    result is never returned.
+    for an ``a`` or ``w`` that as_array refuses, when LAPACK fails or after
+    INVERSE_MAX_SWEEPS sweeps; an unconverged result is never returned.
     """
-    m = as_matrix(a)
-    w = np.asarray(w, dtype=float)
+    m = as_array(a, 2, "a", EigensolverError)
+    w = as_array(w, 1, "w", EigensolverError, dtype=float)
     dim = len(w)
     if m.shape != (dim, dim) or not 1 <= count <= dim:
         raise InvalidShapeError(
@@ -418,7 +429,7 @@ def nearest_isometry(t) -> np.ndarray:
     Returns U @ Vh from the thin SVD; for square full-rank input this is the
     closest unitary in Frobenius norm.
     """
-    m = as_matrix(t)
+    m = as_array(t, 2, "t")
     if m.shape[0] < m.shape[1]:
         raise InvalidShapeError(f"no isometry with shape {m.shape}: more columns than rows")
     u, _, vh = np.linalg.svd(m, full_matrices=False)

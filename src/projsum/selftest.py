@@ -50,8 +50,7 @@ from .errors import (
 )
 from .families import ProjectionFamily, top_gap
 from .linalg import (
-    as_matrix,
-    as_vector,
+    as_array,
     dagger,
     hermitian_eig,
     hermitian_spectrum,
@@ -131,22 +130,31 @@ def sync_residuals(strategy: Strategy, reference: Correlation) -> SyncReport:
     return SyncReport(values=values, budgets=budgets, delta=delta)
 
 
+def check_word_pairs(n: int, degree: int) -> None:
+    """BudgetExceededError when the words of length 1..degree in n >= 1 letters
+    make more than PAIR_BUDGET pairs.  The count stops once it passes the
+    budget, within 1,001 lengths, so a huge degree is refused at once."""
+    count = 0
+    for length in range(1, degree + 1):
+        count += n**length
+        if count * count > PAIR_BUDGET:
+            raise BudgetExceededError(
+                f"words of length up to {degree} in {n} letters make over "
+                f"{PAIR_BUDGET} pairs, the word-pair budget"
+            )
+
+
 def tracial_residual(strategy: Strategy, degree: int = 2, party: str = "alice") -> float:
     """Worst commutator defect |tr((W1 W2 - W2 W1) rho)| over short words.
 
     Words are products of the party's first-outcome operators with length
     1..degree; rho is that party's reduced state.  Raises
     InvalidDimensionError for a degree below 1, and BudgetExceededError when
-    the pair count would exceed one million.
+    the pair count would exceed PAIR_BUDGET (check_word_pairs).
     """
     if degree < 1:
         raise InvalidDimensionError(f"monomial degree must be at least 1, got {degree}")
-    n = strategy.n_questions
-    count = sum(n**l for l in range(1, degree + 1))
-    if count * count > PAIR_BUDGET:
-        raise BudgetExceededError(
-            f"{count * count} word pairs exceed the {PAIR_BUDGET} budget"
-        )
+    check_word_pairs(strategy.n_questions, degree)
     if party not in ("alice", "bob"):
         raise InvalidStrategyError(f"party must be 'alice' or 'bob', got {party!r}")
     ops = getattr(strategy, party)[:, 0]
@@ -308,7 +316,7 @@ def eigvec_overlap_bound(a, xi) -> tuple[float, float]:
     eigenvalue.  Requires unit xi and at least two distinct eigenvalues.
     """
     w, v = hermitian_eig(a)
-    xi = as_vector(xi)
+    xi = as_array(xi, 1, "xi")
     if abs(np.linalg.norm(xi) - 1.0) > 1e-9:
         raise InvalidStateError("xi must be a unit vector")
     if xi.size != w.size:
@@ -321,7 +329,7 @@ def eigvec_overlap_bound(a, xi) -> tuple[float, float]:
     l2 = float(w[~top][0])
     q1 = v[:, top]
     lhs = float(np.linalg.norm(q1.conj().T @ xi) ** 2)
-    expectation = float(np.real(np.vdot(xi, as_matrix(a) @ xi)))
+    expectation = float(np.real(np.vdot(xi, as_array(a, 2, "a") @ xi)))
     rhs = 1.0 - (l1 - expectation) / (l1 - l2)
     return lhs, rhs
 
@@ -342,11 +350,8 @@ def find_intertwiner(fam: ProjectionFamily, candidate, tol: float = 1e-8) -> np.
     IntertwinerError.
     """
     d, n = fam.d, fam.n
-    try:
-        ops = np.asarray(candidate, dtype=np.complex128)
-    except ValueError as exc:  # ragged
-        raise InvalidShapeError("candidate operators must share a square shape") from exc
-    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+    ops = as_array(candidate, 3, "candidate")
+    if ops.shape[1] != ops.shape[2]:
         raise InvalidShapeError("candidate operators must share a square shape")
     if len(ops) != n:
         raise NotARepresentationError(f"expected {n} candidate operators, got {len(ops)}")
@@ -414,16 +419,13 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     arbitrary pick from a larger eigenspace, and when the solution's
     smallest singular value is at most 1e-8 of its largest.
     """
-    try:
-        ops = np.asarray(ops, dtype=np.complex128)
-    except ValueError as exc:  # ragged
-        raise InvalidShapeError("operators must share a square shape") from exc
-    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+    ops = as_array(ops, 3, "ops")
+    if ops.shape[1] != ops.shape[2]:
         raise InvalidShapeError("operators must share a square shape")
     if len(ops) != fam.n:
         raise InvalidShapeError(f"expected {fam.n} operators, got {len(ops)}")
     r = ops.shape[1]
-    rho = as_matrix(rho)
+    rho = as_array(rho, 2, "rho")
     if rho.shape != (r, r):
         raise InvalidShapeError(f"weight shape {rho.shape} does not match operators")
     d = fam.d
@@ -547,7 +549,6 @@ def _dilation_residuals(
     kb = v_b.shape[0] // db
     if v_a.shape[1] != strategy.dim_a or v_b.shape[1] != strategy.dim_b:
         raise InvalidShapeError("isometry domains do not match the source strategy")
-    junk = as_vector(junk)
     if junk.size != ka * kb:
         raise InvalidShapeError(f"junk length {junk.size} != ancilla product {ka * kb}")
     junk_m = junk.reshape(ka, kb)
@@ -571,14 +572,15 @@ def dilation_epsilon(
     v_b: np.ndarray,
     junk: np.ndarray,
 ) -> float:
-    """Worst dilation-condition residual for the given isometries and junk."""
+    """Worst dilation-condition residual for the given isometries and junk,
+    each read by linalg.as_array, which raises InvalidShapeError."""
     if strategy.n_questions != reference.n_questions:
         raise InvalidStrategyError("question counts differ")
     if strategy.n_outcomes != reference.n_outcomes:
         raise InvalidStrategyError("outcome counts differ")
-    return float(
-        _dilation_residuals(strategy, reference, as_matrix(v_a), as_matrix(v_b), junk).max()
-    )
+    v_a, v_b = as_array(v_a, 2, "v_a"), as_array(v_b, 2, "v_b")
+    junk = as_array(junk, 1, "junk")
+    return float(_dilation_residuals(strategy, reference, v_a, v_b, junk).max())
 
 
 def extract_dilation(strategy: Strategy, fam: ProjectionFamily) -> DilationCertificate:

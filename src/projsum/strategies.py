@@ -26,6 +26,7 @@ from .errors import (
 from .families import ProjectionFamily, scalar_is_admissible
 from .linalg import (
     STATE_TOL,
+    as_array,
     dagger,
     is_hermitian,
     maximally_entangled,
@@ -46,8 +47,8 @@ class Strategy:
     ``alice[v, i]`` is the operator for outcome i of question v: ``alice``
     and ``bob`` are (n, k, d, d) complex128 stacks, so every question has
     the same number of outcomes and both parties answer the same question
-    set.  The constructor takes any nested sequence of that shape, stores
-    read-only copies of the state and both stacks, and validates them once;
+    set.  The constructor reads any nested sequence of that shape by as_array,
+    stores read-only copies of the state and both stacks, validates them once;
     a constructed strategy, and each value it derives once below, stays valid.
     """
 
@@ -58,22 +59,11 @@ class Strategy:
     bob: np.ndarray
 
     def __post_init__(self):
-        for name, ndim, layout in (
-            ("state", 1, "a vector"),
-            ("alice", 4, "an (n, k, d, d) stack"),
-            ("bob", 4, "an (n, k, d, d) stack"),
-        ):
-            try:
-                arr = np.asarray(getattr(self, name))
-            except (TypeError, ValueError) as exc:  # ragged
-                raise InvalidStrategyError(f"{name}: entries do not form {layout}") from exc
-            if arr.dtype.kind not in "iufc":  # a cast would read "1" as 1, True as 1
-                raise InvalidStrategyError(f"{name}: entries must be numbers, got {arr.dtype}")
+        for name, ndim in (("state", 1), ("alice", 4), ("bob", 4)):
+            arr = as_array(getattr(self, name), ndim, name, InvalidStrategyError)
             # a C-ordered copy: slices of a transposed input would make
             # every np.kron of them copy its d^2 x d^2 result once more
-            arr = np.array(arr, dtype=np.complex128, order="C")
-            if arr.ndim != ndim or 0 in arr.shape:
-                raise InvalidStrategyError(f"{name}: expected {layout}, got shape {arr.shape}")
+            arr = np.array(arr, order="C")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         self.validate()
@@ -115,8 +105,6 @@ class Strategy:
             raise InvalidStrategyError(
                 f"state length {psi.size} != dim_a*dim_b = {self.dim_a * self.dim_b}"
             )
-        if not np.isfinite(psi).all():
-            raise InvalidStrategyError("state vector has a non-finite entry")
         if abs(np.linalg.norm(psi) - 1.0) > STATE_TOL:
             raise InvalidStrategyError("state vector is not normalized")
         n, k = self.alice.shape[:2]
@@ -129,10 +117,6 @@ class Strategy:
                 raise InvalidStrategyError(
                     f"{side} question 0 outcome 0: shape {stack.shape[2:]}, expected {(dim, dim)}"
                 )
-            finite = np.isfinite(stack).all(axis=(2, 3))
-            if not finite.all():
-                v, i = np.argwhere(~finite)[0]
-                raise InvalidStrategyError(f"{side} question {v} outcome {i}: non-finite entry")
             hermitian = is_hermitian(stack, POVM_TOL)
             low = np.linalg.eigvalsh((stack + dagger(stack)) / 2).min(axis=-1)
             sums = np.abs(stack.sum(axis=1) - np.eye(dim)).max(axis=(1, 2)) <= POVM_TOL
@@ -165,20 +149,12 @@ class Correlation:
     table: np.ndarray
 
     def __post_init__(self):
-        try:
-            t = np.asarray(self.table)
-        except (TypeError, ValueError) as exc:  # ragged
-            raise InvalidStrategyError("table: entries do not form an (n, n, k, k) array") from exc
-        if t.dtype.kind not in "iufc":  # a cast would read "0.5" as 0.5, True as 1
-            raise InvalidStrategyError(f"table: entries must be numbers, got {t.dtype}")
-        t = np.array(t, dtype=float)
+        t = np.array(as_array(self.table, 4, "table", InvalidStrategyError, dtype=float))
         if t.shape != (self.n, self.n, self.k, self.k):
             raise InvalidStrategyError(
                 f"table shape {t.shape} does not match (n, n, k, k) = "
                 f"{(self.n, self.n, self.k, self.k)}"
             )
-        if not np.isfinite(t).all():
-            raise InvalidStrategyError("table has a non-finite entry")
         t.flags.writeable = False
         object.__setattr__(self, "table", t)
 
@@ -373,7 +349,8 @@ def perturb(strategy: Strategy, model: str, level: float, seed: int) -> Strategy
     """Deterministic noise injection, reproducible from (model, level, seed).
 
     state-mixing   rotates the state by ``level`` radians toward a seeded
-                   random direction orthogonal to it
+                   random direction orthogonal to it; a 1-dimensional
+                   state has none and raises InvalidStrategyError
     povm-jitter    conjugates each question's POVM by exp(i * level * H) for
                    a seeded random Hermitian H, then renormalizes
     outcome-noise  mixes each POVM with the uniform one at weight ``level``
@@ -390,16 +367,11 @@ def perturb(strategy: Strategy, model: str, level: float, seed: int) -> Strategy
 
     if model == "state-mixing":
         psi = strategy.state
-        dim = psi.size
-        for _ in range(64):
-            chi = random_state(dim, rng)
-            chi = chi - (psi.conj() @ chi) * psi
-            nrm = np.linalg.norm(chi)
-            if nrm > 1e-8:
-                chi = chi / nrm
-                break
-        else:  # pragma: no cover - astronomically unlikely
-            raise InvalidStrategyError("could not draw a direction orthogonal to the state")
+        if psi.size < 2:
+            raise InvalidStrategyError("a 1-dimensional state has no direction orthogonal to it")
+        chi = random_state(psi.size, rng)
+        chi = chi - (psi.conj() @ chi) * psi
+        chi = chi / np.linalg.norm(chi)
         new_state = np.cos(level) * psi + np.sin(level) * chi
         return replace(strategy, state=new_state)
 

@@ -19,9 +19,10 @@ from .errors import (
     FitDegenerateError,
     JunkExtractionError,
     SerializationError,
+    UnsupportedQuestionCountError,
 )
 from .families import ProjectionFamily, ladder_family
-from .selftest import approx_rep_residuals, extract_dilation
+from .selftest import approx_rep_residuals, check_word_pairs, extract_dilation
 from .serialize import from_fields, load_json
 from .strategies import NOISE_MODELS, perturb
 
@@ -37,7 +38,8 @@ SWEEP_MAX_ROWS = 100_000
 class SweepConfig:
     """Plan for one sweep: family, noise model, levels, trial count.
 
-    A plan of more than SWEEP_MAX_ROWS rows (levels x trials) raises
+    A plan of more than SWEEP_MAX_ROWS rows (levels x trials), or whose
+    monomial degree makes more than selftest.PAIR_BUDGET word pairs, raises
     BudgetExceededError at construction, before any trial runs.
     """
 
@@ -73,6 +75,9 @@ class SweepConfig:
             raise SerializationError("seed must be nonnegative")
         if self.monomial_degree < 1:
             raise SerializationError("monomial_degree must be at least 1")
+        if self.n < 3:  # as ladder_family would, before counting words in n letters
+            raise UnsupportedQuestionCountError(f"need n >= 3, got {self.n}")
+        check_word_pairs(self.n, self.monomial_degree)
         object.__setattr__(self, "levels", levels)
 
     @classmethod
@@ -173,22 +178,11 @@ def emit_report(rows: list[SweepRow], fmt: str, path) -> None:
         with open(path, "w", newline="") as handle:
             handle.write(CSV_HEADER + "\n")
             writer = csv.writer(handle, lineterminator="\n")
+            # each column is the SweepRow field its lower-cased name gives
+            fields = CSV_HEADER.lower().split(",")
             for r in rows:
-                writer.writerow(
-                    [
-                        _fmt(r.level),
-                        r.trial,
-                        _fmt(r.delta),
-                        _fmt(r.epsilon),
-                        _fmt(r.alpha),
-                        _fmt(r.rep_residual_a),
-                        _fmt(r.rep_residual_b),
-                        _fmt(r.tracial_residual),
-                        _fmt(r.sync_max),
-                        str(r.lemma35_pass).lower(),
-                        str(r.lemma63_pass).lower(),
-                    ]
-                )
+                values = (getattr(r, f) for f in fields)
+                writer.writerow(str(v).lower() if type(v) is bool else _fmt(v) for v in values)
     elif fmt == "json":
         with open(path, "w") as handle:
             json.dump([asdict(r) for r in rows], handle, indent=1)

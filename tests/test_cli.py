@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -183,9 +184,9 @@ def test_invalid_strategy_file_reports_one_error_line(tmp_path, capsys):
     capsys.readouterr()
     good = load_json(strat)
     cases = (
-        (("alice", 0, 0, 1, 1), float("nan"), "alice question 0 outcome 0: non-finite entry"),
-        (("bob", 3, 1, 2, 2), float("inf"), "bob question 3 outcome 1: non-finite entry"),
-        (("state", 0), float("nan"), "state vector has a non-finite entry"),
+        (("alice", 0, 0, 1, 1), float("nan"), "alice[0][0][1][1]: non-finite entry"),
+        (("bob", 3, 1, 2, 2), float("inf"), "bob[3][1][2][2]: non-finite entry"),
+        (("state", 0), float("nan"), "state[0]: non-finite entry"),
         (("alice", 0, 0, 0, 0), 1.5, "alice question 0: POVM does not sum to identity"),
     )
     for path, value, message in cases:
@@ -216,7 +217,7 @@ def test_non_finite_family_file_reports_one_error_line(tmp_path, capsys):
         save_json(doc, bad)
         assert main(["family", "verify", str(bad)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: family: projection 2: non-finite entry\n"
+        assert captured.err == "error: family: projection 2[1][0]: non-finite entry\n"
         assert captured.out == ""
 
 
@@ -276,6 +277,21 @@ def test_sweep_refuses_an_over_budget_config(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert one_error_line(captured.err) and "budget" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("degree", [5, 20000, 10**6])
+def test_sweep_refuses_an_over_budget_monomial_degree_before_any_trial(tmp_path, capsys, degree):
+    cfg = tmp_path / "config.json"
+    out = tmp_path / "r.csv"
+    cfg.write_text(json.dumps({"n": 4, "k": 1, "noise_model": "state-mixing", "levels": [0.0],
+                               "trials_per_level": 1, "seed": 7, "monomial_degree": degree}))
+    start = time.perf_counter()
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert one_error_line(captured.err) and "word-pair budget" in captured.err, captured.err
     assert captured.out == ""
     assert not out.exists()
 

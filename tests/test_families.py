@@ -333,10 +333,10 @@ def test_family_is_one_read_only_stack():
     # when stacking fails, the first offending projection is named
     projs = list(fam.projections)
     projs[2] = projs[2] * np.nan
-    with pytest.raises(InvalidFamilyError, match="projection 2: non-finite entry"):
+    with pytest.raises(InvalidFamilyError, match=r"projection 2\[0\]\[0\]: non-finite entry"):
         ProjectionFamily(n=4, x=fam.x, d=7, projections=projs)
     projs[1] = projs[1][0]
-    with pytest.raises(InvalidFamilyError, match=r"projection of shape \(7,\) does not match d=7"):
+    with pytest.raises(InvalidFamilyError, match=r"projection 1: expected a matrix, got shape \(7,\)"):
         ProjectionFamily(n=4, x=fam.x, d=7, projections=projs)
     with pytest.raises(InvalidFamilyError, match=r"projection of shape \(7, 7\) does not match d=5"):
         ProjectionFamily(n=4, x=fam.x, d=5, projections=fam.projections)

@@ -174,7 +174,7 @@ def test_non_finite_families_and_correlations_are_rejected():
     for value in (float("nan"), float("inf"), float("-inf")):
         data = family_to_dict(fam)
         data["projections"][1][0][2] = [value, 0.0]
-        with pytest.raises(SerializationError, match="^family: projection 1: non-finite entry$"):
+        with pytest.raises(SerializationError, match=r"^family: projection 1\[0\]\[2\]: non-finite entry$"):
             family_from_dict(data)
         projections = tuple(p.copy() for p in fam.projections)
         projections[3][1, 1] = value
@@ -182,7 +182,7 @@ def test_non_finite_families_and_correlations_are_rejected():
             ProjectionFamily(n=4, x=fam.x, d=3, projections=projections)
         data = correlation_to_dict(corr)
         data["table"][0][1][1][0] = value
-        with pytest.raises(SerializationError, match="^correlation: table has a non-finite entry$"):
+        with pytest.raises(SerializationError, match=r"^correlation: table\[0\]\[1\]\[1\]\[0\]: non-finite entry$"):
             correlation_from_dict(data)
         table = corr.table.copy()
         table[2, 2, 0, 0] = value

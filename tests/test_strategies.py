@@ -277,7 +277,7 @@ def test_strategy_validate_rejects_bad_inputs():
             Strategy(state=state, dim_a=2, dim_b=2, alice=strat.alice, bob=strat.bob)
         bob = strat.bob.copy()
         bob[2, 1, 0, 0] = bad
-        with pytest.raises(InvalidStrategyError, match="bob question 2 outcome 1: non-finite"):
+        with pytest.raises(InvalidStrategyError, match=r"bob\[2\]\[1\]\[0\]\[0\]: non-finite entry"):
             Strategy(state=strat.state, dim_a=2, dim_b=2, alice=strat.alice, bob=bob)
 
 
@@ -450,6 +450,12 @@ def test_perturb_rejects_bad_arguments():
         perturb(strat, "state-mixing", 1.5, seed=0)
     with pytest.raises(InvalidLevelError):
         perturb(strat, "state-mixing", -0.1, seed=0)
+    # a 1-dimensional state has no orthogonal direction to rotate toward
+    eye = [[[[1]]]]
+    point = Strategy(state=[1], dim_a=1, dim_b=1, alice=eye, bob=eye)
+    with pytest.raises(InvalidStrategyError, match="1-dimensional state"):
+        perturb(point, "state-mixing", 0.1, seed=0)
+    assert perturb(point, "outcome-noise", 0.1, seed=0).state[0] == 1
 
 
 def test_ideal_correlation_is_cached_and_read_only():
