@@ -12,7 +12,7 @@ Conventions used across the package:
   diagonalized by ``krylov_eigh``; of a dense one whose few lowest
   eigenpairs are wanted, ``hermitian_spectrum`` computes only the
   eigenvalues and ``lowest_eigvecs`` the wanted eigenvectors, by inverse
-  iteration for a narrow band and one full eigh for a spread cluster
+  iteration for one vector and one full eigh for more
 * array arguments are read by ``as_array``: ragged entries, strings,
   booleans, the wrong rank, an empty axis and a non-finite entry are refused
   with a ProjsumError naming the argument (and the entry), never cast
@@ -46,18 +46,14 @@ KRYLOV_MAX_BLOCKS = 600
 # much as a dense 4096 x 4096 operator
 KRYLOV_BUDGET = 4096**2
 KRYLOV_SEED = 2021
-# lowest_eigvecs shifts at least this fraction of max|eigenvalue| below the
-# wanted band, a few units in the last place.  Its residual test is a tenth
+# lowest_eigvecs shifts this fraction of max|eigenvalue| below the wanted
+# eigenvalue, a few units in the last place.  Its residual test is a tenth
 # of krylov_eigh's: one sweep leaves residuals of 3e-15 (9 rows) to 1.4e-13
 # (625 rows) times max|eigenvalue|, a second one about 4e-16, below the 1e-15
 # of a full np.linalg.eigh
 INVERSE_SHIFT = 1e-15
 INVERSE_TOL = 1e-14
 INVERSE_MAX_SWEEPS = 8
-# wanted eigenvalues spanning at most this fraction of their distance to the
-# next one share a single shift: each sweep then damps the unwanted part by
-# 2 * INVERSE_BAND or better with one solve; a wider cluster takes one eigh
-INVERSE_BAND = 1e-3
 
 
 def as_array(a, ndim: int | None, where: str, error=InvalidShapeError, dtype=np.complex128):
@@ -100,8 +96,9 @@ def is_hermitian(a, tol: float = HERMITIAN_TOL):
     """Max-entry check against the conjugate transpose.
 
     A stack of shape (..., m, m) gets one verdict per matrix, as a bool array.
+    ``a`` is read by as_array, which raises InvalidShapeError.
     """
-    m = np.asarray(a, dtype=np.complex128)
+    m = as_array(a, None, "a")
     if m.ndim < 2:
         raise InvalidShapeError(f"expected a matrix, got ndim={m.ndim}")
     if m.shape[-1] != m.shape[-2]:
@@ -367,17 +364,15 @@ def lowest_eigvecs(a, w, count: int) -> np.ndarray:
 
     ``a`` is Hermitian and ``w`` its whole spectrum, ascending, as
     hermitian_spectrum returns it, so a caller can judge the eigenvalues
-    before any vector is computed.  When the wanted eigenvalues form a band
-    narrow against the gap above it (INVERSE_BAND), as one eigenvalue always
-    does, shifted block inverse iteration (Ipsen, SIAM Review 39, 1997)
-    solves a seeded random block against a - sigma I, sigma a band's width
-    below the band, orthonormalises and refines it by Rayleigh-Ritz, and
-    repeats until every residual ||A x - theta x|| is at most
-    INVERSE_TOL * max|w|; a shift that makes the solve singular is moved
-    further down.  A wider cluster takes one np.linalg.eigh, which reads the
-    lower triangle as hermitian_spectrum does.  EigensolverError is raised
-    for an ``a`` or ``w`` that as_array refuses, when LAPACK fails or after
-    INVERSE_MAX_SWEEPS sweeps; an unconverged result is never returned.
+    before any vector is computed.  One vector comes from shifted inverse
+    iteration (Ipsen, SIAM Review 39, 1997): a seeded random vector is solved
+    against a - sigma I, sigma just below w[0], and normalised, until its
+    residual ||A x - theta x|| is at most INVERSE_TOL * max|w|; a shift that
+    makes the solve singular is moved further down.  More vectors take one
+    np.linalg.eigh, which reads the lower triangle as hermitian_spectrum
+    does.  EigensolverError is raised for an ``a`` or ``w`` that as_array
+    refuses, when LAPACK fails or after INVERSE_MAX_SWEEPS sweeps; an
+    unconverged result is never returned.
     """
     m = as_array(a, 2, "a", EigensolverError)
     w = as_array(w, 1, "w", EigensolverError, dtype=float)
@@ -390,17 +385,15 @@ def lowest_eigvecs(a, w, count: int) -> np.ndarray:
     scale = float(np.abs(w).max())
     if scale == 0.0:  # the zero matrix: any orthonormal block is an answer
         return np.eye(dim, count, dtype=np.complex128)
-    band = w[count - 1] - w[0]
-    if count < dim and band > INVERSE_BAND * (w[count] - w[count - 1]):
+    if count > 1:
         try:
             return fix_phases(np.linalg.eigh(m)[1][:, :count])
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"eigenvectors of a {dim}-row matrix: {exc}") from exc
-    # far enough below the band that no member swamps the others
-    shift = w[0] - max(INVERSE_SHIFT * scale, band)
+    shift = w[0] - INVERSE_SHIFT * scale
     eye = np.eye(dim)
     rng = np.random.default_rng(KRYLOV_SEED)
-    x = rng.normal(size=(dim, count)) + 1j * rng.normal(size=(dim, count))
+    x = rng.normal(size=(dim, 1)) + 1j * rng.normal(size=(dim, 1))
     for _ in range(INVERSE_MAX_SWEEPS):
         for attempt in range(4):
             try:
@@ -410,12 +403,10 @@ def lowest_eigvecs(a, w, count: int) -> np.ndarray:
                 shift -= 16 * np.spacing(scale)
         else:
             raise EigensolverError(f"shifted solves of a {dim}-row matrix stay singular")
-        q = x / np.linalg.norm(x) if count == 1 else np.linalg.qr(x)[0]
-        mq = m @ q
-        theta, y = np.linalg.eigh(dagger(q) @ mq)
-        x = q @ y
-        residual = np.linalg.norm(mq @ y - x * theta, axis=0)
-        if residual.max() <= INVERSE_TOL * scale:
+        x /= np.linalg.norm(x)
+        mx = m @ x
+        theta = (dagger(x) @ mx).real
+        if np.linalg.norm(mx - x * theta) <= INVERSE_TOL * scale:
             return fix_phases(x)
     raise EigensolverError(
         f"no convergence within {INVERSE_MAX_SWEEPS} inverse-iteration sweeps "

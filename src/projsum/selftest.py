@@ -15,14 +15,14 @@ from ProjectionFamily.transposed; each owner derives them once.
 The two d^2 x d^2 eigenproblems are solved without forming d^2 x d^2
 matrices once they are large.  The spectral gap of N, which enters beta, is
 ProjectionFamily.correlation_gap: measured matrix-free once per family, with
-n_operator kept as the dense reference.  fit_isometry needs only the lowest
-eigenpairs of its form: up to KRYLOV_MIN_ROWS rows it forms the matrix, takes
+n_operator kept as the dense reference.  fit_isometry needs only the s
+lowest eigenpairs of its form on one d x r ancilla row block (s is the
+ancilla dimension): up to KRYLOV_MIN_ROWS rows it forms the matrix, takes
 its eigenvalues alone and the wanted eigenvectors from linalg.lowest_eigvecs
-(inverse iteration for a narrow band, one full eigh for a spread cluster);
-above, it applies the form matrix-free to linalg.krylov_eigh.  Both paths
-return phase-fixed eigenvectors, so they give the same isometry, and both
-refuse a form whose solution eigenspace is not separated from the next
-eigenvalue.
+(inverse iteration for one, one full eigh for more); above, it applies the
+form matrix-free to linalg.krylov_eigh.  Both paths return phase-fixed
+eigenvectors, so they give the same isometry, and both refuse a form whose
+solution eigenspace is not separated from the next eigenvalue.
 
 All certified quantities are measured, never assumed: every bound stored in
 a certificate is recomputed from the returned isometries and junk state.
@@ -57,7 +57,6 @@ from .linalg import (
     krylov_eigh,
     lowest_eigvecs,
     maximally_entangled,
-    nearest_isometry,
     seminorm,
     unvec,
 )
@@ -402,19 +401,20 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     """Least-squares isometry aligning measured operators with a family.
 
     Minimizes sum_v ||(P_v kron I_s) T - T E_v||^2 weighted by rho over
-    matrices T (the quadratic form's lowest eigenvectors), then projects a
-    solution onto the isometries by polar decomposition: the lowest
-    eigenvector for s = 1, else one seeded draw projected onto the
-    s^2-dimensional solution space.
+    matrices T, then projects a solution onto the isometries by polar
+    decomposition.  The form is Q kron I_s: Q acts on each ancilla row block
+    T_a (T's rows i s + a) alone, on d r rows.  A solution takes every T_a
+    from the span of Q's s lowest eigenvectors: the lowest one for s = 1,
+    else one seeded draw per block projected onto that span.
     ``ops`` is an (n, r, r) stack, or a sequence of n equal-shape matrices.
     The ancilla dimension s is the least one with d s >= r, so that an
-    isometry into C^(d s) exists.  A form of up to KRYLOV_MIN_ROWS rows is
+    isometry into C^(d s) exists.  A Q of up to KRYLOV_MIN_ROWS rows is
     formed densely: its spectrum comes from linalg.hermitian_spectrum and
-    only its s^2 lowest eigenvectors from linalg.lowest_eigvecs.  A larger
+    only its s lowest eigenvectors from linalg.lowest_eigvecs.  A larger
     one is solved matrix-free by linalg.krylov_eigh, whose basis budget
     raises BudgetExceededError before allocating.  Raises
     FitDegenerateError, before any eigenvector is computed on the dense
-    path, when the lowest s^2 eigenvalues are not separated from the next
+    path, when Q's s lowest eigenvalues are not separated from the next
     one by FIT_SEPARATION_TOL * tr(rho): the solution would then be an
     arbitrary pick from a larger eigenspace, and when the solution's
     smallest singular value is at most 1e-8 of its largest.
@@ -430,9 +430,7 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
         raise InvalidShapeError(f"weight shape {rho.shape} does not match operators")
     d = fam.d
     s = max(1, -(-r // d))
-    ds = d * s
-    rows = r * ds
-    count = s * s
+    rows = r * d
     # The form is linear in rho, so adding a uniform ridge means: minimize
     # the rho-weighted residual, breaking ties in its null directions by the
     # unweighted residual.  Without it, a rank-deficient rho leaves the
@@ -442,52 +440,55 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     trace = float(np.trace(rho).real)
     rho_reg = (rho + lam * (trace / r) * np.eye(r)) / (1.0 + lam)
 
-    # On column-major vec(T) the form is T -> sum_v A_v T W_v + T C, with
-    # A_v = P_v kron I_s, W_v = rho - E_v rho - rho E_v, C = sum_v E_v rho E_v;
-    # W_v and C are made exactly Hermitian, so both paths solve one operator
-    targets = np.kron(fam.projections, np.eye(s))
+    # On column-major vec(T_a) the form is T_a -> sum_v P_v T_a W_v + T_a C,
+    # with W_v = rho - E_v rho - rho E_v, C = sum_v E_v rho E_v; W_v and C
+    # are made exactly Hermitian, so both paths solve one operator
     er = ops @ rho_reg
     weights = rho_reg - er - dagger(er)
     weights = ((weights + dagger(weights)) / 2.0).swapaxes(-1, -2)
     c = (er @ ops).sum(axis=0)
     c_t = ((c + dagger(c)) / 2.0).T
     if rows <= KRYLOV_MIN_ROWS:
-        # quad = sum_v W_v^T kron A_v + C^T kron I: one matmul over the
+        # Q = sum_v W_v^T kron P_v + C^T kron I: one matmul over the
         # flattened stacks, C^T paired with the identity as one more term
         left = np.concatenate([weights, c_t[None]]).reshape(fam.n + 1, -1)
-        right = np.concatenate([targets, np.eye(ds)[None]]).reshape(fam.n + 1, -1)
-        quad = (left.T @ right).reshape(r, r, ds, ds).transpose(0, 2, 1, 3).reshape(rows, rows)
+        right = np.concatenate([fam.projections, np.eye(d)[None]]).reshape(fam.n + 1, -1)
+        quad = (left.T @ right).reshape(r, r, d, d).transpose(0, 2, 1, 3).reshape(rows, rows)
         w = hermitian_spectrum(quad)
-        _require_separation(w, count, trace)
-        vecs = lowest_eigvecs(quad, w, count)
+        _require_separation(w, s, trace)
+        vecs = lowest_eigvecs(quad, w, s)
     else:
-        targets_t = targets.swapaxes(-1, -2)
+        targets_t = fam.projections.swapaxes(-1, -2)
 
         def negated_form(x):
-            # a row is vec(T), which reshapes to T^T: apply the transposed map
-            u = x.reshape(-1, r, ds)
+            # a row is vec(T_a), which reshapes to T_a^T: apply the transposed map
+            u = x.reshape(-1, r, d)
             image = (weights[:, None] @ u @ targets_t[:, None]).sum(axis=0) + c_t @ u
             return -image.reshape(x.shape)
 
-        # a block of s^2 + 1 measures whether the next eigenvalue coincides
-        w, vecs = krylov_eigh(negated_form, rows, count + 1)
-        w, vecs = -w, vecs[:, :count]
-        _require_separation(w, count, trace)
+        # a block of s + 1 measures whether the next eigenvalue coincides
+        w, vecs = krylov_eigh(negated_form, rows, s + 1)
+        w, vecs = -w, vecs[:, :s]
+        _require_separation(w, s, trace)
 
-    if count == 1:
-        t = vecs[:, 0].reshape((ds, r), order="F")
-    else:
-        # any full-rank element of the solution space works: project one
-        # fixed, reproducible draw onto it, which does not depend on the
-        # basis the eigensolver returned
+    if s > 1:
+        # any full-rank solution works: project one fixed, reproducible draw
+        # onto it, which does not depend on the basis the eigensolver
+        # returned; read whole, the draw is vec(T)
         rng = np.random.default_rng(7)
-        draw = rng.normal(size=rows) + 1j * rng.normal(size=rows)
-        t = (vecs @ (vecs.conj().T @ draw)).reshape((ds, r), order="F")
-    sv = np.linalg.svd(t, compute_uv=False)
+        draw = rng.normal(size=(rows, s)) + 1j * rng.normal(size=(rows, s))
+        vecs = vecs @ (vecs.conj().T @ draw)
+    # column a is vec(T_a)
+    t = vecs.reshape(r, d, s).transpose(1, 2, 0).reshape(d * s, r)
+    # the rank check and nearest_isometry's polar factor from one thin SVD
+    u, sv, vh = np.linalg.svd(t, full_matrices=False)
     if sv[0] <= 0 or sv[-1] <= 1e-8 * sv[0]:
         raise FitDegenerateError("fitted map has a rank-deficient polar factor")
-    v_iso = nearest_isometry(t)
-    residuals = seminorm(ops - dagger(v_iso) @ targets @ v_iso, rho)
+    v_iso = u @ vh
+    # V^* (P_v kron I_s) V = sum_a V_a^* P_v V_a over the ancilla row blocks
+    v_blocks = v_iso.reshape(d, s, r).swapaxes(0, 1)
+    compressed = (dagger(v_blocks) @ fam.projections[:, None] @ v_blocks).sum(axis=1)
+    residuals = seminorm(ops - compressed, rho)
     return IsometryFit(isometry=v_iso, s=s, residuals=residuals)
 
 

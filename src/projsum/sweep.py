@@ -22,6 +22,7 @@ from .errors import (
     UnsupportedQuestionCountError,
 )
 from .families import ProjectionFamily, ladder_family
+from .linalg import as_array
 from .selftest import approx_rep_residuals, check_word_pairs, extract_dilation
 from .serialize import from_fields, load_json
 from .strategies import NOISE_MODELS, perturb
@@ -200,9 +201,12 @@ def load_report(path) -> list[SweepRow]:
 
 
 def spearman(xs, ys) -> float:
-    """Spearman rank correlation with average ranks on ties."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    """Spearman rank correlation with average ranks on ties.
+
+    Both sequences are read by linalg.as_array, which raises SerializationError.
+    """
+    xs = as_array(xs, 1, "xs", SerializationError, dtype=float)
+    ys = as_array(ys, 1, "ys", SerializationError, dtype=float)
     if xs.size != ys.size or xs.size < 2:
         raise SerializationError("need two sequences of equal length >= 2")
 

@@ -14,11 +14,21 @@ from projsum.errors import (
     InvalidShapeError,
     InvalidStrategyError,
     ProjsumError,
+    SerializationError,
 )
 from projsum.families import ProjectionFamily, four_family
-from projsum.linalg import as_array, hermitian_spectrum, nearest_isometry, schmidt, seminorm, unvec
+from projsum.linalg import (
+    as_array,
+    hermitian_spectrum,
+    is_hermitian,
+    nearest_isometry,
+    schmidt,
+    seminorm,
+    unvec,
+)
 from projsum.selftest import dilation_epsilon, find_intertwiner, fit_isometry
 from projsum.strategies import Correlation, Strategy, ideal_correlation
+from projsum.sweep import spearman
 
 FAM = four_family(1)
 CANON = FAM.canonical_strategy
@@ -70,6 +80,12 @@ ENTRY_POINTS = {
     "schmidt": (lambda a: schmidt(a, (3, 3)), CANON.state, InvalidShapeError),
     "nearest_isometry": (nearest_isometry, EYE, InvalidShapeError),
     "hermitian_spectrum": (hermitian_spectrum, EYE, EigensolverError),
+    "is_hermitian": (is_hermitian, EYE, InvalidShapeError),
+    "spearman": (
+        lambda a: spearman(a, [1.0, 2.0, 3.0]),
+        np.array([1.0, 2.0, 3.0]),
+        SerializationError,
+    ),
 }
 
 

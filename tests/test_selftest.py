@@ -33,10 +33,12 @@ from projsum.linalg import (
     fix_phases,
     lowest_eigvecs,
     maximally_entangled,
+    nearest_isometry,
     partial_trace,
     random_state,
     random_unitary,
     reduced_densities,
+    seminorm,
 )
 from projsum.selftest import (
     DilationCertificate,
@@ -403,17 +405,20 @@ def test_fit_isometry_shape_and_budget_guards():
         fit_isometry([np.eye(3)] * 3 + [np.eye(4)], fam, np.eye(3) / 3)
     with pytest.raises(InvalidShapeError, match="expected 4 operators"):
         fit_isometry(np.zeros((3, 3, 3)), fam, np.eye(3) / 3)
-    # r = 70 against d = 3 gives s = 24 and a 70 * 72 = 5040-row form
-    ops = np.zeros((4, 70, 70))
-    rho = np.eye(70) / 70
+    # r = 94 against d = 31 gives s = 4 and a 94 * 31 = 2914-row form, whose
+    # Krylov basis for a block of 5 may grow to all 2914 rows
+    fam = four_family(15)
+    ops = np.zeros((4, 94, 94))
+    rho = np.eye(94) / 94
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match="5040-row"):
+        with pytest.raises(BudgetExceededError, match="2914-row"):
             fit_isometry(ops, fam, rho)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the form alone would take 5040^2 complex entries, about 406 MB
+    # the basis and its projected matrix would take 2914 * 5828 complex
+    # entries, about 272 MB
     assert peak < 4_000_000
 
 
@@ -424,6 +429,32 @@ def test_fit_isometry_degenerate_candidate_raises():
     rho = np.eye(6) / 6
     with pytest.raises(FitDegenerateError):
         fit_isometry(ops, fam, rho)
+
+
+def kron_fit_isometry(ops, fam, rho):
+    """fit_isometry on the Kronecker form: the targets P_v kron I_s act on all
+    of T, an (r d s)-row form whose s^2 lowest eigenvectors (one full eigh)
+    span the solutions; returns the isometry and its residuals."""
+    r, d = len(rho), fam.d
+    s = -(-r // d)
+    ds = d * s
+    rho_reg = (rho + 1e-6 * (np.trace(rho).real / r) * np.eye(r)) / (1.0 + 1e-6)
+    targets = np.kron(fam.projections, np.eye(s))
+    # on column-major vec(T): vec(A T W) = (W^T kron A) vec(T)
+    quad = sum(
+        np.kron((rho_reg - e @ rho_reg - rho_reg @ e).T, a)
+        + np.kron((e @ rho_reg @ e).T, np.eye(ds))
+        for e, a in zip(ops, targets)
+    )
+    vecs = fix_phases(np.linalg.eigh((quad + dagger(quad)) / 2.0)[1][:, : s * s])
+    if s == 1:
+        x = vecs[:, 0]
+    else:
+        rng = np.random.default_rng(7)
+        draw = rng.normal(size=len(quad)) + 1j * rng.normal(size=len(quad))
+        x = vecs @ (vecs.conj().T @ draw)
+    v = nearest_isometry(x.reshape((ds, r), order="F"))
+    return v, seminorm(ops - dagger(v) @ targets @ v, rho)
 
 
 def fit_paths(monkeypatch, ops, fam, rho):
@@ -438,19 +469,36 @@ def fit_paths(monkeypatch, ops, fam, rho):
 @pytest.mark.parametrize(
     "k, ka, model",
     [(1, 1, "povm-jitter"), (5, 1, "state-mixing"), (7, 1, "povm-jitter"),
-     (1, 2, "povm-jitter"), (3, 2, "outcome-noise")],
+     (1, 2, "povm-jitter"), (3, 2, "outcome-noise"), (1, 3, "povm-jitter")],
 )
 def test_fit_isometry_paths_agree(monkeypatch, k, ka, model):
-    # s = ka; for s = 2 the isometry is drawn from the solution space
-    # independently of its basis, so equal isometries mean equal subspaces
+    # s = ka; for s > 1 the isometry is drawn from the solution space
+    # independently of its basis, so equal isometries mean equal subspaces;
+    # s = 3 runs a Krylov block of 4.  Bob's ancilla is at least as large as
+    # Alice's, so rho_A has full rank and the ridge does not set the solution
     fam = four_family(k)
-    strat, _ = planted_strategy(fam, ka, 2, seed=k)
+    strat, _ = planted_strategy(fam, ka, max(ka, 2), seed=k)
     noisy = perturb(strat, model, 1e-3, seed=k)
     rho_a, _ = reduced_densities(noisy.state, (noisy.dim_a, noisy.dim_b))
     dense, krylov = fit_paths(monkeypatch, noisy.alice[:, 0], fam, rho_a)
     assert dense.s == krylov.s == ka
     assert np.abs(dense.isometry - krylov.isometry).max() < 1e-10
     assert np.abs(dense.residuals - krylov.residuals).max() < 1e-10
+
+
+@pytest.mark.parametrize("k, s", [(1, 1), (1, 2), (1, 3), (2, 2)])
+def test_fit_isometry_matches_the_kron_form_oracle(monkeypatch, k, s):
+    # an s-dimensional junk ancilla on both sides makes rho_A full rank, so
+    # the solution is set by the noisy operators and not by the ridge
+    fam = four_family(k)
+    strat, _ = planted_strategy(fam, s, s, seed=k)
+    noisy = perturb(strat, "povm-jitter", 1e-3, seed=k)
+    ops, rho_a = noisy.alice[:, 0], noisy.reduced_densities[0]
+    v, residuals = kron_fit_isometry(ops, fam, rho_a)
+    for fit in fit_paths(monkeypatch, ops, fam, rho_a):
+        assert fit.s == s
+        assert np.abs(fit.isometry - v).max() < 1e-10
+        assert np.abs(fit.residuals - residuals).max() < 1e-10
 
 
 def test_fit_isometry_rejects_degenerate_form_on_both_paths(monkeypatch):
@@ -523,8 +571,8 @@ def test_dense_fit_vectors_match_the_loop_on_ladder_fits(monkeypatch, k):
 
 
 def test_spread_ancilla_fit_takes_one_eigh_and_no_solve(monkeypatch):
-    # a 4-dimensional junk ancilla on Alice's side: 16 wanted eigenvalues of
-    # a 400-row form, spread wide against the gap above them
+    # a 4-dimensional junk ancilla on Alice's side: 4 wanted eigenvalues of
+    # a 100-row form, spread wide against the gap above them
     fam = four_family(2)
     strat, _ = planted_strategy(fam, 4, 1, seed=3)
     noisy = perturb(strat, "povm-jitter", 1e-3, seed=3)
@@ -535,7 +583,7 @@ def test_spread_ancilla_fit_takes_one_eigh_and_no_solve(monkeypatch):
     monkeypatch.undo()
     assert fit.s == 4 and calls == {"eigh": 1, "solve": 0}
     (_, w, count), = recorded_fit_forms(monkeypatch, lambda: fit_isometry(ops, fam, rho_a))
-    assert count == 16 and not is_narrow(w, count)
+    assert count == 4 and len(w) == 100 and not is_narrow(w, count)
     monkeypatch.setattr(selftest, "lowest_eigvecs", loop_lowest_eigvecs)
     loop = fit_isometry(ops, fam, rho_a)
     # rho_a has rank 5 of 20, so the ridge sets the wanted eigenvalues, and
