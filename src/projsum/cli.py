@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import ProjsumError, SerializationError
-from .families import validate_family
+from .families import PROJECTION_TOL, validate_family
 from .selftest import approx_rep_residuals, extract_dilation
 from .serialize import (
     certificate_to_dict,
@@ -37,13 +37,11 @@ from .strategies import (
 )
 from .sweep import SweepConfig, build_family, emit_report, run_sweep
 
-DEFAULT_TOL = 1e-9
-
 
 def _tolerance(args) -> float:
-    """--tol, else PROJSUM_TOL, else DEFAULT_TOL: a finite number >= 0."""
+    """--tol, else PROJSUM_TOL, else PROJECTION_TOL: a finite number >= 0."""
     name = "PROJSUM_TOL" if args.tol is None else "--tol"
-    raw = os.environ.get(name, DEFAULT_TOL) if args.tol is None else args.tol
+    raw = os.environ.get(name, PROJECTION_TOL) if args.tol is None else args.tol
     try:
         tol = float(raw)
     except ValueError:
@@ -153,7 +151,7 @@ def _cmd_correlate(args) -> int:
 def _cmd_selftest(args) -> int:
     strategy = strategy_from_dict(load_json(args.strategy))
     fam = build_family(args.n, args.k)
-    report = approx_rep_residuals(strategy, fam.x)
+    report = approx_rep_residuals(strategy, fam)
     cert = extract_dilation(strategy, fam)
     save_json(certificate_to_dict(cert, report), args.cert)
     print(

@@ -50,10 +50,6 @@ class InvalidStrategyError(ProjsumError, ValueError):
     """A strategy's state or measurement operators fail validation."""
 
 
-class InvalidReferenceError(ProjsumError, ValueError):
-    """A reference correlation violates a precondition (e.g. synchronicity)."""
-
-
 class InvalidLevelError(ProjsumError, ValueError):
     """A noise level is outside [0, 1]."""
 

@@ -34,8 +34,7 @@ from .errors import (
 
 HERMITIAN_TOL = 1e-10
 STATE_TOL = 1e-9
-SCHMIDT_RANK_TOL = 1e-9
-NULL_SPACE_TOL = 1e-9
+RANK_TOL = 1e-9
 # a Ritz pair is converged when ||A x - theta x|| <= KRYLOV_TOL * max|theta|;
 # directions the images add below this fraction of their norm are dropped
 KRYLOV_TOL = 1e-13
@@ -179,7 +178,7 @@ class SchmidtDecomposition:
 def schmidt(psi, dims: tuple[int, int]) -> SchmidtDecomposition:
     """Schmidt decomposition of a bipartite vector.
 
-    The rank cut is relative: singular values <= SCHMIDT_RANK_TOL * sigma_max
+    The rank cut is relative: singular values <= RANK_TOL * sigma_max
     are discarded.  Raises InvalidStateError on a (near-)zero vector.
     """
     m = unvec(psi, dims)
@@ -187,7 +186,7 @@ def schmidt(psi, dims: tuple[int, int]) -> SchmidtDecomposition:
     if nrm <= 1e-300:
         raise InvalidStateError("cannot decompose the zero vector")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    r = int(np.count_nonzero(s > SCHMIDT_RANK_TOL * s[0]))
+    r = int(np.count_nonzero(s > RANK_TOL * s[0]))
     u, s, vh = u[:, :r], s[:r], vh[:r, :]
     # joint phase freedom: fix the left vector, push the phase to the right
     factors = _phase_factors(u)
@@ -249,13 +248,13 @@ def state_seminorm(x, psi, dims: tuple[int, int], side: str = "A") -> float:
 def null_space(a) -> np.ndarray:
     """Orthonormal basis of the null space, as columns.
 
-    The rank cut is relative: singular values > NULL_SPACE_TOL * sigma_max
+    The rank cut is relative: singular values > RANK_TOL * sigma_max
     count toward the rank.  The returned columns are phase-fixed; the basis
     may be empty (shape (n, 0)).
     """
     m = as_array(a, 2, "a")
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    rank = int(np.count_nonzero(s > NULL_SPACE_TOL * s[0]))  # 0 for the zero matrix
+    rank = int(np.count_nonzero(s > RANK_TOL * s[0]))  # 0 for the zero matrix
     basis = vh[rank:, :].conj().T
     return fix_phases(basis) if basis.shape[1] else basis
 

@@ -1,16 +1,18 @@
 """Certifying how close a strategy is to the canonical model of a family.
 
-The pipeline: residual diagnostics quantify how nearly the measured
-operators satisfy the defining relations of a projection family in the
-state-weighted seminorm; an isometry is fitted that compresses each party
-onto the reference family; the compressed state is projected onto the top
-eigenspace of the family's correlation operator N = sum_v P_v kron P_v^T to
-read off the junk state; and the final certificate reports the worst
-residual of the local-dilation conditions.  Residuals are evaluated through
-the vec identity on the stacks: a bipartite vector is its dim_a x dim_b
-matrix M, on which X kron Y acts as X M Y^T (see linalg.vec).  M, the weights
-rho_A, rho_B and the correlation come from the Strategy, Bob's target family
-from ProjectionFamily.transposed; each owner derives them once.
+The pipeline, each stage taking the strategy and the ProjectionFamily it is
+audited against, with one shared precondition (_audit_delta): residual
+diagnostics quantify how nearly the measured operators satisfy the family's
+relations in the state-weighted seminorm; an isometry is fitted that
+compresses each party onto the family; the compressed state is projected
+onto the top eigenspace of the family's correlation operator
+N = sum_v P_v kron P_v^T to read off the junk state; and the final
+certificate reports the worst residual of the local-dilation conditions.
+Residuals are evaluated through the vec identity on the stacks: a bipartite
+vector is its dim_a x dim_b matrix M, on which X kron Y acts as X M Y^T (see
+linalg.vec).  M, the weights rho_A, rho_B and the correlation come from the
+Strategy, Bob's target family from ProjectionFamily.transposed; each owner
+derives them once.
 
 The two d^2 x d^2 eigenproblems are solved without forming d^2 x d^2
 matrices once they are large.  The spectral gap of N, which enters beta, is
@@ -42,7 +44,6 @@ from .errors import (
     InvalidShapeError,
     InvalidStateError,
     InvalidStrategyError,
-    InvalidReferenceError,
     JunkExtractionError,
     NotARepresentationError,
     SpectralDegeneracyError,
@@ -60,13 +61,7 @@ from .linalg import (
     seminorm,
     unvec,
 )
-from .strategies import (
-    Correlation,
-    Strategy,
-    correlation_distance,
-    ideal_correlation,
-    synchronicity_defect,
-)
+from .strategies import Strategy, correlation_distance, ideal_correlation
 
 ALPHA_MIN = 0.1
 PAIR_BUDGET = 1_000_000
@@ -91,7 +86,7 @@ class SyncReport:
       3  ||(E - E^2) kron I psi||
       4  ||I kron (F - F^2) psi||
     budgets are (sqrt(delta),)*3 + (2 sqrt(delta),)*2 where delta is the
-    1-norm distance to the synchronous reference.
+    1-norm distance to the family's synchronous correlation p_{n,x}.
     """
 
     values: np.ndarray
@@ -107,16 +102,24 @@ class SyncReport:
         return bool(np.all(self.values <= self.budgets[None, None, :]))
 
 
-def sync_residuals(strategy: Strategy, reference: Correlation) -> SyncReport:
-    """Agreement residuals of a strategy against a synchronous reference."""
-    if synchronicity_defect(reference) > 1e-10:
-        raise InvalidReferenceError("reference correlation is not synchronous")
+def _audit_delta(strategy: Strategy, fam: ProjectionFamily) -> float:
+    """delta = ||p - p_{n,x}||_1, with p_{n,x} = ideal_correlation(fam.n, fam.x).
+
+    The audits' one precondition comes first: a strategy without two outcomes
+    raises UnsupportedOutcomeCountError, one without fam.n questions
+    InvalidStrategyError.
+    """
     n, k = strategy.n_questions, strategy.n_outcomes
-    if reference.table.shape != (n, n, k, k):
-        raise InvalidReferenceError(
-            f"reference shape {reference.table.shape} does not match the strategy"
-        )
-    delta = correlation_distance(strategy.correlation, reference)
+    if k != 2:
+        raise UnsupportedOutcomeCountError(f"strategy has {k} outcomes, the audits need 2")
+    if n != fam.n:
+        raise InvalidStrategyError(f"strategy has {n} questions, family has {fam.n}")
+    return correlation_distance(strategy.correlation, ideal_correlation(fam.n, fam.x))
+
+
+def sync_residuals(strategy: Strategy, fam: ProjectionFamily) -> SyncReport:
+    """Agreement residuals of a strategy against the family's p_{n,x}."""
+    delta = _audit_delta(strategy, fam)
     m = strategy.state_matrix
     e, f = strategy.alice, strategy.bob
     em = e @ m
@@ -170,12 +173,12 @@ def tracial_residual(strategy: Strategy, degree: int = 2, party: str = "alice") 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """How nearly a strategy's operators satisfy the family relations.
+    """How nearly a strategy's operators satisfy the relations of its family.
 
     rep_residual_a/b aggregate the seminorm defects of idempotency and of
     the scalar sum rule; they are guaranteed to stay below c_bound
     (= sqrt(n^2 + (1+2x) sqrt(delta)) * delta^(1/4)) whenever the induced
-    correlation is delta-close to the synchronous target.
+    correlation is delta-close to the family's p_{n,x}.
     """
 
     n: int
@@ -226,18 +229,13 @@ class ResidualReport:
 
 
 def approx_rep_residuals(
-    strategy: Strategy, x: Fraction | float, monomial_degree: int = 2
+    strategy: Strategy, fam: ProjectionFamily, monomial_degree: int = 2
 ) -> ResidualReport:
-    """Full residual diagnostics of a two-outcome strategy against (n, x)."""
-    if strategy.n_outcomes != 2:
-        raise UnsupportedOutcomeCountError("residual diagnostics need two outcomes")
-    x = Fraction(x)
-    n = strategy.n_questions
-    sync = sync_residuals(strategy, ideal_correlation(n, x))
-    delta = sync.delta
-    c_bound = float(np.sqrt(n**2 + (1 + 2 * float(x)) * np.sqrt(delta)) * delta**0.25)
+    """Full residual diagnostics of a strategy against the family's (n, x)."""
+    sync = sync_residuals(strategy, fam)
+    n, xf, delta = fam.n, float(fam.x), sync.delta
+    c_bound = float(np.sqrt(n**2 + (1 + 2 * xf) * np.sqrt(delta)) * delta**0.25)
     rho_a, rho_b = strategy.reduced_densities
-    xf = float(x)
 
     def side_residuals(povms, rho, dim):
         ops = povms[:, 0]
@@ -251,7 +249,7 @@ def approx_rep_residuals(
     tr_b = tracial_residual(strategy, degree=monomial_degree, party="bob")
     return ResidualReport(
         n=n,
-        x=x,
+        x=fam.x,
         delta=delta,
         c_bound=c_bound,
         idempotency_a=idem_a,
@@ -589,19 +587,14 @@ def extract_dilation(strategy: Strategy, fam: ProjectionFamily) -> DilationCerti
 
     Each party's first-outcome operators are compressed onto the family
     (Bob against fam.transposed), weighted by the strategy's reduced
-    densities; the compressed state is projected
-    onto the top eigenspace of the correlation operator, and the remainder
-    is normalized into the junk state.  The ancilla bases are rotated so the
-    junk state comes out in Schmidt-diagonal form, which fixes the gauge
-    freedom of the certificate.  Raises JunkExtractionError when the
+    densities; the compressed state is projected onto the top eigenspace of
+    the correlation operator, and the remainder is normalized into the junk
+    state.  The ancilla bases are rotated so the junk state comes out in
+    Schmidt-diagonal form, which fixes the gauge freedom of the certificate.
+    The precondition is _audit_delta's.  Raises JunkExtractionError when the
     projected weight alpha is at or below ALPHA_MIN, read at call time.
     """
-    if strategy.n_outcomes != 2:
-        raise UnsupportedOutcomeCountError("dilation extraction needs two outcomes")
-    if strategy.n_questions != fam.n:
-        raise InvalidStrategyError(
-            f"strategy has {strategy.n_questions} questions, family has {fam.n}"
-        )
+    delta = _audit_delta(strategy, fam)
     rho_a, rho_b = strategy.reduced_densities
     fit_a = fit_isometry(strategy.alice[:, 0], fam, rho_a)
     fit_b = fit_isometry(strategy.bob[:, 0], fam.transposed, rho_b)
@@ -629,7 +622,6 @@ def extract_dilation(strategy: Strategy, fam: ProjectionFamily) -> DilationCerti
 
     reference = fam.canonical_strategy
     residuals = _dilation_residuals(strategy, reference, v_a, v_b, junk)
-    delta = correlation_distance(strategy.correlation, ideal_correlation(fam.n, fam.x))
     eps_prime = max(fit_a.max_residual, fit_b.max_residual)
     # the spectral argument needs the correlation defect as well; folding it
     # into eps_prime makes the beta bound hold unconditionally

@@ -129,9 +129,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         for ti in range(config.trials_per_level):
             seed = trial_seed(config.seed, li, ti)
             noisy = perturb(canon, config.noise_model, level, seed)
-            report = approx_rep_residuals(
-                noisy, fam.x, monomial_degree=config.monomial_degree
-            )
+            report = approx_rep_residuals(noisy, fam, monomial_degree=config.monomial_degree)
             epsilon = alpha = beta = state_residual = fit_residual = None
             failed = False
             try:

@@ -66,3 +66,18 @@ def test_workload_decoders_read_what_the_writers_write(monkeypatch):
     assert (back.dim_a, back.dim_b) == (strategy.dim_a, strategy.dim_b)
     for key in ("state", "alice", "bob"):
         same_bytes(getattr(back, key), getattr(strategy, key))
+
+
+def test_reference_inputs_pass_the_benchmark_checks(tmp_path, monkeypatch):
+    # the comparison bench/run.py makes on every run, so a change that the
+    # benchmark would count as outputs_incorrect fails here first
+    workloads = load_bench_module("workloads", monkeypatch)
+    reference = json.loads((BENCH / "reference.json").read_text())["workloads"]
+    for name, workload in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        inputs = workload.make_inputs(workloads.REFERENCE_SEED, workdir, reference=True)
+        calls = workloads.run_pass(workload, inputs, workdir).calls
+        verdicts = workloads.Verdicts(workload, inputs)
+        verdicts.record(calls, reference=reference[name])
+        assert verdicts.failed == 0, verdicts.messages

@@ -166,6 +166,18 @@ def test_selftest_refuses_a_degenerate_fit(tmp_path, capsys):
     assert not cert.exists()
 
 
+def test_selftest_refuses_a_question_count_mismatch(tmp_path, capsys):
+    strat = tmp_path / "strategy.json"
+    cert = tmp_path / "certificate.json"
+    assert main(["strategy", "canonical", "--n", "4", "--k", "1", "--out", str(strat)]) == 0
+    capsys.readouterr()
+    assert main(["selftest", str(strat), "--n", "5", "--k", "1", "--cert", str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: strategy has 4 questions, family has 5\n"
+    assert not cert.exists()
+
+
 def test_correlate_rejects_malformed_strategy(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

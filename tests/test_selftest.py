@@ -16,11 +16,12 @@ from projsum.errors import (
     FitDegenerateError,
     IntertwinerError,
     InvalidDimensionError,
-    InvalidReferenceError,
     InvalidShapeError,
+    InvalidStrategyError,
     JunkExtractionError,
     NotARepresentationError,
     SpectralDegeneracyError,
+    UnsupportedOutcomeCountError,
 )
 from projsum.families import (
     ProjectionFamily,
@@ -159,7 +160,7 @@ def test_dilation_residuals_match_kron_oracle(planted_isometries, dims, seed, mo
 @given(**planted_cases)
 def test_sync_residuals_match_kron_oracle(dims, seed, model, level):
     fam, strat = noisy_planted(dims, seed, model, level)
-    report = sync_residuals(strat, ideal_correlation(fam.n, fam.x))
+    report = sync_residuals(strat, fam)
     assert np.abs(report.values - kron_sync_values(strat)).max() < 1e-12
 
 
@@ -176,7 +177,7 @@ def test_tracial_residual_matches_list_oracle(party, dims, seed, model, level):
 def test_sync_residuals_vanish_on_canonical():
     fam = four_family(1)
     strat = canonical_strategy(fam)
-    report = sync_residuals(strat, ideal_correlation(4, fam.x))
+    report = sync_residuals(strat, fam)
     assert report.delta < 1e-12
     assert report.max_value < 1e-10
     assert report.within_budget
@@ -185,25 +186,38 @@ def test_sync_residuals_vanish_on_canonical():
 def test_sync_residuals_budgets_on_noisy_strategies():
     fam = four_family(1)
     strat = canonical_strategy(fam)
-    ideal = ideal_correlation(4, fam.x)
     for model in ("state-mixing", "povm-jitter", "outcome-noise"):
         for level in (1e-4, 1e-3, 1e-2, 1e-1):
             noisy = perturb(strat, model, level, seed=17)
-            report = sync_residuals(noisy, ideal)
+            report = sync_residuals(noisy, fam)
             assert report.delta > 0
             assert report.within_budget, (model, level, report.max_value)
 
 
-def test_sync_residuals_reject_non_synchronous_reference():
-    fam = simplex_family(3)
-    strat = canonical_strategy(fam)
-    ref = ideal_correlation(3, fam.x)
-    table = ref.table.copy()
-    table[0, 0, 0, 1] = 0.3
-    table[0, 0, 0, 0] = 0.2
-    broken = type(ref)(n=3, k=2, table=table)
-    with pytest.raises(InvalidReferenceError):
-        sync_residuals(strat, broken)
+def three_outcome_strategy(fam):
+    """The canonical strategy with I - P_v split into two halves."""
+    canon = canonical_strategy(fam)
+
+    def split(povms):
+        rest = povms[:, 1:] / 2
+        return np.concatenate([povms[:, :1], rest, rest], axis=1)
+
+    return Strategy(
+        state=canon.state,
+        dim_a=canon.dim_a,
+        dim_b=canon.dim_b,
+        alice=split(canon.alice),
+        bob=split(canon.bob),
+    )
+
+
+@pytest.mark.parametrize("audit", [sync_residuals, approx_rep_residuals, extract_dilation])
+def test_audits_share_one_precondition(audit):
+    fam = four_family(1)
+    with pytest.raises(UnsupportedOutcomeCountError, match="3 outcomes"):
+        audit(three_outcome_strategy(fam), fam)
+    with pytest.raises(InvalidStrategyError, match="^strategy has 4 questions, family has 5$"):
+        audit(fam.canonical_strategy, ladder_family(5, 1))
 
 
 def test_tracial_residual_canonical_and_budget():
@@ -628,7 +642,7 @@ def test_import_and_fit_load_no_scipy():
 def test_approx_rep_residuals_canonical():
     fam = four_family(2)
     strat = canonical_strategy(fam)
-    report = approx_rep_residuals(strat, fam.x)
+    report = approx_rep_residuals(strat, fam)
     assert report.delta < 1e-12
     assert report.rep_residual_a < 1e-10
     assert report.rep_residual_b < 1e-10
@@ -643,7 +657,7 @@ def test_approx_rep_residuals_noisy_within_bounds():
     for level in (1e-4, 1e-2):
         for model in ("state-mixing", "povm-jitter", "outcome-noise"):
             noisy = perturb(strat, model, level, seed=47)
-            report = approx_rep_residuals(noisy, fam.x)
+            report = approx_rep_residuals(noisy, fam)
             assert report.lemma35_pass, (model, level)
             assert report.lemma63_pass, (model, level)
             assert report.tracial_pass, (model, level)
@@ -718,7 +732,7 @@ def test_extract_dilation_five_question_ladder():
         noisy, fam.canonical_strategy, cert.v_a, cert.v_b, cert.junk
     )
     assert cert.epsilon < 1e-2
-    report = approx_rep_residuals(noisy, fam.x)
+    report = approx_rep_residuals(noisy, fam)
     assert report.lemma35_pass and report.lemma63_pass and report.tracial_pass
 
 
@@ -771,7 +785,7 @@ def test_certificate_derives_each_strategy_quantity_once(monkeypatch):
     fam = four_family(2)
     first, second = (perturb(fam.canonical_strategy, "povm-jitter", 1e-3, seed) for seed in (2, 3))
     calls = count_projsum_calls(monkeypatch, reduced_densities, induced_correlation)
-    report = approx_rep_residuals(first, fam.x)
+    report = approx_rep_residuals(first, fam)
     cert = extract_dilation(first, fam)
     # the first certificate builds the family's transpose, which Bob's fit keeps
     assert calls == {"reduced_densities": 1, "induced_correlation": 1, "ProjectionFamily": 1}
