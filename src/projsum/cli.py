@@ -1,8 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
-3 internal error (an unexpected exception).  Every error, a bad command
-line included, is reported on one stderr line starting with "error: ".
+3 internal error (an unexpected exception), 141 standard output closed
+early by its reader.  Every error, a bad command line included, is
+reported on one stderr line starting with "error: "; a closed standard
+output is not an error of the command and prints nothing.
 The PROJSUM_TOL environment variable overrides the default tolerance of
 verification commands.
 """
@@ -36,6 +38,9 @@ from .strategies import (
     synchronicity_defect,
 )
 from .sweep import SweepConfig, build_family, emit_report, run_sweep
+
+# 128 + SIGPIPE: what a shell reports for a tool that a closed pipe stopped
+EXIT_BROKEN_PIPE = 141
 
 
 def _tolerance(args) -> float:
@@ -208,7 +213,15 @@ def main(argv=None) -> int:
         "demo": _cmd_demo,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        # a reader that closed the pipe early shows here, not at interpreter exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # nothing more reaches the reader; stdout goes to devnull so that the
+        # interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (SerializationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

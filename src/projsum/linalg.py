@@ -9,7 +9,9 @@ Conventions used across the package:
   (largest-magnitude component made real positive) so repeated runs produce
   identical output
 * operators too large to form densely are applied matrix-free and
-  diagonalized by ``krylov_eigh``; of a dense one whose few lowest
+  diagonalized by ``krylov_eigh``, thick-restart block Lanczos whose basis
+  holds a fixed number of blocks, so its memory is O(basis * dim) and its
+  Rayleigh-Ritz problems stay small; of a dense one whose few lowest
   eigenpairs are wanted, ``hermitian_spectrum`` computes only the
   eigenvalues and ``lowest_eigvecs`` the wanted eigenvectors, by inverse
   iteration for one vector and one full eigh for more
@@ -38,9 +40,15 @@ RANK_TOL = 1e-9
 # a Ritz pair is converged when ||A x - theta x|| <= KRYLOV_TOL * max|theta|;
 # directions the images add below this fraction of their norm are dropped
 KRYLOV_TOL = 1e-13
-# block steps before krylov_eigh gives up; a d=81 ladder fit (block 2)
-# converged within 455
-KRYLOV_MAX_BLOCKS = 600
+# krylov_eigh's basis holds KRYLOV_BASIS_BLOCKS blocks and a restart keeps
+# KRYLOV_KEEP_BLOCKS blocks of Ritz vectors.  A restart costs accuracy in a
+# clustered spectrum: at 40 blocks the d=61 ladder gap solve restarts and its
+# error grows fivefold; at 100 every gap solve up to d=61 converges first
+KRYLOV_BASIS_BLOCKS = 100
+KRYLOV_KEEP_BLOCKS = 6
+# block steps, across restarts, before krylov_eigh gives up; a d=121 ladder
+# fit (block 2) converged within 719
+KRYLOV_MAX_BLOCKS = 1000
 # complex entries of the Krylov basis plus its projected matrix: 268 MB, as
 # much as a dense 4096 x 4096 operator
 KRYLOV_BUDGET = 4096**2
@@ -279,41 +287,51 @@ def krylov_eigh(apply, dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Top ``count`` eigenpairs of a Hermitian operator known only by its action.
 
     ``apply`` maps a (b, dim) stack of row vectors to the stack of their
-    images.  Block Krylov (block Lanczos) from a seeded random block of
-    ``count`` vectors, with full reorthogonalisation and Rayleigh-Ritz
-    extraction; the wanted Ritz pairs are returned once each residual
-    ||A x - theta x|| is at most
+    images.  Thick-restart block Lanczos (Wu & Simon, SIAM J. Matrix Anal.
+    Appl. 22, 2000) from a seeded random block of ``count`` vectors, with
+    full reorthogonalisation and Rayleigh-Ritz extraction; the wanted Ritz
+    pairs are returned once each residual ||A x - theta x|| is at most
     KRYLOV_TOL * max|theta|, as eigenvalues (descending) and phase-fixed
     eigenvectors (columns), like hermitian_eig.  An eigenvalue of
     multiplicity m is seen min(m, count) times, so the multiplicities among
     the wanted values are measured instead of assumed simple.
 
-    The basis grows to at most min(dim, KRYLOV_MAX_BLOCKS * count) vectors.
-    BudgetExceededError is raised, before allocating, when that basis and
+    The basis holds at most cap = min(dim, KRYLOV_BASIS_BLOCKS * count)
+    vectors, so memory is O(cap * dim) and no Rayleigh-Ritz problem is
+    larger than cap.  When the next block would not fit, the basis restarts
+    from its top KRYLOV_KEEP_BLOCKS * count Ritz vectors, whose projected
+    block is diag(theta), and goes on from that block, which is orthogonal
+    to them.  Until the basis is full, and for an operator with dim <= cap
+    throughout, the steps are those of unrestarted block Lanczos.
+    BudgetExceededError is raised, before allocating, when the basis and
     its projected matrix would exceed KRYLOV_BUDGET entries, and when the
-    wanted pairs have not converged once the basis is full; an unconverged
-    result is never returned.
+    wanted pairs have not converged within KRYLOV_MAX_BLOCKS block steps,
+    counted across restarts; an unconverged result is never returned.
     """
     if not 1 <= count <= dim:
         raise InvalidShapeError(f"need 1 <= count <= dim, got {count}, {dim}")
-    limit = min(dim, KRYLOV_MAX_BLOCKS * count)
-    if limit * (dim + limit) > KRYLOV_BUDGET:
+    cap = min(dim, KRYLOV_BASIS_BLOCKS * count)
+    if cap * (dim + cap) > KRYLOV_BUDGET:
         raise BudgetExceededError(
-            f"a {dim}-row operator needs up to {limit} basis vectors, "
+            f"a {dim}-row operator needs up to {cap} basis vectors, "
             f"over the {KRYLOV_BUDGET}-entry basis budget"
         )
-    basis = np.empty((limit, dim), dtype=np.complex128)  # orthonormal rows
-    proj = np.empty((limit, limit), dtype=np.complex128)  # basis^* A basis
+    keep = KRYLOV_KEEP_BLOCKS * count
+    basis = np.empty((cap, dim), dtype=np.complex128)  # orthonormal rows
+    proj = np.empty((cap, cap), dtype=np.complex128)  # basis^* A basis
     rng = np.random.default_rng(KRYLOV_SEED)
     start = rng.normal(size=(dim, count)) + 1j * rng.normal(size=(dim, count))
     new = np.linalg.qr(start)[0].T
     m = 0
     check_at = count
+    steps = generated = 0
     while True:
         b = len(new)
         basis[m : m + b] = new
         image = apply(new)
         m += b
+        steps += 1
+        generated += b
         q = basis[:m]
         coeff = (image.conj() @ q.T).conj()
         proj[:m, m - b : m] = coeff.T
@@ -321,23 +339,31 @@ def krylov_eigh(apply, dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         # what the images add to the basis; none left means an invariant
         # subspace, on which the Ritz pairs are exact
         _, sv, vh = np.linalg.svd(image - coeff @ q, full_matrices=False)
-        fresh = vh[sv > KRYLOV_TOL * np.linalg.norm(image, axis=1).max()][: limit - m]
-        if m >= check_at or len(fresh) == 0:
+        fresh = vh[sv > KRYLOV_TOL * np.linalg.norm(image, axis=1).max()][: dim - m]
+        full = m + len(fresh) > cap
+        if m >= check_at or len(fresh) == 0 or full or steps >= KRYLOV_MAX_BLOCKS:
             theta, y = np.linalg.eigh(proj[:m, :m])
+            theta, y = theta[::-1], y[:, ::-1]
             scale = np.abs(theta).max()
-            theta, y = theta[: -count - 1 : -1], y[:, : -count - 1 : -1]
-            ritz = y.T @ q
-            residual = np.linalg.norm(apply(ritz) - theta[:, None] * ritz, axis=1)
+            ritz = y[:, :count].T @ q
+            residual = np.linalg.norm(apply(ritz) - theta[:count, None] * ritz, axis=1)
             if residual.max() <= KRYLOV_TOL * scale:
-                return theta, fix_phases(ritz.T)
-            if len(fresh) == 0:
+                return theta[:count], fix_phases(ritz.T)
+            if len(fresh) == 0 or steps >= KRYLOV_MAX_BLOCKS:
                 raise BudgetExceededError(
-                    f"no convergence within {m} basis vectors of a {dim}-row operator"
+                    f"no convergence within {generated} basis vectors of a {dim}-row operator"
                 )
             # Rayleigh-Ritz costs m^3: check at geometrically spaced sizes
             check_at = m + max(count, m // 4)
         # a second projection restores the orthogonality lost to cancellation
         fresh -= (fresh.conj() @ q.T).conj() @ q
+        if full:
+            # thick restart: the top Ritz vectors span part of the old basis,
+            # so the fresh block is orthogonal to them too
+            basis[:keep] = y[:, :keep].T @ q
+            proj[:keep, :keep] = np.diag(theta[:keep])
+            m = keep
+            check_at = m + max(count, m // 4)
         new = np.linalg.qr(fresh.T)[0].T
 
 

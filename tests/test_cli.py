@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -507,6 +511,28 @@ def test_unexpected_exception_exits_3_with_one_line(tmp_path, capsys, monkeypatc
     assert captured.err == "error: internal error: ZeroDivisionError: division by zero\n"
     assert captured.out == ""
     assert not cert.exists()
+
+
+def test_a_closed_stdout_exits_quietly(tmp_path):
+    # the pipe's only reader is gone before the command writes anything
+    fam = tmp_path / "fam.json"
+    assert main(["family", "gen", "--n", "4", "--k", "1", "--out", str(fam)]) == 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(__file__).resolve().parents[1] / "src"
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "projsum.cli", "family", "verify", str(fam)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert run.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert run.stderr == ""
 
 
 def test_outputs_are_idempotent(tmp_path):

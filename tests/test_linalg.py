@@ -208,6 +208,40 @@ def matrix_action(a):
 def test_krylov_eigh_matches_eigh(dim, count, seed):
     h = random_hermitian(dim, np.random.default_rng(seed))
     w, v = krylov_eigh(matrix_action(h), dim, count)
+    assert_top_pairs(h, w, v, count)
+
+
+def recorded_action(a, rows):
+    """matrix_action that appends the row count of every call to ``rows``."""
+    return lambda block: rows.append(len(block)) or block @ a.T
+
+
+def restarted(rows):
+    """True only if krylov_eigh restarted: each block step and each
+    convergence check applies the operator once, and a basis that never
+    restarts holds at most KRYLOV_BASIS_BLOCKS full steps, each checked at
+    most once."""
+    return len(rows) > 2 * linalg.KRYLOV_BASIS_BLOCKS
+
+
+@given(
+    dim=st.integers(45, 120),
+    count=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_krylov_eigh_restarted_matches_eigh(dim, count, seed):
+    # a basis of 10 blocks fills long before these solves converge
+    h = random_hermitian(dim, np.random.default_rng(seed))
+    rows = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "KRYLOV_BASIS_BLOCKS", 10)
+        w, v = krylov_eigh(recorded_action(h, rows), dim, count)
+        assert restarted(rows)
+    assert_top_pairs(h, w, v, count)
+
+
+def assert_top_pairs(h, w, v, count):
+    """w, v are the top ``count`` eigenpairs of h, to 1e-12 of its norm."""
     ref_w, ref_v = hermitian_eig(h)
     scale = np.abs(ref_w).max()
     assert np.allclose(w, ref_w[:count], rtol=0, atol=1e-12 * scale)
@@ -239,6 +273,24 @@ def test_krylov_eigh_planted_degenerate_spectrum():
     w, v = krylov_eigh(matrix_action(h), dim, 4)
     assert np.allclose(w, [5.0, 5.0, 3.0, 3.0], atol=1e-11)
     assert np.allclose(v.conj().T @ v, np.eye(4), atol=1e-12)
+
+
+def test_krylov_eigh_planted_pair_across_restarts(monkeypatch):
+    # a double top eigenvalue just above the bulk converges slowly, so a
+    # basis of 10 blocks restarts; a block of 2 still sees both copies
+    rng = np.random.default_rng(13)
+    dim = 80
+    u = random_unitary(dim, rng)
+    spectrum = np.concatenate([[1.0, 1.0], rng.uniform(-1.0, 0.95, dim - 2)])
+    h = (u * spectrum) @ u.conj().T
+    top2 = u[:, :2]
+    monkeypatch.setattr(linalg, "KRYLOV_BASIS_BLOCKS", 10)
+    rows = []
+    w, v = krylov_eigh(recorded_action(h, rows), dim, 2)
+    assert restarted(rows)
+    assert np.allclose(w, [1.0, 1.0], rtol=0, atol=1e-12)
+    assert np.linalg.norm(v - top2 @ (top2.conj().T @ v)) < 1e-10
+    assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
 
 
 def test_krylov_eigh_guards(monkeypatch):

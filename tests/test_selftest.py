@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import projsum.linalg as linalg
 import projsum.selftest as selftest
 from projsum.errors import (
     BudgetExceededError,
@@ -64,7 +65,7 @@ from projsum.strategies import (
     induced_correlation,
     perturb,
 )
-from test_linalg import count_calls, is_narrow, loop_lowest_eigvecs
+from test_linalg import count_calls, is_narrow, loop_lowest_eigvecs, restarted
 from test_strategies import planted_strategy
 
 
@@ -413,17 +414,24 @@ def test_fit_isometry_exact_conjugated_family():
         assert np.allclose(v.conj().T @ v, np.eye(fam.d * s), atol=1e-10)
 
 
-def test_fit_isometry_shape_and_budget_guards():
+def test_fit_isometry_shape_and_budget_guards(monkeypatch):
     fam = four_family(1)
     with pytest.raises(InvalidShapeError, match="ops: entries do not form"):
         fit_isometry([np.eye(3)] * 3 + [np.eye(4)], fam, np.eye(3) / 3)
     with pytest.raises(InvalidShapeError, match="expected 4 operators"):
         fit_isometry(np.zeros((3, 3, 3)), fam, np.eye(3) / 3)
-    # r = 94 against d = 31 gives s = 4 and a 94 * 31 = 2914-row form, whose
-    # Krylov basis for a block of 5 may grow to all 2914 rows
+    # r = 94 against d = 31 gives s = 4 and a 94 * 31 = 2914-row form.  Its
+    # Krylov basis for a block of 5 holds at most 500 vectors, within the
+    # budget: the zero operators make a degenerate form, which is refused
     fam = four_family(15)
     ops = np.zeros((4, 94, 94))
     rho = np.eye(94) / 94
+    with pytest.raises(FitDegenerateError, match="not separated"):
+        fit_isometry(ops, fam, rho)
+    # under a budget of 10^6 entries the same basis is refused before it is
+    # allocated: with its projected matrix it takes 500 * 3414 complex
+    # entries, about 27 MB
+    monkeypatch.setattr(linalg, "KRYLOV_BUDGET", 10**6)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match="2914-row"):
@@ -431,8 +439,6 @@ def test_fit_isometry_shape_and_budget_guards():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the basis and its projected matrix would take 2914 * 5828 complex
-    # entries, about 272 MB
     assert peak < 4_000_000
 
 
@@ -481,20 +487,34 @@ def fit_paths(monkeypatch, ops, fam, rho):
 
 
 @pytest.mark.parametrize(
-    "k, ka, model",
-    [(1, 1, "povm-jitter"), (5, 1, "state-mixing"), (7, 1, "povm-jitter"),
-     (1, 2, "povm-jitter"), (3, 2, "outcome-noise"), (1, 3, "povm-jitter")],
+    "k, ka, model, basis_blocks",
+    [pytest.param(k, ka, model, None, id=f"{k}-{ka}-{model}")
+     for k, ka, model in [(1, 1, "povm-jitter"), (5, 1, "state-mixing"), (7, 1, "povm-jitter"),
+                          (1, 2, "povm-jitter"), (3, 2, "outcome-noise"), (1, 3, "povm-jitter")]]
+    + [(5, 1, "povm-jitter", 10), (2, 2, "povm-jitter", 10)],
 )
-def test_fit_isometry_paths_agree(monkeypatch, k, ka, model):
+def test_fit_isometry_paths_agree(monkeypatch, k, ka, model, basis_blocks):
     # s = ka; for s > 1 the isometry is drawn from the solution space
     # independently of its basis, so equal isometries mean equal subspaces;
     # s = 3 runs a Krylov block of 4.  Bob's ancilla is at least as large as
-    # Alice's, so rho_A has full rank and the ridge does not set the solution
+    # Alice's, so rho_A has full rank and the ridge does not set the solution.
+    # A basis of 10 blocks is smaller than the 121- and 50-row forms, so the
+    # matrix-free path restarts
     fam = four_family(k)
     strat, _ = planted_strategy(fam, ka, max(ka, 2), seed=k)
     noisy = perturb(strat, model, 1e-3, seed=k)
     rho_a, _ = reduced_densities(noisy.state, (noisy.dim_a, noisy.dim_b))
+    if basis_blocks is not None:
+        monkeypatch.setattr(linalg, "KRYLOV_BASIS_BLOCKS", basis_blocks)
+    rows = []
+    solve = selftest.krylov_eigh
+    monkeypatch.setattr(
+        selftest,
+        "krylov_eigh",
+        lambda apply, dim, count: solve(lambda b: rows.append(len(b)) or apply(b), dim, count),
+    )
     dense, krylov = fit_paths(monkeypatch, noisy.alice[:, 0], fam, rho_a)
+    assert basis_blocks is None or restarted(rows)
     assert dense.s == krylov.s == ka
     assert np.abs(dense.isometry - krylov.isometry).max() < 1e-10
     assert np.abs(dense.residuals - krylov.residuals).max() < 1e-10
