@@ -11,7 +11,10 @@ Conventions used across the package:
 * operators too large to form densely are applied matrix-free and
   diagonalized by ``krylov_eigh``, thick-restart block Lanczos whose basis
   holds a fixed number of blocks, so its memory is O(basis * dim) and its
-  Rayleigh-Ritz problems stay small; of a dense one whose few lowest
+  Rayleigh-Ritz problems stay small; its convergence checks estimate the
+  Ritz residuals from the last block's coupling and apply the operator to
+  Ritz vectors only to accept them, and a caller may hold its last
+  ("guard") pairs to a looser tolerance; of a dense one whose few lowest
   eigenpairs are wanted, ``hermitian_spectrum`` computes only the
   eigenvalues and ``lowest_eigvecs`` the wanted eigenvectors, by inverse
   iteration for one vector and one full eigh for more
@@ -40,6 +43,9 @@ RANK_TOL = 1e-9
 # a Ritz pair is converged when ||A x - theta x|| <= KRYLOV_TOL * max|theta|;
 # directions the images add below this fraction of their norm are dropped
 KRYLOV_TOL = 1e-13
+# the looser test of krylov_eigh's guard pairs, which only show whether the
+# next eigenvalue is separated from the wanted ones
+KRYLOV_GUARD_TOL = 1e-10
 # krylov_eigh's basis holds KRYLOV_BASIS_BLOCKS blocks and a restart keeps
 # KRYLOV_KEEP_BLOCKS blocks of Ritz vectors.  A restart costs accuracy in a
 # clustered spectrum: at 40 blocks the d=61 ladder gap solve restarts and its
@@ -235,6 +241,11 @@ def seminorm(x, rho):
     rm = as_array(rho, 2, "rho")
     if xm.ndim < 2 or xm.shape[-2:] != rm.shape or rm.shape[0] != rm.shape[1]:
         raise InvalidShapeError(f"operator {xm.shape} and weight {rm.shape} must be square and equal")
+    return _seminorm(xm, rm)
+
+
+def _seminorm(xm: np.ndarray, rm: np.ndarray):
+    """seminorm of arrays already read and checked."""
     val = np.trace(dagger(xm) @ xm @ rm, axis1=-2, axis2=-1).real
     root = np.sqrt(np.maximum(val, 0.0))
     return root if xm.ndim > 2 else float(root)
@@ -283,7 +294,7 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     return w[order].real.copy(), fix_phases(v[:, order])
 
 
-def krylov_eigh(apply, dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+def krylov_eigh(apply, dim: int, count: int, guard: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Top ``count`` eigenpairs of a Hermitian operator known only by its action.
 
     ``apply`` maps a (b, dim) stack of row vectors to the stack of their
@@ -292,9 +303,21 @@ def krylov_eigh(apply, dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     full reorthogonalisation and Rayleigh-Ritz extraction; the wanted Ritz
     pairs are returned once each residual ||A x - theta x|| is at most
     KRYLOV_TOL * max|theta|, as eigenvalues (descending) and phase-fixed
-    eigenvectors (columns), like hermitian_eig.  An eigenvalue of
-    multiplicity m is seen min(m, count) times, so the multiplicities among
-    the wanted values are measured instead of assumed simple.
+    eigenvectors (columns), like hermitian_eig.  The last ``guard`` of them
+    need only KRYLOV_GUARD_TOL * max|theta|: a caller that asks for one
+    pair more than it uses, to see whether the next eigenvalue coincides,
+    measures that pair's residual itself.  An eigenvalue of multiplicity m
+    is seen min(m, count) times, so the multiplicities among the wanted
+    values are measured instead of assumed simple.
+
+    At each Rayleigh-Ritz check the residuals are first estimated for free:
+    A x - theta x = y_last^T R for the Ritz vector x = y^T basis, where R
+    is what the last block's images add to the basis and y_last the last
+    block's rows of y (Saad, Numerical Methods for Large Eigenvalue
+    Problems, 2011, section 6.3), and ||y_last^T R|| comes from R's thin
+    SVD, which the step computes anyway.  Only when every estimate passes
+    are the Ritz vectors formed and the operator applied to them; that
+    measured residual is the acceptance test.
 
     The basis holds at most cap = min(dim, KRYLOV_BASIS_BLOCKS * count)
     vectors, so memory is O(cap * dim) and no Rayleigh-Ritz problem is
@@ -308,8 +331,10 @@ def krylov_eigh(apply, dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     wanted pairs have not converged within KRYLOV_MAX_BLOCKS block steps,
     counted across restarts; an unconverged result is never returned.
     """
-    if not 1 <= count <= dim:
-        raise InvalidShapeError(f"need 1 <= count <= dim, got {count}, {dim}")
+    if not 1 <= count <= dim or not 0 <= guard < count:
+        raise InvalidShapeError(
+            f"need 1 <= count <= dim and 0 <= guard < count, got {count}, {dim}, {guard}"
+        )
     cap = min(dim, KRYLOV_BASIS_BLOCKS * count)
     if cap * (dim + cap) > KRYLOV_BUDGET:
         raise BudgetExceededError(
@@ -317,6 +342,8 @@ def krylov_eigh(apply, dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
             f"over the {KRYLOV_BUDGET}-entry basis budget"
         )
     keep = KRYLOV_KEEP_BLOCKS * count
+    tol = np.full(count, KRYLOV_TOL)
+    tol[count - guard :] = KRYLOV_GUARD_TOL
     basis = np.empty((cap, dim), dtype=np.complex128)  # orthonormal rows
     proj = np.empty((cap, cap), dtype=np.complex128)  # basis^* A basis
     rng = np.random.default_rng(KRYLOV_SEED)
@@ -338,17 +365,19 @@ def krylov_eigh(apply, dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         proj[m - b : m, : m - b] = coeff[:, : m - b].conj()
         # what the images add to the basis; none left means an invariant
         # subspace, on which the Ritz pairs are exact
-        _, sv, vh = np.linalg.svd(image - coeff @ q, full_matrices=False)
+        u, sv, vh = np.linalg.svd(image - coeff @ q, full_matrices=False)
         fresh = vh[sv > KRYLOV_TOL * np.linalg.norm(image, axis=1).max()][: dim - m]
         full = m + len(fresh) > cap
         if m >= check_at or len(fresh) == 0 or full or steps >= KRYLOV_MAX_BLOCKS:
             theta, y = np.linalg.eigh(proj[:m, :m])
             theta, y = theta[::-1], y[:, ::-1]
-            scale = np.abs(theta).max()
-            ritz = y[:, :count].T @ q
-            residual = np.linalg.norm(apply(ritz) - theta[:count, None] * ritz, axis=1)
-            if residual.max() <= KRYLOV_TOL * scale:
-                return theta[:count], fix_phases(ritz.T)
+            bound = tol * np.abs(theta).max()
+            estimate = np.linalg.norm((y[m - b : m, :count].T @ u) * sv, axis=1)
+            if (estimate <= bound).all():
+                ritz = y[:, :count].T @ q
+                residual = np.linalg.norm(apply(ritz) - theta[:count, None] * ritz, axis=1)
+                if (residual <= bound).all():
+                    return theta[:count], fix_phases(ritz.T)
             if len(fresh) == 0 or steps >= KRYLOV_MAX_BLOCKS:
                 raise BudgetExceededError(
                     f"no convergence within {generated} basis vectors of a {dim}-row operator"
@@ -374,7 +403,11 @@ def hermitian_spectrum(a) -> np.ndarray:
     EigensolverError for a matrix as_array refuses, a non-finite one
     included, when LAPACK fails, or when an eigenvalue is not finite.
     """
-    m = as_array(a, 2, "a", EigensolverError)
+    return _hermitian_spectrum(as_array(a, 2, "a", EigensolverError))
+
+
+def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
+    """hermitian_spectrum of a matrix already read."""
     try:
         w = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
@@ -407,6 +440,12 @@ def lowest_eigvecs(a, w, count: int) -> np.ndarray:
             f"need a square matrix of order {dim} and 1 <= count <= {dim}, "
             f"got {m.shape} and {count}"
         )
+    return _lowest_eigvecs(m, w, count)
+
+
+def _lowest_eigvecs(m: np.ndarray, w: np.ndarray, count: int) -> np.ndarray:
+    """lowest_eigvecs of arrays already read and checked."""
+    dim = len(w)
     scale = float(np.abs(w).max())
     if scale == 0.0:  # the zero matrix: any orthonormal block is an answer
         return np.eye(dim, count, dtype=np.complex128)

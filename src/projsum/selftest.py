@@ -22,9 +22,12 @@ lowest eigenpairs of its form on one d x r ancilla row block (s is the
 ancilla dimension): up to KRYLOV_MIN_ROWS rows it forms the matrix, takes
 its eigenvalues alone and the wanted eigenvectors from linalg.lowest_eigvecs
 (inverse iteration for one, one full eigh for more); above, it applies the
-form matrix-free to linalg.krylov_eigh.  Both paths return phase-fixed
-eigenvectors, so they give the same isometry, and both refuse a form whose
-solution eigenspace is not separated from the next eigenvalue.
+form matrix-free to linalg.krylov_eigh, with one guard pair beyond the s
+wanted ones.  Both paths return phase-fixed eigenvectors, so they give the
+same isometry, and both refuse a form whose solution eigenspace is not
+separated from the next eigenvalue; the matrix-free path converges the
+guard pair only to linalg.KRYLOV_GUARD_TOL, measures its residual with one
+more application of the form and takes it off the separation it tests.
 
 All certified quantities are measured, never assumed: every bound stored in
 a certificate is recomputed from the returned isometries and junk state.
@@ -51,12 +54,13 @@ from .errors import (
 )
 from .families import ProjectionFamily, top_gap
 from .linalg import (
+    _hermitian_spectrum,
+    _lowest_eigvecs,
+    _seminorm,
     as_array,
     dagger,
     hermitian_eig,
-    hermitian_spectrum,
     krylov_eigh,
-    lowest_eigvecs,
     maximally_entangled,
     seminorm,
     unvec,
@@ -385,13 +389,16 @@ class IsometryFit:
         return float(self.residuals.max(initial=0.0))
 
 
-def _require_separation(w: np.ndarray, count: int, trace: float) -> None:
-    """FitDegenerateError unless the ascending w[count - 1] < w[count] by
-    more than FIT_SEPARATION_TOL * trace."""
-    if w.size > count and w[count] - w[count - 1] <= FIT_SEPARATION_TOL * trace:
+def _require_separation(w: np.ndarray, count: int, trace: float, residual: float = 0.0) -> None:
+    """FitDegenerateError unless the ascending w[count - 1] < w[count] - residual
+    by more than FIT_SEPARATION_TOL * trace.  ``residual`` is the measured
+    ||A x - w[count] x|| of a Ritz pair, so some eigenvalue lies within it of
+    w[count]; an exact spectrum passes 0."""
+    if w.size > count and w[count] - residual - w[count - 1] <= FIT_SEPARATION_TOL * trace:
+        measured = f", residual {residual:.1e}" if residual else ""
         raise FitDegenerateError(
             f"the fit form's eigenvalues {count} and {count + 1} are not separated "
-            f"({w[count - 1]:.6e} vs {w[count]:.6e})"
+            f"({w[count - 1]:.6e} vs {w[count]:.6e}{measured})"
         )
 
 
@@ -409,13 +416,16 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     isometry into C^(d s) exists.  A Q of up to KRYLOV_MIN_ROWS rows is
     formed densely: its spectrum comes from linalg.hermitian_spectrum and
     only its s lowest eigenvectors from linalg.lowest_eigvecs.  A larger
-    one is solved matrix-free by linalg.krylov_eigh, whose basis budget
-    raises BudgetExceededError before allocating.  Raises
-    FitDegenerateError, before any eigenvector is computed on the dense
-    path, when Q's s lowest eigenvalues are not separated from the next
-    one by FIT_SEPARATION_TOL * tr(rho): the solution would then be an
-    arbitrary pick from a larger eigenspace, and when the solution's
-    smallest singular value is at most 1e-8 of its largest.
+    one is solved matrix-free by linalg.krylov_eigh for s + 1 pairs, the
+    last a guard pair, and its basis budget raises BudgetExceededError
+    before allocating.  Raises FitDegenerateError, before any eigenvector
+    is computed on the dense path, when Q's s lowest eigenvalues are not
+    separated from the next one by FIT_SEPARATION_TOL * tr(rho), less the
+    guard pair's measured residual on the matrix-free path: the solution
+    would then be an arbitrary pick from a larger eigenspace, and when the
+    solution's smallest singular value is at most 1e-8 of its largest.
+    Only ``ops`` and ``rho`` are read by linalg.as_array; the arrays the
+    fit builds go to the unchecked kernels behind the public helpers.
     """
     ops = as_array(ops, 3, "ops")
     if ops.shape[1] != ops.shape[2]:
@@ -452,9 +462,9 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
         left = np.concatenate([weights, c_t[None]]).reshape(fam.n + 1, -1)
         right = np.concatenate([fam.projections, np.eye(d)[None]]).reshape(fam.n + 1, -1)
         quad = (left.T @ right).reshape(r, r, d, d).transpose(0, 2, 1, 3).reshape(rows, rows)
-        w = hermitian_spectrum(quad)
+        w = _hermitian_spectrum(quad)
         _require_separation(w, s, trace)
-        vecs = lowest_eigvecs(quad, w, s)
+        vecs = _lowest_eigvecs(quad, w, s)
     else:
         targets_t = fam.projections.swapaxes(-1, -2)
 
@@ -464,10 +474,14 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
             image = (weights[:, None] @ u @ targets_t[:, None]).sum(axis=0) + c_t @ u
             return -image.reshape(x.shape)
 
-        # a block of s + 1 measures whether the next eigenvalue coincides
-        w, vecs = krylov_eigh(negated_form, rows, s + 1)
-        w, vecs = -w, vecs[:, :s]
-        _require_separation(w, s, trace)
+        # a block of s + 1 measures whether the next eigenvalue coincides;
+        # that guard pair converges only to KRYLOV_GUARD_TOL, so its measured
+        # residual is taken off the separation
+        w, vecs = krylov_eigh(negated_form, rows, s + 1, guard=1)
+        w, guard = -w, vecs[:, s]
+        residual = np.linalg.norm(negated_form(guard[None]) + w[s] * guard)
+        _require_separation(w, s, trace, residual)
+        vecs = vecs[:, :s]
 
     if s > 1:
         # any full-rank solution works: project one fixed, reproducible draw
@@ -486,7 +500,7 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     # V^* (P_v kron I_s) V = sum_a V_a^* P_v V_a over the ancilla row blocks
     v_blocks = v_iso.reshape(d, s, r).swapaxes(0, 1)
     compressed = (dagger(v_blocks) @ fam.projections[:, None] @ v_blocks).sum(axis=1)
-    residuals = seminorm(ops - compressed, rho)
+    residuals = _seminorm(ops - compressed, rho)
     return IsometryFit(isometry=v_iso, s=s, residuals=residuals)
 
 

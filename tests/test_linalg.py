@@ -217,10 +217,10 @@ def recorded_action(a, rows):
 
 
 def restarted(rows):
-    """True only if krylov_eigh restarted: each block step and each
-    convergence check applies the operator once, and a basis that never
-    restarts holds at most KRYLOV_BASIS_BLOCKS full steps, each checked at
-    most once."""
+    """True only if krylov_eigh restarted: each block step applies the
+    operator once and each convergence check at most once, and a basis that
+    never restarts holds at most KRYLOV_BASIS_BLOCKS full steps, each checked
+    at most once."""
     return len(rows) > 2 * linalg.KRYLOV_BASIS_BLOCKS
 
 
@@ -291,6 +291,48 @@ def test_krylov_eigh_planted_pair_across_restarts(monkeypatch):
     assert np.allclose(w, [1.0, 1.0], rtol=0, atol=1e-12)
     assert np.linalg.norm(v - top2 @ (top2.conj().T @ v)) < 1e-10
     assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("top", [1.0, 0.5 + 1e-4])
+def test_krylov_eigh_guard_pair_meets_its_own_tolerance(top):
+    # the wanted eigenvalue sits above a 3-fold cluster at 0.5 split by 1e-6,
+    # whose guard pair needs only KRYLOV_GUARD_TOL.  Far above the cluster
+    # the wanted pair converges first and the guard lets the solve stop
+    # sooner; 1e-4 above it the wanted pair converges last and must still
+    # reach KRYLOV_TOL
+    rng = np.random.default_rng(17)
+    dim = 300
+    u = random_unitary(dim, rng)
+    cluster = 0.5 + np.array([1e-6, 0.0, -1e-6])
+    spectrum = np.concatenate([[top], cluster, rng.uniform(-1.0, 0.45, dim - 4)])
+    h = (u * spectrum) @ u.conj().T
+    strict, guarded = [], []
+    krylov_eigh(recorded_action(h, strict), dim, 2)
+    w, v = krylov_eigh(recorded_action(h, guarded), dim, 2, guard=1)
+    assert len(guarded) < len(strict) if top == 1.0 else len(guarded) <= len(strict)
+    residual = np.linalg.norm(h @ v - v * w, axis=0)
+    scale = np.abs(w).max()
+    assert residual[0] <= linalg.KRYLOV_TOL * scale
+    assert residual[1] <= linalg.KRYLOV_GUARD_TOL * scale
+    assert abs(w[0] - top) <= residual[0]
+    assert np.abs(cluster - w[1]).min() <= residual[1]
+    assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
+    with pytest.raises(InvalidShapeError):
+        krylov_eigh(matrix_action(h), dim, 2, guard=2)
+
+
+def test_krylov_eigh_applies_the_operator_to_ritz_vectors_once():
+    # every check before the last is judged on residual estimates: of the
+    # blocks applied, all but the last are orthonormal basis blocks, and the
+    # last holds the returned eigenvectors
+    h = random_hermitian(60, np.random.default_rng(19))
+    blocks = []
+    w, v = krylov_eigh(lambda b: blocks.append(b) or b @ h.T, 60, 2)
+    basis = np.concatenate(blocks[:-1])
+    assert len(blocks) > 20  # geometrically spaced checks: at least 10 of them
+    assert np.allclose(basis.conj() @ basis.T, np.eye(len(basis)), atol=1e-12)
+    assert np.allclose(np.abs(blocks[-1].conj() @ v), np.eye(2), atol=1e-12)
+    assert_top_pairs(h, w, v, 2)
 
 
 def test_krylov_eigh_guards(monkeypatch):

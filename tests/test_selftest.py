@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import projsum.families as families
 import projsum.linalg as linalg
 import projsum.selftest as selftest
 from projsum.errors import (
@@ -511,7 +512,9 @@ def test_fit_isometry_paths_agree(monkeypatch, k, ka, model, basis_blocks):
     monkeypatch.setattr(
         selftest,
         "krylov_eigh",
-        lambda apply, dim, count: solve(lambda b: rows.append(len(b)) or apply(b), dim, count),
+        lambda apply, dim, count, **kw: solve(
+            lambda b: rows.append(len(b)) or apply(b), dim, count, **kw
+        ),
     )
     dense, krylov = fit_paths(monkeypatch, noisy.alice[:, 0], fam, rho_a)
     assert basis_blocks is None or restarted(rows)
@@ -546,6 +549,89 @@ def test_fit_isometry_rejects_degenerate_form_on_both_paths(monkeypatch):
             fit_isometry(strat.alice[:, 0], four_family(2), rho_a)
 
 
+def test_fit_refuses_a_separation_its_guard_residual_undoes(monkeypatch):
+    # the solver's eigenvalues are kept, so the Ritz gap passes, but its
+    # guard vector is tilted halfway to a random direction: the residual
+    # the fit measures on it exceeds the gap
+    fam = four_family(1)
+    noisy = perturb(canonical_strategy(fam), "povm-jitter", 1e-3, seed=1)
+    ops, rho = noisy.alice[:, 0], noisy.reduced_densities[0]
+    monkeypatch.setattr(selftest, "KRYLOV_MIN_ROWS", 0)
+    solve = selftest.krylov_eigh
+    spectra = []
+
+    def tilted(apply, dim, count, **kw):
+        w, vecs = solve(apply, dim, count, **kw)
+        spectra.append(-w)
+        z = np.random.default_rng(3).normal(size=dim) + 0j
+        z -= vecs @ (vecs.conj().T @ z)
+        vecs = vecs.copy()
+        vecs[:, -1] = (vecs[:, -1] + z / np.linalg.norm(z)) / np.sqrt(2.0)
+        return w, vecs
+
+    fit_isometry(ops, fam, rho)
+    monkeypatch.setattr(selftest, "krylov_eigh", tilted)
+    with pytest.raises(FitDegenerateError, match="not separated .*, residual"):
+        fit_isometry(ops, fam, rho)
+    w, = spectra
+    assert w[1] - w[0] > selftest.FIT_SEPARATION_TOL * np.trace(rho).real
+
+
+def count_applications(name, module, run):
+    """run()'s result and the number of calls it made to the functions named
+    ``name`` defined in ``module``, inner functions included."""
+    calls = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == name and code.co_filename == module.__file__:
+            calls.append(code)
+
+    sys.setprofile(profile)
+    try:
+        out = run()
+    finally:
+        sys.setprofile(None)
+    return out, len(calls)
+
+
+def test_d31_matrix_free_solves_stay_within_their_application_counts():
+    # operator applications are steadier than time; the counts before the
+    # solver estimated its residuals were 184 (155 block steps and 29
+    # checks) for the fit and 53 for the gap
+    fam = four_family(15)
+    noisy = perturb(canonical_strategy(fam), "povm-jitter", 1e-3, seed=1)
+    run = lambda: fit_isometry(noisy.alice[:, 0], fam, noisy.reduced_densities[0])
+    _, fit_calls = count_applications("negated_form", selftest, run)
+    assert fit_calls <= 150
+    gap, gap_calls = count_applications("apply", families, lambda: fam.correlation_gap)
+    assert gap_calls <= 53
+    dense = n_operator(fam).gap
+    assert abs(gap - dense) <= 1e-12 * dense
+
+
+def test_fit_isometry_reads_only_the_callers_arrays(monkeypatch):
+    # the form, its spectrum and the residual operators are the fit's own
+    # arrays: only ops and rho go through as_array, on both paths
+    fam = four_family(1)
+    noisy = perturb(canonical_strategy(fam), "povm-jitter", 1e-3, seed=1)
+    ops, rho = noisy.alice[:, 0], noisy.reduced_densities[0]
+    reads = []
+    real = linalg.as_array
+
+    def counted(a, ndim, where, *args, **kw):
+        reads.append(where)
+        return real(a, ndim, where, *args, **kw)
+
+    monkeypatch.setattr(linalg, "as_array", counted)
+    monkeypatch.setattr(selftest, "as_array", counted)
+    for min_rows in (10**9, 0):
+        monkeypatch.setattr(selftest, "KRYLOV_MIN_ROWS", min_rows)
+        reads.clear()
+        fit_isometry(ops, fam, rho)
+        assert reads == ["ops", "rho"]
+
+
 def full_eigh_vectors(quad, w, count):
     """The dense fit's eigenvectors from a full eigendecomposition: the oracle."""
     return fix_phases(np.linalg.eigh(quad)[1][:, :count])
@@ -563,7 +649,7 @@ def test_dense_fit_matches_full_eigh_oracle(monkeypatch, k, ka, model, level):
     rho_a, _ = reduced_densities(noisy.state, (noisy.dim_a, noisy.dim_b))
     monkeypatch.setattr(selftest, "KRYLOV_MIN_ROWS", 10**9)
     fit = fit_isometry(noisy.alice[:, 0], fam, rho_a)
-    monkeypatch.setattr(selftest, "lowest_eigvecs", full_eigh_vectors)
+    monkeypatch.setattr(selftest, "_lowest_eigvecs", full_eigh_vectors)
     oracle = fit_isometry(noisy.alice[:, 0], fam, rho_a)
     assert fit.s == oracle.s == ka
     assert np.abs(fit.isometry - oracle.isometry).max() < 1e-12
@@ -573,9 +659,9 @@ def test_dense_fit_matches_full_eigh_oracle(monkeypatch, k, ka, model, level):
 def recorded_fit_forms(monkeypatch, fits):
     """Run fits(); return (quad, w, count) of every dense fit it made."""
     forms = []
-    real = selftest.lowest_eigvecs
+    real = selftest._lowest_eigvecs
     monkeypatch.setattr(
-        selftest, "lowest_eigvecs", lambda *form: forms.append(form) or real(*form)
+        selftest, "_lowest_eigvecs", lambda *form: forms.append(form) or real(*form)
     )
     fits()
     monkeypatch.undo()
@@ -618,7 +704,7 @@ def test_spread_ancilla_fit_takes_one_eigh_and_no_solve(monkeypatch):
     assert fit.s == 4 and calls == {"eigh": 1, "solve": 0}
     (_, w, count), = recorded_fit_forms(monkeypatch, lambda: fit_isometry(ops, fam, rho_a))
     assert count == 4 and len(w) == 100 and not is_narrow(w, count)
-    monkeypatch.setattr(selftest, "lowest_eigvecs", loop_lowest_eigvecs)
+    monkeypatch.setattr(selftest, "_lowest_eigvecs", loop_lowest_eigvecs)
     loop = fit_isometry(ops, fam, rho_a)
     # rho_a has rank 5 of 20, so the ridge sets the wanted eigenvalues, and
     # their gap is 2e-8 of max|w|: two backward-stable solvers agree on the
@@ -631,7 +717,7 @@ def test_dense_fit_checks_separation_before_vectors(monkeypatch):
     def unreachable(quad, w, count):
         raise AssertionError("eigenvectors computed for a degenerate form")
 
-    monkeypatch.setattr(selftest, "lowest_eigvecs", unreachable)
+    monkeypatch.setattr(selftest, "_lowest_eigvecs", unreachable)
     strat = canonical_strategy(four_family(1))
     rho_a, _ = reduced_densities(strat.state, (strat.dim_a, strat.dim_b))
     with pytest.raises(FitDegenerateError, match="not separated"):
