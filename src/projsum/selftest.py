@@ -10,9 +10,10 @@ N = sum_v P_v kron P_v^T to read off the junk state; and the final
 certificate reports the worst residual of the local-dilation conditions.
 Residuals are evaluated through the vec identity on the stacks: a bipartite
 vector is its dim_a x dim_b matrix M, on which X kron Y acts as X M Y^T (see
-linalg.vec).  M, the weights rho_A, rho_B and the correlation come from the
-Strategy, Bob's target family from ProjectionFamily.transposed; each owner
-derives them once.
+linalg.vec), and a state-weighted seminorm sqrt(tr(X^* X rho_A)) with
+rho_A = M M^* is ||X M||_F.  M, the weights rho_A, rho_B and the correlation
+come from the Strategy, Bob's target family from ProjectionFamily.transposed;
+each owner derives them once.
 
 The two d^2 x d^2 eigenproblems are solved without forming d^2 x d^2
 matrices once they are large.  The spectral gap of N, which enters beta, is
@@ -62,7 +63,6 @@ from .linalg import (
     hermitian_eig,
     krylov_eigh,
     maximally_entangled,
-    seminorm,
     unvec,
 )
 from .strategies import Strategy, correlation_distance, ideal_correlation
@@ -179,32 +179,38 @@ def tracial_residual(strategy: Strategy, degree: int = 2, party: str = "alice") 
 class ResidualReport:
     """How nearly a strategy's operators satisfy the relations of its family.
 
-    rep_residual_a/b aggregate the seminorm defects of idempotency and of
-    the scalar sum rule; they are guaranteed to stay below c_bound
+    A view of its SyncReport: delta is sync's, and rep_residual_a/b aggregate
+    the idempotency defects (sync's outcome-0 columns 3 and 4) with the sum
+    rule's ||(sum_v E_v - x I) M||; they are guaranteed to stay below c_bound
     (= sqrt(n^2 + (1+2x) sqrt(delta)) * delta^(1/4)) whenever the induced
     correlation is delta-close to the family's p_{n,x}.
     """
 
     n: int
     x: Fraction
-    delta: float
-    c_bound: float
-    idempotency_a: np.ndarray
-    sum_residual_a: float
-    idempotency_b: np.ndarray
-    sum_residual_b: float
     sync: SyncReport
+    sum_residual_a: float
+    sum_residual_b: float
     tracial_a: float
     tracial_b: float
     monomial_degree: int
 
     @property
+    def delta(self) -> float:
+        return self.sync.delta
+
+    @property
+    def c_bound(self) -> float:
+        xf, delta = float(self.x), self.delta
+        return float(np.sqrt(self.n**2 + (1 + 2 * xf) * np.sqrt(delta)) * delta**0.25)
+
+    @property
     def rep_residual_a(self) -> float:
-        return max(float(self.idempotency_a.max(initial=0.0)), self.sum_residual_a)
+        return max(float(self.sync.values[:, 0, 3].max(initial=0.0)), self.sum_residual_a)
 
     @property
     def rep_residual_b(self) -> float:
-        return max(float(self.idempotency_b.max(initial=0.0)), self.sum_residual_b)
+        return max(float(self.sync.values[:, 0, 4].max(initial=0.0)), self.sum_residual_b)
 
     @property
     def sync_max(self) -> float:
@@ -235,34 +241,20 @@ class ResidualReport:
 def approx_rep_residuals(
     strategy: Strategy, fam: ProjectionFamily, monomial_degree: int = 2
 ) -> ResidualReport:
-    """Full residual diagnostics of a strategy against the family's (n, x)."""
+    """Full residual diagnostics of a strategy against the family's (n, x):
+    sync_residuals' report, the sum rule on M and both tracial defects."""
     sync = sync_residuals(strategy, fam)
-    n, xf, delta = fam.n, float(fam.x), sync.delta
-    c_bound = float(np.sqrt(n**2 + (1 + 2 * xf) * np.sqrt(delta)) * delta**0.25)
-    rho_a, rho_b = strategy.reduced_densities
-
-    def side_residuals(povms, rho, dim):
-        ops = povms[:, 0]
-        total = ops.sum(axis=0) - xf * np.eye(dim)
-        values = seminorm(np.concatenate([ops @ ops - ops, total[None]]), rho)
-        return values[:-1], float(values[-1])
-
-    idem_a, sum_a = side_residuals(strategy.alice, rho_a, strategy.dim_a)
-    idem_b, sum_b = side_residuals(strategy.bob, rho_b, strategy.dim_b)
-    tr_a = tracial_residual(strategy, degree=monomial_degree, party="alice")
-    tr_b = tracial_residual(strategy, degree=monomial_degree, party="bob")
+    m, xf = strategy.state_matrix, float(fam.x)
+    total_a = strategy.alice[:, 0].sum(axis=0) - xf * np.eye(strategy.dim_a)
+    total_b = strategy.bob[:, 0].sum(axis=0) - xf * np.eye(strategy.dim_b)
     return ResidualReport(
-        n=n,
+        n=fam.n,
         x=fam.x,
-        delta=delta,
-        c_bound=c_bound,
-        idempotency_a=idem_a,
-        sum_residual_a=sum_a,
-        idempotency_b=idem_b,
-        sum_residual_b=sum_b,
         sync=sync,
-        tracial_a=tr_a,
-        tracial_b=tr_b,
+        sum_residual_a=float(np.linalg.norm(total_a @ m)),
+        sum_residual_b=float(np.linalg.norm(m @ total_b.T)),
+        tracial_a=tracial_residual(strategy, degree=monomial_degree, party="alice"),
+        tracial_b=tracial_residual(strategy, degree=monomial_degree, party="bob"),
         monomial_degree=monomial_degree,
     )
 
@@ -624,12 +616,11 @@ def extract_dilation(strategy: Strategy, fam: ProjectionFamily) -> DilationCerti
             f"projected weight alpha = {alpha:.3e} is at or below {ALPHA_MIN}"
         )
     u, sv, vh = np.linalg.svd(junk_block / alpha, full_matrices=True)
-    # rotate ancillas so the junk state is Schmidt-diagonal; the dilation
-    # residuals are invariant under this change of gauge
-    g_a = u.conj().T
-    g_b = vh.conj()
-    v_a = np.kron(np.eye(d), g_a) @ fit_a.isometry
-    v_b = np.kron(np.eye(d), g_b) @ fit_b.isometry
+    # rotate ancillas so the junk state is Schmidt-diagonal, (I_d kron g) V
+    # as g on each (s, r) block of V; the dilation residuals are invariant
+    # under this change of gauge
+    v_a = (u.conj().T @ fit_a.isometry.reshape(d, sa, -1)).reshape(d * sa, -1)
+    v_b = (vh.conj() @ fit_b.isometry.reshape(d, sb, -1)).reshape(d * sb, -1)
     junk = np.zeros(sa * sb, dtype=np.complex128)
     m = min(sa, sb)
     junk[np.arange(m) * sb + np.arange(m)] = sv[:m]

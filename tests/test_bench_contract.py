@@ -10,6 +10,7 @@ import importlib
 import importlib.util
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -81,3 +82,28 @@ def test_reference_inputs_pass_the_benchmark_checks(tmp_path, monkeypatch):
         verdicts = workloads.Verdicts(workload, inputs)
         verdicts.record(calls, reference=reference[name])
         assert verdicts.failed == 0, verdicts.messages
+
+
+def test_traced_small_passes_count_the_kernels_the_benchmark_checks(tmp_path, monkeypatch):
+    # the benchmark's own tests trace a one-trial sweep and a two-rung ladder
+    # and expect both kernel counters to read above zero, twice alike
+    tracer_module = load_bench_module("tracer", monkeypatch)
+    workloads = load_bench_module("workloads", monkeypatch)
+    small = {
+        "sweep": replace(workloads.WORKLOADS["sweep-n4k1"], trials=1),
+        "ladder": replace(workloads.WORKLOADS["ladder-certify"], ks=(1, 5)),
+    }
+    for kind, workload in small.items():
+        seen = []
+        for run in ("a", "b"):
+            workdir = tmp_path / kind / run
+            workdir.mkdir(parents=True)
+            inputs = workload.make_inputs(7, workdir)
+            tracer = tracer_module.Tracer()
+            with tracer.installed():
+                calls = workloads.run_pass(workload, inputs, workdir, tracer).calls
+            assert all(c.error is None for c in calls), kind
+            seen.append(dict(tracer.counters))
+        assert seen[0] == seen[1], kind
+        assert seen[0].get("linalg.eigh_calls", 0) >= 1, kind
+        assert seen[0].get("linalg.kron_calls", 0) >= 1, kind

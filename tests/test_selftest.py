@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -111,6 +113,34 @@ def kron_sync_values(strategy):
             np.linalg.norm(np.kron(eye_a, f - f @ f) @ psi),
         ]
     return values
+
+
+def seminorm_rep_residuals(strategy, x):
+    """rep_residual_a/b as trace seminorms sqrt(tr(X^* X rho)) of the outcome-0
+    idempotency defects and the sum rule, weighted by the reduced densities."""
+    out = []
+    for povms, rho in zip((strategy.alice, strategy.bob), strategy.reduced_densities):
+        ops = povms[:, 0]
+        total = ops.sum(axis=0) - x * np.eye(len(rho))
+        out.append(float(seminorm(np.concatenate([ops @ ops - ops, total[None]]), rho).max()))
+    return out
+
+
+def kron_gauge_dilation(strategy, fam):
+    """extract_dilation's isometries and junk, with the junk gauge applied to
+    each isometry as the matrix I_d kron g."""
+    rho_a, rho_b = strategy.reduced_densities
+    fit_a = fit_isometry(strategy.alice[:, 0], fam, rho_a)
+    fit_b = fit_isometry(strategy.bob[:, 0], fam.transposed, rho_b)
+    d, sa, sb = fam.d, fit_a.s, fit_b.s
+    lifted = fit_a.isometry @ strategy.state_matrix @ fit_b.isometry.T
+    block = np.einsum("iaib->ab", lifted.reshape(d, sa, d, sb)) / np.sqrt(d)
+    u, sv, vh = np.linalg.svd(block / np.linalg.norm(block))
+    v_a = np.kron(np.eye(d), u.conj().T) @ fit_a.isometry
+    v_b = np.kron(np.eye(d), vh.conj()) @ fit_b.isometry
+    junk = np.zeros((sa, sb), dtype=complex)
+    junk[np.diag_indices(min(sa, sb))] = sv
+    return v_a, v_b, junk.reshape(-1)
 
 
 def loop_tracial(strategy, degree, party):
@@ -253,6 +283,12 @@ def test_tracial_residual_rejects_degree_below_one():
     strat = canonical_strategy(four_family(1))
     with pytest.raises(InvalidDimensionError, match="at least 1, got 0"):
         tracial_residual(strat, degree=0)
+
+
+def test_tracial_residual_names_an_unknown_party():
+    strat = canonical_strategy(four_family(1))
+    with pytest.raises(InvalidStrategyError, match="^party must be 'alice' or 'bob', got 'carol'$"):
+        tracial_residual(strat, party="carol")
 
 
 def test_n_operator_triangle_spectrum():
@@ -417,6 +453,10 @@ def test_fit_isometry_exact_conjugated_family():
 
 def test_fit_isometry_shape_and_budget_guards(monkeypatch):
     fam = four_family(1)
+    with pytest.raises(InvalidShapeError, match="^operators must share a square shape$"):
+        fit_isometry(np.zeros((4, 3, 2)), fam, np.eye(3) / 3)
+    with pytest.raises(InvalidShapeError, match=r"^weight shape \(2, 2\) does not match operators$"):
+        fit_isometry(fam.projections, fam, np.eye(2) / 2)
     with pytest.raises(InvalidShapeError, match="ops: entries do not form"):
         fit_isometry([np.eye(3)] * 3 + [np.eye(4)], fam, np.eye(3) / 3)
     with pytest.raises(InvalidShapeError, match="expected 4 operators"):
@@ -771,6 +811,35 @@ def test_approx_rep_residuals_noisy_within_bounds():
             assert report.rep_residual_a <= c * report.delta**0.25 + 1e-12
 
 
+@pytest.mark.parametrize("model", NOISE_MODELS)
+def test_rep_residuals_match_the_trace_seminorm_oracle(model):
+    fam = four_family(1)
+    planted, _ = planted_strategy(fam, 2, 3, seed=4)
+    for base in (fam.canonical_strategy, planted):
+        for level in (0.0, 1e-4, 1e-2, 1e-1):
+            noisy = perturb(base, model, level, seed=31)
+            report = approx_rep_residuals(noisy, fam)
+            oracle = seminorm_rep_residuals(noisy, float(fam.x))
+            measured = [report.rep_residual_a, report.rep_residual_b]
+            assert measured == pytest.approx(oracle, rel=1e-12, abs=0), (base.dim_a, level)
+
+
+def test_rep_residuals_read_the_sync_report_and_weigh_no_seminorm(monkeypatch):
+    fam = four_family(1)
+    noisy = perturb(fam.canonical_strategy, "povm-jitter", 1e-2, seed=3)
+    calls = count_projsum_calls(monkeypatch, sync_residuals, seminorm, linalg._seminorm)
+    report = approx_rep_residuals(noisy, fam)
+    assert calls == {"sync_residuals": 1}
+    # the fits do weigh with the seminorm kernel, so the counter sees it
+    extract_dilation(noisy, fam)
+    assert calls["_seminorm"] == 2
+    # delta, c_bound and the idempotency defects are views of the sync report
+    names = [f.name for f in dataclasses.fields(report)]
+    assert names == [
+        "n", "x", "sync", "sum_residual_a", "sum_residual_b", "tracial_a", "tracial_b", "monomial_degree"
+    ]
+
+
 # --- dilation extraction
 
 
@@ -811,6 +880,41 @@ def test_extract_dilation_epsilon_matches_direct_check():
         strat, canonical_strategy(fam), cert.v_a, cert.v_b, cert.junk
     )
     assert abs(direct - cert.epsilon) < 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("level", [0.0, 1e-3])
+def test_block_gauge_matches_the_kron_gauge(dims, level):
+    fam = four_family(1)
+    strat, _ = planted_strategy(fam, *dims, seed=8)
+    noisy = perturb(strat, "povm-jitter", level, seed=8)
+    cert = extract_dilation(noisy, fam)
+    assert (cert.anc_dim_a, cert.anc_dim_b) == dims
+    v_a, v_b, junk = kron_gauge_dilation(noisy, fam)
+    assert np.abs(cert.v_a - v_a).max() < 1e-12
+    assert np.abs(cert.v_b - v_b).max() < 1e-12
+    assert np.abs(cert.junk - junk).max() < 1e-12
+    oracle = kron_dilation_residuals(noisy, fam.canonical_strategy, v_a, v_b, junk)
+    assert abs(cert.epsilon - oracle.max()) < 1e-12
+    assert abs(cert.state_residual - oracle[0]) < 1e-12
+
+
+def test_dilation_epsilon_names_each_mismatch():
+    fam = four_family(1)
+    canon = fam.canonical_strategy
+    eye = np.eye(3)
+    short, narrow = np.eye(4)[:, :3], np.eye(6)[:, :2]
+    cases = [
+        ((canon, simplex_family(3).canonical_strategy, eye, eye, [1.0]), "question counts differ"),
+        ((three_outcome_strategy(fam), canon, eye, eye, [1.0]), "outcome counts differ"),
+        ((canon, canon, short, eye, [1.0]), "isometry ranges are not multiples of the reference dims"),
+        ((canon, canon, narrow, eye, [1.0, 0.0]), "isometry domains do not match the source strategy"),
+        ((canon, canon, eye, eye, [1.0, 0.0]), "junk length 2 != ancilla product 1"),
+    ]
+    for args, message in cases:
+        error = InvalidStrategyError if "counts" in message else InvalidShapeError
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            dilation_epsilon(*args)
 
 
 def test_extract_dilation_matrix_free_matches_dense_oracle(monkeypatch):

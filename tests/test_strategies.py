@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -469,3 +470,28 @@ def test_ideal_correlation_is_cached_and_read_only():
     mine[0, 0, 0, 0] = 1.0
     assert copy.table[0, 0, 0, 0] == corr.table[0, 0, 0, 0]
     assert not copy.table.flags.writeable
+
+
+def test_strategy_validate_names_each_violation():
+    canon = canonical_strategy(simplex_family(3))
+    alice, bob = canon.alice, canon.bob
+    skew = alice.copy()
+    skew[1, 1, 0, 1] += 1e-3
+    negative = alice.copy()
+    negative[2] = [np.diag([-0.5, 1.0]), np.diag([1.5, 0.0])]
+    split = np.concatenate([bob[:, :1], bob[:, 1:] / 2, bob[:, 1:] / 2], axis=1)
+    cases = [
+        (dict(dim_b=3), "state length 4 != dim_a*dim_b = 6"),
+        (dict(bob=bob[:2]), "parties disagree on the question count"),
+        (dict(bob=split), "bob question 0: outcome count 3 != 2"),
+        (
+            dict(alice=np.zeros((3, 2, 3, 3))),
+            "alice question 0 outcome 0: shape (3, 3), expected (2, 2)",
+        ),
+        (dict(alice=skew), "alice question 1 outcome 1: not Hermitian at tolerance"),
+        (dict(alice=negative), "alice question 2 outcome 0: negative eigenvalue -5.000e-01"),
+    ]
+    for change, message in cases:
+        fields = dict(state=canon.state, dim_a=2, dim_b=2, alice=alice, bob=bob) | change
+        with pytest.raises(InvalidStrategyError, match=f"^{re.escape(message)}$"):
+            Strategy(**fields)

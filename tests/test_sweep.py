@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from projsum.cli import main
 from projsum.errors import BudgetExceededError, SerializationError, UnsupportedScalarError
 from projsum.sweep import (
     CSV_HEADER,
@@ -222,3 +223,29 @@ def test_spearman_values():
     # ties get averaged ranks
     rho = spearman([1.0, 2.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
     assert 0.9 < rho < 1.0
+
+
+def test_failed_extractions_leave_their_certificate_cells_empty(tmp_path, capsys):
+    # at level 1 outcome noise leaves no junk to extract in any trial
+    config = dict(n=4, k=1, noise_model="outcome-noise", levels=[1.0], trials_per_level=3, seed=1)
+    rows = run_sweep(SweepConfig(**config))
+    assert [r.extraction_failed for r in rows] == [True] * 3
+    for r in rows:
+        assert (r.epsilon, r.alpha, r.beta, r.state_residual, r.fit_residual) == (None,) * 5
+        # the audits do not depend on the extraction
+        assert r.delta > 0 and r.rep_residual_a > 0 and r.rep_residual_b > 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out_csv, out_json = tmp_path / "report.csv", tmp_path / "report.json"
+    for out, fmt in ((out_csv, "csv"), (out_json, "json")):
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
+        assert capsys.readouterr().out == f"wrote 3 rows to {out} (3 extraction failures)\n"
+    header = CSV_HEADER.split(",")
+    for line in out_csv.read_text().splitlines()[1:]:
+        cells = line.split(",")
+        assert cells[header.index("epsilon")] == cells[header.index("alpha")] == ""
+        assert cells[header.index("delta")] != ""
+    data = json.loads(out_json.read_text())
+    for key in ("epsilon", "alpha", "beta", "state_residual", "fit_residual"):
+        assert [row[key] for row in data] == [None] * 3, key
+    assert load_report(out_json) == rows
