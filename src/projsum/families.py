@@ -85,8 +85,7 @@ class ProjectionFamily:
         def apply(rows):
             return (stack @ rows.reshape(-1, d, d) @ stack).sum(axis=0).reshape(rows.shape)
 
-        w, _ = krylov_eigh(apply, d * d, count=2)
-        return top_gap(w)
+        return top_gap(krylov_eigh(apply, d * d, count=2)[0])
 
     @cached_property
     def transposed(self) -> ProjectionFamily:

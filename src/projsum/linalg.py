@@ -13,11 +13,11 @@ Conventions used across the package:
   holds a fixed number of blocks, so its memory is O(basis * dim) and its
   Rayleigh-Ritz problems stay small; its convergence checks estimate the
   Ritz residuals from the last block's coupling and apply the operator to
-  Ritz vectors only to accept them, and a caller may hold its last
-  ("guard") pairs to a looser tolerance; of a dense one whose few lowest
-  eigenpairs are wanted, ``hermitian_spectrum`` computes only the
-  eigenvalues and ``lowest_eigvecs`` the wanted eigenvectors, by inverse
-  iteration for one vector and one full eigh for more
+  Ritz vectors only to accept them, returning the residuals so measured,
+  and a caller may hold its last ("guard") pairs to a looser tolerance; of
+  a dense one that selftest.fit_isometry builds, ``_hermitian_spectrum``
+  computes only the eigenvalues and ``_lowest_eigvecs`` the few lowest
+  eigenvectors, by inverse iteration for one and one full eigh for more
 * array arguments are read by ``as_array``: ragged entries, strings,
   booleans, the wrong rank, an empty axis and a non-finite entry are refused
   with a ProjsumError naming the argument (and the entry), never cast
@@ -59,7 +59,7 @@ KRYLOV_MAX_BLOCKS = 1000
 # much as a dense 4096 x 4096 operator
 KRYLOV_BUDGET = 4096**2
 KRYLOV_SEED = 2021
-# lowest_eigvecs shifts this fraction of max|eigenvalue| below the wanted
+# _lowest_eigvecs shifts this fraction of max|eigenvalue| below the wanted
 # eigenvalue, a few units in the last place.  Its residual test is a tenth
 # of krylov_eigh's: one sweep leaves residuals of 3e-15 (9 rows) to 1.4e-13
 # (625 rows) times max|eigenvalue|, a second one about 4e-16, below the 1e-15
@@ -294,7 +294,9 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     return w[order].real.copy(), fix_phases(v[:, order])
 
 
-def krylov_eigh(apply, dim: int, count: int, guard: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def krylov_eigh(
+    apply, dim: int, count: int, guard: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top ``count`` eigenpairs of a Hermitian operator known only by its action.
 
     ``apply`` maps a (b, dim) stack of row vectors to the stack of their
@@ -302,13 +304,14 @@ def krylov_eigh(apply, dim: int, count: int, guard: int = 0) -> tuple[np.ndarray
     Appl. 22, 2000) from a seeded random block of ``count`` vectors, with
     full reorthogonalisation and Rayleigh-Ritz extraction; the wanted Ritz
     pairs are returned once each residual ||A x - theta x|| is at most
-    KRYLOV_TOL * max|theta|, as eigenvalues (descending) and phase-fixed
-    eigenvectors (columns), like hermitian_eig.  The last ``guard`` of them
-    need only KRYLOV_GUARD_TOL * max|theta|: a caller that asks for one
-    pair more than it uses, to see whether the next eigenvalue coincides,
-    measures that pair's residual itself.  An eigenvalue of multiplicity m
-    is seen min(m, count) times, so the multiplicities among the wanted
-    values are measured instead of assumed simple.
+    KRYLOV_TOL * max|theta|, as eigenvalues (descending), phase-fixed
+    eigenvectors (columns), like hermitian_eig, and those measured
+    residuals.  The last ``guard`` of them need only KRYLOV_GUARD_TOL *
+    max|theta|: a caller that asks for one pair more than it uses, to see
+    whether the next eigenvalue coincides, reads that pair's residual from
+    the third value.  An eigenvalue of multiplicity m is seen min(m, count)
+    times, so the multiplicities among the wanted values are measured
+    instead of assumed simple.
 
     At each Rayleigh-Ritz check the residuals are first estimated for free:
     A x - theta x = y_last^T R for the Ritz vector x = y^T basis, where R
@@ -317,7 +320,7 @@ def krylov_eigh(apply, dim: int, count: int, guard: int = 0) -> tuple[np.ndarray
     Problems, 2011, section 6.3), and ||y_last^T R|| comes from R's thin
     SVD, which the step computes anyway.  Only when every estimate passes
     are the Ritz vectors formed and the operator applied to them; that
-    measured residual is the acceptance test.
+    measured residual is the acceptance test and the third value returned.
 
     The basis holds at most cap = min(dim, KRYLOV_BASIS_BLOCKS * count)
     vectors, so memory is O(cap * dim) and no Rayleigh-Ritz problem is
@@ -377,7 +380,7 @@ def krylov_eigh(apply, dim: int, count: int, guard: int = 0) -> tuple[np.ndarray
                 ritz = y[:, :count].T @ q
                 residual = np.linalg.norm(apply(ritz) - theta[:count, None] * ritz, axis=1)
                 if (residual <= bound).all():
-                    return theta[:count], fix_phases(ritz.T)
+                    return theta[:count], fix_phases(ritz.T), residual
             if len(fresh) == 0 or steps >= KRYLOV_MAX_BLOCKS:
                 raise BudgetExceededError(
                     f"no convergence within {generated} basis vectors of a {dim}-row operator"
@@ -396,18 +399,10 @@ def krylov_eigh(apply, dim: int, count: int, guard: int = 0) -> tuple[np.ndarray
         new = np.linalg.qr(fresh.T)[0].T
 
 
-def hermitian_spectrum(a) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending, without eigenvectors.
-
-    Reads the lower triangle, as np.linalg.eigvalsh does.  Raises
-    EigensolverError for a matrix as_array refuses, a non-finite one
-    included, when LAPACK fails, or when an eigenvalue is not finite.
-    """
-    return _hermitian_spectrum(as_array(a, 2, "a", EigensolverError))
-
-
 def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
-    """hermitian_spectrum of a matrix already read."""
+    """All eigenvalues of a Hermitian matrix the caller built, ascending, from its
+    lower triangle as np.linalg.eigvalsh reads it; EigensolverError when
+    LAPACK fails or an eigenvalue is not finite."""
     try:
         w = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
@@ -417,34 +412,21 @@ def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     return w
 
 
-def lowest_eigvecs(a, w, count: int) -> np.ndarray:
+def _lowest_eigvecs(m: np.ndarray, w: np.ndarray, count: int) -> np.ndarray:
     """Phase-fixed eigenvectors (columns) of the ``count`` lowest eigenvalues.
 
-    ``a`` is Hermitian and ``w`` its whole spectrum, ascending, as
-    hermitian_spectrum returns it, so a caller can judge the eigenvalues
-    before any vector is computed.  One vector comes from shifted inverse
-    iteration (Ipsen, SIAM Review 39, 1997): a seeded random vector is solved
-    against a - sigma I, sigma just below w[0], and normalised, until its
-    residual ||A x - theta x|| is at most INVERSE_TOL * max|w|; a shift that
-    makes the solve singular is moved further down.  More vectors take one
-    np.linalg.eigh, which reads the lower triangle as hermitian_spectrum
-    does.  EigensolverError is raised for an ``a`` or ``w`` that as_array
-    refuses, when LAPACK fails or after INVERSE_MAX_SWEEPS sweeps; an
-    unconverged result is never returned.
+    ``m`` is a Hermitian matrix the caller built and ``w`` its whole
+    spectrum, ascending, as _hermitian_spectrum returns it, so the caller
+    judges the eigenvalues before any vector is computed; 1 <= count <=
+    len(w).  One vector comes from shifted inverse iteration (Ipsen, SIAM
+    Review 39, 1997): a seeded random vector is solved against m - sigma I,
+    sigma just below w[0], and normalised, until its residual
+    ||A x - theta x|| is at most INVERSE_TOL * max|w|; a shift that makes
+    the solve singular is moved further down.  More vectors take one
+    np.linalg.eigh, which reads the lower triangle as _hermitian_spectrum
+    does.  EigensolverError is raised when LAPACK fails or after
+    INVERSE_MAX_SWEEPS sweeps; an unconverged result is never returned.
     """
-    m = as_array(a, 2, "a", EigensolverError)
-    w = as_array(w, 1, "w", EigensolverError, dtype=float)
-    dim = len(w)
-    if m.shape != (dim, dim) or not 1 <= count <= dim:
-        raise InvalidShapeError(
-            f"need a square matrix of order {dim} and 1 <= count <= {dim}, "
-            f"got {m.shape} and {count}"
-        )
-    return _lowest_eigvecs(m, w, count)
-
-
-def _lowest_eigvecs(m: np.ndarray, w: np.ndarray, count: int) -> np.ndarray:
-    """lowest_eigvecs of arrays already read and checked."""
     dim = len(w)
     scale = float(np.abs(w).max())
     if scale == 0.0:  # the zero matrix: any orthonormal block is an answer

@@ -21,14 +21,14 @@ ProjectionFamily.correlation_gap: measured matrix-free once per family, with
 n_operator kept as the dense reference.  fit_isometry needs only the s
 lowest eigenpairs of its form on one d x r ancilla row block (s is the
 ancilla dimension): up to KRYLOV_MIN_ROWS rows it forms the matrix, takes
-its eigenvalues alone and the wanted eigenvectors from linalg.lowest_eigvecs
+its eigenvalues alone and the wanted eigenvectors from linalg._lowest_eigvecs
 (inverse iteration for one, one full eigh for more); above, it applies the
 form matrix-free to linalg.krylov_eigh, with one guard pair beyond the s
 wanted ones.  Both paths return phase-fixed eigenvectors, so they give the
 same isometry, and both refuse a form whose solution eigenspace is not
 separated from the next eigenvalue; the matrix-free path converges the
-guard pair only to linalg.KRYLOV_GUARD_TOL, measures its residual with one
-more application of the form and takes it off the separation it tests.
+guard pair only to linalg.KRYLOV_GUARD_TOL and takes the residual the
+solver measured on it off the separation it tests.
 
 All certified quantities are measured, never assumed: every bound stored in
 a certificate is recomputed from the returned isometries and junk state.
@@ -406,18 +406,19 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     ``ops`` is an (n, r, r) stack, or a sequence of n equal-shape matrices.
     The ancilla dimension s is the least one with d s >= r, so that an
     isometry into C^(d s) exists.  A Q of up to KRYLOV_MIN_ROWS rows is
-    formed densely: its spectrum comes from linalg.hermitian_spectrum and
-    only its s lowest eigenvectors from linalg.lowest_eigvecs.  A larger
+    formed densely: its spectrum comes from linalg._hermitian_spectrum and
+    only its s lowest eigenvectors from linalg._lowest_eigvecs.  A larger
     one is solved matrix-free by linalg.krylov_eigh for s + 1 pairs, the
     last a guard pair, and its basis budget raises BudgetExceededError
     before allocating.  Raises FitDegenerateError, before any eigenvector
     is computed on the dense path, when Q's s lowest eigenvalues are not
     separated from the next one by FIT_SEPARATION_TOL * tr(rho), less the
-    guard pair's measured residual on the matrix-free path: the solution
-    would then be an arbitrary pick from a larger eigenspace, and when the
-    solution's smallest singular value is at most 1e-8 of its largest.
-    Only ``ops`` and ``rho`` are read by linalg.as_array; the arrays the
-    fit builds go to the unchecked kernels behind the public helpers.
+    guard pair's residual as the solver measured it on the matrix-free
+    path: the solution would then be an arbitrary pick from a larger
+    eigenspace, and when the solution's smallest singular value is at most
+    1e-8 of its largest.  Only ``ops`` and ``rho`` are read by
+    linalg.as_array; the arrays the fit builds go to unchecked kernels, and
+    the form is applied only inside krylov_eigh.
     """
     ops = as_array(ops, 3, "ops")
     if ops.shape[1] != ops.shape[2]:
@@ -469,10 +470,8 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
         # a block of s + 1 measures whether the next eigenvalue coincides;
         # that guard pair converges only to KRYLOV_GUARD_TOL, so its measured
         # residual is taken off the separation
-        w, vecs = krylov_eigh(negated_form, rows, s + 1, guard=1)
-        w, guard = -w, vecs[:, s]
-        residual = np.linalg.norm(negated_form(guard[None]) + w[s] * guard)
-        _require_separation(w, s, trace, residual)
+        w, vecs, residuals = krylov_eigh(negated_form, rows, s + 1, guard=1)
+        _require_separation(-w, s, trace, residuals[s])
         vecs = vecs[:, :s]
 
     if s > 1:

@@ -28,7 +28,6 @@ from .linalg import (
     STATE_TOL,
     as_array,
     dagger,
-    is_hermitian,
     maximally_entangled,
     random_state,
     reduced_densities,
@@ -117,8 +116,10 @@ class Strategy:
                 raise InvalidStrategyError(
                     f"{side} question 0 outcome 0: shape {stack.shape[2:]}, expected {(dim, dim)}"
                 )
-            hermitian = is_hermitian(stack, POVM_TOL)
-            low = np.linalg.eigvalsh((stack + dagger(stack)) / 2).min(axis=-1)
+            # not is_hermitian: its as_array would re-read a checked stack
+            adjoint = dagger(stack)
+            hermitian = np.abs(stack - adjoint).max(axis=(2, 3)) <= POVM_TOL
+            low = np.linalg.eigvalsh((stack + adjoint) / 2).min(axis=-1)
             sums = np.abs(stack.sum(axis=1) - np.eye(dim)).max(axis=(1, 2)) <= POVM_TOL
             for v in range(n):
                 for i in range(k):
@@ -335,16 +336,6 @@ def schmidt_reduce(strategy: Strategy) -> SchmidtReduction:
     )
 
 
-def _renormalize_povm(stack: np.ndarray) -> np.ndarray:
-    """Conjugate each question's POVM in an (n, k, d, d) stack by T^(-1/2),
-    T its outcome sum, so that it sums to the identity again."""
-    total = stack.sum(axis=1)
-    w, v = np.linalg.eigh((total + dagger(total)) / 2)
-    inv_sqrt = (v * (1.0 / np.sqrt(np.maximum(w, 1e-300)))[:, None, :]) @ dagger(v)
-    m = inv_sqrt[:, None] @ stack @ inv_sqrt[:, None]
-    return (m + dagger(m)) / 2
-
-
 def perturb(strategy: Strategy, model: str, level: float, seed: int) -> Strategy:
     """Deterministic noise injection, reproducible from (model, level, seed).
 
@@ -352,7 +343,8 @@ def perturb(strategy: Strategy, model: str, level: float, seed: int) -> Strategy
                    random direction orthogonal to it; a 1-dimensional
                    state has none and raises InvalidStrategyError
     povm-jitter    conjugates each question's POVM by exp(i * level * H) for
-                   a seeded random Hermitian H, then renormalizes
+                   a seeded random Hermitian H; a unitary conjugation keeps
+                   the POVM's sum, so it sums to I as closely as its input
     outcome-noise  mixes each POVM with the uniform one at weight ``level``
 
     level = 0 returns the strategy unchanged.
@@ -384,7 +376,7 @@ def perturb(strategy: Strategy, model: str, level: float, seed: int) -> Strategy
             g = g[:, 0] + 1j * g[:, 1]
             w, v = np.linalg.eigh((g + dagger(g)) / 2.0)
             u = ((v * np.exp(1j * level * w)[:, None, :]) @ dagger(v))[:, None]
-            return _renormalize_povm(u @ stack @ dagger(u))
+            return u @ stack @ dagger(u)
 
         # the seeded draws run over Alice's questions, then Bob's
         return replace(strategy, alice=jitter(strategy.alice), bob=jitter(strategy.bob))

@@ -1,0 +1,179 @@
+"""Output-identity harness: write the package's standard outputs, or compare two sets.
+
+    PYTHONPATH=src python tests/identity.py OUT
+    python tests/identity.py --compare A B
+
+The first form writes into the directory OUT, for each ladder level k in
+1, 5, 10 and 15:
+
+* ``sweep-k{k}-{model}.csv`` and ``.json``: the acceptance sweeps at n=4,
+  seed 1234, one per noise model, where k has one: k=1 runs the zero level
+  and 7 log-spaced levels from 1e-4 to 1e-1 with 10 trials each, k=5 the
+  zero level and 3 log-spaced levels with 8 trials each
+* ``strategy-k{k}-{name}.json``, ``selftest-k{k}-{name}.out`` and
+  ``.cert.json``: ``projsum selftest`` on the canonical strategy and on it
+  perturbed by each noise model at 1e-3 with perturb seed 7; the ``.out``
+  file holds the exit code, standard output and standard error
+* ``blas.json``: the BLAS thread variables of the environment and the numpy
+  version, since certificates at k >= 5 differ in their last bits between
+  BLAS thread counts.  It records the environment only, not the thread
+  count the BLAS chose: two sets written with no variable set both record
+  null, whatever their machines' core counts.  Compare only sets written
+  with the thread count pinned (OPENBLAS_NUM_THREADS=1, say)
+
+The second form prints, for each file of either directory, whether it is
+identical; for a JSON file that is not, the largest absolute and relative
+difference of each numeric field (list positions are pooled, so
+``[].epsilon`` is the epsilon of every sweep row), and the number of changed
+entries of each other field; for a text file, the number of changed lines.
+It exits 0 when every file is identical and 1 otherwise.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SEED = 1234
+PERTURB_SEED = 7
+PERTURB_LEVEL = 1e-3
+KS = (1, 5, 10, 15)
+# k: (levels, trials per level) of the acceptance sweeps
+SWEEPS = {
+    1: ((0.0,) + tuple(float(l) for l in np.logspace(-4, -1, 7)), 10),
+    5: ((0.0,) + tuple(float(l) for l in np.logspace(-4, -1, 3)), 8),
+}
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def write_outputs(out, ks=KS) -> list[Path]:
+    """Write the standard set for the levels ``ks`` into ``out``; return the paths."""
+    # imported here, so that --compare runs without projsum on the path
+    from projsum import NOISE_MODELS, SweepConfig, emit_report, four_family, perturb, run_sweep
+    from projsum.cli import main as cli
+    from projsum.serialize import save_json, strategy_to_dict
+
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    written = [out / "blas.json"]
+    blas = {name: os.environ.get(name) for name in BLAS_VARIABLES}
+    written[0].write_text(json.dumps(dict(blas, numpy=np.__version__), sort_keys=True) + "\n")
+    for k in ks:
+        if k in SWEEPS:
+            levels, trials = SWEEPS[k]
+            for model in NOISE_MODELS:
+                config = SweepConfig(4, k, model, levels, trials, SEED)
+                rows = run_sweep(config)
+                for fmt in ("csv", "json"):
+                    written.append(out / f"sweep-k{k}-{model}.{fmt}")
+                    emit_report(rows, fmt, written[-1])
+        canonical = four_family(k).canonical_strategy
+        strategies = {"canonical": canonical}
+        for model in NOISE_MODELS:
+            strategies[model] = perturb(canonical, model, PERTURB_LEVEL, PERTURB_SEED)
+        for name, strategy in strategies.items():
+            stem = out / f"selftest-k{k}-{name}"
+            source = out / f"strategy-k{k}-{name}.json"
+            save_json(strategy_to_dict(strategy), source)
+            cert = Path(f"{stem}.cert.json")
+            args = ["selftest", str(source), "--n", "4", "--k", str(k), "--cert", str(cert)]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                status = cli(args)
+            # the paths it prints name OUT, which differs between the sets
+            text = (stdout.getvalue() + stderr.getvalue()).replace(f"{out}{os.sep}", "")
+            report = Path(f"{stem}.out")
+            report.write_text(f"exit {status}\n{text}")
+            written += [source, report] + ([cert] if cert.exists() else [])
+    return written
+
+
+def leaves(doc, path=""):
+    """(field, value) of every leaf of a JSON document, list positions pooled as []."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from leaves(value, f"{path}[]")
+    else:
+        yield path, doc
+
+
+def json_differences(a, b) -> list[str]:
+    """One line per field of two JSON documents whose values differ."""
+    left, right = list(leaves(a)), list(leaves(b))
+    if [f for f, _ in left] != [f for f, _ in right]:
+        return ["    layout differs"]
+    # field: [max abs, max rel, changed numbers, other changed entries, entries]
+    fields: dict[str, list] = {}
+    for (field, x), (_, y) in zip(left, right):
+        entry = fields.setdefault(field, [0.0, 0.0, 0, 0, 0])
+        entry[4] += 1
+        if x == y and type(x) is type(y):
+            continue
+        if all(type(v) in (int, float) for v in (x, y)):
+            gap = abs(x - y)
+            entry[0] = max(entry[0], gap)
+            entry[1] = max(entry[1], gap / max(abs(x), abs(y)))
+            entry[2] += 1
+        else:  # a boolean, a string or a None that changed
+            entry[3] += 1
+    lines = []
+    for field, (gap, rel, changed, other, total) in fields.items():
+        if changed:
+            lines.append(
+                f"    {field}: max abs {gap:.3e}, max rel {rel:.3e} ({changed} of {total} entries)"
+            )
+        if other:
+            lines.append(f"    {field}: {other} of {total} non-numeric entries changed")
+    return lines
+
+
+def compare(a, b) -> bool:
+    """Print the comparison of two output directories; True if all files are identical."""
+    a, b = Path(a), Path(b)
+    names = sorted({p.name for p in a.iterdir()} | {p.name for p in b.iterdir()})
+    same = True
+    for name in names:
+        left, right = a / name, b / name
+        if not (left.exists() and right.exists()):
+            print(f"only in {a if left.exists() else b}: {name}")
+            same = False
+            continue
+        x, y = left.read_bytes(), right.read_bytes()
+        if x == y:
+            print(f"identical  {name}")
+            continue
+        same = False
+        print(f"DIFFERS    {name}")
+        if name.endswith(".json"):
+            print("\n".join(json_differences(json.loads(x), json.loads(y))))
+        else:
+            lines = list(zip(x.decode().splitlines(), y.decode().splitlines()))
+            changed = sum(1 for p, q in lines if p != q)
+            print(f"    {changed} of {len(lines)} lines changed")
+    return same
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("out", nargs="?", help="directory to write the standard outputs into")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two output sets")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return 0 if compare(*args.compare) else 1
+    if args.out is None:
+        parser.error("give OUT or --compare A B")
+    write_outputs(args.out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

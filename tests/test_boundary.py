@@ -19,7 +19,7 @@ from projsum.errors import (
 from projsum.families import ProjectionFamily, four_family
 from projsum.linalg import (
     as_array,
-    hermitian_spectrum,
+    hermitian_eig,
     is_hermitian,
     nearest_isometry,
     schmidt,
@@ -79,7 +79,7 @@ ENTRY_POINTS = {
     "unvec": (lambda a: unvec(a, (3, 3)), CANON.state, InvalidShapeError),
     "schmidt": (lambda a: schmidt(a, (3, 3)), CANON.state, InvalidShapeError),
     "nearest_isometry": (nearest_isometry, EYE, InvalidShapeError),
-    "hermitian_spectrum": (hermitian_spectrum, EYE, EigensolverError),
+    "hermitian_eig": (hermitian_eig, EYE, InvalidShapeError),
     "is_hermitian": (is_hermitian, EYE, InvalidShapeError),
     "spearman": (
         lambda a: spearman(a, [1.0, 2.0, 3.0]),

@@ -1,0 +1,16 @@
+"""The output-identity harness writes the same bytes on every run."""
+import hashlib
+
+from identity import compare, write_outputs
+
+
+def test_identity_harness_k1_outputs_are_reproducible(tmp_path, capsys):
+    digests = []
+    for run in ("a", "b"):
+        paths = write_outputs(tmp_path / run, ks=(1,))
+        digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths})
+    assert digests[0] == digests[1]
+    # 3 models x (CSV, JSON) sweeps; 4 strategies, each with output and certificate
+    assert len(digests[0]) == 1 + 6 + 4 * 3
+    assert compare(tmp_path / "a", tmp_path / "b")
+    assert "DIFFERS" not in capsys.readouterr().out

@@ -13,13 +13,13 @@ from projsum.errors import (
     NonHermitianError,
 )
 from projsum.linalg import (
+    _hermitian_spectrum,
+    _lowest_eigvecs,
     dagger,
     fix_phases,
     hermitian_eig,
-    hermitian_spectrum,
     is_hermitian,
     krylov_eigh,
-    lowest_eigvecs,
     maximally_entangled,
     nearest_isometry,
     null_space,
@@ -204,11 +204,16 @@ def matrix_action(a):
     dim=st.integers(4, 40),
     count=st.integers(1, 4),
     seed=st.integers(0, 2**16),
+    data=st.data(),
 )
-def test_krylov_eigh_matches_eigh(dim, count, seed):
+def test_krylov_eigh_matches_eigh(dim, count, seed, data):
     h = random_hermitian(dim, np.random.default_rng(seed))
-    w, v = krylov_eigh(matrix_action(h), dim, count)
-    assert_top_pairs(h, w, v, count)
+    w, v, residuals = krylov_eigh(matrix_action(h), dim, count)
+    assert_top_pairs(h, w, v, residuals)
+    guard = data.draw(st.integers(0, count - 1), label="guard")
+    if guard:
+        w, v, residuals = krylov_eigh(matrix_action(h), dim, count, guard)
+        assert_top_pairs(h, w, v, residuals, guard)
 
 
 def recorded_action(a, rows):
@@ -228,25 +233,39 @@ def restarted(rows):
     dim=st.integers(45, 120),
     count=st.integers(1, 4),
     seed=st.integers(0, 2**16),
+    data=st.data(),
 )
-def test_krylov_eigh_restarted_matches_eigh(dim, count, seed):
+def test_krylov_eigh_restarted_matches_eigh(dim, count, seed, data):
     # a basis of 10 blocks fills long before these solves converge
     h = random_hermitian(dim, np.random.default_rng(seed))
-    rows = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "KRYLOV_BASIS_BLOCKS", 10)
-        w, v = krylov_eigh(recorded_action(h, rows), dim, count)
-        assert restarted(rows)
-    assert_top_pairs(h, w, v, count)
+    guard = data.draw(st.integers(0, count - 1), label="guard")
+    for g in {0, guard}:
+        rows = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "KRYLOV_BASIS_BLOCKS", 10)
+            w, v, residuals = krylov_eigh(recorded_action(h, rows), dim, count, g)
+            assert restarted(rows)
+        assert_top_pairs(h, w, v, residuals, g)
 
 
-def assert_top_pairs(h, w, v, count):
-    """w, v are the top ``count`` eigenpairs of h, to 1e-12 of its norm."""
+def assert_top_pairs(h, w, v, residuals, guard=0):
+    """w, v are the top eigenpairs of h, to 1e-12 of its norm but for the last
+    ``guard``, and residuals their measured ||h x - theta x||, each within
+    its pair's tolerance of the norm, which bounds every Ritz value; a guard
+    eigenvalue is within its residual of one of h."""
+    count = len(w)
     ref_w, ref_v = hermitian_eig(h)
     scale = np.abs(ref_w).max()
-    assert np.allclose(w, ref_w[:count], rtol=0, atol=1e-12 * scale)
+    recomputed = np.linalg.norm(h @ v - v * w, axis=0)
+    assert np.abs(residuals - recomputed).max() <= 1e-14 * scale
+    tol = np.where(np.arange(count) < count - guard, linalg.KRYLOV_TOL, linalg.KRYLOV_GUARD_TOL)
+    assert (residuals <= tol * scale).all()
     assert np.allclose(v.conj().T @ v, np.eye(count), atol=1e-12)
-    assert np.linalg.norm(h @ v - v * w, axis=0).max() <= 1e-12 * scale
+    for j in range(count - guard, count):
+        assert np.abs(ref_w - w[j]).min() <= residuals[j] + 1e-14 * scale
+    count -= guard
+    assert np.allclose(w[:count], ref_w[:count], rtol=0, atol=1e-12 * scale)
+    assert recomputed[:count].max(initial=0.0) <= 1e-12 * scale
     for j in range(count):
         # a simple eigenvalue fixes its vector, and the phase convention its phase
         neighbours = np.delete(ref_w, j)
@@ -261,16 +280,16 @@ def test_krylov_eigh_planted_degenerate_spectrum():
     spectrum = np.concatenate([[5.0, 5.0, 3.0, 3.0, 3.0], rng.uniform(-1.0, 1.0, dim - 5)])
     h = (u * spectrum) @ u.conj().T
     top2 = u[:, :2]
-    w, v = krylov_eigh(matrix_action(h), dim, 1)
+    w, v, _ = krylov_eigh(matrix_action(h), dim, 1)
     assert abs(w[0] - 5.0) < 1e-11
     assert np.linalg.norm(v - top2 @ (top2.conj().T @ v)) < 1e-10
     idx = np.argmax(np.abs(v[:, 0]))
     assert v[idx, 0].real > 0 and abs(v[idx, 0].imag) < 1e-15
     # a block as large as the multiplicity measures it
-    w, v = krylov_eigh(matrix_action(h), dim, 2)
+    w, v, _ = krylov_eigh(matrix_action(h), dim, 2)
     assert np.allclose(w, [5.0, 5.0], atol=1e-11)
     assert np.linalg.norm(v - top2 @ (top2.conj().T @ v)) < 1e-10
-    w, v = krylov_eigh(matrix_action(h), dim, 4)
+    w, v, _ = krylov_eigh(matrix_action(h), dim, 4)
     assert np.allclose(w, [5.0, 5.0, 3.0, 3.0], atol=1e-11)
     assert np.allclose(v.conj().T @ v, np.eye(4), atol=1e-12)
 
@@ -286,7 +305,7 @@ def test_krylov_eigh_planted_pair_across_restarts(monkeypatch):
     top2 = u[:, :2]
     monkeypatch.setattr(linalg, "KRYLOV_BASIS_BLOCKS", 10)
     rows = []
-    w, v = krylov_eigh(recorded_action(h, rows), dim, 2)
+    w, v, _ = krylov_eigh(recorded_action(h, rows), dim, 2)
     assert restarted(rows)
     assert np.allclose(w, [1.0, 1.0], rtol=0, atol=1e-12)
     assert np.linalg.norm(v - top2 @ (top2.conj().T @ v)) < 1e-10
@@ -308,7 +327,7 @@ def test_krylov_eigh_guard_pair_meets_its_own_tolerance(top):
     h = (u * spectrum) @ u.conj().T
     strict, guarded = [], []
     krylov_eigh(recorded_action(h, strict), dim, 2)
-    w, v = krylov_eigh(recorded_action(h, guarded), dim, 2, guard=1)
+    w, v, _ = krylov_eigh(recorded_action(h, guarded), dim, 2, guard=1)
     assert len(guarded) < len(strict) if top == 1.0 else len(guarded) <= len(strict)
     residual = np.linalg.norm(h @ v - v * w, axis=0)
     scale = np.abs(w).max()
@@ -327,12 +346,12 @@ def test_krylov_eigh_applies_the_operator_to_ritz_vectors_once():
     # last holds the returned eigenvectors
     h = random_hermitian(60, np.random.default_rng(19))
     blocks = []
-    w, v = krylov_eigh(lambda b: blocks.append(b) or b @ h.T, 60, 2)
+    w, v, residuals = krylov_eigh(lambda b: blocks.append(b) or b @ h.T, 60, 2)
     basis = np.concatenate(blocks[:-1])
     assert len(blocks) > 20  # geometrically spaced checks: at least 10 of them
     assert np.allclose(basis.conj() @ basis.T, np.eye(len(basis)), atol=1e-12)
     assert np.allclose(np.abs(blocks[-1].conj() @ v), np.eye(2), atol=1e-12)
-    assert_top_pairs(h, w, v, 2)
+    assert_top_pairs(h, w, v, residuals)
 
 
 def test_krylov_eigh_guards(monkeypatch):
@@ -367,8 +386,8 @@ def test_krylov_eigh_guards(monkeypatch):
 )
 def test_lowest_eigvecs_matches_hermitian_eig(dim, count, seed):
     h = random_hermitian(dim, np.random.default_rng(seed))
-    w = hermitian_spectrum(h)
-    v = lowest_eigvecs(h, w, count)
+    w = _hermitian_spectrum(h)
+    v = _lowest_eigvecs(h, w, count)
     ref_w, ref_v = hermitian_eig(h)
     ref_w, ref_v = ref_w[::-1], ref_v[:, ::-1]
     scale = np.abs(ref_w).max()
@@ -387,7 +406,7 @@ NARROW_BAND = 1e-3
 
 
 def loop_lowest_eigvecs(a, w, count):
-    """lowest_eigvecs by inverse iteration alone: a narrow band (NARROW_BAND)
+    """_lowest_eigvecs by inverse iteration alone: a narrow band (NARROW_BAND)
     takes one shared shift, a spread cluster a shift and a solve per wanted
     eigenvalue and sweep."""
     m = np.asarray(a, dtype=np.complex128)
@@ -448,14 +467,14 @@ def test_lowest_eigvecs_planted_cluster_and_degeneracy():
     # a cluster of three eigenvalues 1e-9 apart inside the wanted four
     h, u = planted([-1.0, 0.5, 0.5 + 1e-9, 0.5 + 2e-9], seed=14)
     for count in (1, 4):
-        assert_spans(lowest_eigvecs(h, hermitian_spectrum(h), count), u[:, :count])
+        assert_spans(_lowest_eigvecs(h, _hermitian_spectrum(h), count), u[:, :count])
     # an exactly degenerate lowest eigenvalue, wanted once, twice, and with
     # two of the next (also degenerate) one
     h, u = planted([-1.0, -1.0, 0.5, 0.5, 0.5], seed=15)
-    w = hermitian_spectrum(h)
-    assert_spans(lowest_eigvecs(h, w, 1), u[:, :2])
-    assert_spans(lowest_eigvecs(h, w, 2), u[:, :2])
-    v = lowest_eigvecs(h, w, 4)
+    w = _hermitian_spectrum(h)
+    assert_spans(_lowest_eigvecs(h, w, 1), u[:, :2])
+    assert_spans(_lowest_eigvecs(h, w, 2), u[:, :2])
+    v = _lowest_eigvecs(h, w, 4)
     assert_spans(v, u[:, :5])
     assert_spans(v[:, :2], u[:, :2])
 
@@ -466,14 +485,14 @@ def test_lowest_eigvecs_matches_the_loop_on_planted_narrow_bands():
         (planted([-1.0, -1.0, 0.5, 0.5, 0.5], seed=15)[0], 1),
         (planted([-1.0, -1.0, 0.5, 0.5, 0.5], seed=15)[0], 2),
         (planted(1e-7 * np.arange(8.0), seed=17)[0], 8),
-        (np.diag(np.arange(12.0)), 1),
-        (np.diag(np.r_[0.0, 0.0, 0.0, np.arange(1.0, 10.0)]), 3),
+        (np.diag(np.arange(12.0)).astype(complex), 1),
+        (np.diag(np.r_[0.0, 0.0, 0.0, np.arange(1.0, 10.0)]).astype(complex), 3),
         (random_hermitian(20, np.random.default_rng(16)), 1),
     ]
     for h, count in cases:
-        w = hermitian_spectrum(h)
+        w = _hermitian_spectrum(h)
         assert is_narrow(w, count)
-        v = lowest_eigvecs(h, w, count)
+        v = _lowest_eigvecs(h, w, count)
         if count == 1:
             assert np.array_equal(v, loop_lowest_eigvecs(h, w, count))
         else:
@@ -499,12 +518,12 @@ def test_lowest_eigvecs_spread_cluster_takes_one_eigh(monkeypatch):
         (planted([-1.0, 1.0], seed=19, dim=9)[0], 2),
     ]
     for h, count in cases:
-        w = hermitian_spectrum(h)
+        w = _hermitian_spectrum(h)
         assert not is_narrow(w, count)
         basis = hermitian_eig(h)[1][:, ::-1][:, :count]
         assert_spans(loop_lowest_eigvecs(h, w, count), basis)
         calls = count_calls(monkeypatch, "eigh", "solve")
-        v = lowest_eigvecs(h, w, count)
+        v = _lowest_eigvecs(h, w, count)
         monkeypatch.undo()
         assert calls == {"eigh": 1, "solve": 0}
         assert_spans(v, basis)
@@ -514,9 +533,9 @@ def test_lowest_eigvecs_spread_cluster_takes_one_eigh(monkeypatch):
 def test_lowest_eigvecs_narrow_band_takes_one_eigh_and_no_solve(monkeypatch):
     # eight wanted eigenvalues 1e-7 apart, the rest at least 2 above them
     h, u = planted(1e-7 * np.arange(8.0), seed=17)
-    w = hermitian_spectrum(h)
+    w = _hermitian_spectrum(h)
     calls = count_calls(monkeypatch, "eigh", "solve")
-    v = lowest_eigvecs(h, w, 8)
+    v = _lowest_eigvecs(h, w, 8)
     monkeypatch.undo()
     assert calls == {"eigh": 1, "solve": 0}
     assert_spans(v, u[:, :8])
@@ -524,37 +543,28 @@ def test_lowest_eigvecs_narrow_band_takes_one_eigh_and_no_solve(monkeypatch):
 
 
 def test_lowest_eigvecs_exact_diagonal_and_singular_shifts(monkeypatch):
-    h = np.diag(np.arange(12.0))
-    flat = np.diag(np.r_[0.0, 0.0, 0.0, np.arange(1.0, 10.0)])
+    h = np.diag(np.arange(12.0)).astype(complex)
+    flat = np.diag(np.r_[0.0, 0.0, 0.0, np.arange(1.0, 10.0)]).astype(complex)
     for shift in (linalg.INVERSE_SHIFT, 0.0):
         # with no offset every shift is an exact eigenvalue: the solve is
         # singular and the shift must move instead of raising LinAlgError
         monkeypatch.setattr(linalg, "INVERSE_SHIFT", shift)
         for count in (1, 2, 4):
-            v = lowest_eigvecs(h, hermitian_spectrum(h), count)
+            v = _lowest_eigvecs(h, _hermitian_spectrum(h), count)
             assert np.allclose(v, np.eye(12)[:, :count], rtol=0, atol=1e-12)
         # a threefold eigenvalue, wanted whole
-        assert_spans(lowest_eigvecs(flat, hermitian_spectrum(flat), 3), np.eye(12)[:, :3])
+        assert_spans(_lowest_eigvecs(flat, _hermitian_spectrum(flat), 3), np.eye(12)[:, :3])
 
 
 def test_lowest_eigvecs_guards(monkeypatch):
+    # the zero matrix takes any orthonormal block; a shift far from the
+    # eigenvalue needs many sweeps, and none left raises
+    assert np.array_equal(_lowest_eigvecs(np.zeros((3, 3), complex), np.zeros(3), 2), np.eye(3, 2))
     h = random_hermitian(20, np.random.default_rng(16))
-    w = hermitian_spectrum(h)
-    for count in (0, 21):
-        with pytest.raises(InvalidShapeError):
-            lowest_eigvecs(h, w, count)
-    with pytest.raises(InvalidShapeError):
-        lowest_eigvecs(h[:19, :19], w, 1)
-    assert np.array_equal(lowest_eigvecs(np.zeros((3, 3)), np.zeros(3), 2), np.eye(3, 2))
-    # a shift far from the eigenvalue needs many sweeps: none left raises
     monkeypatch.setattr(linalg, "INVERSE_SHIFT", 0.5)
     monkeypatch.setattr(linalg, "INVERSE_MAX_SWEEPS", 1)
     with pytest.raises(EigensolverError, match="no convergence within 1 inverse-iteration sweeps"):
-        lowest_eigvecs(h, w, 1)
-    bad = h.copy()
-    bad[3, 3] = np.nan
-    with pytest.raises(EigensolverError, match=r"^a\[3\]\[3\]: non-finite entry$"):
-        hermitian_spectrum(bad)
+        _lowest_eigvecs(h, _hermitian_spectrum(h), 1)
 
 
 def test_fix_phases_largest_entry_real_positive():

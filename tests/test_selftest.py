@@ -34,9 +34,9 @@ from projsum.families import (
     simplex_family,
 )
 from projsum.linalg import (
+    _lowest_eigvecs,
     dagger,
     fix_phases,
-    lowest_eigvecs,
     maximally_entangled,
     nearest_isometry,
     partial_trace,
@@ -591,8 +591,9 @@ def test_fit_isometry_rejects_degenerate_form_on_both_paths(monkeypatch):
 
 def test_fit_refuses_a_separation_its_guard_residual_undoes(monkeypatch):
     # the solver's eigenvalues are kept, so the Ritz gap passes, but its
-    # guard vector is tilted halfway to a random direction: the residual
-    # the fit measures on it exceeds the gap
+    # guard vector is tilted halfway to a random direction and returned with
+    # the residual measured on it, which exceeds the gap: the fit must take
+    # the residual the solver returns off the separation
     fam = four_family(1)
     noisy = perturb(canonical_strategy(fam), "povm-jitter", 1e-3, seed=1)
     ops, rho = noisy.alice[:, 0], noisy.reduced_densities[0]
@@ -601,13 +602,15 @@ def test_fit_refuses_a_separation_its_guard_residual_undoes(monkeypatch):
     spectra = []
 
     def tilted(apply, dim, count, **kw):
-        w, vecs = solve(apply, dim, count, **kw)
+        w, vecs, residuals = solve(apply, dim, count, **kw)
         spectra.append(-w)
         z = np.random.default_rng(3).normal(size=dim) + 0j
         z -= vecs @ (vecs.conj().T @ z)
-        vecs = vecs.copy()
-        vecs[:, -1] = (vecs[:, -1] + z / np.linalg.norm(z)) / np.sqrt(2.0)
-        return w, vecs
+        guard = (vecs[:, -1] + z / np.linalg.norm(z)) / np.sqrt(2.0)
+        vecs, residuals = vecs.copy(), residuals.copy()
+        vecs[:, -1] = guard
+        residuals[-1] = np.linalg.norm(apply(guard[None])[0] - w[-1] * guard)
+        return w, vecs, residuals
 
     fit_isometry(ops, fam, rho)
     monkeypatch.setattr(selftest, "krylov_eigh", tilted)
@@ -635,15 +638,25 @@ def count_applications(name, module, run):
     return out, len(calls)
 
 
-def test_d31_matrix_free_solves_stay_within_their_application_counts():
+def test_d31_matrix_free_solves_stay_within_their_application_counts(monkeypatch):
     # operator applications are steadier than time; the counts before the
     # solver estimated its residuals were 184 (155 block steps and 29
-    # checks) for the fit and 53 for the gap
+    # checks) for the fit and 53 for the gap.  The fit applies its form
+    # only inside the solver: the guard residual is the solver's
     fam = four_family(15)
     noisy = perturb(canonical_strategy(fam), "povm-jitter", 1e-3, seed=1)
+    solver_calls = []
+    solve = selftest.krylov_eigh
+    monkeypatch.setattr(
+        selftest,
+        "krylov_eigh",
+        lambda apply, *args, **kw: solve(
+            lambda b: solver_calls.append(len(b)) or apply(b), *args, **kw
+        ),
+    )
     run = lambda: fit_isometry(noisy.alice[:, 0], fam, noisy.reduced_densities[0])
     _, fit_calls = count_applications("negated_form", selftest, run)
-    assert fit_calls <= 150
+    assert fit_calls == len(solver_calls) <= 150
     gap, gap_calls = count_applications("apply", families, lambda: fam.correlation_gap)
     assert gap_calls <= 53
     dense = n_operator(fam).gap
@@ -727,7 +740,7 @@ def test_dense_fit_vectors_match_the_loop_on_ladder_fits(monkeypatch, k):
     assert len(forms) == 2 * len(noisy)
     for quad, w, count in forms:
         assert count == 1 and is_narrow(w, count)
-        assert np.array_equal(lowest_eigvecs(quad, w, count), loop_lowest_eigvecs(quad, w, count))
+        assert np.array_equal(_lowest_eigvecs(quad, w, count), loop_lowest_eigvecs(quad, w, count))
 
 
 def test_spread_ancilla_fit_takes_one_eigh_and_no_solve(monkeypatch):
@@ -1041,34 +1054,34 @@ def test_extract_dilation_beta_bounds_state_residual():
         assert cert.delta <= 16 * level + 1e-12
 
 
-def test_compose_dilations_chain():
-    fam = four_family(1)
-    d = fam.d
-    # inner: a doubly planted strategy as an exact dilation of the once
-    # planted one; outer: the once planted strategy against the canonical
-    rng = np.random.default_rng(53)
-    strat1, junk1 = planted_strategy(fam, 2, 2, seed=6)
-    ka2, kb2 = 2, 1
+@given(
+    k=st.sampled_from([1, 2]),
+    outer_shape=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+    inner_shape=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    level=st.sampled_from([0.0, 1e-4, 1e-2]),
+    seed=st.integers(0, 2**16),
+)
+def test_compose_dilations_chain(k, outer_shape, inner_shape, level, seed):
+    # outer: a jittered planted strategy certified against the canonical
+    # one; inner: a planted copy of that strategy, an exact dilation of it.
+    # The summed epsilon of the chain bounds the one measured directly
+    fam = four_family(k)
+    strat1 = perturb(planted_strategy(fam, *outer_shape, seed=seed)[0], "povm-jitter", level, seed)
+    rng = np.random.default_rng(seed)
+    ka2, kb2 = inner_shape
     da, db = strat1.dim_a, strat1.dim_b
     ua = random_unitary(da * ka2, rng)
     ub = random_unitary(db * kb2, rng)
     junk2 = random_state(ka2 * kb2, rng)
     big = np.kron(strat1.state, junk2).reshape(da, db, ka2, kb2)
-    state = np.kron(ua, ub) @ big.transpose(0, 2, 1, 3).reshape(-1)
-    alice = tuple(
-        tuple(ua @ np.kron(e, np.eye(ka2)) @ ua.conj().T for e in povm)
-        for povm in strat1.alice
+    strat2 = Strategy(
+        state=np.kron(ua, ub) @ big.transpose(0, 2, 1, 3).reshape(-1),
+        dim_a=da * ka2,
+        dim_b=db * kb2,
+        alice=ua @ np.kron(strat1.alice, np.eye(ka2)) @ ua.conj().T,
+        bob=ub @ np.kron(strat1.bob, np.eye(kb2)) @ ub.conj().T,
     )
-    bob = tuple(
-        tuple(ub @ np.kron(f, np.eye(kb2)) @ ub.conj().T for f in povm)
-        for povm in strat1.bob
-    )
-    strat2 = type(strat1)(
-        state=state, dim_a=da * ka2, dim_b=db * kb2, alice=alice, bob=bob
-    )
-    inner_eps = dilation_epsilon(
-        strat2, strat1, ua.conj().T, ub.conj().T, junk2
-    )
+    inner_eps = dilation_epsilon(strat2, strat1, ua.conj().T, ub.conj().T, junk2)
     assert inner_eps < 1e-10
     inner = DilationCertificate(
         v_a=ua.conj().T,
@@ -1082,18 +1095,16 @@ def test_compose_dilations_chain():
     )
     outer = extract_dilation(strat1, fam)
     composed = compose_dilations(inner, outer)
-    assert composed.ref_dim_a == d and composed.ref_dim_b == d
+    assert composed.ref_dim_a == composed.ref_dim_b == fam.d
     assert composed.anc_dim_a == outer.anc_dim_a * ka2
     assert composed.anc_dim_b == outer.anc_dim_b * kb2
     assert abs(composed.epsilon - (inner.epsilon + outer.epsilon)) < 1e-15
+    for v in (composed.v_a, composed.v_b):
+        assert np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() <= 1e-12
     direct = dilation_epsilon(
-        strat2,
-        canonical_strategy(fam),
-        composed.v_a,
-        composed.v_b,
-        composed.junk,
+        strat2, fam.canonical_strategy, composed.v_a, composed.v_b, composed.junk
     )
-    assert direct <= composed.epsilon + 1e-9
+    assert direct <= composed.epsilon + 1e-12
 
 
 def test_aligned_junk_fidelity_gauge_invariance():

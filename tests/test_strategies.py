@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from projsum.errors import (
     InvalidLevelError,
@@ -96,7 +97,7 @@ def loop_chsh_win_probability(corr):
 
 
 def loop_perturb(strategy, model, level, seed):
-    """perturb with one seeded draw and one renormalization per question."""
+    """perturb with one seeded draw per question."""
     rng = np.random.default_rng(seed)
     if model == "state-mixing":
         psi = strategy.state
@@ -114,12 +115,7 @@ def loop_perturb(strategy, model, level, seed):
                 continue
             w, vecs = np.linalg.eigh(random_hermitian(dim, rng))
             u = (vecs * np.exp(1j * level * w)) @ vecs.conj().T
-            povm = u @ povm @ u.conj().T
-            total = povm.sum(axis=0)
-            w, vecs = np.linalg.eigh((total + total.conj().T) / 2)
-            inv_sqrt = (vecs * (1.0 / np.sqrt(np.maximum(w, 1e-300)))) @ vecs.conj().T
-            m = inv_sqrt @ povm @ inv_sqrt
-            out[v] = (m + m.conj().swapaxes(-1, -2)) / 2
+            out[v] = u @ povm @ u.conj().T
         return out
 
     return replace(
@@ -158,6 +154,32 @@ def test_perturb_matches_per_question_loop(model):
                 old = loop_perturb(base, model, level, seed)
                 for field in ("state", "alice", "bob"):
                     assert np.array_equal(getattr(new, field), getattr(old, field)), field
+
+
+JITTER_BASES = (
+    canonical_strategy(four_family(2)),
+    planted_strategy(four_family(1), 2, 1, seed=3)[0],
+    # outcome-noise leaves POVMs that are not projective
+    perturb(canonical_strategy(ladder_family(5, 2)), "outcome-noise", 0.3, seed=0),
+)
+
+
+def sum_defects(stack):
+    """||sum_i E_i - I||_2 of each question's POVM in an (n, k, d, d) stack."""
+    eye = np.eye(stack.shape[-1])
+    return np.linalg.norm(stack.sum(axis=1) - eye, ord=2, axis=(-2, -1))
+
+
+@given(level=st.sampled_from([1e-4, 0.3, 1.0]), seed=st.integers(0, 2**16))
+def test_povm_jitter_keeps_povms_without_renormalizing(level, seed):
+    # a unitary conjugation keeps each operator PSD and each POVM's sum, so
+    # the output sums to I as closely as the input did
+    for base in JITTER_BASES:
+        new = perturb(base, "povm-jitter", level, seed)
+        for stack, old in ((new.alice, base.alice), (new.bob, base.bob)):
+            assert np.abs(stack - stack.conj().swapaxes(-1, -2)).max() <= 1e-14
+            assert np.linalg.eigvalsh((stack + stack.conj().swapaxes(-1, -2)) / 2).min() >= -1e-14
+            assert (sum_defects(stack) <= sum_defects(old) + 1e-14).all()
 
 
 def test_ideal_correlation_tetrahedron_values():
