@@ -73,19 +73,25 @@ class ProjectionFamily:
     def correlation_gap(self) -> float:
         """Gap below the top eigenvalue of N = sum_v P_v kron P_v^T, measured once.
 
-        N acts on vec(X) as X -> sum_v P_v X P_v (see linalg.vec), so the top
-        two eigenvalues come from a matrix-free block-2 Krylov solve that
-        never forms the d^2 x d^2 matrix.  The block of two measures a
-        degenerate top eigenvalue instead of assuming it simple; one raises
-        SpectralDegeneracyError.  selftest.n_operator is the dense reference.
+        N acts on vec(X) as X -> sum_v P_v X P_v (see linalg.vec): a block-2
+        Krylov solve finds its top two eigenpairs without forming it, and
+        raises SpectralDegeneracyError on a degenerate top eigenvalue.  As
+        sum_v P_v = x I, the gap is sum_v ||P_v T (I - P_v)||^2 = <T, (x I - N) T>
+        for the second Ritz vector T, projected off I: no difference of
+        eigenvalues cancels digits.  selftest.n_operator is the dense reference.
         """
-        d = self.d
-        stack = self.projections[:, None]
+        d, p = self.d, self.projections
+        stack = p[:, None]
 
         def apply(rows):
             return (stack @ rows.reshape(-1, d, d) @ stack).sum(axis=0).reshape(rows.shape)
 
-        return top_gap(krylov_eigh(apply, d * d, count=2)[0])
+        w, v, _ = krylov_eigh(apply, d * d, count=2)
+        top_gap(w)
+        t = v[:, 1].reshape(d, d)
+        t = t - np.trace(t) / d * np.eye(d)
+        pt = p @ (t / np.linalg.norm(t))
+        return float(np.linalg.norm(pt - pt @ p) ** 2)
 
     @cached_property
     def transposed(self) -> ProjectionFamily:
@@ -228,8 +234,13 @@ def ladder_step(fam: ProjectionFamily) -> ProjectionFamily:
         raise InvalidFamilyError(f"scalar {x} gives no rank in 0..d-1 at d = {d}")
     if not validate_family(fam, tol=1e-8).passed:
         raise InvalidFamilyError("input family fails validation at 1e-8")
+    return _ladder_step(fam)
 
-    c = d - int(rank)
+
+def _ladder_step(fam: ProjectionFamily) -> ProjectionFamily:
+    """ladder_step on a family already checked; validates only the rung it builds."""
+    n, x, d = fam.n, fam.x, fam.d
+    c = d - int(x * d / n)
     u, s, _ = np.linalg.svd(np.eye(d, dtype=np.complex128) - fam.projections)
     cols = np.count_nonzero(s > 0.5, axis=1)
     if (cols != c).any():
@@ -276,8 +287,10 @@ def ladder_family(n: int, level: int) -> ProjectionFamily:
             )
         x, d = _next_scalar(n, x), d * (n - 1 - x)
     fam = simplex_family(n)
-    for _ in range(level - 1):
+    if level > 1:  # validates the simplex; every later rung once, as it is built
         fam = ladder_step(fam)
+    for _ in range(level - 2):
+        fam = _ladder_step(fam)
     return fam
 
 

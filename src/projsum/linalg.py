@@ -10,10 +10,11 @@ Conventions used across the package:
   identical output
 * operators too large to form densely are applied matrix-free and
   diagonalized by ``krylov_eigh``, thick-restart block Lanczos whose basis
-  holds a fixed number of blocks, so its memory is O(basis * dim) and its
-  Rayleigh-Ritz problems stay small; its convergence checks estimate the
-  Ritz residuals from the last block's coupling and apply the operator to
-  Ritz vectors only to accept them, returning the residuals so measured,
+  holds KRYLOV_BASIS_BLOCKS (50) blocks, so its memory is O(basis * dim)
+  and its Rayleigh-Ritz problems have at most 100 rows for a block of 2; its
+  convergence checks estimate the Ritz residuals from the last block's
+  coupling and apply the operator to Ritz vectors only to accept them,
+  returning the residuals so measured,
   and a caller may hold its last ("guard") pairs to a looser tolerance; of
   a dense one that selftest.fit_isometry builds, ``_hermitian_spectrum``
   computes only the eigenvalues and ``_lowest_eigvecs`` the few lowest
@@ -47,10 +48,10 @@ KRYLOV_TOL = 1e-13
 # next eigenvalue is separated from the wanted ones
 KRYLOV_GUARD_TOL = 1e-10
 # krylov_eigh's basis holds KRYLOV_BASIS_BLOCKS blocks and a restart keeps
-# KRYLOV_KEEP_BLOCKS blocks of Ritz vectors.  A restart costs accuracy in a
-# clustered spectrum: at 40 blocks the d=61 ladder gap solve restarts and its
-# error grows fivefold; at 100 every gap solve up to d=61 converges first
-KRYLOV_BASIS_BLOCKS = 100
+# KRYLOV_KEEP_BLOCKS blocks of Ritz vectors.  A d=31 fit takes as many steps
+# at 50 blocks as at 100, on Rayleigh-Ritz problems of 100 rows, not 200; at
+# 40 a guard pair is accepted above the bound test_linalg.py holds it to
+KRYLOV_BASIS_BLOCKS = 50
 KRYLOV_KEEP_BLOCKS = 6
 # block steps, across restarts, before krylov_eigh gives up; a d=121 ladder
 # fit (block 2) converged within 719

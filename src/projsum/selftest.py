@@ -17,7 +17,8 @@ each owner derives them once.
 
 The two d^2 x d^2 eigenproblems are solved without forming d^2 x d^2
 matrices once they are large.  The spectral gap of N, which enters beta, is
-ProjectionFamily.correlation_gap: measured matrix-free once per family, with
+ProjectionFamily.correlation_gap: measured matrix-free once per family, as a
+sum of squares on an eigenvector, not a difference of eigenvalues, with
 n_operator kept as the dense reference.  fit_isometry needs only the s
 lowest eigenpairs of its form on one d x r ancilla row block (s is the
 ancilla dimension): up to KRYLOV_MIN_ROWS rows it forms the matrix, takes
@@ -70,7 +71,7 @@ from .strategies import Strategy, correlation_distance, ideal_correlation
 ALPHA_MIN = 0.1
 PAIR_BUDGET = 1_000_000
 # fit forms with more rows are solved matrix-free; measured crossover
-KRYLOV_MIN_ROWS = 625
+KRYLOV_MIN_ROWS = 441
 # relative to tr(rho), the scale of the fit form
 FIT_SEPARATION_TOL = 1e-8
 

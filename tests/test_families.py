@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import projsum.families as families
 from projsum.errors import (
     BudgetExceededError,
-    DegenerateInputError,
     InvalidFamilyError,
     UnsupportedQuestionCountError,
     UnsupportedScalarError,
@@ -177,15 +177,33 @@ def test_reference_rung2_is_valid_family():
 
 def test_four_family_step_rejects_wrong_input():
     fam3 = simplex_family(3)
-    with pytest.raises(InvalidFamilyError):
+    with pytest.raises(InvalidFamilyError, match="^the ladder is defined for n >= 4, got n = 3$"):
         ladder_step(fam3)
     # corrupt one projection so the sum is off
     fam = four_family(1)
     bad = list(fam.projections)
     bad[0] = bad[0] * 0.5
     broken = ProjectionFamily(n=4, x=fam.x, d=fam.d, projections=tuple(bad))
-    with pytest.raises((InvalidFamilyError, DegenerateInputError)):
+    with pytest.raises(InvalidFamilyError, match="^input family fails validation at 1e-8$"):
         ladder_step(broken)
+
+
+def test_ladder_family_validates_each_rung_once(monkeypatch):
+    # the simplex as the first step's input, every later rung as the output
+    # of the step that built it; the public step still checks its input
+    validated = []
+    validate = families.validate_family
+    monkeypatch.setattr(
+        families, "validate_family", lambda fam, *a, **kw: validated.append(fam.d) or validate(fam, *a, **kw)
+    )
+    for k, dims in ((1, []), (2, [3, 5]), (15, list(range(3, 32, 2)))):
+        validated.clear()
+        four_family(k)
+        assert validated == dims
+    rung2, rung3 = four_family(2), four_family(3)
+    validated.clear()
+    assert np.array_equal(ladder_step(rung2).projections, rung3.projections)
+    assert validated == [5, 7]
 
 
 # every (n, level) with n in 4..8 whose rung has d <= 41
