@@ -81,10 +81,13 @@ class ProjectionFamily:
         eigenvalues cancels digits.  selftest.n_operator is the dense reference.
         """
         d, p = self.d, self.projections
-        stack = p[:, None]
+        # sum_v P_v X P_v = [P_1 X .. P_n X] [P_1; ..; P_n]: two matmuls
+        stacked = p.reshape(-1, d)
 
         def apply(rows):
-            return (stack @ rows.reshape(-1, d, d) @ stack).sum(axis=0).reshape(rows.shape)
+            b = len(rows)
+            px = (stacked @ rows.reshape(b, d, d)).reshape(b, -1, d, d).swapaxes(1, 2)
+            return (px.reshape(b * d, -1) @ stacked).reshape(rows.shape)
 
         w, v, _ = krylov_eigh(apply, d * d, count=2)
         top_gap(w)

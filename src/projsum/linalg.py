@@ -12,9 +12,10 @@ Conventions used across the package:
   diagonalized by ``krylov_eigh``, thick-restart block Lanczos whose basis
   holds KRYLOV_BASIS_BLOCKS (50) blocks, so its memory is O(basis * dim)
   and its Rayleigh-Ritz problems have at most 100 rows for a block of 2; its
-  convergence checks estimate the Ritz residuals from the last block's
-  coupling and apply the operator to Ritz vectors only to accept them,
-  returning the residuals so measured,
+  rank test on each block is a QR and an SVD of the block's small factor
+  (``_wide_svd``), its convergence checks estimate the Ritz residuals from
+  the last block's coupling and apply the operator to Ritz vectors only to
+  accept them, returning the residuals so measured,
   and a caller may hold its last ("guard") pairs to a looser tolerance; of
   a dense one that selftest.fit_isometry builds, ``_hermitian_spectrum``
   computes only the eigenvalues and ``_lowest_eigvecs`` the few lowest
@@ -319,9 +320,12 @@ def krylov_eigh(
     is what the last block's images add to the basis and y_last the last
     block's rows of y (Saad, Numerical Methods for Large Eigenvalue
     Problems, 2011, section 6.3), and ||y_last^T R|| comes from R's thin
-    SVD, which the step computes anyway.  Only when every estimate passes
+    SVD, which the step's rank test computes anyway as a QR of R^T and an
+    SVD of the b x b factor (_wide_svd).  Only when every estimate passes
     are the Ritz vectors formed and the operator applied to them; that
     measured residual is the acceptance test and the third value returned.
+    Checks come at geometrically spaced basis sizes, but one that would
+    land within a spacing of the cap is left to the restart, which checks.
 
     The basis holds at most cap = min(dim, KRYLOV_BASIS_BLOCKS * count)
     vectors, so memory is O(cap * dim) and no Rayleigh-Ritz problem is
@@ -353,6 +357,13 @@ def krylov_eigh(
     rng = np.random.default_rng(KRYLOV_SEED)
     start = rng.normal(size=(dim, count)) + 1j * rng.normal(size=(dim, count))
     new = np.linalg.qr(start)[0].T
+
+    def next_check(m):
+        # Rayleigh-Ritz costs m^3: check at geometrically spaced sizes, but
+        # not within one spacing of the cap, where the restart checks anyway
+        spacing = max(count, m // 4)
+        return m + spacing if m + 2 * spacing <= cap else cap
+
     m = 0
     check_at = count
     steps = generated = 0
@@ -369,7 +380,7 @@ def krylov_eigh(
         proj[m - b : m, : m - b] = coeff[:, : m - b].conj()
         # what the images add to the basis; none left means an invariant
         # subspace, on which the Ritz pairs are exact
-        u, sv, vh = np.linalg.svd(image - coeff @ q, full_matrices=False)
+        u, sv, vh = _wide_svd(image - coeff @ q)
         fresh = vh[sv > KRYLOV_TOL * np.linalg.norm(image, axis=1).max()][: dim - m]
         full = m + len(fresh) > cap
         if m >= check_at or len(fresh) == 0 or full or steps >= KRYLOV_MAX_BLOCKS:
@@ -386,8 +397,7 @@ def krylov_eigh(
                 raise BudgetExceededError(
                     f"no convergence within {generated} basis vectors of a {dim}-row operator"
                 )
-            # Rayleigh-Ritz costs m^3: check at geometrically spaced sizes
-            check_at = m + max(count, m // 4)
+            check_at = next_check(m)
         # a second projection restores the orthogonality lost to cancellation
         fresh -= (fresh.conj() @ q.T).conj() @ q
         if full:
@@ -396,8 +406,19 @@ def krylov_eigh(
             basis[:keep] = y[:, :keep].T @ q
             proj[:keep, :keep] = np.diag(theta[:keep])
             m = keep
-            check_at = m + max(count, m // 4)
+            check_at = next_check(m)
         new = np.linalg.qr(fresh.T)[0].T
+
+
+def _wide_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The thin SVD u, sv, vh of a wide b x dim block, as np.linalg.svd
+    returns it, from a QR of a^T and the SVD of its b x b factor (Chan, ACM
+    TOMS 8, 1982): a = R^T Q^T = u diag(sv) w^* Q^T, so vh = w^* Q^T.  QR is
+    backward stable, so sv carries the thin SVD's absolute error, about
+    eps * ||a||, not the eps * ||a||^2 of the b x b Gram matrix's eigenvalues."""
+    qq, rr = np.linalg.qr(a.T)
+    u, sv, wh = np.linalg.svd(rr.T)
+    return u, sv, wh @ qq.T
 
 
 def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:

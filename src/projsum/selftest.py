@@ -444,29 +444,34 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
 
     # On column-major vec(T_a) the form is T_a -> sum_v P_v T_a W_v + T_a C,
     # with W_v = rho - E_v rho - rho E_v, C = sum_v E_v rho E_v; W_v and C
-    # are made exactly Hermitian, so both paths solve one operator
+    # are made exactly Hermitian, so both paths solve one operator, and
+    # stacked transposed: W_1^T .. W_n^T, then C^T, which pairs with I
     er = ops @ rho_reg
-    weights = rho_reg - er - dagger(er)
-    weights = ((weights + dagger(weights)) / 2.0).swapaxes(-1, -2)
-    c = (er @ ops).sum(axis=0)
-    c_t = ((c + dagger(c)) / 2.0).T
+    terms = np.concatenate([rho_reg - er - dagger(er), (er @ ops).sum(axis=0)[None]])
+    # in place: this stack is the fit's largest array before the solver's budget check
+    terms += dagger(terms)
+    terms /= 2.0
+    terms = terms.swapaxes(-1, -2)
     if rows <= KRYLOV_MIN_ROWS:
         # Q = sum_v W_v^T kron P_v + C^T kron I: one matmul over the
-        # flattened stacks, C^T paired with the identity as one more term
-        left = np.concatenate([weights, c_t[None]]).reshape(fam.n + 1, -1)
+        # flattened stacks
         right = np.concatenate([fam.projections, np.eye(d)[None]]).reshape(fam.n + 1, -1)
-        quad = (left.T @ right).reshape(r, r, d, d).transpose(0, 2, 1, 3).reshape(rows, rows)
+        quad = terms.reshape(fam.n + 1, -1).T @ right
+        quad = quad.reshape(r, r, d, d).transpose(0, 2, 1, 3).reshape(rows, rows)
         w = _hermitian_spectrum(quad)
         _require_separation(w, s, trace)
         vecs = _lowest_eigvecs(quad, w, s)
     else:
-        targets_t = fam.projections.swapaxes(-1, -2)
+        # a row is vec(T_a), which reshapes to U = T_a^T, on which the
+        # negated transposed map acts as two matmuls: [W_1^T; ..; W_n^T; C^T] U,
+        # regrouped to [W_1^T U .. C^T U], times -[P_1^T; ..; P_n^T; I]
+        left = terms.reshape(-1, r)
+        right = -np.concatenate([fam.projections.swapaxes(-1, -2), np.eye(d)[None]]).reshape(-1, d)
 
         def negated_form(x):
-            # a row is vec(T_a), which reshapes to T_a^T: apply the transposed map
-            u = x.reshape(-1, r, d)
-            image = (weights[:, None] @ u @ targets_t[:, None]).sum(axis=0) + c_t @ u
-            return -image.reshape(x.shape)
+            b = len(x)
+            image = (left @ x.reshape(b, r, d)).reshape(b, -1, r, d).swapaxes(1, 2)
+            return (image.reshape(b * r, -1) @ right).reshape(x.shape)
 
         # a block of s + 1 measures whether the next eigenvalue coincides;
         # that guard pair converges only to KRYLOV_GUARD_TOL, so its measured

@@ -1,10 +1,10 @@
 """Output-identity harness: write the package's standard outputs, or compare two sets.
 
-    PYTHONPATH=src python tests/identity.py OUT
+    PYTHONPATH=src python tests/identity.py OUT [--ks K [K ...]]
     python tests/identity.py --compare A B
 
 The first form writes into the directory OUT, for each ladder level k in
-1, 5, 10 and 15:
+1, 5, 10 and 15, or in the levels given to ``--ks``:
 
 * ``sweep-k{k}-{model}.csv`` and ``.json``: the acceptance sweeps at n=4,
   seed 1234, one per noise model, where k has one: k=1 runs the zero level
@@ -165,13 +165,16 @@ def compare(a, b) -> bool:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("out", nargs="?", help="directory to write the standard outputs into")
+    parser.add_argument(
+        "--ks", nargs="+", type=int, default=KS, metavar="K", help="ladder levels to write"
+    )
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two output sets")
     args = parser.parse_args(argv)
     if args.compare:
         return 0 if compare(*args.compare) else 1
     if args.out is None:
         parser.error("give OUT or --compare A B")
-    write_outputs(args.out)
+    write_outputs(args.out, args.ks)
     return 0
 
 

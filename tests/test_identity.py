@@ -1,7 +1,7 @@
 """The output-identity harness writes the same bytes on every run."""
 import hashlib
 
-from identity import compare, write_outputs
+from identity import compare, main, write_outputs
 
 
 def test_identity_harness_k1_outputs_are_reproducible(tmp_path, capsys):
@@ -14,3 +14,10 @@ def test_identity_harness_k1_outputs_are_reproducible(tmp_path, capsys):
     assert len(digests[0]) == 1 + 6 + 4 * 3
     assert compare(tmp_path / "a", tmp_path / "b")
     assert "DIFFERS" not in capsys.readouterr().out
+
+
+def test_identity_harness_writes_the_levels_given_to_ks(tmp_path):
+    assert main([str(tmp_path), "--ks", "1"]) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert len(names) == 1 + 6 + 4 * 3
+    assert [n for n in names if "-k1-" not in n] == ["blas.json"]

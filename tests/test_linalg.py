@@ -15,6 +15,7 @@ from projsum.errors import (
 from projsum.linalg import (
     _hermitian_spectrum,
     _lowest_eigvecs,
+    _wide_svd,
     dagger,
     fix_phases,
     hermitian_eig,
@@ -352,6 +353,26 @@ def test_krylov_eigh_applies_the_operator_to_ritz_vectors_once():
     assert np.allclose(basis.conj() @ basis.T, np.eye(len(basis)), atol=1e-12)
     assert np.allclose(np.abs(blocks[-1].conj() @ v), np.eye(2), atol=1e-12)
     assert_top_pairs(h, w, v, residuals)
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-10, 1e-12, 1e-13])
+def test_wide_svd_resolves_the_krylov_rank_cut(s):
+    # a 2 x 10,201 residual block with singular values 1 and s, its rows
+    # mixed by a unitary: the QR-first SVD reads s as the thin SVD does, and
+    # keeps or drops the second direction on the same side of the cut.  A
+    # Gram-matrix test reads about 1e-8 for every s here
+    rng = np.random.default_rng(23)
+    dim = 10_201
+    rows = np.linalg.qr(rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2)))[0].T
+    block = random_unitary(2, rng) @ (np.array([[1.0], [s]]) * rows)
+    u, sv, vh = _wide_svd(block)
+    _, ref, ref_vh = np.linalg.svd(block, full_matrices=False)
+    assert np.allclose(sv, ref, rtol=1e-4, atol=0) and abs(sv[1] - s) <= 1e-4 * s
+    cut = linalg.KRYLOV_TOL * np.linalg.norm(block, axis=1).max()
+    assert ((sv > cut) == (ref > cut)).all()
+    assert np.abs((u * sv) @ vh - block).max() <= 1e-15
+    assert np.allclose(vh.conj() @ vh.T, np.eye(2), atol=1e-15)
+    assert np.allclose(np.abs(vh.conj() @ ref_vh.T), np.eye(2), atol=1e-5)
 
 
 def test_krylov_eigh_guards(monkeypatch):

@@ -699,6 +699,28 @@ def test_d31_matrix_free_fit_solves_rayleigh_ritz_on_at_most_100_rows(monkeypatc
     assert max(rows) == 2 * linalg.KRYLOV_BASIS_BLOCKS == 100
 
 
+def test_d31_matrix_free_fit_steps_take_no_wide_svd_and_fewer_checks(monkeypatch):
+    # each block step's rank test is a QR of the 961 x 2 residual and an SVD
+    # of its 2 x 2 factor, and no Rayleigh-Ritz check falls within one
+    # spacing of a restart, which checks anyway.  Before, the fit made 35
+    # checks, 7.72e6 rows^3 in all, and 137 SVDs of 2 x 961 blocks
+    fam = four_family(15)
+    noisy = perturb(canonical_strategy(fam), "povm-jitter", 1e-3, seed=1)
+    rows, shapes = [], []
+    eigh, svd = np.linalg.eigh, np.linalg.svd
+    monkeypatch.setattr(
+        np.linalg, "eigh", lambda a, *args, **kw: rows.append(len(a)) or eigh(a, *args, **kw)
+    )
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw)
+    )
+    fit_isometry(noisy.alice[:, 0], fam, noisy.reduced_densities[0])
+    assert len(rows) <= 33 and max(rows) == 100
+    assert sum(m**3 for m in rows) <= 6.0e6
+    # the only SVD wider than the block of 2 is the fit's own polar factor
+    assert [shape for shape in shapes if max(shape) > 2] == [(31, 31)]
+
+
 def test_fit_isometry_reads_only_the_callers_arrays(monkeypatch):
     # the form, its spectrum and the residual operators are the fit's own
     # arrays: only ops and rho go through as_array, on both paths
