@@ -51,7 +51,7 @@ class InvalidStrategyError(ProjsumError, ValueError):
 
 
 class InvalidLevelError(ProjsumError, ValueError):
-    """A noise level is outside [0, 1]."""
+    """A noise level or seed is out of range: a level outside [0, 1], a negative seed."""
 
 
 class SerializationError(ProjsumError, ValueError):
@@ -60,14 +60,6 @@ class SerializationError(ProjsumError, ValueError):
 
 class SpectralDegeneracyError(ProjsumError, RuntimeError):
     """An eigenspace that must be simple is degenerate at tolerance."""
-
-
-class NotARepresentationError(ProjsumError, RuntimeError):
-    """The intertwiner solution space has the wrong dimension."""
-
-
-class IntertwinerError(ProjsumError, RuntimeError):
-    """An assembled intertwiner fails its unitarity or conjugation check."""
 
 
 class FitDegenerateError(ProjsumError, RuntimeError):

@@ -152,29 +152,20 @@ def _next_scalar(n: int, x: Fraction) -> Fraction:
     return 1 + Fraction(1, n - 1 - x)
 
 
-def lambda_sequence(n: int, count: int = 1) -> list[Fraction]:
-    """First ``count`` admissible scalars for n questions, exactly.
-
-    For n = 3 the single admissible value 3/2 is returned regardless of
-    count.  For n >= 4 the sequence starts at 0 and increases strictly.
-    """
-    if n < 3:
-        raise UnsupportedQuestionCountError(f"need n >= 3, got {n}")
-    if count < 1:
-        raise UnsupportedScalarError(f"count must be positive, got {count}")
-    if n == 3:
-        return [Fraction(3, 2)]
-    seq = [Fraction(0)]
-    while len(seq) < count:
-        seq.append(_next_scalar(n, seq[-1]))
-    return seq
+def as_fraction(x) -> Fraction:
+    """x exactly, as a Fraction; UnsupportedScalarError for a NaN or an
+    infinity, which Fraction refuses with a bare ValueError or OverflowError."""
+    try:
+        return Fraction(x)
+    except (ValueError, OverflowError) as exc:
+        raise UnsupportedScalarError(f"x must be a finite number, got {x}") from exc
 
 
 def scalar_is_admissible(n: int, x: Fraction) -> bool:
-    """Exact membership test for x in the admissible scalar set of n."""
+    """Exact membership test for x (read by as_fraction) in the admissible scalars of n."""
     if n < 3:
         raise UnsupportedQuestionCountError(f"need n >= 3, got {n}")
-    x = Fraction(x)
+    x = as_fraction(x)
     if n == 3:
         return x == Fraction(3, 2)
     if x < 0:

@@ -211,21 +211,6 @@ def schmidt(psi, dims: tuple[int, int]) -> SchmidtDecomposition:
     return SchmidtDecomposition(coefficients=s, left=u, right=vh.T.copy(), dims=(dims[0], dims[1]))
 
 
-def partial_trace(rho, dims: tuple[int, int], keep: str = "A") -> np.ndarray:
-    """Trace out one factor of a density-like matrix on C^da tensor C^db."""
-    m = as_array(rho, 2, "rho")
-    da, db = dims
-    if da <= 0 or db <= 0 or m.shape != (da * db, da * db):
-        raise InvalidShapeError(f"matrix of shape {m.shape} does not match dims {dims}")
-    r = m.reshape(da, db, da, db)
-    side = keep.upper()
-    if side == "A":
-        return np.einsum("abcb->ac", r)
-    if side == "B":
-        return np.einsum("abad->bd", r)
-    raise InvalidShapeError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
 def reduced_densities(psi, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Both reduced density matrices of a bipartite vector, without forming psi psi^*."""
     m = unvec(psi, dims)
@@ -251,19 +236,6 @@ def _seminorm(xm: np.ndarray, rm: np.ndarray):
     val = np.trace(dagger(xm) @ xm @ rm, axis1=-2, axis2=-1).real
     root = np.sqrt(np.maximum(val, 0.0))
     return root if xm.ndim > 2 else float(root)
-
-
-def state_seminorm(x, psi, dims: tuple[int, int], side: str = "A") -> float:
-    """Seminorm of a one-sided operator against a bipartite state.
-
-    side='A' gives ||(X kron I) psi||, side='B' gives ||(I kron X) psi||;
-    both equal the seminorm weighted by the matching reduced density.
-    """
-    m = unvec(psi, dims)
-    xm = as_array(x, 2, "x")
-    if side.upper() == "A":
-        return float(np.linalg.norm(xm @ m))
-    return float(np.linalg.norm(m @ xm.T))
 
 
 def null_space(a) -> np.ndarray:
@@ -493,19 +465,6 @@ def nearest_isometry(t) -> np.ndarray:
         raise InvalidShapeError(f"no isometry with shape {m.shape}: more columns than rows")
     u, _, vh = np.linalg.svd(m, full_matrices=False)
     return u @ vh
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """GUE-style random Hermitian matrix with O(1) entries."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (g + g.conj().T) / 2.0
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary via QR of a complex Gaussian matrix."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:

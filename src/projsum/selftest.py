@@ -44,14 +44,10 @@ import numpy as np
 from .errors import (
     BudgetExceededError,
     FitDegenerateError,
-    IntertwinerError,
     InvalidDimensionError,
     InvalidShapeError,
-    InvalidStateError,
     InvalidStrategyError,
     JunkExtractionError,
-    NotARepresentationError,
-    SpectralDegeneracyError,
     UnsupportedOutcomeCountError,
 )
 from .families import ProjectionFamily, top_gap
@@ -64,7 +60,6 @@ from .linalg import (
     hermitian_eig,
     krylov_eigh,
     maximally_entangled,
-    unvec,
 )
 from .strategies import Strategy, correlation_distance, ideal_correlation
 
@@ -261,19 +256,18 @@ def approx_rep_residuals(
 
 
 # ---------------------------------------------------------------------------
-# the correlation operator and spectral helpers
+# the dense correlation operator
 
 
 @dataclass(frozen=True)
 class CorrelationOperator:
-    """N = sum_v P_v kron P_v^T with its spectral data.
+    """The spectral data of N = sum_v P_v kron P_v^T.
 
     For a valid family the top eigenvalue is x with a one-dimensional
     eigenspace spanned by the maximally entangled state; ``gap`` is the
     distance from the top eigenvalue to the rest of the spectrum.
     """
 
-    matrix: np.ndarray
     spectrum: np.ndarray
     lambda_max: float
     gap: float
@@ -293,7 +287,6 @@ def n_operator(fam: ProjectionFamily) -> CorrelationOperator:
     top = v[:, 0]
     overlap = abs(np.vdot(maximally_entangled(fam.d), top))
     return CorrelationOperator(
-        matrix=mat,
         spectrum=w,
         lambda_max=float(w[0]),
         gap=gap,
@@ -302,67 +295,8 @@ def n_operator(fam: ProjectionFamily) -> CorrelationOperator:
     )
 
 
-def eigvec_overlap_bound(a, xi) -> tuple[float, float]:
-    """Measured top-eigenspace weight of xi and its spectral lower bound.
-
-    Returns (||Q1 xi||^2, 1 - (l1 - <A xi, xi>) / (l1 - l2)) where Q1
-    projects onto the top eigenvalue cluster and l2 is the next distinct
-    eigenvalue.  Requires unit xi and at least two distinct eigenvalues.
-    """
-    w, v = hermitian_eig(a)
-    xi = as_array(xi, 1, "xi")
-    if abs(np.linalg.norm(xi) - 1.0) > 1e-9:
-        raise InvalidStateError("xi must be a unit vector")
-    if xi.size != w.size:
-        raise InvalidShapeError("xi length does not match the matrix")
-    scale = max(1.0, float(np.abs(w).max()))
-    top = w >= w[0] - 1e-8 * scale
-    if bool(top.all()):
-        raise SpectralDegeneracyError("all eigenvalues coincide at tolerance")
-    l1 = float(w[0])
-    l2 = float(w[~top][0])
-    q1 = v[:, top]
-    lhs = float(np.linalg.norm(q1.conj().T @ xi) ** 2)
-    expectation = float(np.real(np.vdot(xi, as_array(a, 2, "a") @ xi)))
-    rhs = 1.0 - (l1 - expectation) / (l1 - l2)
-    return lhs, rhs
-
-
 # ---------------------------------------------------------------------------
-# intertwiners and isometry fitting
-
-
-def find_intertwiner(fam: ProjectionFamily, candidate, tol: float = 1e-8) -> np.ndarray:
-    """Unitary U with U R_v U^* = P_v kron I_s for an exact representation.
-
-    ``candidate`` holds n projections R_v in M_r, where d | r and s = r/d.
-    With r = d s the unweighted isometry fit (rho = I/r) is square, and for
-    an exact representation its solution is such a U.  Operators that are
-    not matrices of one square shape raise InvalidShapeError.  A wrong count
-    or dimension, or a fit whose solution space is not s^2-dimensional,
-    raises NotARepresentationError; a conjugation residual above tol raises
-    IntertwinerError.
-    """
-    d, n = fam.d, fam.n
-    ops = as_array(candidate, 3, "candidate")
-    if ops.shape[1] != ops.shape[2]:
-        raise InvalidShapeError("candidate operators must share a square shape")
-    if len(ops) != n:
-        raise NotARepresentationError(f"expected {n} candidate operators, got {len(ops)}")
-    r = ops.shape[1]
-    if r % d != 0:
-        raise NotARepresentationError(f"family dimension {d} does not divide {r}")
-    try:
-        fit = fit_isometry(ops, fam, np.eye(r) / r)
-    except FitDegenerateError as exc:
-        raise NotARepresentationError(f"no unique intertwiner space: {exc}") from exc
-    u = fit.isometry
-    conjugated = u @ ops @ dagger(u)
-    targets = np.kron(fam.projections, np.eye(fit.s))
-    worst = float(np.linalg.norm(conjugated - targets, axis=(1, 2)).max())
-    if worst > tol:
-        raise IntertwinerError(f"conjugation residual {worst:.3e} exceeds {tol:.1e}")
-    return u
+# isometry fitting
 
 
 @dataclass(frozen=True)
@@ -690,18 +624,3 @@ def compose_dilations(
         anc_dim_b=kb1 * kb2,
         epsilon=inner.epsilon + outer.epsilon,
     )
-
-
-def aligned_junk_fidelity(
-    junk_1, dims_1: tuple[int, int], junk_2, dims_2: tuple[int, int]
-) -> float:
-    """Fidelity of two ancilla states, maximized over local basis changes.
-
-    Certificates fix their ancilla bases only up to local unitaries, so the
-    meaningful comparison is max over G_A, G_B of |<(G_A kron G_B) u, v>|,
-    which equals the inner product of the Schmidt coefficient vectors.
-    """
-    s1 = np.linalg.svd(unvec(junk_1, dims_1), compute_uv=False)
-    s2 = np.linalg.svd(unvec(junk_2, dims_2), compute_uv=False)
-    m = min(s1.size, s2.size)
-    return float(np.dot(s1[:m], s2[:m]))

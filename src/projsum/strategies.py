@@ -23,7 +23,7 @@ from .errors import (
     InvalidStrategyError,
     UnsupportedScalarError,
 )
-from .families import ProjectionFamily, scalar_is_admissible
+from .families import ProjectionFamily, as_fraction, scalar_is_admissible
 from .linalg import (
     STATE_TOL,
     as_array,
@@ -184,11 +184,11 @@ def ideal_correlation(n: int, x: Fraction | float) -> Correlation:
     """Closed-form synchronous two-outcome target correlation for (n, x).
 
     Exact in Fraction arithmetic before the final float conversion. Raises
-    UnsupportedScalarError when x is not an admissible scalar for n.
+    UnsupportedScalarError when x is not a finite, admissible scalar for n.
     Cached: a float and a Fraction of equal value hash alike, so calls with
     the same (n, Fraction(x)) share one read-only result.
     """
-    x = Fraction(x)
+    x = as_fraction(x)
     if not scalar_is_admissible(n, x):
         raise UnsupportedScalarError(f"x = {x} is not admissible for n = {n}")
     same = Fraction(x, n)
@@ -347,12 +347,14 @@ def perturb(strategy: Strategy, model: str, level: float, seed: int) -> Strategy
                    the POVM's sum, so it sums to I as closely as its input
     outcome-noise  mixes each POVM with the uniform one at weight ``level``
 
-    level = 0 returns the strategy unchanged.
+    level = 0 returns the strategy unchanged; a negative seed raises InvalidLevelError.
     """
     if model not in NOISE_MODELS:
         raise InvalidLevelError(f"unknown noise model {model!r}; pick from {NOISE_MODELS}")
     if not (0.0 <= level <= 1.0):
         raise InvalidLevelError(f"level must lie in [0, 1], got {level}")
+    if seed < 0:
+        raise InvalidLevelError(f"seed must be nonnegative, got {seed}")
     if level == 0.0:
         return strategy
     rng = np.random.default_rng(seed)
@@ -371,7 +373,7 @@ def perturb(strategy: Strategy, model: str, level: float, seed: int) -> Strategy
 
         def jitter(stack):
             n, _, dim, _ = stack.shape
-            # the draws of one linalg.random_hermitian per question, in turn
+            # per question, in turn, one complex Gaussian g made Hermitian
             g = rng.normal(size=(n, 2, dim, dim))
             g = g[:, 0] + 1j * g[:, 1]
             w, v = np.linalg.eigh((g + dagger(g)) / 2.0)

@@ -22,7 +22,6 @@ from .errors import (
     UnsupportedQuestionCountError,
 )
 from .families import ProjectionFamily, ladder_family
-from .linalg import as_array
 from .selftest import approx_rep_residuals, check_word_pairs, extract_dilation
 from .serialize import from_fields, load_json
 from .strategies import NOISE_MODELS, perturb
@@ -110,7 +109,10 @@ class SweepRow:
 
 
 def trial_seed(root_seed: int, level_index: int, trial_index: int) -> int:
-    """Stable per-trial seed derived from the root seed and grid position."""
+    """Stable per-trial seed derived from the root seed and grid position, all
+    nonnegative (SerializationError otherwise, as SweepConfig raises)."""
+    if min(root_seed, level_index, trial_index) < 0:
+        raise SerializationError("seed and grid position must be nonnegative")
     seq = np.random.SeedSequence([root_seed, level_index, trial_index])
     return int(seq.generate_state(1)[0])
 
@@ -196,32 +198,3 @@ def load_report(path) -> list[SweepRow]:
     if not isinstance(data, list):
         raise SerializationError("report JSON must be a list of rows")
     return [from_fields(SweepRow, row, f"report row {i}") for i, row in enumerate(data)]
-
-
-def spearman(xs, ys) -> float:
-    """Spearman rank correlation with average ranks on ties.
-
-    Both sequences are read by linalg.as_array, which raises SerializationError.
-    """
-    xs = as_array(xs, 1, "xs", SerializationError, dtype=float)
-    ys = as_array(ys, 1, "ys", SerializationError, dtype=float)
-    if xs.size != ys.size or xs.size < 2:
-        raise SerializationError("need two sequences of equal length >= 2")
-
-    def ranks(a):
-        order = np.argsort(a, kind="stable")
-        r = np.empty(a.size)
-        r[order] = np.arange(1, a.size + 1)
-        for val in np.unique(a):
-            mask = a == val
-            if mask.sum() > 1:
-                r[mask] = r[mask].mean()
-        return r
-
-    rx, ry = ranks(xs), ranks(ys)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    denom = np.sqrt((rx**2).sum() * (ry**2).sum())
-    if denom == 0:
-        return 0.0
-    return float((rx * ry).sum() / denom)

@@ -12,15 +12,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from projsum.families import four_family, lambda_sequence, simplex_family
-from projsum.linalg import random_state, state_seminorm
-from projsum.selftest import (
-    eigvec_overlap_bound,
-    extract_dilation,
-    aligned_junk_fidelity,
-    find_intertwiner,
-    n_operator,
-)
+from projsum.families import four_family, simplex_family
+from projsum.linalg import random_state
+from projsum.selftest import extract_dilation, n_operator
 from projsum.strategies import (
     canonical_strategy,
     chsh_fixture,
@@ -29,8 +23,16 @@ from projsum.strategies import (
     induced_correlation,
     synchronicity_defect,
 )
-from projsum.sweep import SweepConfig, run_sweep, spearman
+from projsum.sweep import SweepConfig, run_sweep
 
+from oracles import (
+    aligned_junk_fidelity,
+    eigvec_overlap_bound,
+    find_intertwiner,
+    lambda_sequence,
+    spearman,
+    state_seminorm,
+)
 from reference_data import LADDER_RUNG2_PROJECTIONS, TETRAHEDRON_PROJECTIONS
 from test_strategies import planted_strategy
 

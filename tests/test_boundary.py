@@ -26,9 +26,10 @@ from projsum.linalg import (
     seminorm,
     unvec,
 )
-from projsum.selftest import dilation_epsilon, find_intertwiner, fit_isometry
+from projsum.selftest import dilation_epsilon, fit_isometry
 from projsum.strategies import Correlation, Strategy, ideal_correlation
-from projsum.sweep import spearman
+
+from oracles import find_intertwiner, spearman
 
 FAM = four_family(1)
 CANON = FAM.canonical_strategy

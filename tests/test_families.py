@@ -17,7 +17,6 @@ from projsum.families import (
     four_family,
     ladder_family,
     ladder_step,
-    lambda_sequence,
     scalar_is_admissible,
     simplex_family,
     simplex_vertices,
@@ -25,6 +24,7 @@ from projsum.families import (
 )
 from projsum.selftest import n_operator
 from projsum.strategies import canonical_strategy, ideal_correlation, induced_correlation
+from oracles import lambda_sequence
 from reference_data import (
     LADDER_RUNG2_PROJECTIONS,
     TETRAHEDRON_PROJECTIONS,
@@ -67,6 +67,15 @@ def test_scalar_admissibility():
     assert not scalar_is_admissible(4, Fraction(-1))
     assert scalar_is_admissible(5, Fraction(15, 11))
     assert not scalar_is_admissible(5, Fraction(3, 2))
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_scalar_is_refused(x):
+    # Fraction itself refuses these with a bare ValueError or OverflowError
+    with pytest.raises(UnsupportedScalarError, match="finite"):
+        scalar_is_admissible(4, x)
+    with pytest.raises(UnsupportedScalarError, match="finite"):
+        ideal_correlation(4, x)
 
 
 def test_simplex_vertices_gram():

@@ -18,12 +18,10 @@ import projsum.selftest as selftest
 from projsum.errors import (
     BudgetExceededError,
     FitDegenerateError,
-    IntertwinerError,
     InvalidDimensionError,
     InvalidShapeError,
     InvalidStrategyError,
     JunkExtractionError,
-    NotARepresentationError,
     SpectralDegeneracyError,
     UnsupportedOutcomeCountError,
 )
@@ -39,22 +37,17 @@ from projsum.linalg import (
     fix_phases,
     maximally_entangled,
     nearest_isometry,
-    partial_trace,
     random_state,
-    random_unitary,
     reduced_densities,
     seminorm,
 )
 from projsum.selftest import (
     DilationCertificate,
     _dilation_residuals,
-    aligned_junk_fidelity,
     approx_rep_residuals,
     compose_dilations,
     dilation_epsilon,
-    eigvec_overlap_bound,
     extract_dilation,
-    find_intertwiner,
     fit_isometry,
     n_operator,
     sync_residuals,
@@ -67,6 +60,15 @@ from projsum.strategies import (
     ideal_correlation,
     induced_correlation,
     perturb,
+)
+from oracles import (
+    IntertwinerError,
+    NotARepresentationError,
+    aligned_junk_fidelity,
+    eigvec_overlap_bound,
+    find_intertwiner,
+    partial_trace,
+    random_unitary,
 )
 from test_linalg import count_calls, is_narrow, loop_lowest_eigvecs, restarted
 from test_strategies import planted_strategy

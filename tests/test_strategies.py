@@ -12,12 +12,10 @@ from projsum.errors import (
     InvalidStrategyError,
     UnsupportedScalarError,
 )
-from projsum.families import four_family, ladder_family, lambda_sequence, simplex_family
+from projsum.families import four_family, ladder_family, simplex_family
 from projsum.linalg import (
     maximally_entangled,
-    random_hermitian,
     random_state,
-    random_unitary,
     reduced_densities,
 )
 from projsum.selftest import dilation_epsilon
@@ -36,6 +34,8 @@ from projsum.strategies import (
     schmidt_reduce,
     synchronicity_defect,
 )
+
+from oracles import lambda_sequence, random_hermitian, random_unitary
 
 
 def planted_strategy(fam, ka, kb, seed):
@@ -473,6 +473,10 @@ def test_perturb_rejects_bad_arguments():
         perturb(strat, "state-mixing", 1.5, seed=0)
     with pytest.raises(InvalidLevelError):
         perturb(strat, "state-mixing", -0.1, seed=0)
+    # default_rng would raise a bare ValueError; level 0 is refused too
+    for level in (0.1, 0.0):
+        with pytest.raises(InvalidLevelError, match="seed must be nonnegative"):
+            perturb(strat, "state-mixing", level, seed=-1)
     # a 1-dimensional state has no orthogonal direction to rotate toward
     eye = [[[[1]]]]
     point = Strategy(state=[1], dim_a=1, dim_b=1, alice=eye, bob=eye)

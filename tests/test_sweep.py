@@ -14,9 +14,10 @@ from projsum.sweep import (
     emit_report,
     load_report,
     run_sweep,
-    spearman,
     trial_seed,
 )
+
+from oracles import spearman
 
 
 def small_config(**overrides):
@@ -87,6 +88,13 @@ def test_trial_seed_is_stable_and_distinct():
     seeds = {trial_seed(5, li, ti) for li in range(3) for ti in range(4)}
     assert len(seeds) == 12
     assert trial_seed(5, 0, 1) != trial_seed(6, 0, 1)
+
+
+@pytest.mark.parametrize("args", [(-1, 0, 0), (5, -1, 0), (5, 0, -1)])
+def test_trial_seed_rejects_negative_arguments(args):
+    # numpy's SeedSequence would raise a bare ValueError
+    with pytest.raises(SerializationError, match="nonnegative"):
+        trial_seed(*args)
 
 
 def test_build_family_dispatch():
