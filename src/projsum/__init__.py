@@ -1,101 +1,8 @@
-"""Sum-to-scalar projection families and robust self-testing of their strategies."""
+"""Sum-to-scalar projection families and robust self-testing of their strategies.
 
-from .errors import (
-    BudgetExceededError,
-    DegenerateInputError,
-    EigensolverError,
-    FitDegenerateError,
-    InvalidDimensionError,
-    InvalidFamilyError,
-    InvalidLevelError,
-    InvalidShapeError,
-    InvalidStateError,
-    InvalidStrategyError,
-    JunkExtractionError,
-    NonHermitianError,
-    ProjsumError,
-    SerializationError,
-    SpectralDegeneracyError,
-    UnsupportedOutcomeCountError,
-    UnsupportedQuestionCountError,
-    UnsupportedScalarError,
-)
-from .families import (
-    FamilyReport,
-    ProjectionFamily,
-    four_family,
-    ladder_family,
-    ladder_step,
-    scalar_is_admissible,
-    simplex_family,
-    simplex_vertices,
-    validate_family,
-)
-from .linalg import (
-    SchmidtDecomposition,
-    dagger,
-    fix_phases,
-    hermitian_eig,
-    krylov_eigh,
-    maximally_entangled,
-    nearest_isometry,
-    null_space,
-    reduced_densities,
-    schmidt,
-    seminorm,
-    unvec,
-    vec,
-)
-from .selftest import (
-    CorrelationOperator,
-    DilationCertificate,
-    IsometryFit,
-    ResidualReport,
-    SyncReport,
-    approx_rep_residuals,
-    compose_dilations,
-    dilation_epsilon,
-    extract_dilation,
-    fit_isometry,
-    n_operator,
-    sync_residuals,
-    tracial_residual,
-)
-from .serialize import (
-    certificate_to_dict,
-    correlation_from_dict,
-    correlation_to_dict,
-    family_from_dict,
-    family_to_dict,
-    load_json,
-    save_json,
-    strategy_from_dict,
-    strategy_to_dict,
-)
-from .strategies import (
-    NOISE_MODELS,
-    Correlation,
-    SchmidtReduction,
-    Strategy,
-    canonical_strategy,
-    chsh_fixture,
-    chsh_win_probability,
-    correlation_distance,
-    ideal_correlation,
-    induced_correlation,
-    marginals,
-    perturb,
-    schmidt_reduce,
-    synchronicity_defect,
-)
-from .sweep import (
-    SweepConfig,
-    SweepRow,
-    build_family,
-    emit_report,
-    load_report,
-    run_sweep,
-    trial_seed,
-)
+Each public name lives in its defining module and is imported from there,
+as in ``from projsum.families import four_family``.  ``import projsum``
+loads no submodule and gives only ``__version__``.
+"""
 
 __version__ = "0.1.0"

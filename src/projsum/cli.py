@@ -76,9 +76,11 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True, help="number of projections")
     gen.add_argument("--k", type=int, default=1, help="ladder level (1 only for n = 3)")
     gen.add_argument("--out", required=True, help="output path for family.json")
+    gen.set_defaults(run=_cmd_family_gen)
     verify = fam_sub.add_parser("verify", help="validate a family file")
     verify.add_argument("path", help="family.json to check")
     verify.add_argument("--tol", type=float, default=None, help="residual tolerance")
+    verify.set_defaults(run=_cmd_family_verify)
 
     strat = sub.add_parser("strategy", help="construct strategies")
     strat_sub = strat.add_subparsers(dest="strategy_command", required=True)
@@ -86,24 +88,29 @@ def _build_parser() -> argparse.ArgumentParser:
     canon.add_argument("--n", type=int, required=True)
     canon.add_argument("--k", type=int, default=1)
     canon.add_argument("--out", required=True, help="output path for strategy.json")
+    canon.set_defaults(run=_cmd_strategy_canonical)
 
     corr = sub.add_parser("correlate", help="induced correlation of a strategy file")
     corr.add_argument("strategy", help="strategy.json")
     corr.add_argument("--out", required=True, help="output path for correlation.json")
+    corr.set_defaults(run=_cmd_correlate)
 
     selftest = sub.add_parser("selftest", help="extract a dilation certificate")
     selftest.add_argument("strategy", help="strategy.json")
     selftest.add_argument("--n", type=int, required=True)
     selftest.add_argument("--k", type=int, default=1)
     selftest.add_argument("--cert", required=True, help="output path for certificate.json")
+    selftest.set_defaults(run=_cmd_selftest)
 
     sweep = sub.add_parser("sweep", help="run a noise sweep from a config file")
     sweep.add_argument("--config", required=True, help="sweep config JSON")
     sweep.add_argument("--out", required=True, help="output report path")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    sweep.set_defaults(run=_cmd_sweep)
 
     demo = sub.add_parser("demo", help="built-in demonstrations")
     demo.add_argument("name", choices=("chsh",), help="which demo to run")
+    demo.set_defaults(run=_cmd_demo)
     return parser
 
 
@@ -202,18 +209,8 @@ def main(argv=None) -> int:
     except argparse.ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    handlers = {
-        "family": lambda a: _cmd_family_gen(a)
-        if a.family_command == "gen"
-        else _cmd_family_verify(a),
-        "strategy": _cmd_strategy_canonical,
-        "correlate": _cmd_correlate,
-        "selftest": _cmd_selftest,
-        "sweep": _cmd_sweep,
-        "demo": _cmd_demo,
-    }
     try:
-        status = handlers[args.command](args)
+        status = args.run(args)
         # a reader that closed the pipe early shows here, not at interpreter exit
         sys.stdout.flush()
         return status
@@ -222,7 +219,7 @@ def main(argv=None) -> int:
         # interpreter's final flush does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (SerializationError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ProjsumError as exc:

@@ -51,7 +51,7 @@ class InvalidStrategyError(ProjsumError, ValueError):
 
 
 class InvalidLevelError(ProjsumError, ValueError):
-    """A noise level or seed is out of range: a level outside [0, 1], a negative seed."""
+    """A noise level that is not a real number in [0, 1], or a seed not an integer >= 0."""
 
 
 class SerializationError(ProjsumError, ValueError):

@@ -12,6 +12,7 @@ with the remaining outcomes filled in by the fixed marginals x/n.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -347,16 +348,19 @@ def perturb(strategy: Strategy, model: str, level: float, seed: int) -> Strategy
                    the POVM's sum, so it sums to I as closely as its input
     outcome-noise  mixes each POVM with the uniform one at weight ``level``
 
-    level = 0 returns the strategy unchanged; a negative seed raises InvalidLevelError.
+    level = 0 returns the strategy unchanged.  A level that is not a real number
+    in [0, 1] or a seed that is not an integer >= 0 (a bool is neither) raises
+    InvalidLevelError; the level is read as a float.
     """
     if model not in NOISE_MODELS:
         raise InvalidLevelError(f"unknown noise model {model!r}; pick from {NOISE_MODELS}")
-    if not (0.0 <= level <= 1.0):
-        raise InvalidLevelError(f"level must lie in [0, 1], got {level}")
-    if seed < 0:
-        raise InvalidLevelError(f"seed must be nonnegative, got {seed}")
+    if isinstance(level, bool) or not isinstance(level, numbers.Real) or not 0 <= level <= 1:
+        raise InvalidLevelError(f"level must be a real number in [0, 1], got {level!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidLevelError(f"seed must be nonnegative and integral, got {seed!r}")
     if level == 0.0:
         return strategy
+    level = float(level)
     rng = np.random.default_rng(seed)
 
     if model == "state-mixing":

@@ -55,7 +55,9 @@ BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def write_outputs(out, ks=KS) -> list[Path]:
     """Write the standard set for the levels ``ks`` into ``out``; return the paths."""
     # imported here, so that --compare runs without projsum on the path
-    from projsum import NOISE_MODELS, SweepConfig, emit_report, four_family, perturb, run_sweep
+    from projsum.families import four_family
+    from projsum.strategies import NOISE_MODELS, perturb
+    from projsum.sweep import SweepConfig, emit_report, run_sweep
     from projsum.cli import main as cli
     from projsum.serialize import save_json, strategy_to_dict
 

@@ -840,11 +840,15 @@ def test_dense_fit_checks_separation_before_vectors(monkeypatch):
 def test_import_and_fit_load_no_scipy():
     # importing scipy.linalg alone takes longer than the whole package setup
     code = (
-        "import sys, numpy as np, projsum\n"
-        "fam = projsum.four_family(2)\n"
-        "strat = projsum.perturb(fam.canonical_strategy, 'povm-jitter', 1e-3, 1)\n"
-        "rho, _ = projsum.reduced_densities(strat.state, (strat.dim_a, strat.dim_b))\n"
-        "projsum.fit_isometry(strat.alice[:, 0], fam, rho)\n"
+        "import sys, numpy as np\n"
+        "from projsum.families import four_family\n"
+        "from projsum.linalg import reduced_densities\n"
+        "from projsum.selftest import fit_isometry\n"
+        "from projsum.strategies import perturb\n"
+        "fam = four_family(2)\n"
+        "strat = perturb(fam.canonical_strategy, 'povm-jitter', 1e-3, 1)\n"
+        "rho, _ = reduced_densities(strat.state, (strat.dim_a, strat.dim_b))\n"
+        "fit_isometry(strat.alice[:, 0], fam, rho)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -853,6 +857,27 @@ def test_import_and_fit_load_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_package_loads_no_submodule_and_each_module_imports_alone():
+    # the package fixes no import order, so a cycle would show in whichever
+    # module a fresh interpreter imports first
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    names = sorted(f[:-3] for f in os.listdir(os.path.join(src, "projsum")) if f.endswith(".py"))
+    assert names[0] == "__init__" and "selftest" in names
+    code = "import sys, {0}; print(sorted(m for m in sys.modules if m.startswith('projsum')))"
+    for name in names:
+        module = "projsum" if name == "__init__" else f"projsum.{name}"
+        out = subprocess.run(
+            [sys.executable, "-c", code.format(module)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        if module == "projsum":
+            assert out.stdout.strip() == "['projsum']"
 
 
 # --- representation residual reports

@@ -477,6 +477,23 @@ def test_perturb_rejects_bad_arguments():
     for level in (0.1, 0.0):
         with pytest.raises(InvalidLevelError, match="seed must be nonnegative"):
             perturb(strat, "state-mixing", level, seed=-1)
+    # else a bare TypeError, or a bool read as 0 or 1
+    for level in (None, "0.1", True):
+        with pytest.raises(InvalidLevelError, match=r"level must be a real number in \[0, 1\]"):
+            perturb(strat, "state-mixing", level, seed=0)
+    for seed in (1.5, None, True):
+        with pytest.raises(InvalidLevelError, match="seed must be nonnegative and integral"):
+            perturb(strat, "state-mixing", 0.1, seed=seed)
+    # numpy scalars, integer levels and exact fractions are real numbers
+    same = perturb(strat, "state-mixing", np.float64(0.1), seed=np.int64(3))
+    assert np.array_equal(same.state, perturb(strat, "state-mixing", 0.1, seed=3).state)
+    assert perturb(strat, "state-mixing", 0, seed=0) is strat
+    full = perturb(strat, "outcome-noise", 1, seed=np.uint8(0))
+    assert np.array_equal(full.alice, perturb(strat, "outcome-noise", 1.0, seed=0).alice)
+    assert np.array_equal(
+        perturb(strat, "povm-jitter", Fraction(1, 10), seed=0).bob,
+        perturb(strat, "povm-jitter", 0.1, seed=0).bob,
+    )
     # a 1-dimensional state has no orthogonal direction to rotate toward
     eye = [[[[1]]]]
     point = Strategy(state=[1], dim_a=1, dim_b=1, alice=eye, bob=eye)
