@@ -28,7 +28,9 @@ from .errors import (
     UnsupportedQuestionCountError,
     UnsupportedScalarError,
 )
-from .linalg import KRYLOV_BUDGET, as_array, dagger, fix_phases, krylov_eigh, null_space
+from .linalg import (
+    KRYLOV_BUDGET, as_array, dagger, fix_phases, krylov_eigh, null_space, sandwich_operator
+)
 
 PROJECTION_TOL = 1e-9
 # relative to max(1, top eigenvalue)
@@ -73,23 +75,16 @@ class ProjectionFamily:
     def correlation_gap(self) -> float:
         """Gap below the top eigenvalue of N = sum_v P_v kron P_v^T, measured once.
 
-        N acts on vec(X) as X -> sum_v P_v X P_v (see linalg.vec): a block-2
-        Krylov solve finds its top two eigenpairs without forming it, and
-        raises SpectralDegeneracyError on a degenerate top eigenvalue.  As
+        N acts on vec(X) as X -> sum_v P_v X P_v (see linalg.vec), which
+        linalg.sandwich_operator applies: a block-2 Krylov solve finds its top
+        two eigenpairs without forming N, and raises SpectralDegeneracyError
+        on a degenerate top eigenvalue.  As
         sum_v P_v = x I, the gap is sum_v ||P_v T (I - P_v)||^2 = <T, (x I - N) T>
         for the second Ritz vector T, projected off I: no difference of
         eigenvalues cancels digits.  selftest.n_operator is the dense reference.
         """
         d, p = self.d, self.projections
-        # sum_v P_v X P_v = [P_1 X .. P_n X] [P_1; ..; P_n]: two matmuls
-        stacked = p.reshape(-1, d)
-
-        def apply(rows):
-            b = len(rows)
-            px = (stacked @ rows.reshape(b, d, d)).reshape(b, -1, d, d).swapaxes(1, 2)
-            return (px.reshape(b * d, -1) @ stacked).reshape(rows.shape)
-
-        w, v, _ = krylov_eigh(apply, d * d, count=2)
+        w, v, _ = krylov_eigh(sandwich_operator(p, p), d * d, count=2)
         top_gap(w)
         t = v[:, 1].reshape(d, d)
         t = t - np.trace(t) / d * np.eye(d)

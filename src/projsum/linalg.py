@@ -15,11 +15,11 @@ Conventions used across the package:
   rank test on each block is a QR and an SVD of the block's small factor
   (``_wide_svd``), its convergence checks estimate the Ritz residuals from
   the last block's coupling and apply the operator to Ritz vectors only to
-  accept them, returning the residuals so measured,
-  and a caller may hold its last ("guard") pairs to a looser tolerance; of
-  a dense one that selftest.fit_isometry builds, ``_hermitian_spectrum``
-  computes only the eigenvalues and ``_lowest_eigvecs`` the few lowest
-  eigenvectors, by inverse iteration for one and one full eigh for more
+  accept them, returning the residuals so measured, and a caller may hold
+  its last ("guard") pairs to a looser tolerance; each operator it is given
+  is a ``sandwich_operator``, X -> sum_v L_v X R_v on row-major vec(X); of a
+  dense matrix that selftest.fit_isometry builds, ``_hermitian_spectrum``
+  computes only the eigenvalues and ``_lowest_eigvec`` the lowest eigenvector
 * array arguments are read by ``as_array``: ragged entries, strings,
   booleans, the wrong rank, an empty axis and a non-finite entry are refused
   with a ProjsumError naming the argument (and the entry), never cast
@@ -61,7 +61,7 @@ KRYLOV_MAX_BLOCKS = 1000
 # much as a dense 4096 x 4096 operator
 KRYLOV_BUDGET = 4096**2
 KRYLOV_SEED = 2021
-# _lowest_eigvecs shifts this fraction of max|eigenvalue| below the wanted
+# _lowest_eigvec shifts this fraction of max|eigenvalue| below the wanted
 # eigenvalue, a few units in the last place.  Its residual test is a tenth
 # of krylov_eigh's: one sweep leaves residuals of 3e-15 (9 rows) to 1.4e-13
 # (625 rows) times max|eigenvalue|, a second one about 4e-16, below the 1e-15
@@ -393,6 +393,23 @@ def _wide_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, sv, wh @ qq.T
 
 
+def sandwich_operator(left: np.ndarray, right: np.ndarray):
+    """X -> sum_v L_v X R_v on row-major vec(X), as krylov_eigh applies it to
+    a (k, a b) stack of rows; ``left`` and ``right`` are the (m, a, a) and
+    (m, b, b) stacks of the L_v and R_v.  Two matmuls: the stacked
+    [L_1; ..; L_m] times X, regrouped as [L_1 X .. L_m X], times the stacked
+    [R_1; ..; R_m]."""
+    a, b = left.shape[-1], right.shape[-1]
+    left, right = left.reshape(-1, a), right.reshape(-1, b)
+
+    def apply(rows):
+        k = len(rows)
+        lx = (left @ rows.reshape(k, a, b)).reshape(k, -1, a, b).swapaxes(1, 2)
+        return (lx.reshape(k * a, -1) @ right).reshape(rows.shape)
+
+    return apply
+
+
 def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix the caller built, ascending, from its
     lower triangle as np.linalg.eigvalsh reads it; EigensolverError when
@@ -406,30 +423,20 @@ def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     return w
 
 
-def _lowest_eigvecs(m: np.ndarray, w: np.ndarray, count: int) -> np.ndarray:
-    """Phase-fixed eigenvectors (columns) of the ``count`` lowest eigenvalues.
-
-    ``m`` is a Hermitian matrix the caller built and ``w`` its whole
-    spectrum, ascending, as _hermitian_spectrum returns it, so the caller
-    judges the eigenvalues before any vector is computed; 1 <= count <=
-    len(w).  One vector comes from shifted inverse iteration (Ipsen, SIAM
-    Review 39, 1997): a seeded random vector is solved against m - sigma I,
-    sigma just below w[0], and normalised, until its residual
-    ||A x - theta x|| is at most INVERSE_TOL * max|w|; a shift that makes
-    the solve singular is moved further down.  More vectors take one
-    np.linalg.eigh, which reads the lower triangle as _hermitian_spectrum
-    does.  EigensolverError is raised when LAPACK fails or after
-    INVERSE_MAX_SWEEPS sweeps; an unconverged result is never returned.
-    """
+def _lowest_eigvec(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Phase-fixed eigenvector (one column) of the lowest eigenvalue of a
+    Hermitian matrix ``m`` the caller built, whose whole ascending spectrum
+    ``w`` _hermitian_spectrum returned, so the caller judges it first.
+    Shifted inverse iteration (Ipsen, SIAM Review 39, 1997): a seeded random
+    vector is solved against m - sigma I, sigma just below w[0], and
+    normalised, until ||A x - theta x|| <= INVERSE_TOL * max|w|; a shift that
+    makes the solve singular is moved further down.  EigensolverError when
+    the solve stays singular or after INVERSE_MAX_SWEEPS sweeps: an
+    unconverged result is never returned."""
     dim = len(w)
     scale = float(np.abs(w).max())
-    if scale == 0.0:  # the zero matrix: any orthonormal block is an answer
-        return np.eye(dim, count, dtype=np.complex128)
-    if count > 1:
-        try:
-            return fix_phases(np.linalg.eigh(m)[1][:, :count])
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"eigenvectors of a {dim}-row matrix: {exc}") from exc
+    if scale == 0.0:  # the zero matrix: any unit vector is an answer
+        return np.eye(dim, 1, dtype=np.complex128)
     shift = w[0] - INVERSE_SHIFT * scale
     eye = np.eye(dim)
     rng = np.random.default_rng(KRYLOV_SEED)

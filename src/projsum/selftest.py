@@ -21,15 +21,15 @@ ProjectionFamily.correlation_gap: measured matrix-free once per family, as a
 sum of squares on an eigenvector, not a difference of eigenvalues, with
 n_operator kept as the dense reference.  fit_isometry needs only the s
 lowest eigenpairs of its form on one d x r ancilla row block (s is the
-ancilla dimension): up to KRYLOV_MIN_ROWS rows it forms the matrix, takes
-its eigenvalues alone and the wanted eigenvectors from linalg._lowest_eigvecs
-(inverse iteration for one, one full eigh for more); above, it applies the
-form matrix-free to linalg.krylov_eigh, with one guard pair beyond the s
-wanted ones.  Both paths return phase-fixed eigenvectors, so they give the
-same isometry, and both refuse a form whose solution eigenspace is not
-separated from the next eigenvalue; the matrix-free path converges the
-guard pair only to linalg.KRYLOV_GUARD_TOL and takes the residual the
-solver measured on it off the separation it tests.
+ancilla dimension).  For s = 1 up to KRYLOV_MIN_ROWS rows it forms the
+matrix, takes its eigenvalues alone and then linalg._lowest_eigvec; every
+other form is applied as the gap's is (linalg.sandwich_operator) to
+linalg.krylov_eigh, with one guard pair beyond the s wanted ones.  Both
+paths return phase-fixed eigenvectors, so they give the same isometry, and
+both refuse a form whose solution eigenspace is not separated from the
+next eigenvalue; the matrix-free path converges the guard pair only to
+linalg.KRYLOV_GUARD_TOL and takes the residual the solver measured on it
+off the separation it tests.
 
 All certified quantities are measured, never assumed: every bound stored in
 a certificate is recomputed from the returned isometries and junk state.
@@ -53,19 +53,20 @@ from .errors import (
 from .families import ProjectionFamily, top_gap
 from .linalg import (
     _hermitian_spectrum,
-    _lowest_eigvecs,
+    _lowest_eigvec,
     _seminorm,
     as_array,
     dagger,
     hermitian_eig,
     krylov_eigh,
     maximally_entangled,
+    sandwich_operator,
 )
 from .strategies import Strategy, correlation_distance, ideal_correlation
 
 ALPHA_MIN = 0.1
 PAIR_BUDGET = 1_000_000
-# fit forms with more rows are solved matrix-free; measured crossover
+# s = 1 fit forms with more rows go matrix-free, as all ancilla fits do; measured crossover
 KRYLOV_MIN_ROWS = 441
 # relative to tr(rho), the scale of the fit form
 FIT_SEPARATION_TOL = 1e-8
@@ -321,7 +322,7 @@ def _require_separation(w: np.ndarray, count: int, trace: float, residual: float
     by more than FIT_SEPARATION_TOL * trace.  ``residual`` is the measured
     ||A x - w[count] x|| of a Ritz pair, so some eigenvalue lies within it of
     w[count]; an exact spectrum passes 0."""
-    if w.size > count and w[count] - residual - w[count - 1] <= FIT_SEPARATION_TOL * trace:
+    if w[count] - residual - w[count - 1] <= FIT_SEPARATION_TOL * trace:
         measured = f", residual {residual:.1e}" if residual else ""
         raise FitDegenerateError(
             f"the fit form's eigenvalues {count} and {count + 1} are not separated "
@@ -340,18 +341,19 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     else one seeded draw per block projected onto that span.
     ``ops`` is an (n, r, r) stack, or a sequence of n equal-shape matrices.
     The ancilla dimension s is the least one with d s >= r, so that an
-    isometry into C^(d s) exists.  A Q of up to KRYLOV_MIN_ROWS rows is
-    formed densely: its spectrum comes from linalg._hermitian_spectrum and
-    only its s lowest eigenvectors from linalg._lowest_eigvecs.  A larger
-    one is solved matrix-free by linalg.krylov_eigh for s + 1 pairs, the
+    isometry into C^(d s) exists.  For s = 1, a Q of up to KRYLOV_MIN_ROWS
+    rows is formed densely: its spectrum comes from linalg._hermitian_spectrum
+    and its lowest eigenvector from linalg._lowest_eigvec.  Every other Q,
+    each with s > 1 among them, is applied matrix-free
+    (linalg.sandwich_operator) to linalg.krylov_eigh for s + 1 pairs, the
     last a guard pair, and its basis budget raises BudgetExceededError
-    before allocating.  Raises FitDegenerateError, before any eigenvector
-    is computed on the dense path, when Q's s lowest eigenvalues are not
-    separated from the next one by FIT_SEPARATION_TOL * tr(rho), less the
-    guard pair's residual as the solver measured it on the matrix-free
-    path: the solution would then be an arbitrary pick from a larger
-    eigenspace, and when the solution's smallest singular value is at most
-    1e-8 of its largest.  Only ``ops`` and ``rho`` are read by
+    before allocating; for d = 1 every T solves.  Raises FitDegenerateError,
+    before any eigenvector is computed on the dense path, when Q's s lowest
+    eigenvalues are not separated from the next one by FIT_SEPARATION_TOL *
+    tr(rho), less the guard pair's residual as the solver measured it on the
+    matrix-free path: the solution would then be an arbitrary pick from a
+    larger eigenspace, and when the solution's smallest singular value is at
+    most 1e-8 of its largest.  Only ``ops`` and ``rho`` are read by
     linalg.as_array; the arrays the fit builds go to unchecked kernels, and
     the form is applied only inside krylov_eigh.
     """
@@ -386,31 +388,25 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     terms += dagger(terms)
     terms /= 2.0
     terms = terms.swapaxes(-1, -2)
-    if rows <= KRYLOV_MIN_ROWS:
+    if d == 1:  # s = rows: Q's s lowest eigenvectors are all of them
+        vecs = np.eye(rows, dtype=np.complex128)
+    elif s == 1 and rows <= KRYLOV_MIN_ROWS:
         # Q = sum_v W_v^T kron P_v + C^T kron I: one matmul over the
         # flattened stacks
         right = np.concatenate([fam.projections, np.eye(d)[None]]).reshape(fam.n + 1, -1)
         quad = terms.reshape(fam.n + 1, -1).T @ right
         quad = quad.reshape(r, r, d, d).transpose(0, 2, 1, 3).reshape(rows, rows)
         w = _hermitian_spectrum(quad)
-        _require_separation(w, s, trace)
-        vecs = _lowest_eigvecs(quad, w, s)
+        _require_separation(w, 1, trace)
+        vecs = _lowest_eigvec(quad, w)
     else:
         # a row is vec(T_a), which reshapes to U = T_a^T, on which the
-        # negated transposed map acts as two matmuls: [W_1^T; ..; W_n^T; C^T] U,
-        # regrouped to [W_1^T U .. C^T U], times -[P_1^T; ..; P_n^T; I]
-        left = terms.reshape(-1, r)
-        right = -np.concatenate([fam.projections.swapaxes(-1, -2), np.eye(d)[None]]).reshape(-1, d)
-
-        def negated_form(x):
-            b = len(x)
-            image = (left @ x.reshape(b, r, d)).reshape(b, -1, r, d).swapaxes(1, 2)
-            return (image.reshape(b * r, -1) @ right).reshape(x.shape)
-
-        # a block of s + 1 measures whether the next eigenvalue coincides;
+        # negated transposed map is U -> -(sum_v W_v^T U P_v^T + C^T U); a
+        # block of s + 1 measures whether the next eigenvalue coincides, and
         # that guard pair converges only to KRYLOV_GUARD_TOL, so its measured
         # residual is taken off the separation
-        w, vecs, residuals = krylov_eigh(negated_form, rows, s + 1, guard=1)
+        right = -np.concatenate([fam.projections.swapaxes(-1, -2), np.eye(d)[None]])
+        w, vecs, residuals = krylov_eigh(sandwich_operator(terms, right), rows, s + 1, guard=1)
         _require_separation(-w, s, trace, residuals[s])
         vecs = vecs[:, :s]
 
@@ -486,6 +482,10 @@ def _dilation_residuals(
     With M, M0, J the matrices of the source state, reference state and junk:
     ||V_A M V_B^T - M0 kron J|| and ||V_A E M F^T V_B^T - (P M0 Q^T) kron J||.
     """
+    if strategy.n_questions != reference.n_questions:
+        raise InvalidStrategyError("question counts differ")
+    if strategy.n_outcomes != reference.n_outcomes:
+        raise InvalidStrategyError("outcome counts differ")
     da, db = reference.dim_a, reference.dim_b
     if v_a.shape[0] % da != 0 or v_b.shape[0] % db != 0:
         raise InvalidShapeError("isometry ranges are not multiples of the reference dims")
@@ -518,10 +518,6 @@ def dilation_epsilon(
 ) -> float:
     """Worst dilation-condition residual for the given isometries and junk,
     each read by linalg.as_array, which raises InvalidShapeError."""
-    if strategy.n_questions != reference.n_questions:
-        raise InvalidStrategyError("question counts differ")
-    if strategy.n_outcomes != reference.n_outcomes:
-        raise InvalidStrategyError("outcome counts differ")
     v_a, v_b = as_array(v_a, 2, "v_a"), as_array(v_b, 2, "v_b")
     junk = as_array(junk, 1, "junk")
     return float(_dilation_residuals(strategy, reference, v_a, v_b, junk).max())
@@ -591,14 +587,14 @@ def extract_dilation(strategy: Strategy, fam: ProjectionFamily) -> DilationCerti
 
 
 def compose_dilations(
-    inner: DilationCertificate, outer: DilationCertificate
+    inner: DilationCertificate, outer: DilationCertificate, source: Strategy, reference: Strategy
 ) -> DilationCertificate:
     """Chain two dilation certificates into one.
 
-    ``inner`` exhibits the middle strategy as a dilation of the source,
-    ``outer`` exhibits the final reference as a dilation of the middle one.
-    The composed isometries are (V kron I) W, the junk states tensor, and
-    the certified epsilon is the sum of the parts.
+    ``inner`` exhibits the middle strategy as a dilation of ``source``,
+    ``outer`` exhibits ``reference`` as a dilation of the middle one.  The
+    composed isometries are (V kron I) W and the junk states tensor; the
+    residuals are measured on them, and epsilon is at most the parts' sum.
     """
     if inner.ref_dim_a != outer.source_dim_a or inner.ref_dim_b != outer.source_dim_b:
         raise InvalidShapeError(
@@ -614,6 +610,7 @@ def compose_dilations(
         .transpose(0, 2, 1, 3)
         .reshape(-1)
     )
+    residuals = _dilation_residuals(source, reference, v_a, v_b, junk)
     return DilationCertificate(
         v_a=v_a,
         v_b=v_b,
@@ -622,5 +619,6 @@ def compose_dilations(
         ref_dim_b=outer.ref_dim_b,
         anc_dim_a=ka1 * ka2,
         anc_dim_b=kb1 * kb2,
-        epsilon=inner.epsilon + outer.epsilon,
+        epsilon=float(residuals.max()),
+        state_residual=float(residuals[0]),
     )

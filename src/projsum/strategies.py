@@ -61,8 +61,7 @@ class Strategy:
     def __post_init__(self):
         for name, ndim in (("state", 1), ("alice", 4), ("bob", 4)):
             arr = as_array(getattr(self, name), ndim, name, InvalidStrategyError)
-            # a C-ordered copy: slices of a transposed input would make
-            # every np.kron of them copy its d^2 x d^2 result once more
+            # a C-ordered copy, so state_matrix is a read-only view, not a copy
             arr = np.array(arr, order="C")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

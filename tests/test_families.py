@@ -67,6 +67,8 @@ def test_scalar_admissibility():
     assert not scalar_is_admissible(4, Fraction(-1))
     assert scalar_is_admissible(5, Fraction(15, 11))
     assert not scalar_is_admissible(5, Fraction(3, 2))
+    with pytest.raises(UnsupportedQuestionCountError, match="^need n >= 3, got 2$"):
+        scalar_is_admissible(2, 1)
 
 
 @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
@@ -86,6 +88,8 @@ def test_simplex_vertices_gram():
         off = gram - np.diag(np.diag(gram))
         assert np.allclose(np.abs(off + np.eye(n) * 0)[~np.eye(n, dtype=bool)],
                            1.0 / (n - 1), atol=1e-12)
+    with pytest.raises(UnsupportedQuestionCountError, match="^need n >= 2, got 1$"):
+        simplex_vertices(1)
 
 
 def test_simplex_vertices_without_recursion_limit():
@@ -195,6 +199,10 @@ def test_four_family_step_rejects_wrong_input():
     broken = ProjectionFamily(n=4, x=fam.x, d=fam.d, projections=tuple(bad))
     with pytest.raises(InvalidFamilyError, match="^input family fails validation at 1e-8$"):
         ladder_step(broken)
+    # x d / n = 3/4 is no projection rank
+    fractional = ProjectionFamily(n=4, x=Fraction(1), d=3, projections=np.zeros((4, 3, 3)))
+    with pytest.raises(InvalidFamilyError, match="^scalar 1 gives no rank in 0..d-1 at d = 3$"):
+        ladder_step(fractional)
 
 
 def test_ladder_family_validates_each_rung_once(monkeypatch):

@@ -8,13 +8,14 @@ import projsum.linalg as linalg
 from projsum.errors import (
     BudgetExceededError,
     EigensolverError,
+    InvalidDimensionError,
     InvalidShapeError,
     InvalidStateError,
     NonHermitianError,
 )
 from projsum.linalg import (
     _hermitian_spectrum,
-    _lowest_eigvecs,
+    _lowest_eigvec,
     _wide_svd,
     dagger,
     fix_phases,
@@ -68,6 +69,8 @@ def test_maximally_entangled_is_vec_of_scaled_identity():
         phi = maximally_entangled(d)
         assert np.allclose(phi, vec(np.eye(d) / np.sqrt(d)))
         assert abs(np.linalg.norm(phi) - 1.0) < 1e-14
+    with pytest.raises(InvalidDimensionError, match="^dimension must be positive, got 0$"):
+        maximally_entangled(0)
 
 
 def test_schmidt_known_coefficients():
@@ -192,6 +195,8 @@ def test_hermitian_eig_descending_and_reconstructs():
         assert np.allclose(v @ np.diag(w) @ v.conj().T, h, atol=1e-10)
     with pytest.raises(NonHermitianError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(InvalidShapeError, match=r"^expected a square matrix, got \(2, 3\)$"):
+        hermitian_eig(np.zeros((2, 3)))
 
 
 def matrix_action(a):
@@ -398,74 +403,50 @@ def test_krylov_eigh_guards(monkeypatch):
         krylov_eigh(matrix_action(h), 50, 1)
 
 
-@given(
-    dim=st.integers(4, 40),
-    count=st.sampled_from([1, 2, 4]),
-    seed=st.integers(0, 2**16),
-)
-def test_lowest_eigvecs_matches_hermitian_eig(dim, count, seed):
+@given(dim=st.integers(4, 40), seed=st.integers(0, 2**16))
+def test_lowest_eigvecs_matches_hermitian_eig(dim, seed):
     h = random_hermitian(dim, np.random.default_rng(seed))
     w = _hermitian_spectrum(h)
-    v = _lowest_eigvecs(h, w, count)
+    v = _lowest_eigvec(h, w)
     ref_w, ref_v = hermitian_eig(h)
     ref_w, ref_v = ref_w[::-1], ref_v[:, ::-1]
     scale = np.abs(ref_w).max()
     assert np.allclose(w, ref_w, rtol=0, atol=1e-12 * scale)
-    assert np.allclose(v.conj().T @ v, np.eye(count), atol=1e-12)
-    assert np.linalg.norm(h @ v - v * w[:count], axis=0).max() <= 1e-12 * scale
-    for j in range(count):
-        neighbours = np.delete(ref_w, j)
-        if np.abs(neighbours - ref_w[j]).min() > 1e-3 * scale:
-            assert np.abs(v[:, j] - ref_v[:, j]).max() < 1e-9
+    assert v.shape == (dim, 1)
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+    assert np.linalg.norm(h @ v - v * w[0]) <= 1e-12 * scale
+    if ref_w[1] - ref_w[0] > 1e-3 * scale:
+        assert np.abs(v[:, 0] - ref_v[:, 0]).max() < 1e-9
 
 
-# the loop oracle's band rule: wanted eigenvalues spanning at most this
-# fraction of their distance to the next one share one shift
-NARROW_BAND = 1e-3
-
-
-def loop_lowest_eigvecs(a, w, count):
-    """_lowest_eigvecs by inverse iteration alone: a narrow band (NARROW_BAND)
-    takes one shared shift, a spread cluster a shift and a solve per wanted
-    eigenvalue and sweep."""
+def loop_lowest_eigvec(a, w):
+    """_lowest_eigvec as a loop of shifted solves, each followed by a
+    Rayleigh-Ritz step on the normalised vector."""
     m = np.asarray(a, dtype=np.complex128)
     dim = len(w)
     scale = float(np.abs(w).max())
     if scale == 0.0:
-        return np.eye(dim, count, dtype=np.complex128)
-    offset = linalg.INVERSE_SHIFT * scale
-    band = w[count - 1] - w[0]
-    if is_narrow(w, count):
-        shifts, blocks = np.array([w[0] - max(offset, band)]), [slice(0, count)]
-    else:
-        shifts, blocks = w[:count] - offset, [slice(i, i + 1) for i in range(count)]
+        return np.eye(dim, 1, dtype=np.complex128)
+    shift = w[0] - linalg.INVERSE_SHIFT * scale
     eye = np.eye(dim)
     rng = np.random.default_rng(linalg.KRYLOV_SEED)
-    x = rng.normal(size=(dim, count)) + 1j * rng.normal(size=(dim, count))
+    x = rng.normal(size=(dim, 1)) + 1j * rng.normal(size=(dim, 1))
     for _ in range(linalg.INVERSE_MAX_SWEEPS):
-        for i, cols in enumerate(blocks):
-            for attempt in range(4):
-                try:
-                    x[:, cols] = np.linalg.solve(m - shifts[i] * eye, x[:, cols])
-                    break
-                except np.linalg.LinAlgError:
-                    shifts[i] -= 16 * np.spacing(scale)
-            else:
-                raise EigensolverError("shifted solves stay singular")
-        q = x / np.linalg.norm(x) if count == 1 else np.linalg.qr(x)[0]
+        for attempt in range(4):
+            try:
+                x = np.linalg.solve(m - shift * eye, x)
+                break
+            except np.linalg.LinAlgError:
+                shift -= 16 * np.spacing(scale)
+        else:
+            raise EigensolverError("shifted solves stay singular")
+        q = x / np.linalg.norm(x)
         mq = m @ q
         theta, y = np.linalg.eigh(dagger(q) @ mq)
         x = q @ y
-        residual = np.linalg.norm(mq @ y - x * theta, axis=0)
-        if residual.max() <= linalg.INVERSE_TOL * scale:
+        if np.linalg.norm(mq @ y - x * theta) <= linalg.INVERSE_TOL * scale:
             return fix_phases(x)
     raise EigensolverError("no convergence")
-
-
-def is_narrow(w, count):
-    """Whether the wanted eigenvalues form a band narrow against the gap above
-    it, as one eigenvalue always does."""
-    return count == len(w) or w[count - 1] - w[0] <= NARROW_BAND * (w[count] - w[count - 1])
 
 
 def planted(head, seed, dim=30):
@@ -483,39 +464,26 @@ def assert_spans(v, basis):
 
 
 def test_lowest_eigvecs_planted_cluster_and_degeneracy():
-    # a cluster of three eigenvalues 1e-9 apart inside the wanted four
+    # a cluster of three eigenvalues 1e-9 apart just above the wanted one
     h, u = planted([-1.0, 0.5, 0.5 + 1e-9, 0.5 + 2e-9], seed=14)
-    for count in (1, 4):
-        assert_spans(_lowest_eigvecs(h, _hermitian_spectrum(h), count), u[:, :count])
-    # an exactly degenerate lowest eigenvalue, wanted once, twice, and with
-    # two of the next (also degenerate) one
+    assert_spans(_lowest_eigvec(h, _hermitian_spectrum(h)), u[:, :1])
+    # an exactly degenerate lowest eigenvalue: the vector lies in its eigenspace
     h, u = planted([-1.0, -1.0, 0.5, 0.5, 0.5], seed=15)
-    w = _hermitian_spectrum(h)
-    assert_spans(_lowest_eigvecs(h, w, 1), u[:, :2])
-    assert_spans(_lowest_eigvecs(h, w, 2), u[:, :2])
-    v = _lowest_eigvecs(h, w, 4)
-    assert_spans(v, u[:, :5])
-    assert_spans(v[:, :2], u[:, :2])
+    assert_spans(_lowest_eigvec(h, _hermitian_spectrum(h)), u[:, :2])
 
 
 def test_lowest_eigvecs_matches_the_loop_on_planted_narrow_bands():
     cases = [
-        (planted([-1.0, 0.5, 0.5 + 1e-9, 0.5 + 2e-9], seed=14)[0], 1),
-        (planted([-1.0, -1.0, 0.5, 0.5, 0.5], seed=15)[0], 1),
-        (planted([-1.0, -1.0, 0.5, 0.5, 0.5], seed=15)[0], 2),
-        (planted(1e-7 * np.arange(8.0), seed=17)[0], 8),
-        (np.diag(np.arange(12.0)).astype(complex), 1),
-        (np.diag(np.r_[0.0, 0.0, 0.0, np.arange(1.0, 10.0)]).astype(complex), 3),
-        (random_hermitian(20, np.random.default_rng(16)), 1),
+        planted([-1.0, 0.5, 0.5 + 1e-9, 0.5 + 2e-9], seed=14)[0],
+        planted([-1.0, -1.0, 0.5, 0.5, 0.5], seed=15)[0],
+        planted(1e-7 * np.arange(8.0), seed=17)[0],
+        np.diag(np.arange(12.0)).astype(complex),
+        np.diag(np.r_[0.0, 0.0, 0.0, np.arange(1.0, 10.0)]).astype(complex),
+        random_hermitian(20, np.random.default_rng(16)),
     ]
-    for h, count in cases:
+    for h in cases:
         w = _hermitian_spectrum(h)
-        assert is_narrow(w, count)
-        v = _lowest_eigvecs(h, w, count)
-        if count == 1:
-            assert np.array_equal(v, loop_lowest_eigvecs(h, w, count))
-        else:
-            assert_spans(v, hermitian_eig(h)[1][:, ::-1][:, :count])
+        assert np.array_equal(_lowest_eigvec(h, w), loop_lowest_eigvec(h, w))
 
 
 def count_calls(monkeypatch, *names):
@@ -530,37 +498,6 @@ def count_calls(monkeypatch, *names):
     return calls
 
 
-def test_lowest_eigvecs_spread_cluster_takes_one_eigh(monkeypatch):
-    cases = [
-        (planted([-1.0, -0.5, 0.0, 0.5], seed=18)[0], 4),
-        (planted([-1.0, 0.5, 0.5 + 1e-9, 0.5 + 2e-9], seed=14)[0], 4),
-        (planted([-1.0, 1.0], seed=19, dim=9)[0], 2),
-    ]
-    for h, count in cases:
-        w = _hermitian_spectrum(h)
-        assert not is_narrow(w, count)
-        basis = hermitian_eig(h)[1][:, ::-1][:, :count]
-        assert_spans(loop_lowest_eigvecs(h, w, count), basis)
-        calls = count_calls(monkeypatch, "eigh", "solve")
-        v = _lowest_eigvecs(h, w, count)
-        monkeypatch.undo()
-        assert calls == {"eigh": 1, "solve": 0}
-        assert_spans(v, basis)
-        assert np.abs(v - fix_phases(v)).max() < 1e-15
-
-
-def test_lowest_eigvecs_narrow_band_takes_one_eigh_and_no_solve(monkeypatch):
-    # eight wanted eigenvalues 1e-7 apart, the rest at least 2 above them
-    h, u = planted(1e-7 * np.arange(8.0), seed=17)
-    w = _hermitian_spectrum(h)
-    calls = count_calls(monkeypatch, "eigh", "solve")
-    v = _lowest_eigvecs(h, w, 8)
-    monkeypatch.undo()
-    assert calls == {"eigh": 1, "solve": 0}
-    assert_spans(v, u[:, :8])
-    assert np.linalg.norm(h @ v - v * w[:8], axis=0).max() <= 1e-12 * np.abs(w).max()
-
-
 def test_lowest_eigvecs_exact_diagonal_and_singular_shifts(monkeypatch):
     h = np.diag(np.arange(12.0)).astype(complex)
     flat = np.diag(np.r_[0.0, 0.0, 0.0, np.arange(1.0, 10.0)]).astype(complex)
@@ -568,22 +505,23 @@ def test_lowest_eigvecs_exact_diagonal_and_singular_shifts(monkeypatch):
         # with no offset every shift is an exact eigenvalue: the solve is
         # singular and the shift must move instead of raising LinAlgError
         monkeypatch.setattr(linalg, "INVERSE_SHIFT", shift)
-        for count in (1, 2, 4):
-            v = _lowest_eigvecs(h, _hermitian_spectrum(h), count)
-            assert np.allclose(v, np.eye(12)[:, :count], rtol=0, atol=1e-12)
-        # a threefold eigenvalue, wanted whole
-        assert_spans(_lowest_eigvecs(flat, _hermitian_spectrum(flat), 3), np.eye(12)[:, :3])
+        calls = count_calls(monkeypatch, "eigh")
+        v = _lowest_eigvec(h, _hermitian_spectrum(h))
+        assert calls == {"eigh": 0}
+        assert np.allclose(v, np.eye(12)[:, :1], rtol=0, atol=1e-12)
+        # a threefold lowest eigenvalue
+        assert_spans(_lowest_eigvec(flat, _hermitian_spectrum(flat)), np.eye(12)[:, :3])
 
 
 def test_lowest_eigvecs_guards(monkeypatch):
-    # the zero matrix takes any orthonormal block; a shift far from the
+    # the zero matrix takes any unit vector; a shift far from the
     # eigenvalue needs many sweeps, and none left raises
-    assert np.array_equal(_lowest_eigvecs(np.zeros((3, 3), complex), np.zeros(3), 2), np.eye(3, 2))
+    assert np.array_equal(_lowest_eigvec(np.zeros((3, 3), complex), np.zeros(3)), np.eye(3, 1))
     h = random_hermitian(20, np.random.default_rng(16))
     monkeypatch.setattr(linalg, "INVERSE_SHIFT", 0.5)
     monkeypatch.setattr(linalg, "INVERSE_MAX_SWEEPS", 1)
     with pytest.raises(EigensolverError, match="no convergence within 1 inverse-iteration sweeps"):
-        _lowest_eigvecs(h, _hermitian_spectrum(h), 1)
+        _lowest_eigvec(h, _hermitian_spectrum(h))
 
 
 def test_fix_phases_largest_entry_real_positive():
@@ -619,6 +557,7 @@ def test_is_hermitian_and_dagger():
     assert is_hermitian(x)
     assert np.array_equal(dagger(x), x.conj().T)
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert is_hermitian(np.zeros((2, 3))) is False
     # a stack gets one verdict per matrix
     stack = np.stack([x, np.array([[0.0, 1.0], [0.0, 0.0]]), x]).reshape(3, 1, 2, 2)
     assert is_hermitian(stack).tolist() == [[True], [False], [True]]

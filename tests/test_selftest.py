@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import projsum.families as families
 import projsum.linalg as linalg
 import projsum.selftest as selftest
 from projsum.errors import (
@@ -32,7 +31,7 @@ from projsum.families import (
     simplex_family,
 )
 from projsum.linalg import (
-    _lowest_eigvecs,
+    _lowest_eigvec,
     dagger,
     fix_phases,
     maximally_entangled,
@@ -70,7 +69,7 @@ from oracles import (
     partial_trace,
     random_unitary,
 )
-from test_linalg import count_calls, is_narrow, loop_lowest_eigvecs, restarted
+from test_linalg import loop_lowest_eigvec, restarted
 from test_strategies import planted_strategy
 
 
@@ -506,13 +505,36 @@ def test_fit_isometry_shape_and_budget_guards(monkeypatch):
     assert peak < 4_000_000
 
 
-def test_fit_isometry_degenerate_candidate_raises():
+def test_fit_isometry_degenerate_candidate_raises(monkeypatch):
     fam = four_family(1)
     # operators supported on half the space force a rank-deficient fit
     ops = [np.kron(p, np.diag([1.0, 0.0])) for p in fam.projections]
     rho = np.eye(6) / 6
     with pytest.raises(FitDegenerateError):
         fit_isometry(ops, fam, rho)
+    # a separated form whose eigenvector is replaced by e_0: T has rank one
+    monkeypatch.setattr(selftest, "_lowest_eigvec", lambda quad, w: np.eye(len(w), 1))
+    with pytest.raises(FitDegenerateError, match="^fitted map has a rank-deficient polar factor$"):
+        fit_isometry(fam.projections, fam, np.eye(3) / 3)
+
+
+def test_fit_isometry_against_a_one_dimensional_family(monkeypatch):
+    # d = 1 makes s = r = rows: Q's s lowest eigenvectors are all of them,
+    # so every T solves, no eigensolver runs, and the isometry is the polar
+    # factor of the seeded draw itself
+    def unreachable(*args, **kw):
+        raise AssertionError("an eigensolver ran for a one-dimensional family")
+
+    monkeypatch.setattr(selftest, "krylov_eigh", unreachable)
+    monkeypatch.setattr(selftest, "_lowest_eigvec", unreachable)
+    fam = ProjectionFamily(3, Fraction(1), 1, [[[1]], [[0]], [[0]]])
+    ops = [np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))]
+    fit = fit_isometry(ops, fam, np.eye(2) / 2)
+    assert fit.s == 2
+    rng = np.random.default_rng(7)
+    draw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    assert np.abs(fit.isometry - nearest_isometry(draw.T)).max() < 1e-15
+    assert fit.max_residual < 1e-15
 
 
 def kron_fit_isometry(ops, fam, rho):
@@ -559,15 +581,16 @@ def fit_paths(monkeypatch, ops, fam, rho):
 )
 def test_fit_isometry_paths_agree(monkeypatch, k, ka, model, basis_blocks):
     # s = ka; for s > 1 the isometry is drawn from the solution space
-    # independently of its basis, so equal isometries mean equal subspaces;
-    # s = 3 runs a Krylov block of 4.  Bob's ancilla is at least as large as
-    # Alice's, so rho_A has full rank and the ridge does not set the solution.
-    # A basis of 10 blocks is smaller than the 121- and 50-row forms, so the
-    # matrix-free path restarts
+    # independently of its basis, so equal isometries mean equal subspaces.
+    # An ancilla fit is matrix-free on both paths, so for s > 1 the
+    # reference is the Kronecker-form oracle; s = 3 runs a Krylov block of
+    # 4.  Bob's ancilla is at least as large as Alice's, so rho_A has full
+    # rank and the ridge does not set the solution.  A basis of 10 blocks is
+    # smaller than the 121- and 50-row forms, so the matrix-free path restarts
     fam = four_family(k)
     strat, _ = planted_strategy(fam, ka, max(ka, 2), seed=k)
     noisy = perturb(strat, model, 1e-3, seed=k)
-    rho_a, _ = reduced_densities(noisy.state, (noisy.dim_a, noisy.dim_b))
+    ops, rho_a = noisy.alice[:, 0], noisy.reduced_densities[0]
     if basis_blocks is not None:
         monkeypatch.setattr(linalg, "KRYLOV_BASIS_BLOCKS", basis_blocks)
     rows = []
@@ -579,11 +602,15 @@ def test_fit_isometry_paths_agree(monkeypatch, k, ka, model, basis_blocks):
             lambda b: rows.append(len(b)) or apply(b), dim, count, **kw
         ),
     )
-    dense, krylov = fit_paths(monkeypatch, noisy.alice[:, 0], fam, rho_a)
+    dense, krylov = fit_paths(monkeypatch, ops, fam, rho_a)
     assert basis_blocks is None or restarted(rows)
     assert dense.s == krylov.s == ka
-    assert np.abs(dense.isometry - krylov.isometry).max() < 1e-10
-    assert np.abs(dense.residuals - krylov.residuals).max() < 1e-10
+    if ka == 1:
+        v, residuals = dense.isometry, dense.residuals
+    else:
+        v, residuals = kron_fit_isometry(ops, fam, rho_a)
+    assert np.abs(krylov.isometry - v).max() < 1e-10
+    assert np.abs(krylov.residuals - residuals).max() < 1e-10
 
 
 @pytest.mark.parametrize("k, s", [(1, 1), (1, 2), (1, 3), (2, 2)])
@@ -664,8 +691,9 @@ def count_applications(name, module, run):
 def test_d31_matrix_free_solves_stay_within_their_application_counts(monkeypatch):
     # operator applications are steadier than time; the counts before the
     # solver estimated its residuals were 184 (155 block steps and 29
-    # checks) for the fit and 53 for the gap.  The fit applies its form
-    # only inside the solver: the guard residual is the solver's
+    # checks) for the fit and 53 for the gap.  Both apply the one
+    # linalg.sandwich_operator kernel, and the fit only inside the solver:
+    # the guard residual is the solver's
     fam = four_family(15)
     noisy = perturb(canonical_strategy(fam), "povm-jitter", 1e-3, seed=1)
     solver_calls = []
@@ -678,9 +706,9 @@ def test_d31_matrix_free_solves_stay_within_their_application_counts(monkeypatch
         ),
     )
     run = lambda: fit_isometry(noisy.alice[:, 0], fam, noisy.reduced_densities[0])
-    _, fit_calls = count_applications("negated_form", selftest, run)
+    _, fit_calls = count_applications("apply", linalg, run)
     assert fit_calls == len(solver_calls) <= 150
-    gap, gap_calls = count_applications("apply", families, lambda: fam.correlation_gap)
+    gap, gap_calls = count_applications("apply", linalg, lambda: fam.correlation_gap)
     assert gap_calls <= 53
     dense = n_operator(fam).gap
     assert abs(gap - dense) <= 1e-12 * dense
@@ -745,9 +773,9 @@ def test_fit_isometry_reads_only_the_callers_arrays(monkeypatch):
         assert reads == ["ops", "rho"]
 
 
-def full_eigh_vectors(quad, w, count):
-    """The dense fit's eigenvectors from a full eigendecomposition: the oracle."""
-    return fix_phases(np.linalg.eigh(quad)[1][:, :count])
+def full_eigh_vector(quad, w):
+    """The dense fit's eigenvector from a full eigendecomposition: the oracle."""
+    return fix_phases(np.linalg.eigh(quad)[1][:, :1])
 
 
 @pytest.mark.parametrize(
@@ -756,25 +784,32 @@ def full_eigh_vectors(quad, w, count):
      (1, 2, "povm-jitter", 1e-3), (5, 2, "outcome-noise", 1e-3)],
 )
 def test_dense_fit_matches_full_eigh_oracle(monkeypatch, k, ka, model, level):
+    # an ancilla fit (ka = 2) is matrix-free at any size: its oracle is the
+    # full eigh of the Kronecker form
     fam = four_family(k)
     strat, _ = planted_strategy(fam, ka, 2, seed=k)
     noisy = perturb(strat, model, level, seed=k)
     rho_a, _ = reduced_densities(noisy.state, (noisy.dim_a, noisy.dim_b))
+    ops = noisy.alice[:, 0]
     monkeypatch.setattr(selftest, "KRYLOV_MIN_ROWS", 10**9)
-    fit = fit_isometry(noisy.alice[:, 0], fam, rho_a)
-    monkeypatch.setattr(selftest, "_lowest_eigvecs", full_eigh_vectors)
-    oracle = fit_isometry(noisy.alice[:, 0], fam, rho_a)
-    assert fit.s == oracle.s == ka
-    assert np.abs(fit.isometry - oracle.isometry).max() < 1e-12
-    assert np.abs(fit.residuals - oracle.residuals).max() < 1e-12
+    fit = fit_isometry(ops, fam, rho_a)
+    assert fit.s == ka
+    if ka == 1:
+        monkeypatch.setattr(selftest, "_lowest_eigvec", full_eigh_vector)
+        oracle = fit_isometry(ops, fam, rho_a)
+        v, residuals, tol = oracle.isometry, oracle.residuals, 1e-12
+    else:
+        (v, residuals), tol = kron_fit_isometry(ops, fam, rho_a), 1e-10
+    assert np.abs(fit.isometry - v).max() < tol
+    assert np.abs(fit.residuals - residuals).max() < tol
 
 
 def recorded_fit_forms(monkeypatch, fits):
-    """Run fits(); return (quad, w, count) of every dense fit it made."""
+    """Run fits(); return (quad, w) of every dense fit it made."""
     forms = []
-    real = selftest._lowest_eigvecs
+    real = selftest._lowest_eigvec
     monkeypatch.setattr(
-        selftest, "_lowest_eigvecs", lambda *form: forms.append(form) or real(*form)
+        selftest, "_lowest_eigvec", lambda *form: forms.append(form) or real(*form)
     )
     fits()
     monkeypatch.undo()
@@ -798,39 +833,15 @@ def test_dense_fit_vectors_match_the_loop_on_ladder_fits(monkeypatch, k):
 
     forms = recorded_fit_forms(monkeypatch, fits)
     assert len(forms) == 2 * len(noisy)
-    for quad, w, count in forms:
-        assert count == 1 and is_narrow(w, count)
-        assert np.array_equal(_lowest_eigvecs(quad, w, count), loop_lowest_eigvecs(quad, w, count))
-
-
-def test_spread_ancilla_fit_takes_one_eigh_and_no_solve(monkeypatch):
-    # a 4-dimensional junk ancilla on Alice's side: 4 wanted eigenvalues of
-    # a 100-row form, spread wide against the gap above them
-    fam = four_family(2)
-    strat, _ = planted_strategy(fam, 4, 1, seed=3)
-    noisy = perturb(strat, "povm-jitter", 1e-3, seed=3)
-    rho_a, _ = reduced_densities(noisy.state, (noisy.dim_a, noisy.dim_b))
-    ops = noisy.alice[:, 0]
-    calls = count_calls(monkeypatch, "eigh", "solve")
-    fit = fit_isometry(ops, fam, rho_a)
-    monkeypatch.undo()
-    assert fit.s == 4 and calls == {"eigh": 1, "solve": 0}
-    (_, w, count), = recorded_fit_forms(monkeypatch, lambda: fit_isometry(ops, fam, rho_a))
-    assert count == 4 and len(w) == 100 and not is_narrow(w, count)
-    monkeypatch.setattr(selftest, "_lowest_eigvecs", loop_lowest_eigvecs)
-    loop = fit_isometry(ops, fam, rho_a)
-    # rho_a has rank 5 of 20, so the ridge sets the wanted eigenvalues, and
-    # their gap is 2e-8 of max|w|: two backward-stable solvers agree on the
-    # solution space to about eps * max|w| / gap, 1.2e-8 here
-    tol = np.finfo(float).eps * np.abs(w).max() / (w[count] - w[count - 1])
-    assert np.abs(fit.residuals - loop.residuals).max() <= tol
+    for quad, w in forms:
+        assert np.array_equal(_lowest_eigvec(quad, w), loop_lowest_eigvec(quad, w))
 
 
 def test_dense_fit_checks_separation_before_vectors(monkeypatch):
-    def unreachable(quad, w, count):
+    def unreachable(quad, w):
         raise AssertionError("eigenvectors computed for a degenerate form")
 
-    monkeypatch.setattr(selftest, "_lowest_eigvecs", unreachable)
+    monkeypatch.setattr(selftest, "_lowest_eigvec", unreachable)
     strat = canonical_strategy(four_family(1))
     rho_a, _ = reduced_densities(strat.state, (strat.dim_a, strat.dim_b))
     with pytest.raises(FitDegenerateError, match="not separated"):
@@ -1149,7 +1160,7 @@ def test_extract_dilation_beta_bounds_state_residual():
 def test_compose_dilations_chain(k, outer_shape, inner_shape, level, seed):
     # outer: a jittered planted strategy certified against the canonical
     # one; inner: a planted copy of that strategy, an exact dilation of it.
-    # The summed epsilon of the chain bounds the one measured directly
+    # The composed epsilon is measured, and the sum of the parts bounds it
     fam = four_family(k)
     strat1 = perturb(planted_strategy(fam, *outer_shape, seed=seed)[0], "povm-jitter", level, seed)
     rng = np.random.default_rng(seed)
@@ -1179,17 +1190,29 @@ def test_compose_dilations_chain(k, outer_shape, inner_shape, level, seed):
         epsilon=inner_eps,
     )
     outer = extract_dilation(strat1, fam)
-    composed = compose_dilations(inner, outer)
+    reference = fam.canonical_strategy
+    composed = compose_dilations(inner, outer, strat2, reference)
     assert composed.ref_dim_a == composed.ref_dim_b == fam.d
     assert composed.anc_dim_a == outer.anc_dim_a * ka2
     assert composed.anc_dim_b == outer.anc_dim_b * kb2
-    assert abs(composed.epsilon - (inner.epsilon + outer.epsilon)) < 1e-15
     for v in (composed.v_a, composed.v_b):
         assert np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() <= 1e-12
-    direct = dilation_epsilon(
-        strat2, fam.canonical_strategy, composed.v_a, composed.v_b, composed.junk
-    )
-    assert direct <= composed.epsilon + 1e-12
+    parts = (composed.v_a, composed.v_b, composed.junk)
+    assert composed.epsilon == dilation_epsilon(strat2, reference, *parts)
+    assert composed.state_residual == _dilation_residuals(strat2, reference, *parts)[0]
+    assert composed.epsilon <= inner.epsilon + outer.epsilon + 1e-12
+
+
+def test_compose_dilations_refuses_middle_dimensions_that_differ():
+    # the outer certificate's source has 3 x 6 dimensions, the inner one's
+    # reference 3 x 3
+    fam = four_family(1)
+    strat, _ = planted_strategy(fam, 1, 2, seed=1)
+    outer = extract_dilation(strat, fam)
+    canon = fam.canonical_strategy
+    inner = extract_dilation(canon, fam)
+    with pytest.raises(InvalidShapeError, match="middle strategy dimensions"):
+        compose_dilations(inner, outer, canon, canon)
 
 
 def test_aligned_junk_fidelity_gauge_invariance():

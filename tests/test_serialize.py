@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from projsum.errors import InvalidFamilyError, InvalidStrategyError, SerializationError
 from projsum.families import ProjectionFamily, four_family, validate_family
-from projsum.selftest import extract_dilation
+from projsum.selftest import compose_dilations, extract_dilation
 from projsum.serialize import (
     certificate_to_dict,
     correlation_from_dict,
@@ -107,6 +107,8 @@ def test_matrix_decoding_errors_carry_context():
         lists_to_matrix([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
     with pytest.raises(SerializationError):
         lists_to_vector([], where="state")
+    with pytest.raises(SerializationError, match=r"^state: entries are not \[real, imag\] pairs$"):
+        from_pairs([[1.0, 0.0, 0.0]], 1, "state")
 
 
 def test_family_round_trip(tmp_path):
@@ -130,6 +132,8 @@ def test_family_dict_rejects_bad_scalar():
     del data2["d"]
     with pytest.raises(SerializationError, match="missing field 'd'"):
         family_from_dict(data2)
+    with pytest.raises(SerializationError, match="^family: expected an object$"):
+        family_from_dict([])
 
 
 def test_a_declared_dimension_is_not_allocated_before_it_is_checked():
@@ -279,6 +283,13 @@ def test_certificate_to_dict_shape():
     va = lists_to_matrix(doc["VA"])
     assert np.array_equal(va, cert.v_a)
     assert "state" in doc["residuals"]
+    # a composed certificate carries no fits and no spectral data: those
+    # fields are null, and its measured residuals are numbers, never NaN
+    composed = certificate_to_dict(compose_dilations(cert, cert, strat, strat))
+    assert composed["residuals"]["fitA"] is None and composed["residuals"]["fitB"] is None
+    assert composed["alpha"] is composed["beta"] is composed["gap"] is None
+    assert composed["epsilon"] < 1e-10 and composed["residuals"]["state"] < 1e-10
+    json.dumps(composed, allow_nan=False)
 
 
 def test_writers_match_the_per_entry_writer_byte_for_byte(tmp_path):

@@ -269,6 +269,8 @@ def test_chsh_values():
     win = chsh_win_probability(corr)
     assert abs(win - (2 + np.sqrt(2)) / 4) < 1e-12
     assert abs(corr.table[0, 0, 0, 0] - (2 + np.sqrt(2)) / 8) < 1e-12
+    with pytest.raises(InvalidStrategyError, match="needs a 2-question 2-outcome table"):
+        chsh_win_probability(ideal_correlation(4, Fraction(4, 3)))
 
 
 def test_strategy_validate_rejects_bad_inputs():
@@ -322,6 +324,11 @@ def test_correlation_refuses_a_ragged_table():
     for table in ([[[[0.5, 0], [0]]]], [[[[0.5, 0], [0, 0.5]]], [[[0.5]]]]):
         with pytest.raises(InvalidStrategyError, match="table: entries do not form"):
             Correlation(n=1, k=2, table=table)
+    with pytest.raises(InvalidStrategyError, match=r"does not match \(n, n, k, k\) = \(2, 2, 2, 2\)"):
+        Correlation(n=2, k=2, table=np.zeros((2, 2, 2, 3)))
+    four, five = ideal_correlation(4, Fraction(4, 3)), ideal_correlation(5, Fraction(5, 4))
+    with pytest.raises(InvalidStrategyError, match="table shapes differ"):
+        correlation_distance(four, five)
 
 
 def test_strategy_owns_its_state_matrix_densities_and_correlation():

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from projsum.cli import main
-from projsum.errors import BudgetExceededError, SerializationError, UnsupportedScalarError
+from projsum.errors import (
+    BudgetExceededError,
+    SerializationError,
+    UnsupportedQuestionCountError,
+    UnsupportedScalarError,
+)
 from projsum.sweep import (
     CSV_HEADER,
     SWEEP_MAX_ROWS,
@@ -46,6 +51,8 @@ def test_config_validation():
         small_config(trials_per_level=0)
     with pytest.raises(SerializationError):
         small_config(seed=-1)
+    with pytest.raises(UnsupportedQuestionCountError, match="^need n >= 3, got 2$"):
+        small_config(n=2)
 
 
 def test_config_rejects_monomial_degree_below_one():
