@@ -29,7 +29,8 @@ from .errors import (
     UnsupportedScalarError,
 )
 from .linalg import (
-    KRYLOV_BUDGET, as_array, dagger, fix_phases, krylov_eigh, null_space, sandwich_operator
+    KRYLOV_BUDGET, as_array, dagger, fix_phases, krylov_eigh, null_space, real_if_exact,
+    sandwich_operator,
 )
 
 PROJECTION_TOL = 1e-9
@@ -77,14 +78,17 @@ class ProjectionFamily:
 
         N acts on vec(X) as X -> sum_v P_v X P_v (see linalg.vec), which
         linalg.sandwich_operator applies: a block-2 Krylov solve finds its top
-        two eigenpairs without forming N, and raises SpectralDegeneracyError
-        on a degenerate top eigenvalue.  As
+        two eigenpairs without forming N, in float64 when every projection's
+        imaginary part is exactly zero (linalg.real_if_exact), as on every
+        ladder rung, and raises SpectralDegeneracyError on a degenerate top
+        eigenvalue.  As
         sum_v P_v = x I, the gap is sum_v ||P_v T (I - P_v)||^2 = <T, (x I - N) T>
         for the second Ritz vector T, projected off I: no difference of
         eigenvalues cancels digits.  selftest.n_operator is the dense reference.
         """
         d, p = self.d, self.projections
-        w, v, _ = krylov_eigh(sandwich_operator(p, p), d * d, count=2)
+        (q,) = real_if_exact(p)
+        w, v, _ = krylov_eigh(sandwich_operator(q, q), d * d, count=2, dtype=q.dtype)
         top_gap(w)
         t = v[:, 1].reshape(d, d)
         t = t - np.trace(t) / d * np.eye(d)

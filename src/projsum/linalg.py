@@ -2,7 +2,12 @@
 
 Conventions used across the package:
 
-* everything is complex128; exactness statements become tolerance checks
+* arrays are read and returned as complex128; exactness statements become
+  tolerance checks.  An eigenproblem is solved in the arithmetic of its
+  data: a caller whose arrays have an exactly zero imaginary part, which
+  ``real_if_exact`` reads, hands ``krylov_eigh``, ``_hermitian_spectrum``
+  and ``_lowest_eigvec`` their float64 real parts, and gets complex128
+  eigenvectors back either way
 * bipartite basis order is row-major, index = a * dim_b + b, which makes
   ``vec`` and ``np.kron`` mutually consistent:  vec(X D Y^T) = (X kron Y) vec(D)
 * eigen- and singular vectors are sorted by descending value and phase-fixed
@@ -57,8 +62,8 @@ KRYLOV_KEEP_BLOCKS = 6
 # block steps, across restarts, before krylov_eigh gives up; a d=121 ladder
 # fit (block 2) converged within 719
 KRYLOV_MAX_BLOCKS = 1000
-# complex entries of the Krylov basis plus its projected matrix: 268 MB, as
-# much as a dense 4096 x 4096 operator
+# entries of the Krylov basis plus its projected matrix, of either dtype:
+# 268 MB complex or 134 MB real, as much as a dense 4096 x 4096 operator
 KRYLOV_BUDGET = 4096**2
 KRYLOV_SEED = 2021
 # _lowest_eigvec shifts this fraction of max|eigenvalue| below the wanted
@@ -105,6 +110,15 @@ def _layout(ndim: int | None) -> str:
 def dagger(a) -> np.ndarray:
     """Conjugate transpose; of each matrix, for a stack of shape (..., m, m)."""
     return np.asarray(a).conj().swapaxes(-1, -2)
+
+
+def real_if_exact(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays' real parts, C-ordered, when every imaginary part is exactly
+    zero; else the arrays as given.  Read, not assumed: one non-zero
+    imaginary entry anywhere keeps them all complex."""
+    if any(np.iscomplexobj(a) and a.imag.any() for a in arrays):
+        return arrays
+    return tuple(np.ascontiguousarray(a.real) for a in arrays)
 
 
 def is_hermitian(a, tol: float = HERMITIAN_TOL):
@@ -269,7 +283,7 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def krylov_eigh(
-    apply, dim: int, count: int, guard: int = 0
+    apply, dim: int, count: int, guard: int = 0, dtype=np.complex128
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top ``count`` eigenpairs of a Hermitian operator known only by its action.
 
@@ -285,7 +299,11 @@ def krylov_eigh(
     whether the next eigenvalue coincides, reads that pair's residual from
     the third value.  An eigenvalue of multiplicity m is seen min(m, count)
     times, so the multiplicities among the wanted values are measured
-    instead of assumed simple.
+    instead of assumed simple.  ``dtype`` is the arithmetic of ``apply``:
+    the basis, the projected matrix and the start block are complex128, or
+    float64 for an operator with real entries, whose start block is the
+    real half of the complex one; the eigenvectors come back complex128
+    either way.
 
     At each Rayleigh-Ritz check the residuals are first estimated for free:
     A x - theta x = y_last^T R for the Ritz vector x = y^T basis, where R
@@ -324,11 +342,9 @@ def krylov_eigh(
     keep = KRYLOV_KEEP_BLOCKS * count
     tol = np.full(count, KRYLOV_TOL)
     tol[count - guard :] = KRYLOV_GUARD_TOL
-    basis = np.empty((cap, dim), dtype=np.complex128)  # orthonormal rows
-    proj = np.empty((cap, cap), dtype=np.complex128)  # basis^* A basis
-    rng = np.random.default_rng(KRYLOV_SEED)
-    start = rng.normal(size=(dim, count)) + 1j * rng.normal(size=(dim, count))
-    new = np.linalg.qr(start)[0].T
+    basis = np.empty((cap, dim), dtype=dtype)  # orthonormal rows
+    proj = np.empty((cap, cap), dtype=dtype)  # basis^* A basis
+    new = np.linalg.qr(_start(dim, count, dtype))[0].T
 
     def next_check(m):
         # Rayleigh-Ritz costs m^3: check at geometrically spaced sizes, but
@@ -382,6 +398,16 @@ def krylov_eigh(
         new = np.linalg.qr(fresh.T)[0].T
 
 
+def _start(dim: int, count: int, dtype) -> np.ndarray:
+    """The seeded random start block of the eigensolvers, (dim, count), drawn
+    real part first, so a real block is the real half of the complex one."""
+    rng = np.random.default_rng(KRYLOV_SEED)
+    start = rng.normal(size=(dim, count))
+    if np.dtype(dtype).kind == "c":
+        start = start + 1j * rng.normal(size=(dim, count))
+    return start
+
+
 def _wide_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The thin SVD u, sv, vh of a wide b x dim block, as np.linalg.svd
     returns it, from a QR of a^T and the SVD of its b x b factor (Chan, ACM
@@ -412,8 +438,9 @@ def sandwich_operator(left: np.ndarray, right: np.ndarray):
 
 def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix the caller built, ascending, from its
-    lower triangle as np.linalg.eigvalsh reads it; EigensolverError when
-    LAPACK fails or an eigenvalue is not finite."""
+    lower triangle as np.linalg.eigvalsh reads it, in the matrix's arithmetic
+    (real symmetric for a float64 one); EigensolverError when LAPACK fails or
+    an eigenvalue is not finite."""
     try:
         w = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
@@ -424,11 +451,12 @@ def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
 
 
 def _lowest_eigvec(m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Phase-fixed eigenvector (one column) of the lowest eigenvalue of a
-    Hermitian matrix ``m`` the caller built, whose whole ascending spectrum
-    ``w`` _hermitian_spectrum returned, so the caller judges it first.
-    Shifted inverse iteration (Ipsen, SIAM Review 39, 1997): a seeded random
-    vector is solved against m - sigma I, sigma just below w[0], and
+    """Phase-fixed complex128 eigenvector (one column) of the lowest eigenvalue
+    of a Hermitian matrix ``m`` the caller built, complex or real symmetric,
+    whose whole ascending spectrum ``w`` _hermitian_spectrum returned, so the
+    caller judges it first.  Shifted inverse iteration (Ipsen, SIAM Review
+    39, 1997): a seeded random vector, real for a real ``m``, is solved in
+    ``m``'s arithmetic against m - sigma I, sigma just below w[0], and
     normalised, until ||A x - theta x|| <= INVERSE_TOL * max|w|; a shift that
     makes the solve singular is moved further down.  EigensolverError when
     the solve stays singular or after INVERSE_MAX_SWEEPS sweeps: an
@@ -439,8 +467,7 @@ def _lowest_eigvec(m: np.ndarray, w: np.ndarray) -> np.ndarray:
         return np.eye(dim, 1, dtype=np.complex128)
     shift = w[0] - INVERSE_SHIFT * scale
     eye = np.eye(dim)
-    rng = np.random.default_rng(KRYLOV_SEED)
-    x = rng.normal(size=(dim, 1)) + 1j * rng.normal(size=(dim, 1))
+    x = _start(dim, 1, m.dtype)
     for _ in range(INVERSE_MAX_SWEEPS):
         for attempt in range(4):
             try:

@@ -52,6 +52,7 @@ from .errors import (
 )
 from .families import ProjectionFamily, top_gap
 from .linalg import (
+    KRYLOV_BUDGET,
     _hermitian_spectrum,
     _lowest_eigvec,
     _seminorm,
@@ -60,6 +61,7 @@ from .linalg import (
     hermitian_eig,
     krylov_eigh,
     maximally_entangled,
+    real_if_exact,
     sandwich_operator,
 )
 from .strategies import Strategy, correlation_distance, ideal_correlation
@@ -341,9 +343,13 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     else one seeded draw per block projected onto that span.
     ``ops`` is an (n, r, r) stack, or a sequence of n equal-shape matrices.
     The ancilla dimension s is the least one with d s >= r, so that an
-    isometry into C^(d s) exists.  For s = 1, a Q of up to KRYLOV_MIN_ROWS
-    rows is formed densely: its spectrum comes from linalg._hermitian_spectrum
-    and its lowest eigenvector from linalg._lowest_eigvec.  Every other Q,
+    isometry into C^(d s) exists.  Q is solved in float64 when its terms and
+    the family's projections have exactly zero imaginary parts
+    (linalg.real_if_exact), as for a real family and a real strategy, and
+    in complex128 otherwise; either way the isometry is complex128.  For
+    s = 1, a Q of up to KRYLOV_MIN_ROWS rows is formed densely: its
+    spectrum comes from linalg._hermitian_spectrum and its lowest
+    eigenvector from linalg._lowest_eigvec.  Every other Q,
     each with s > 1 among them, is applied matrix-free
     (linalg.sandwich_operator) to linalg.krylov_eigh for s + 1 pairs, the
     last a guard pair, and its basis budget raises BudgetExceededError
@@ -388,12 +394,14 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     terms += dagger(terms)
     terms /= 2.0
     terms = terms.swapaxes(-1, -2)
+    # a real form of a real family is solved in float64
+    terms, projections = real_if_exact(terms, fam.projections)
     if d == 1:  # s = rows: Q's s lowest eigenvectors are all of them
         vecs = np.eye(rows, dtype=np.complex128)
     elif s == 1 and rows <= KRYLOV_MIN_ROWS:
         # Q = sum_v W_v^T kron P_v + C^T kron I: one matmul over the
         # flattened stacks
-        right = np.concatenate([fam.projections, np.eye(d)[None]]).reshape(fam.n + 1, -1)
+        right = np.concatenate([projections, np.eye(d)[None]]).reshape(fam.n + 1, -1)
         quad = terms.reshape(fam.n + 1, -1).T @ right
         quad = quad.reshape(r, r, d, d).transpose(0, 2, 1, 3).reshape(rows, rows)
         w = _hermitian_spectrum(quad)
@@ -405,8 +413,9 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
         # block of s + 1 measures whether the next eigenvalue coincides, and
         # that guard pair converges only to KRYLOV_GUARD_TOL, so its measured
         # residual is taken off the separation
-        right = -np.concatenate([fam.projections.swapaxes(-1, -2), np.eye(d)[None]])
-        w, vecs, residuals = krylov_eigh(sandwich_operator(terms, right), rows, s + 1, guard=1)
+        right = -np.concatenate([projections.swapaxes(-1, -2), np.eye(d)[None]])
+        operator = sandwich_operator(terms, right)
+        w, vecs, residuals = krylov_eigh(operator, rows, s + 1, guard=1, dtype=terms.dtype)
         _require_separation(-w, s, trace, residuals[s])
         vecs = vecs[:, :s]
 
@@ -481,6 +490,10 @@ def _dilation_residuals(
 
     With M, M0, J the matrices of the source state, reference state and junk:
     ||V_A M V_B^T - M0 kron J|| and ||V_A E M F^T V_B^T - (P M0 Q^T) kron J||.
+    The (v, i, w, j) terms are formed at once, in about four stacks of
+    (n k)^2 matrices of the isometries' range dimensions; BudgetExceededError
+    is raised, before they are allocated, when those stacks would exceed
+    linalg.KRYLOV_BUDGET entries.
     """
     if strategy.n_questions != reference.n_questions:
         raise InvalidStrategyError("question counts differ")
@@ -495,6 +508,12 @@ def _dilation_residuals(
         raise InvalidShapeError("isometry domains do not match the source strategy")
     if junk.size != ka * kb:
         raise InvalidShapeError(f"junk length {junk.size} != ancilla product {ka * kb}")
+    pairs = (strategy.n_questions * strategy.n_outcomes) ** 2
+    if 4 * pairs * v_a.shape[0] * v_b.shape[0] > KRYLOV_BUDGET:
+        raise BudgetExceededError(
+            f"{pairs} dilation residuals of {v_a.shape[0]} x {v_b.shape[0]} matrices "
+            f"exceed the {KRYLOV_BUDGET}-entry budget"
+        )
     junk_m = junk.reshape(ka, kb)
     m = strategy.state_matrix
     m0 = reference.state_matrix

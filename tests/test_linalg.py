@@ -26,6 +26,7 @@ from projsum.linalg import (
     nearest_isometry,
     null_space,
     random_state,
+    real_if_exact,
     reduced_densities,
     schmidt,
     seminorm,
@@ -358,6 +359,35 @@ def test_krylov_eigh_applies_the_operator_to_ritz_vectors_once():
     assert_top_pairs(h, w, v, residuals)
 
 
+def test_krylov_eigh_real_dtype_matches_the_complex_solve():
+    # a real symmetric operator in float64: real blocks throughout, and the
+    # complex solve's eigenpairs, as complex128
+    h = random_hermitian(60, np.random.default_rng(20)).real
+    blocks = []
+    w, v, residuals = krylov_eigh(
+        lambda b: blocks.append(b) or b @ h.T, 60, 2, dtype=np.float64
+    )
+    ref_w, ref_v, _ = krylov_eigh(matrix_action(h.astype(complex)), 60, 2)
+    assert {b.dtype for b in blocks} == {np.dtype(np.float64)}
+    assert v.dtype == np.complex128
+    assert np.allclose(w, ref_w, rtol=0, atol=1e-12)
+    assert np.allclose(v, ref_v, rtol=0, atol=1e-10)
+    assert_top_pairs(h, w, v, residuals)
+
+
+def test_real_if_exact_reads_every_imaginary_part():
+    a = np.arange(4.0).reshape(2, 2).astype(complex).T
+    b = np.eye(3)
+    real_a, real_b = real_if_exact(a, b)
+    assert real_a.dtype == np.float64 and real_a.flags.c_contiguous
+    assert np.array_equal(real_a, a.real) and np.array_equal(real_b, b)
+    # one imaginary entry, however small, keeps every array as given
+    c = np.eye(3, dtype=complex)
+    c[2, 1] = 1e-300j
+    kept = real_if_exact(a, b, c)
+    assert all(x is y for x, y in zip(kept, (a, b, c)))
+
+
 @pytest.mark.parametrize("s", [1e-8, 1e-10, 1e-12, 1e-13])
 def test_wide_svd_resolves_the_krylov_rank_cut(s):
     # a 2 x 10,201 residual block with singular values 1 and s, its rows
@@ -421,8 +451,9 @@ def test_lowest_eigvecs_matches_hermitian_eig(dim, seed):
 
 def loop_lowest_eigvec(a, w):
     """_lowest_eigvec as a loop of shifted solves, each followed by a
-    Rayleigh-Ritz step on the normalised vector."""
-    m = np.asarray(a, dtype=np.complex128)
+    Rayleigh-Ritz step on the normalised vector, in the arithmetic of ``a``:
+    a real matrix gets the real half of the complex start."""
+    m = np.asarray(a)
     dim = len(w)
     scale = float(np.abs(w).max())
     if scale == 0.0:
@@ -430,7 +461,9 @@ def loop_lowest_eigvec(a, w):
     shift = w[0] - linalg.INVERSE_SHIFT * scale
     eye = np.eye(dim)
     rng = np.random.default_rng(linalg.KRYLOV_SEED)
-    x = rng.normal(size=(dim, 1)) + 1j * rng.normal(size=(dim, 1))
+    x = rng.normal(size=(dim, 1))
+    if np.iscomplexobj(m):
+        x = x + 1j * rng.normal(size=(dim, 1))
     for _ in range(linalg.INVERSE_MAX_SWEEPS):
         for attempt in range(4):
             try:
@@ -480,6 +513,7 @@ def test_lowest_eigvecs_matches_the_loop_on_planted_narrow_bands():
         np.diag(np.arange(12.0)).astype(complex),
         np.diag(np.r_[0.0, 0.0, 0.0, np.arange(1.0, 10.0)]).astype(complex),
         random_hermitian(20, np.random.default_rng(16)),
+        random_hermitian(20, np.random.default_rng(16)).real,  # a real start, real solves
     ]
     for h in cases:
         w = _hermitian_spectrum(h)

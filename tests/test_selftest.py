@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import projsum.families as families
 import projsum.linalg as linalg
 import projsum.selftest as selftest
 from projsum.errors import (
@@ -848,6 +849,120 @@ def test_dense_fit_checks_separation_before_vectors(monkeypatch):
         fit_isometry(strat.alice[:, 0], four_family(2), rho_a)
 
 
+# --- real arithmetic: a problem whose data is exactly real is solved in float64
+
+
+def dtype_spy(monkeypatch):
+    """Record the dtypes that reach each eigensolver: the gap's and the fit's
+    krylov_eigh blocks and images, and the dense fit's matrices."""
+    seen = {"gap": set(), "fit": set(), "spectrum": set(), "vector": set()}
+
+    def krylov(name):
+        def solve(apply, dim, count, guard=0, dtype=np.complex128):
+            def recorded(rows):
+                image = apply(rows)
+                seen[name].update((rows.dtype, image.dtype))
+                return image
+
+            seen[name].add(np.dtype(dtype))
+            return linalg.krylov_eigh(recorded, dim, count, guard, dtype)
+
+        return solve
+
+    def dense(name, solver):
+        return lambda m, *w: seen[name].add(m.dtype) or solver(m, *w)
+
+    monkeypatch.setattr(families, "krylov_eigh", krylov("gap"))
+    monkeypatch.setattr(selftest, "krylov_eigh", krylov("fit"))
+    monkeypatch.setattr(selftest, "_hermitian_spectrum", dense("spectrum", selftest._hermitian_spectrum))
+    monkeypatch.setattr(selftest, "_lowest_eigvec", dense("vector", selftest._lowest_eigvec))
+    return seen
+
+
+def test_real_problems_reach_the_eigensolvers_in_float64(monkeypatch):
+    # d = 11 fits are dense, d = 31 fits matrix-free; the same family
+    # conjugated by a complex unitary, and povm-jitter's complex conjugation,
+    # keep their solves complex
+    real, cplx = np.dtype(np.float64), np.dtype(np.complex128)
+    fam, big = four_family(5), four_family(15)
+    u = random_unitary(fam.d, np.random.default_rng(47))
+    rotated = ProjectionFamily(fam.n, fam.x, fam.d, u @ fam.projections @ dagger(u))
+    cases = [
+        (fam, fam.canonical_strategy, real, real),
+        (fam, perturb(fam.canonical_strategy, "outcome-noise", 1e-3, seed=0), real, real),
+        (big, perturb(big.canonical_strategy, "outcome-noise", 1e-3, seed=0), real, real),
+        (rotated, rotated.canonical_strategy, cplx, cplx),
+        (fam, perturb(fam.canonical_strategy, "povm-jitter", 1e-3, seed=0), cplx, real),
+    ]
+    for family, strat, fit_dtype, gap_dtype in cases:
+        seen = dtype_spy(monkeypatch)
+        rho_a, _ = strat.reduced_densities
+        fit_isometry(strat.alice[:, 0], family, rho_a)
+        ProjectionFamily(family.n, family.x, family.d, family.projections).correlation_gap
+        monkeypatch.undo()
+        dense = family.d * family.d <= selftest.KRYLOV_MIN_ROWS
+        assert seen == {
+            "gap": {gap_dtype},
+            "fit": set() if dense else {fit_dtype},
+            "spectrum": {fit_dtype} if dense else set(),
+            "vector": {fit_dtype} if dense else set(),
+        }
+
+
+def complex_solve(monkeypatch, module, solve):
+    """solve() with every problem in ``module`` kept complex128."""
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "real_if_exact", lambda *arrays: arrays)
+        return solve()
+
+
+@pytest.mark.parametrize(
+    "k, model", [(5, "canonical"), (5, "outcome-noise"), (15, "outcome-noise")]
+)
+def test_real_fit_matches_the_complex_solve(monkeypatch, k, model):
+    # d = 11 is the dense path, d = 31 the matrix-free one
+    fam = four_family(k)
+    strat = fam.canonical_strategy
+    if model != "canonical":
+        strat = perturb(strat, model, 1e-3, seed=k)
+    for ops, family, rho in zip(
+        (strat.alice[:, 0], strat.bob[:, 0]), (fam, fam.transposed), strat.reduced_densities
+    ):
+        fit = fit_isometry(ops, family, rho)
+        oracle = complex_solve(monkeypatch, selftest, lambda: fit_isometry(ops, family, rho))
+        assert fit.isometry.dtype == np.complex128
+        assert np.abs(fit.isometry - oracle.isometry).max() < 1e-12
+        assert np.abs(fit.residuals - oracle.residuals).max() < 1e-12
+
+
+def test_real_ancilla_fit_matches_the_complex_solve_and_the_kron_oracle(monkeypatch):
+    # the d = 5 family planted with an ancilla of 2 by a real rotation, mixed
+    # with the uniform outcome and weighted by a real density
+    fam = four_family(2)
+    rng = np.random.default_rng(53)
+    o = np.linalg.qr(rng.normal(size=(10, 10)))[0]
+    ops = 0.999 * (o @ np.kron(fam.projections, np.eye(2)) @ o.T) + 0.0005 * np.eye(10)
+    weights = rng.uniform(0.5, 1.5, 10)
+    rho = (o * (weights / weights.sum())) @ o.T
+    fit = fit_isometry(ops, fam, rho)
+    assert fit.s == 2
+    oracle = complex_solve(monkeypatch, selftest, lambda: fit_isometry(ops, fam, rho))
+    v, residuals = kron_fit_isometry(ops, fam, rho)
+    for iso, res in ((oracle.isometry, oracle.residuals), (v, residuals)):
+        assert np.abs(fit.isometry - iso).max() < 1e-12
+        assert np.abs(fit.residuals - res).max() < 1e-12
+
+
+def test_real_gap_matches_the_complex_solve_on_every_rung(monkeypatch):
+    for rung in GAP_RUNGS:
+        fam = ladder_family(*rung)
+        fresh = ProjectionFamily(fam.n, fam.x, fam.d, fam.projections)
+        oracle = complex_solve(monkeypatch, families, lambda: fresh.correlation_gap)
+        dense = n_operator(fam).gap
+        assert abs(fam.correlation_gap - oracle) <= 1e-12 * oracle, rung
+        assert abs(fam.correlation_gap - dense) <= 1e-12 * dense, rung
+
+
 def test_import_and_fit_load_no_scipy():
     # importing scipy.linalg alone takes longer than the whole package setup
     code = (
@@ -1024,6 +1139,30 @@ def test_dilation_epsilon_names_each_mismatch():
         error = InvalidStrategyError if "counts" in message else InvalidShapeError
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             dilation_epsilon(*args)
+
+
+def test_dilation_residuals_budget_refuses_before_allocating(monkeypatch):
+    # the residual stacks of a d = 201 certificate fit the budget, with room
+    assert 4 * 8**2 * 201**2 <= linalg.KRYLOV_BUDGET
+    fam = four_family(15)
+    strat = perturb(fam.canonical_strategy, "outcome-noise", 1e-3, seed=0)
+    eye = np.eye(fam.d)
+    # at d = 31 the four stacks of 64 matrices take 246,016 entries, about 4 MB
+    monkeypatch.setattr(selftest, "KRYLOV_BUDGET", 10**5)
+    message = "64 dilation residuals of 31 x 31 matrices exceed the 100000-entry budget"
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+            dilation_epsilon(strat, fam.canonical_strategy, eye, eye, [1.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+    # a certificate is refused at the same point, after its fits and gap
+    with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+        extract_dilation(strat, fam)
+    monkeypatch.setattr(selftest, "KRYLOV_BUDGET", 4 * 64 * 31 * 31)
+    assert extract_dilation(strat, fam).epsilon < 1e-2
 
 
 def test_extract_dilation_matrix_free_matches_dense_oracle(monkeypatch):
