@@ -345,11 +345,12 @@ def perturb(strategy: Strategy, model: str, level: float, seed: int) -> Strategy
     povm-jitter    conjugates each question's POVM by exp(i * level * H) for
                    a seeded random Hermitian H; a unitary conjugation keeps
                    the POVM's sum, so it sums to I as closely as its input
-    outcome-noise  mixes each POVM with the uniform one at weight ``level``
+    outcome-noise  mixes each POVM with the uniform one at weight ``level``;
+                   it draws nothing, so its output depends on the level alone
 
     level = 0 returns the strategy unchanged.  A level that is not a real number
     in [0, 1] or a seed that is not an integer >= 0 (a bool is neither) raises
-    InvalidLevelError; the level is read as a float.
+    InvalidLevelError, whatever the model; the level is read as a float.
     """
     if model not in NOISE_MODELS:
         raise InvalidLevelError(f"unknown noise model {model!r}; pick from {NOISE_MODELS}")
@@ -360,9 +361,9 @@ def perturb(strategy: Strategy, model: str, level: float, seed: int) -> Strategy
     if level == 0.0:
         return strategy
     level = float(level)
-    rng = np.random.default_rng(seed)
 
     if model == "state-mixing":
+        rng = np.random.default_rng(seed)
         psi = strategy.state
         if psi.size < 2:
             raise InvalidStrategyError("a 1-dimensional state has no direction orthogonal to it")
@@ -373,6 +374,7 @@ def perturb(strategy: Strategy, model: str, level: float, seed: int) -> Strategy
         return replace(strategy, state=new_state)
 
     if model == "povm-jitter":
+        rng = np.random.default_rng(seed)
 
         def jitter(stack):
             n, _, dim, _ = stack.shape

@@ -3,14 +3,19 @@
 Each trial perturbs the canonical strategy of a family at a given noise
 level with its own derived seed, collects the residual diagnostics, runs
 the dilation extraction, and checks every theoretical budget along the way.
-Rows are fully determined by the configuration; trials are independent, and
-the output is ordered by (level, trial).
+Rows are fully determined by the configuration, and the output is ordered
+by (level, trial).  Each trial draws its noise independently of the others,
+but a draw can repeat the strategy of the trial before it bit for bit (every
+trial at level 0, every trial of a level of ``outcome-noise``, which reads
+the level alone); such a trial reuses that trial's row, with its own level,
+trial index and seed, instead of certifying the same strategy again.
 """
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -40,7 +45,9 @@ class SweepConfig:
 
     A plan of more than SWEEP_MAX_ROWS rows (levels x trials), or whose
     monomial degree makes more than selftest.PAIR_BUDGET word pairs, raises
-    BudgetExceededError at construction, before any trial runs.
+    BudgetExceededError at construction, before any trial runs.  An integer
+    field that is not an integer (a bool is not one) raises
+    SerializationError; a numpy integer is stored as an int.
     """
 
     n: int
@@ -52,6 +59,11 @@ class SweepConfig:
     monomial_degree: int = 2
 
     def __post_init__(self):
+        for name in ("n", "k", "trials_per_level", "seed", "monomial_degree"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise SerializationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.noise_model not in NOISE_MODELS:
             raise SerializationError(
                 f"unknown noise model {self.noise_model!r}; pick from {NOISE_MODELS}"
@@ -123,14 +135,28 @@ def build_family(n: int, k: int) -> ProjectionFamily:
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
-    """Execute every (level, trial) cell; deterministic given the config."""
+    """Execute every (level, trial) cell; deterministic given the config.
+
+    A trial whose perturbed strategy equals the previous trial's bit for bit
+    takes that trial's row with its own level, trial index and seed, without
+    auditing or extracting again; so a repeated failed extraction is a failed
+    row, not a second attempt.
+    """
     fam = build_family(config.n, config.k)
     canon = fam.canonical_strategy
     rows: list[SweepRow] = []
+    previous = None  # the dimensions and array bytes of the last trial's strategy
     for li, level in enumerate(config.levels):
         for ti in range(config.trials_per_level):
             seed = trial_seed(config.seed, li, ti)
             noisy = perturb(canon, config.noise_model, level, seed)
+            key = (noisy.dim_a, noisy.dim_b) + tuple(
+                a.tobytes() for a in (noisy.state, noisy.alice, noisy.bob)
+            )
+            if key == previous:
+                rows.append(replace(rows[-1], level=float(level), trial=ti, seed=seed))
+                continue
+            previous = key
             report = approx_rep_residuals(noisy, fam, monomial_degree=config.monomial_degree)
             epsilon = alpha = beta = state_residual = fit_residual = None
             failed = False

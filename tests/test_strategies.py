@@ -444,6 +444,17 @@ def test_perturb_is_deterministic():
         assert moved
 
 
+def test_outcome_noise_reads_the_level_alone():
+    # no draw: every seed gives the same bytes, but a bad seed is still refused
+    strat = canonical_strategy(four_family(1))
+    a, b = (perturb(strat, "outcome-noise", 0.01, seed=seed) for seed in (0, 2**40 + 3))
+    for x, y in ((a.state, b.state), (a.alice, b.alice), (a.bob, b.bob)):
+        assert x.tobytes() == y.tobytes()
+    for seed in (-1, 1.5, True):
+        with pytest.raises(InvalidLevelError, match="seed must be nonnegative and integral"):
+            perturb(strat, "outcome-noise", 0.01, seed=seed)
+
+
 def test_perturb_zero_level_identity():
     strat = canonical_strategy(simplex_family(3))
     for model in NOISE_MODELS:

@@ -1,15 +1,21 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from projsum import sweep
 from projsum.cli import main
 from projsum.errors import (
     BudgetExceededError,
+    FitDegenerateError,
+    JunkExtractionError,
     SerializationError,
     UnsupportedQuestionCountError,
     UnsupportedScalarError,
 )
+from projsum.selftest import approx_rep_residuals, extract_dilation
+from projsum.strategies import NOISE_MODELS, perturb
 from projsum.sweep import (
     CSV_HEADER,
     SWEEP_MAX_ROWS,
@@ -53,6 +59,18 @@ def test_config_validation():
         small_config(seed=-1)
     with pytest.raises(UnsupportedQuestionCountError, match="^need n >= 3, got 2$"):
         small_config(n=2)
+
+
+@pytest.mark.parametrize("field", ["n", "k", "trials_per_level", "seed", "monomial_degree"])
+def test_config_refuses_non_integral_integer_fields(field):
+    # else a bare TypeError at construction or in run_sweep, or True read as 1
+    good = getattr(small_config(), field)
+    for value in (good + 0.5, float(good), True, "2", None):
+        with pytest.raises(SerializationError, match=f"^{field} must be an integer, got "):
+            small_config(**{field: value})
+    # numpy integers are integers, stored as ints
+    cfg = small_config(**{field: np.int64(good)})
+    assert type(getattr(cfg, field)) is int and cfg == small_config()
 
 
 def test_config_rejects_monomial_degree_below_one():
@@ -240,11 +258,31 @@ def test_spearman_values():
     assert 0.9 < rho < 1.0
 
 
-def test_failed_extractions_leave_their_certificate_cells_empty(tmp_path, capsys):
+def count_calls(monkeypatch):
+    """Count the audits and extractions run_sweep makes."""
+    calls = {"audit": 0, "extract": 0}
+
+    def audit(*args, **kwargs):
+        calls["audit"] += 1
+        return approx_rep_residuals(*args, **kwargs)
+
+    def extract(*args, **kwargs):
+        calls["extract"] += 1
+        return extract_dilation(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "approx_rep_residuals", audit)
+    monkeypatch.setattr(sweep, "extract_dilation", extract)
+    return calls
+
+
+def test_failed_extractions_leave_their_certificate_cells_empty(tmp_path, capsys, monkeypatch):
     # at level 1 outcome noise leaves no junk to extract in any trial
     config = dict(n=4, k=1, noise_model="outcome-noise", levels=[1.0], trials_per_level=3, seed=1)
+    calls = count_calls(monkeypatch)
     rows = run_sweep(SweepConfig(**config))
     assert [r.extraction_failed for r in rows] == [True] * 3
+    # the three trials repeat one strategy: one attempt, not three
+    assert calls == {"audit": 1, "extract": 1}
     for r in rows:
         assert (r.epsilon, r.alpha, r.beta, r.state_residual, r.fit_residual) == (None,) * 5
         # the audits do not depend on the extraction
@@ -264,3 +302,63 @@ def test_failed_extractions_leave_their_certificate_cells_empty(tmp_path, capsys
     for key in ("epsilon", "alpha", "beta", "state_residual", "fit_residual"):
         assert [row[key] for row in data] == [None] * 3, key
     assert load_report(out_json) == rows
+
+
+@pytest.mark.parametrize("model", NOISE_MODELS)
+def test_repeated_strategies_are_certified_once(monkeypatch, model):
+    # level 0 returns the canonical strategy, and outcome noise draws nothing
+    calls = count_calls(monkeypatch)
+    levels, trials = (0.0, 1e-3, 1e-2), 3
+    rows = run_sweep(small_config(noise_model=model, levels=levels, trials_per_level=trials))
+    assert len(rows) == len(levels) * trials
+    expected = len(levels) if model == "outcome-noise" else 1 + (len(levels) - 1) * trials
+    assert calls == {"audit": expected, "extract": expected}
+
+
+def fresh_row(fam, model, level, trial, seed, degree) -> dict:
+    """The row of one trial, certified from scratch."""
+    noisy = perturb(fam.canonical_strategy, model, level, seed)
+    report = approx_rep_residuals(noisy, fam, monomial_degree=degree)
+    row = dict(
+        level=level,
+        trial=trial,
+        seed=seed,
+        delta=float(report.delta),
+        rep_residual_a=float(report.rep_residual_a),
+        rep_residual_b=float(report.rep_residual_b),
+        tracial_residual=float(report.tracial_residual),
+        sync_max=float(report.sync_max),
+        lemma35_pass=bool(report.lemma35_pass),
+        lemma63_pass=bool(report.lemma63_pass),
+        tracial_pass=bool(report.tracial_pass),
+        extraction_failed=False,
+    )
+    try:
+        cert = extract_dilation(noisy, fam)
+    except (JunkExtractionError, FitDegenerateError):
+        none = dict.fromkeys(("epsilon", "alpha", "beta", "state_residual", "fit_residual"))
+        return {**row, **none, "extraction_failed": True}
+    return {
+        **row,
+        "epsilon": float(cert.epsilon),
+        "alpha": float(cert.alpha),
+        "beta": float(cert.beta),
+        "state_residual": float(cert.state_residual),
+        "fit_residual": float(max(cert.fit_residuals_a.max(), cert.fit_residuals_b.max())),
+    }
+
+
+@pytest.mark.parametrize("model", NOISE_MODELS)
+def test_reused_rows_equal_fresh_ones(model):
+    # level 1 outcome noise is a failing cell, repeated in each of its trials
+    cfg = small_config(noise_model=model, levels=(0.0, 1e-2, 1.0), trials_per_level=2)
+    fam = build_family(cfg.n, cfg.k)
+    rows = run_sweep(cfg)
+    expected = [
+        fresh_row(fam, model, level, ti, trial_seed(cfg.seed, li, ti), cfg.monomial_degree)
+        for li, level in enumerate(cfg.levels)
+        for ti in range(cfg.trials_per_level)
+    ]
+    assert [asdict(r) for r in rows] == expected
+    if model == "outcome-noise":
+        assert [r.extraction_failed for r in rows] == [False] * 4 + [True] * 2
