@@ -29,8 +29,8 @@ from .errors import (
     UnsupportedScalarError,
 )
 from .linalg import (
-    KRYLOV_BUDGET, as_array, dagger, fix_phases, krylov_eigh, null_space, real_if_exact,
-    sandwich_operator,
+    KRYLOV_BUDGET, as_array, dagger, fix_phases, is_integer, krylov_eigh, null_space,
+    real_if_exact, sandwich_operator,
 )
 
 PROJECTION_TOL = 1e-9
@@ -201,7 +201,10 @@ def simplex_vertices(n: int) -> np.ndarray:
 
 
 def simplex_family(n: int) -> ProjectionFamily:
-    """n rank-one projections in M_(n-1) summing to (n/(n-1)) * I."""
+    """n rank-one projections in M_(n-1) summing to (n/(n-1)) * I.
+    UnsupportedQuestionCountError unless n is an integer >= 3."""
+    if not is_integer(n):
+        raise UnsupportedQuestionCountError(f"n must be an integer, got {n!r}")
     if n < 3:
         raise UnsupportedQuestionCountError(f"need n >= 3, got {n}")
     verts = simplex_vertices(n)
@@ -263,8 +266,15 @@ def ladder_family(n: int, level: int) -> ProjectionFamily:
     level applies ladder_step, which takes d to d(n - 1 - x).  n = 3 has
     level 1 only.  The dimensions are first run through exactly, and
     BudgetExceededError is raised before anything is built once a rung's
-    n d^2 entries would exceed linalg.KRYLOV_BUDGET.
+    n d^2 entries would exceed linalg.KRYLOV_BUDGET.  An n that is not an
+    integer >= 3 raises UnsupportedQuestionCountError, a level that is not an
+    admissible integer UnsupportedScalarError (linalg.is_integer: a bool or a
+    float is not one).
     """
+    if not is_integer(n):
+        raise UnsupportedQuestionCountError(f"n must be an integer, got {n!r}")
+    if not is_integer(level):
+        raise UnsupportedScalarError(f"k must be an integer, got {level!r}")
     if n < 3:
         raise UnsupportedQuestionCountError(f"need n >= 3, got {n}")
     if level < 1:

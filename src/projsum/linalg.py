@@ -27,10 +27,13 @@ Conventions used across the package:
   computes only the eigenvalues and ``_lowest_eigvec`` the lowest eigenvector
 * array arguments are read by ``as_array``: ragged entries, strings,
   booleans, the wrong rank, an empty axis and a non-finite entry are refused
-  with a ProjsumError naming the argument (and the entry), never cast
+  with a ProjsumError naming the argument (and the entry), never cast; an
+  integer argument passes ``is_integer`` or is refused with the class its
+  reader documents
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +84,8 @@ def as_array(a, ndim: int | None, where: str, error=InvalidShapeError, dtype=np.
     already is, with ``ndim`` non-empty axes (None: any number).  Raises
     ``error``, naming ``where``, for ragged entries, entries that are not
     numbers (a cast would read "1" as 1 and True as 1), complex entries when
-    ``dtype`` is real, the wrong rank or an empty axis, and a non-finite
-    entry, named by its index as serialize.numbers names one.
+    ``dtype`` is real, the wrong rank or an empty axis, and a boolean or a
+    non-finite entry, each named by its index as serialize.numbers names one.
     """
     try:
         arr = np.asarray(a)
@@ -91,6 +94,12 @@ def as_array(a, ndim: int | None, where: str, error=InvalidShapeError, dtype=np.
     kind = arr.dtype.kind
     if kind not in "iufc":
         raise error(f"{where}: entries must be numbers, got {arr.dtype}")
+    if not isinstance(a, np.ndarray):  # a boolean among numbers is cast, so read the entries
+        entries = np.array(a, dtype=object)
+        bools = [p for p, t in enumerate(entries.flat) if isinstance(t, (bool, np.bool_))]
+        if bools:
+            index = "".join(f"[{i}]" for i in np.unravel_index(bools[0], entries.shape))
+            raise error(f"{where}{index}: boolean entry")
     if kind == "c" and np.dtype(dtype).kind != "c":
         raise error(f"{where}: entries must be real, got {arr.dtype}")
     if ndim is not None and arr.ndim != ndim or 0 in arr.shape:
@@ -101,6 +110,13 @@ def as_array(a, ndim: int | None, where: str, error=InvalidShapeError, dtype=np.
         index = "".join(f"[{i}]" for i in np.argwhere(~finite)[0])
         raise error(f"{where}{index}: non-finite entry")
     return arr
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for anything else, a bool and
+    a float of integral value among them: range() reads True as 1 and refuses
+    2.0 with a bare TypeError."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _layout(ndim: int | None) -> str:

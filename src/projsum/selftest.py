@@ -59,6 +59,7 @@ from .linalg import (
     as_array,
     dagger,
     hermitian_eig,
+    is_integer,
     krylov_eigh,
     maximally_entangled,
     real_if_exact,
@@ -136,9 +137,15 @@ def sync_residuals(strategy: Strategy, fam: ProjectionFamily) -> SyncReport:
 
 
 def check_word_pairs(n: int, degree: int) -> None:
-    """BudgetExceededError when the words of length 1..degree in n >= 1 letters
-    make more than PAIR_BUDGET pairs.  The count stops once it passes the
-    budget, within 1,001 lengths, so a huge degree is refused at once."""
+    """InvalidDimensionError for a degree that is not an integer of at least 1
+    (linalg.is_integer), and BudgetExceededError when the words of length
+    1..degree in n >= 1 letters make more than PAIR_BUDGET pairs.  The count
+    stops once it passes the budget, within 1,001 lengths, so a huge degree is
+    refused at once."""
+    if not is_integer(degree) or degree < 1:
+        raise InvalidDimensionError(
+            f"monomial degree must be an integer of at least 1, got {degree!r}"
+        )
     count = 0
     for length in range(1, degree + 1):
         count += n**length
@@ -153,12 +160,9 @@ def tracial_residual(strategy: Strategy, degree: int = 2, party: str = "alice") 
     """Worst commutator defect |tr((W1 W2 - W2 W1) rho)| over short words.
 
     Words are products of the party's first-outcome operators with length
-    1..degree; rho is that party's reduced state.  Raises
-    InvalidDimensionError for a degree below 1, and BudgetExceededError when
-    the pair count would exceed PAIR_BUDGET (check_word_pairs).
+    1..degree; rho is that party's reduced state.  The degree is checked by
+    check_word_pairs.
     """
-    if degree < 1:
-        raise InvalidDimensionError(f"monomial degree must be at least 1, got {degree}")
     check_word_pairs(strategy.n_questions, degree)
     if party not in ("alice", "bob"):
         raise InvalidStrategyError(f"party must be 'alice' or 'bob', got {party!r}")

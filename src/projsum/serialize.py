@@ -5,11 +5,13 @@ any rank is nested lists of such pairs: a vector is a list of pairs, a matrix
 a list of row lists, a stack of matrices a list of matrices.  Documents are
 written with sorted keys so repeated runs produce identical bytes.
 
-Every reader goes through one check per kind: ``integral``, ``numbers`` (a
-rectangular array of JSON numbers) and ``from_pairs``, the inverse of
-``to_pairs``; ``from_fields`` applies them to a dataclass's fields.  A string,
-a boolean or an integer beyond the float range is bad input, named by the
-index of its entry.
+The package reads the documents its commands read: a family, a strategy
+and a sweep config.  Correlations, certificates and sweep reports are only
+written.  Every reader goes through one check per kind: ``integral``,
+``numbers`` (a rectangular array of JSON numbers) and ``from_pairs``, the
+inverse of ``to_pairs``; ``from_fields`` applies the first two to a sweep
+config's fields.  A string, a boolean or an integer beyond the float range is
+bad input, named by the index of its entry.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .errors import InvalidFamilyError, InvalidStrategyError, SerializationError
+from .errors import InvalidFamilyError, SerializationError
 from .families import ProjectionFamily
 from .selftest import DilationCertificate, ResidualReport
 from .strategies import Correlation, Strategy
@@ -88,7 +90,8 @@ def from_pairs(raw, rank: int, where: str) -> np.ndarray:
 
 def from_fields(cls, data: dict, where: str):
     """cls(**data) for a dataclass: every field without a default and no other
-    key, each read by the kind its annotation names."""
+    key; an ``int`` field is read by ``integral``, a ``tuple[float, ...]`` by
+    ``numbers``, and any other is passed on for cls to check."""
     if not isinstance(data, dict):
         raise SerializationError(f"{where}: expected an object")
     kinds = get_type_hints(cls)
@@ -104,10 +107,6 @@ def from_fields(cls, data: dict, where: str):
             value = integral(value, at)
         elif kind == tuple[float, ...]:
             value = numbers(value, 1, at)
-        elif kind is bool and type(value) is not bool:
-            raise SerializationError(f"{at}: not a boolean: {value!r}")
-        elif kind is float or kind == float | None and value is not None:
-            value = float(numbers(value, 0, at))
         values[name] = value
     return cls(**values)
 
@@ -203,18 +202,6 @@ def strategy_from_dict(data: dict) -> Strategy:
 
 def correlation_to_dict(corr: Correlation) -> dict:
     return {"n": corr.n, "k": corr.k, "table": corr.table.tolist()}
-
-
-def correlation_from_dict(data: dict) -> Correlation:
-    n, k, table = (_require(data, key, "correlation") for key in ("n", "k", "table"))
-    try:
-        return Correlation(
-            n=integral(n, "correlation.n"),
-            k=integral(k, "correlation.k"),
-            table=numbers(table, 4, "correlation.table"),
-        )
-    except InvalidStrategyError as exc:
-        raise SerializationError(f"correlation: {exc}") from exc
 
 
 # -- certificates ------------------------------------------------------------

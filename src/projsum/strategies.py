@@ -29,6 +29,7 @@ from .linalg import (
     STATE_TOL,
     as_array,
     dagger,
+    is_integer,
     maximally_entangled,
     random_state,
     reduced_densities,
@@ -336,6 +337,19 @@ def schmidt_reduce(strategy: Strategy) -> SchmidtReduction:
     )
 
 
+def check_noise(model: str, level: float, seed: int) -> float:
+    """The level of a noise model as a float.  InvalidLevelError for a model
+    not in NOISE_MODELS, a level that is not a real number in [0, 1] or a seed
+    that is not an integer >= 0 (a bool is neither)."""
+    if model not in NOISE_MODELS:
+        raise InvalidLevelError(f"unknown noise model {model!r}; pick from {NOISE_MODELS}")
+    if isinstance(level, bool) or not isinstance(level, numbers.Real) or not 0 <= level <= 1:
+        raise InvalidLevelError(f"level must be a real number in [0, 1], got {level!r}")
+    if not is_integer(seed) or seed < 0:
+        raise InvalidLevelError(f"seed must be nonnegative and integral, got {seed!r}")
+    return float(level)
+
+
 def perturb(strategy: Strategy, model: str, level: float, seed: int) -> Strategy:
     """Deterministic noise injection, reproducible from (model, level, seed).
 
@@ -348,19 +362,12 @@ def perturb(strategy: Strategy, model: str, level: float, seed: int) -> Strategy
     outcome-noise  mixes each POVM with the uniform one at weight ``level``;
                    it draws nothing, so its output depends on the level alone
 
-    level = 0 returns the strategy unchanged.  A level that is not a real number
-    in [0, 1] or a seed that is not an integer >= 0 (a bool is neither) raises
-    InvalidLevelError, whatever the model; the level is read as a float.
+    level = 0 returns the strategy unchanged.  The arguments are checked by
+    check_noise, whatever the model.
     """
-    if model not in NOISE_MODELS:
-        raise InvalidLevelError(f"unknown noise model {model!r}; pick from {NOISE_MODELS}")
-    if isinstance(level, bool) or not isinstance(level, numbers.Real) or not 0 <= level <= 1:
-        raise InvalidLevelError(f"level must be a real number in [0, 1], got {level!r}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise InvalidLevelError(f"seed must be nonnegative and integral, got {seed!r}")
+    level = check_noise(model, level, seed)
     if level == 0.0:
         return strategy
-    level = float(level)
 
     if model == "state-mixing":
         rng = np.random.default_rng(seed)

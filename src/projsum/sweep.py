@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -27,9 +26,10 @@ from .errors import (
     UnsupportedQuestionCountError,
 )
 from .families import ProjectionFamily, ladder_family
+from .linalg import is_integer
 from .selftest import approx_rep_residuals, check_word_pairs, extract_dilation
-from .serialize import from_fields, load_json
-from .strategies import NOISE_MODELS, perturb
+from .serialize import from_fields
+from .strategies import check_noise, perturb
 
 CSV_HEADER = (
     "level,trial,delta,epsilon,alpha,rep_residual_A,rep_residual_B,"
@@ -43,11 +43,13 @@ SWEEP_MAX_ROWS = 100_000
 class SweepConfig:
     """Plan for one sweep: family, noise model, levels, trial count.
 
-    A plan of more than SWEEP_MAX_ROWS rows (levels x trials), or whose
-    monomial degree makes more than selftest.PAIR_BUDGET word pairs, raises
-    BudgetExceededError at construction, before any trial runs.  An integer
-    field that is not an integer (a bool is not one) raises
-    SerializationError; a numpy integer is stored as an int.
+    An integer field that is not an integer (a bool is not one) raises
+    SerializationError, and a numpy integer is stored as an int.  The levels
+    are a non-empty ascending sequence (SerializationError otherwise), each
+    checked with the noise model and the seed by strategies.check_noise and
+    stored as a float.  A plan of more than SWEEP_MAX_ROWS rows (levels x
+    trials) raises BudgetExceededError at construction, before any trial
+    runs, as does selftest.check_word_pairs for its monomial degree.
     """
 
     n: int
@@ -61,18 +63,16 @@ class SweepConfig:
     def __post_init__(self):
         for name in ("n", "k", "trials_per_level", "seed", "monomial_degree"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise SerializationError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if self.noise_model not in NOISE_MODELS:
-            raise SerializationError(
-                f"unknown noise model {self.noise_model!r}; pick from {NOISE_MODELS}"
-            )
-        levels = tuple(float(l) for l in self.levels)
+        try:
+            levels = tuple(self.levels)
+        except TypeError as exc:
+            raise SerializationError(f"levels must be a sequence, got {self.levels!r}") from exc
         if not levels:
             raise SerializationError("levels must be non-empty")
-        if any(not (0.0 <= l <= 1.0) for l in levels):
-            raise SerializationError("levels must lie in [0, 1]")
+        levels = tuple(check_noise(self.noise_model, level, self.seed) for level in levels)
         if list(levels) != sorted(levels):
             raise SerializationError("levels must be sorted ascending")
         if self.trials_per_level < 1:
@@ -83,10 +83,6 @@ class SweepConfig:
                 f"{len(levels)} levels x {self.trials_per_level} trials make {rows} rows, "
                 f"over the {SWEEP_MAX_ROWS}-row sweep budget"
             )
-        if self.seed < 0:
-            raise SerializationError("seed must be nonnegative")
-        if self.monomial_degree < 1:
-            raise SerializationError("monomial_degree must be at least 1")
         if self.n < 3:  # as ladder_family would, before counting words in n letters
             raise UnsupportedQuestionCountError(f"need n >= 3, got {self.n}")
         check_word_pairs(self.n, self.monomial_degree)
@@ -216,11 +212,3 @@ def emit_report(rows: list[SweepRow], fmt: str, path) -> None:
             handle.write("\n")
     else:
         raise SerializationError(f"unknown report format {fmt!r}")
-
-
-def load_report(path) -> list[SweepRow]:
-    """Read back a JSON report produced by emit_report, checking each field's kind."""
-    data = load_json(path)
-    if not isinstance(data, list):
-        raise SerializationError("report JSON must be a list of rows")
-    return [from_fields(SweepRow, row, f"report row {i}") for i, row in enumerate(data)]

@@ -90,13 +90,25 @@ ENTRY_POINTS = {
 }
 
 
+def innermost(rows, ndim):
+    """The last innermost list of nested lists of rank ndim."""
+    for _ in range(ndim - 1):
+        rows = rows[-1]
+    return rows
+
+
 def ragged(a):
     """The nested lists of a, with a pair appended to its last innermost list."""
     rows = a.tolist()
-    inner = rows
-    for _ in range(a.ndim - 1):
-        inner = inner[-1]
+    inner = innermost(rows, a.ndim)
     inner.append([inner[-1], inner[-1]])
+    return rows
+
+
+def with_a_boolean(a):
+    """The nested lists of a, with its last entry True: a cast would read 1."""
+    rows = a.tolist()
+    innermost(rows, a.ndim)[-1] = True
     return rows
 
 
@@ -113,6 +125,7 @@ BAD_INPUTS = {
     "ragged": ragged,
     "string": lambda a: a.real.astype(str),  # a cast would parse these
     "boolean": lambda a: a != 0,
+    "boolean entry": with_a_boolean,
     "complex": lambda a: a + 1j,  # only where a real value is expected
     "nan": with_last_entry(np.nan),
     "inf": with_last_entry(np.inf),
@@ -143,6 +156,13 @@ def test_every_entry_point_refuses_every_bad_array(point, kind):
 
 
 def test_as_array_names_the_argument_and_the_entry():
+    # a boolean among numbers is refused wherever it is, and not cast
+    with pytest.raises(InvalidShapeError, match=r"^a\[0\]: boolean entry$"):
+        as_array([True, 0.5], None, "a")
+    with pytest.raises(InvalidShapeError, match=r"^a\[1\]\[1\]: boolean entry$"):
+        as_array([[1, 0], [0, True]], None, "a")
+    with pytest.raises(InvalidShapeError, match=r"^a\[1\]\[0\]: boolean entry$"):
+        as_array([np.ones(2), [np.True_, 3]], 2, "a", dtype=float)
     with pytest.raises(InvalidShapeError, match=r"^v\[1\]\[0\]: non-finite entry$"):
         as_array([[1, 2], [np.inf, 3]], 2, "v")
     with pytest.raises(InvalidShapeError, match="^v: entries must be real, got complex128$"):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 import projsum.families as families
 from projsum.errors import (
     BudgetExceededError,
+    DegenerateInputError,
     InvalidFamilyError,
     UnsupportedQuestionCountError,
     UnsupportedScalarError,
@@ -290,6 +291,41 @@ def test_validate_family_flags_defects():
 def test_simplex_family_rejects_small_n():
     with pytest.raises(UnsupportedQuestionCountError):
         simplex_family(2)
+
+
+def test_family_builders_refuse_counts_that_are_not_integers():
+    # a float raised a bare TypeError, and four_family(True) built k = 1
+    cases = (
+        (four_family, (1.5,), UnsupportedScalarError, "k must be an integer, got 1.5"),
+        (four_family, (True,), UnsupportedScalarError, "k must be an integer, got True"),
+        (ladder_family, (4.0, 2), UnsupportedQuestionCountError, "n must be an integer, got 4.0"),
+        (simplex_family, (4.5,), UnsupportedQuestionCountError, "n must be an integer, got 4.5"),
+        (simplex_family, (True,), UnsupportedQuestionCountError, "n must be an integer, got True"),
+    )
+    for build, args, error, message in cases:
+        with pytest.raises(error, match=f"^{message}$"):
+            build(*args)
+    # numpy integers are integers
+    fam = ladder_family(np.int64(4), np.uint8(2))
+    assert np.array_equal(fam.projections, four_family(2).projections)
+    assert simplex_family(np.int32(4)).d == 3
+
+
+def test_ladder_step_refuses_a_rung_of_the_wrong_rank(monkeypatch):
+    # the n = 4 simplex has complements of rank c = 2 and a kernel of 4 * 2 - 3 = 5
+    fam = simplex_family(4)
+    svd, kernel = np.linalg.svd, families.null_space
+    monkeypatch.setattr(np.linalg, "svd", lambda a: (lambda u, s, vh: (u, 0 * s, vh))(*svd(a)))
+    with pytest.raises(DegenerateInputError, match="^complement rank 0, expected 2$"):
+        families._ladder_step(fam)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(families, "null_space", lambda a: kernel(a)[:, 1:])
+    with pytest.raises(DegenerateInputError, match="^null space dimension 4, expected 5$"):
+        families._ladder_step(fam)
+    # a kernel of the right dimension that is not orthonormal
+    monkeypatch.setattr(families, "null_space", lambda a: 2 * kernel(a))
+    with pytest.raises(DegenerateInputError, match="^constructed family fails validation at 1e-8$"):
+        families._ladder_step(fam)
 
 
 def test_family_stores_read_only_copies():

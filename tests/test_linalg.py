@@ -496,6 +496,38 @@ def assert_spans(v, basis):
     assert np.linalg.norm(v - basis @ (basis.conj().T @ v)) < 1e-10
 
 
+def test_hermitian_spectrum_refuses_a_failed_or_non_finite_solve(monkeypatch):
+    h = np.diag([1.0, 2.0, 3.0])
+
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    message = "^eigenvalues of a 3-row matrix: Eigenvalues did not converge$"
+    with pytest.raises(EigensolverError, match=message):
+        _hermitian_spectrum(h)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array([1.0, np.nan, 3.0]))
+    with pytest.raises(EigensolverError, match="^a 3-row matrix has a non-finite eigenvalue$"):
+        _hermitian_spectrum(h)
+
+
+def test_lowest_eigvec_refuses_shifted_solves_that_stay_singular(monkeypatch):
+    h = np.diag([1.0, 2.0, 3.0])
+    w = _hermitian_spectrum(h)
+    calls = []
+
+    def singular(a, b):
+        calls.append(a)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(EigensolverError, match="^shifted solves of a 3-row matrix stay singular$"):
+        _lowest_eigvec(h, w)
+    # each of the four tries moves the shift further below the lowest eigenvalue
+    below = [a[0, 0] for a in calls]
+    assert len(below) == 4 and 0 < below[0] < below[1] < below[2] < below[3]
+
+
 def test_lowest_eigvecs_planted_cluster_and_degeneracy():
     # a cluster of three eigenvalues 1e-9 apart just above the wanted one
     h, u = planted([-1.0, 0.5, 0.5 + 1e-9, 0.5 + 2e-9], seed=14)

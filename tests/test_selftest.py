@@ -285,6 +285,13 @@ def test_tracial_residual_rejects_degree_below_one():
     strat = canonical_strategy(four_family(1))
     with pytest.raises(InvalidDimensionError, match="at least 1, got 0"):
         tracial_residual(strat, degree=0)
+    # 2.5 and 2.0 raised a bare TypeError, and True measured degree 1
+    strat = perturb(strat, "povm-jitter", 1e-2, seed=3)
+    for degree in (2.5, 2.0, True):
+        message = f"^monomial degree must be an integer of at least 1, got {degree!r}$"
+        with pytest.raises(InvalidDimensionError, match=message):
+            tracial_residual(strat, degree=degree)
+    assert tracial_residual(strat, degree=np.int64(2)) == tracial_residual(strat, degree=2)
 
 
 def test_tracial_residual_names_an_unknown_party():

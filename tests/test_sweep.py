@@ -9,6 +9,8 @@ from projsum.cli import main
 from projsum.errors import (
     BudgetExceededError,
     FitDegenerateError,
+    InvalidDimensionError,
+    InvalidLevelError,
     JunkExtractionError,
     SerializationError,
     UnsupportedQuestionCountError,
@@ -23,7 +25,6 @@ from projsum.sweep import (
     SweepRow,
     build_family,
     emit_report,
-    load_report,
     run_sweep,
     trial_seed,
 )
@@ -45,20 +46,34 @@ def small_config(**overrides):
 
 
 def test_config_validation():
-    with pytest.raises(SerializationError):
+    # the noise model, each level and the seed are perturb's to check
+    with pytest.raises(InvalidLevelError, match="^unknown noise model 'gaussian'"):
         small_config(noise_model="gaussian")
     with pytest.raises(SerializationError):
         small_config(levels=(1e-2, 1e-3))
-    with pytest.raises(SerializationError):
+    with pytest.raises(InvalidLevelError, match=r"^level must be a real number in \[0, 1\], got 1.5$"):
         small_config(levels=(0.5, 1.5))
     with pytest.raises(SerializationError):
         small_config(levels=())
+    for levels in (0.1, None, np.float64(0.1)):  # a bare TypeError, before
+        with pytest.raises(SerializationError, match="^levels must be a sequence, got "):
+            small_config(levels=levels)
     with pytest.raises(SerializationError):
         small_config(trials_per_level=0)
-    with pytest.raises(SerializationError):
+    with pytest.raises(InvalidLevelError, match="^seed must be nonnegative and integral, got -1$"):
         small_config(seed=-1)
     with pytest.raises(UnsupportedQuestionCountError, match="^need n >= 3, got 2$"):
         small_config(n=2)
+
+
+@pytest.mark.parametrize("levels", [(True,), ("0.1",), (None,), ([0.1],), (0.0, np.array(0.1))])
+def test_config_refuses_each_level_perturb_refuses(levels):
+    # these ran at 1.0 and 0.1, or raised a bare TypeError
+    strat = build_family(4, 1).canonical_strategy
+    with pytest.raises(InvalidLevelError, match=r"^level must be a real number in \[0, 1\], got "):
+        perturb(strat, "state-mixing", levels[-1], seed=5)
+    with pytest.raises(InvalidLevelError, match=r"^level must be a real number in \[0, 1\], got "):
+        small_config(levels=levels)
 
 
 @pytest.mark.parametrize("field", ["n", "k", "trials_per_level", "seed", "monomial_degree"])
@@ -74,8 +89,10 @@ def test_config_refuses_non_integral_integer_fields(field):
 
 
 def test_config_rejects_monomial_degree_below_one():
-    # degree 0 used to run, measuring degree-1 words against a zero budget
-    with pytest.raises(SerializationError, match="monomial_degree must be at least 1"):
+    # degree 0 used to run, measuring degree-1 words against a zero budget;
+    # selftest.check_word_pairs refuses it, as tracial_residual would
+    message = "^monomial degree must be an integer of at least 1, got 0$"
+    with pytest.raises(InvalidDimensionError, match=message):
         small_config(monomial_degree=0)
 
 
@@ -192,51 +209,15 @@ def test_json_report_round_trip(tmp_path):
     rows = run_sweep(cfg)
     path = tmp_path / "report.json"
     emit_report(rows, "json", path)
-    back = load_report(path)
-    assert back == rows
-    # file is plain JSON with one object per row
+    # file is plain JSON with one object per row, every field as it was
     data = json.loads(path.read_text())
-    assert isinstance(data, list) and len(data) == len(rows)
+    assert data == [asdict(r) for r in rows]
     assert set(data[0]) == set(SweepRow.__dataclass_fields__)
 
 
 def test_emit_report_rejects_unknown_format(tmp_path):
     with pytest.raises(SerializationError):
         emit_report([], "yaml", tmp_path / "x.yaml")
-
-
-def test_load_report_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(SerializationError):
-        load_report(path)
-    path.write_text("{\"a\": 1}")
-    with pytest.raises(SerializationError):
-        load_report(path)
-    for rows in ([1], [{"foo": 1}], [{}]):
-        path.write_text(json.dumps(rows))
-        with pytest.raises(SerializationError, match="report row 0"):
-            load_report(path)
-    row = {name: 0.0 for name in SweepRow.__dataclass_fields__}
-    row.update(trial=0, seed=1, epsilon=None, extraction_failed=False)
-    row.update(lemma35_pass=True, lemma63_pass=True, tracial_pass=True)
-    path.write_text(json.dumps([row]))
-    assert load_report(path)[0].seed == 1
-    cases = (
-        ("level", "x", "not a number: 'x'"),
-        ("trial", 1.5, "not an integer: 1.5"),
-        ("extraction_failed", "no", "not a boolean: 'no'"),
-        ("delta", None, "not a number: None"),
-    )
-    for field, value, problem in cases:
-        path.write_text(json.dumps([row, {**row, field: value}]))
-        with pytest.raises(SerializationError, match=f"^report row 1 field '{field}': {problem}$"):
-            load_report(path)
-    path.write_bytes(bytes(range(128, 256)))
-    with pytest.raises(SerializationError, match="not a text file"):
-        load_report(path)
-    with pytest.raises(OSError):
-        load_report(tmp_path)
 
 
 def test_epsilon_tracks_noise_level():
@@ -301,7 +282,7 @@ def test_failed_extractions_leave_their_certificate_cells_empty(tmp_path, capsys
     data = json.loads(out_json.read_text())
     for key in ("epsilon", "alpha", "beta", "state_residual", "fit_residual"):
         assert [row[key] for row in data] == [None] * 3, key
-    assert load_report(out_json) == rows
+    assert data == [asdict(r) for r in rows]
 
 
 @pytest.mark.parametrize("model", NOISE_MODELS)
