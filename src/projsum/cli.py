@@ -153,7 +153,7 @@ def _cmd_correlate(args) -> int:
     save_json(correlation_to_dict(corr), args.out)
     _, _, signaling = marginals(corr)
     print(
-        f"wrote {corr.n}x{corr.n}x{corr.k}x{corr.k} table to {args.out}\n"
+        f"wrote {'x'.join(map(str, corr.shape))} table to {args.out}\n"
         f"  synchronicity defect {synchronicity_defect(corr):.3e}\n"
         f"  non-signaling residual {signaling:.3e}"
     )
@@ -192,7 +192,7 @@ def _cmd_demo(args) -> int:
     for v in range(2):
         for w in range(2):
             cells = "  ".join(
-                f"p({i},{j})={corr.table[v, w, i, j]:.6f}"
+                f"p({i},{j})={corr[v, w, i, j]:.6f}"
                 for i in range(2)
                 for j in range(2)
             )

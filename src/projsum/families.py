@@ -43,10 +43,11 @@ class ProjectionFamily:
     """n projections in M_d summing to x * I_d.
 
     d is the ambient matrix dimension; for the canonical constructions it
-    equals the denominator of x in lowest terms.  The constructor reads each
-    projection with linalg.as_array and stores one read-only C-ordered
-    complex128 copy of them, of shape (n, d, d), so the quantities cached
-    below stay true to it.
+    equals the denominator of x in lowest terms.  An n or a d that is not an
+    integer (linalg.is_integer) raises InvalidFamilyError.  The constructor
+    reads each projection with linalg.as_array and stores one read-only
+    C-ordered complex128 copy of them, of shape (n, d, d), so the quantities
+    cached below stay true to it.
     """
 
     n: int
@@ -56,6 +57,8 @@ class ProjectionFamily:
 
     def __post_init__(self):
         n, d = self.n, self.d
+        if not (is_integer(n) and is_integer(d)):
+            raise InvalidFamilyError(f"n and d must be integers, got n={n!r}, d={d!r}")
         if n < 1 or len(self.projections) != n:
             raise InvalidFamilyError(f"expected {n} projections, got {len(self.projections)}")
         # a sum of n projections is x I only for x in [0, n]; checked first, so
@@ -152,16 +155,22 @@ def _next_scalar(n: int, x: Fraction) -> Fraction:
 
 
 def as_fraction(x) -> Fraction:
-    """x exactly, as a Fraction; UnsupportedScalarError for a NaN or an
-    infinity, which Fraction refuses with a bare ValueError or OverflowError."""
+    """x exactly, as a Fraction; UnsupportedScalarError for a NaN, an infinity
+    or anything but a number, which Fraction refuses with a bare error, and
+    for a string or a bool, which Fraction would parse or read as 0 or 1."""
+    if isinstance(x, (str, bool)):
+        raise UnsupportedScalarError(f"x must be a number, got {x!r}")
     try:
         return Fraction(x)
-    except (ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UnsupportedScalarError(f"x must be a finite number, got {x}") from exc
 
 
 def scalar_is_admissible(n: int, x: Fraction) -> bool:
-    """Exact membership test for x (read by as_fraction) in the admissible scalars of n."""
+    """Exact membership test for x (read by as_fraction) in the admissible scalars of n;
+    UnsupportedQuestionCountError unless n is an integer >= 3."""
+    if not is_integer(n):
+        raise UnsupportedQuestionCountError(f"n must be an integer, got {n!r}")
     if n < 3:
         raise UnsupportedQuestionCountError(f"need n >= 3, got {n}")
     x = as_fraction(x)
@@ -186,7 +195,10 @@ def simplex_vertices(n: int) -> np.ndarray:
     are an (n-1)-vertex simplex scaled by c_n = sqrt(1 - 1/(n-1)^2).  So
     column j holds 1 on the diagonal and -1/(n-1-j) below it, both scaled by
     c_m for m = n-j+1..n.  Pairwise inner products are -1/(n-1).
+    UnsupportedQuestionCountError unless n is an integer >= 2.
     """
+    if not is_integer(n):
+        raise UnsupportedQuestionCountError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise UnsupportedQuestionCountError(f"need n >= 2, got {n}")
     diag = np.ones(n - 1)

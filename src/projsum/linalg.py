@@ -171,7 +171,10 @@ def unvec(psi, dims: tuple[int, int]) -> np.ndarray:
 
 
 def maximally_entangled(d: int) -> np.ndarray:
-    """Unit vector (1/sqrt(d)) * sum_i e_i kron e_i in C^d tensor C^d."""
+    """Unit vector (1/sqrt(d)) * sum_i e_i kron e_i in C^d tensor C^d;
+    InvalidDimensionError unless d is an integer >= 1."""
+    if not is_integer(d):
+        raise InvalidDimensionError(f"dimension must be an integer, got {d!r}")
     if d < 1:
         raise InvalidDimensionError(f"dimension must be positive, got {d}")
     return vec(np.eye(d, dtype=np.complex128)) / np.sqrt(d)

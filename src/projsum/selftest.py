@@ -226,7 +226,7 @@ class ResidualReport:
     @property
     def tracial_budget(self) -> float:
         # commutator words have combined length at most 2 * monomial_degree
-        return 2.0 * (2 * self.monomial_degree) * np.sqrt(self.delta)
+        return float(2.0 * (2 * self.monomial_degree) * np.sqrt(self.delta))
 
     @property
     def lemma35_pass(self) -> bool:

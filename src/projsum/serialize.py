@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InvalidFamilyError, SerializationError
 from .families import ProjectionFamily
 from .selftest import DilationCertificate, ResidualReport
-from .strategies import Correlation, Strategy
+from .strategies import Strategy
 
 
 def to_pairs(a) -> list:
@@ -200,8 +200,8 @@ def strategy_from_dict(data: dict) -> Strategy:
     )
 
 
-def correlation_to_dict(corr: Correlation) -> dict:
-    return {"n": corr.n, "k": corr.k, "table": corr.table.tolist()}
+def correlation_to_dict(table: np.ndarray) -> dict:
+    return {"n": table.shape[0], "k": table.shape[2], "table": table.tolist()}
 
 
 # -- certificates ------------------------------------------------------------

@@ -8,7 +8,9 @@ closed-form synchronous correlation
     p(1,1|v,w) = x/n               if v = w,
     p(1,1|v,w) = x(x-1)/(n(n-1))   otherwise,
 
-with the remaining outcomes filled in by the fixed marginals x/n.
+with the remaining outcomes filled in by the fixed marginals x/n.  A
+correlation is its read-only float64 table p[v, w, i, j] = p(i, j | v, w),
+C-ordered, of shape (n, n, k, k).
 """
 from __future__ import annotations
 
@@ -89,7 +91,7 @@ class Strategy:
         return rho_a, rho_b
 
     @cached_property
-    def correlation(self) -> Correlation:
+    def correlation(self) -> np.ndarray:
         """induced_correlation of this strategy, computed once."""
         return induced_correlation(self)
 
@@ -100,6 +102,10 @@ class Strategy:
         stack at once; the message names the first offending question and
         outcome.
         """
+        for name in ("dim_a", "dim_b"):
+            dim = getattr(self, name)
+            if not is_integer(dim):
+                raise InvalidStrategyError(f"{name} must be an integer, got {dim!r}")
         psi = self.state
         if psi.size != self.dim_a * self.dim_b:
             raise InvalidStrategyError(
@@ -138,29 +144,6 @@ class Strategy:
                     )
 
 
-@dataclass(frozen=True)
-class Correlation:
-    """Conditional outcome table, table[v, w, i, j] = p(i, j | v, w).
-
-    The constructor stores a read-only float copy of the table, so a
-    correlation can be shared (ideal_correlation caches its results).
-    """
-
-    n: int
-    k: int
-    table: np.ndarray
-
-    def __post_init__(self):
-        t = np.array(as_array(self.table, 4, "table", InvalidStrategyError, dtype=float))
-        if t.shape != (self.n, self.n, self.k, self.k):
-            raise InvalidStrategyError(
-                f"table shape {t.shape} does not match (n, n, k, k) = "
-                f"{(self.n, self.n, self.k, self.k)}"
-            )
-        t.flags.writeable = False
-        object.__setattr__(self, "table", t)
-
-
 def canonical_strategy(fam: ProjectionFamily) -> Strategy:
     """Projective two-outcome strategy of a family on the maximally entangled state.
 
@@ -180,14 +163,14 @@ def canonical_strategy(fam: ProjectionFamily) -> Strategy:
     )
 
 
-@lru_cache(maxsize=64)
-def ideal_correlation(n: int, x: Fraction | float) -> Correlation:
-    """Closed-form synchronous two-outcome target correlation for (n, x).
+@lru_cache(maxsize=64, typed=True)
+def ideal_correlation(n: int, x: Fraction | float) -> np.ndarray:
+    """Closed-form synchronous two-outcome target table for (n, x), (n, n, 2, 2).
 
     Exact in Fraction arithmetic before the final float conversion. Raises
-    UnsupportedScalarError when x is not a finite, admissible scalar for n.
-    Cached: a float and a Fraction of equal value hash alike, so calls with
-    the same (n, Fraction(x)) share one read-only result.
+    what scalar_is_admissible raises, and UnsupportedScalarError when x is not
+    admissible for n.  Cached by the arguments' values and types, so repeated
+    calls share one read-only table, and 4.0 never finds the entry of 4.
     """
     x = as_fraction(x)
     if not scalar_is_admissible(n, x):
@@ -201,10 +184,11 @@ def ideal_correlation(n: int, x: Fraction | float) -> Correlation:
 
     cross = Fraction(x * (x - 1), n * (n - 1))
     table = np.where(np.eye(n, dtype=bool)[:, :, None, None], block(same), block(cross))
-    return Correlation(n=n, k=2, table=table)
+    table.flags.writeable = False
+    return table
 
 
-def induced_correlation(strategy: Strategy) -> Correlation:
+def induced_correlation(strategy: Strategy) -> np.ndarray:
     """Correlation table of a strategy, p = <(E kron F) psi, psi>.
 
     Computed through the reshaped state: with M the dim_a x dim_b matrix of
@@ -215,7 +199,8 @@ def induced_correlation(strategy: Strategy) -> Correlation:
     bob = strategy.bob[:, None]
     # row v at a time, peak n k^2 d^2: [w, i, j] -> sum of kernels[v, i] .* bob[w, j]
     table = np.array([np.sum(kv[None, :, None] * bob, axis=(3, 4)).real for kv in kernels])
-    return Correlation(n=strategy.n_questions, k=strategy.n_outcomes, table=table)
+    table.flags.writeable = False
+    return table
 
 
 def chsh_fixture() -> Strategy:
@@ -238,45 +223,43 @@ def chsh_fixture() -> Strategy:
     )
 
 
-def chsh_win_probability(corr: Correlation) -> float:
+def chsh_win_probability(p: np.ndarray) -> float:
     """Winning probability of the xor game under uniform question pairs."""
-    if corr.n != 2 or corr.k != 2:
+    if p.shape != (2, 2, 2, 2):
         raise InvalidStrategyError("the xor game needs a 2-question 2-outcome table")
-    v, w, i, j = np.indices(corr.table.shape)
-    wins = corr.table[(i + j) % 2 == (v * w) % 2]   # in the table's C order
+    v, w, i, j = np.indices(p.shape)
+    wins = p[(i + j) % 2 == (v * w) % 2]   # in the table's C order
     # a running sum from 0.0 in that order, so the digits do not depend on
     # how a reduction would pair the terms
     return np.cumsum(np.append(0.0, wins))[-1] / 4.0
 
 
-def correlation_distance(p: Correlation, q: Correlation) -> float:
+def correlation_distance(p: np.ndarray, q: np.ndarray) -> float:
     """Entrywise 1-norm distance between two tables of equal shape."""
-    if p.table.shape != q.table.shape:
-        raise InvalidStrategyError(
-            f"table shapes differ: {p.table.shape} vs {q.table.shape}"
-        )
-    return float(np.abs(p.table - q.table).sum())
+    if p.shape != q.shape:
+        raise InvalidStrategyError(f"table shapes differ: {p.shape} vs {q.shape}")
+    return float(np.abs(p - q).sum())
 
 
-def synchronicity_defect(p: Correlation) -> float:
+def synchronicity_defect(p: np.ndarray) -> float:
     """Largest off-diagonal outcome weight on matching questions.
 
     Zero iff both parties always agree when asked the same question.
     """
-    off_diagonal = ~np.eye(p.k, dtype=bool)
+    off_diagonal = ~np.eye(p.shape[-1], dtype=bool)
     # np.diagonal moves the question axis last: [i, j, v] = p(i, j | v, v)
-    return float(np.abs(np.diagonal(p.table)[off_diagonal]).max(initial=0.0))
+    return float(np.abs(np.diagonal(p)[off_diagonal]).max(initial=0.0))
 
 
-def marginals(p: Correlation) -> tuple[np.ndarray, np.ndarray, float]:
+def marginals(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-party marginals and the worst non-signaling deviation.
 
     Returns (p_a, p_b, residual) where p_a[v, i] averages sum_j p(i,j|v,w)
     over w, and the residual is the largest deviation of any single-w
     (or single-v) marginal from that average.
     """
-    row = p.table.sum(axis=3)          # [v, w, i] = sum_j p(i,j|v,w)
-    col = p.table.sum(axis=2)          # [v, w, j] = sum_i p(i,j|v,w)
+    row = p.sum(axis=3)                # [v, w, i] = sum_j p(i,j|v,w)
+    col = p.sum(axis=2)                # [v, w, j] = sum_i p(i,j|v,w)
     p_a = row.mean(axis=1)             # [v, i]
     p_b = col.mean(axis=0)             # [w, j]
     res_a = float(np.abs(row - p_a[:, None, :]).max())

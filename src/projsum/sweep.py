@@ -118,9 +118,12 @@ class SweepRow:
 
 def trial_seed(root_seed: int, level_index: int, trial_index: int) -> int:
     """Stable per-trial seed derived from the root seed and grid position, all
-    nonnegative (SerializationError otherwise, as SweepConfig raises)."""
-    if min(root_seed, level_index, trial_index) < 0:
-        raise SerializationError("seed and grid position must be nonnegative")
+    nonnegative integers (SerializationError otherwise, as SweepConfig raises)."""
+    position = (root_seed, level_index, trial_index)
+    if not all(map(is_integer, position)) or min(position) < 0:
+        raise SerializationError(
+            f"seed and grid position must be nonnegative integers, got {position!r}"
+        )
     seq = np.random.SeedSequence([root_seed, level_index, trial_index])
     return int(seq.generate_state(1)[0])
 
@@ -150,41 +153,33 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
                 a.tobytes() for a in (noisy.state, noisy.alice, noisy.bob)
             )
             if key == previous:
-                rows.append(replace(rows[-1], level=float(level), trial=ti, seed=seed))
+                rows.append(replace(rows[-1], level=level, trial=ti, seed=seed))
                 continue
             previous = key
             report = approx_rep_residuals(noisy, fam, monomial_degree=config.monomial_degree)
-            epsilon = alpha = beta = state_residual = fit_residual = None
-            failed = False
             try:
                 cert = extract_dilation(noisy, fam)
-                epsilon = float(cert.epsilon)
-                alpha = float(cert.alpha)
-                beta = float(cert.beta)
-                state_residual = float(cert.state_residual)
-                fit_residual = float(
-                    max(cert.fit_residuals_a.max(), cert.fit_residuals_b.max())
-                )
+                fit_residual = float(max(cert.fit_residuals_a.max(), cert.fit_residuals_b.max()))
             except (JunkExtractionError, FitDegenerateError):
-                failed = True
+                cert = fit_residual = None
             rows.append(
                 SweepRow(
-                    level=float(level),
+                    level=level,
                     trial=ti,
                     seed=seed,
-                    delta=float(report.delta),
-                    epsilon=epsilon,
-                    alpha=alpha,
-                    extraction_failed=failed,
-                    rep_residual_a=float(report.rep_residual_a),
-                    rep_residual_b=float(report.rep_residual_b),
-                    tracial_residual=float(report.tracial_residual),
-                    sync_max=float(report.sync_max),
-                    lemma35_pass=bool(report.lemma35_pass),
-                    lemma63_pass=bool(report.lemma63_pass),
-                    tracial_pass=bool(report.tracial_pass),
-                    beta=beta,
-                    state_residual=state_residual,
+                    delta=report.delta,
+                    epsilon=cert and cert.epsilon,
+                    alpha=cert and cert.alpha,
+                    extraction_failed=cert is None,
+                    rep_residual_a=report.rep_residual_a,
+                    rep_residual_b=report.rep_residual_b,
+                    tracial_residual=report.tracial_residual,
+                    sync_max=report.sync_max,
+                    lemma35_pass=report.lemma35_pass,
+                    lemma63_pass=report.lemma63_pass,
+                    tracial_pass=report.tracial_pass,
+                    beta=cert and cert.beta,
+                    state_residual=cert and cert.state_residual,
                     fit_residual=fit_residual,
                 )
             )

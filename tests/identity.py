@@ -11,8 +11,9 @@ The first form writes into the directory OUT, for each ladder level k in
   and 7 log-spaced levels from 1e-4 to 1e-1 with 10 trials each, k=5 the
   zero level and 3 log-spaced levels with 8 trials each
 * ``strategy-k{k}-{name}.json``, ``selftest-k{k}-{name}.out`` and
-  ``.cert.json``: ``projsum selftest`` on the canonical strategy and on it
-  perturbed by each noise model at 1e-3 with perturb seed 7; the ``.out``
+  ``.cert.json``, ``correlate-k{k}-{name}.out`` and ``.json``: ``projsum
+  selftest`` and ``projsum correlate`` on the canonical strategy and on it
+  perturbed by each noise model at 1e-3 with perturb seed 7; each ``.out``
   file holds the exit code, standard output and standard error
 * ``blas.json``: the BLAS thread variables of the environment and the numpy
   version, since certificates at k >= 5 differ in their last bits between
@@ -58,7 +59,6 @@ def write_outputs(out, ks=KS) -> list[Path]:
     from projsum.families import four_family
     from projsum.strategies import NOISE_MODELS, perturb
     from projsum.sweep import SweepConfig, emit_report, run_sweep
-    from projsum.cli import main as cli
     from projsum.serialize import save_json, strategy_to_dict
 
     out = Path(out)
@@ -80,20 +80,33 @@ def write_outputs(out, ks=KS) -> list[Path]:
         for model in NOISE_MODELS:
             strategies[model] = perturb(canonical, model, PERTURB_LEVEL, PERTURB_SEED)
         for name, strategy in strategies.items():
-            stem = out / f"selftest-k{k}-{name}"
             source = out / f"strategy-k{k}-{name}.json"
             save_json(strategy_to_dict(strategy), source)
+            written.append(source)
+            stem = out / f"selftest-k{k}-{name}"
             cert = Path(f"{stem}.cert.json")
             args = ["selftest", str(source), "--n", "4", "--k", str(k), "--cert", str(cert)]
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                status = cli(args)
-            # the paths it prints name OUT, which differs between the sets
-            text = (stdout.getvalue() + stderr.getvalue()).replace(f"{out}{os.sep}", "")
-            report = Path(f"{stem}.out")
-            report.write_text(f"exit {status}\n{text}")
-            written += [source, report] + ([cert] if cert.exists() else [])
+            written += [run_command(args, stem, out)] + ([cert] if cert.exists() else [])
+            stem = out / f"correlate-k{k}-{name}"
+            corr = Path(f"{stem}.json")
+            args = ["correlate", str(source), "--out", str(corr)]
+            written += [run_command(args, stem, out)] + ([corr] if corr.exists() else [])
     return written
+
+
+def run_command(args, stem, out) -> Path:
+    """Run ``projsum ARGS`` in-process and write its exit code, standard output
+    and standard error to ``STEM.out``; return that path."""
+    from projsum.cli import main as cli
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        status = cli(args)
+    # the paths it prints name OUT, which differs between the sets
+    text = (stdout.getvalue() + stderr.getvalue()).replace(f"{out}{os.sep}", "")
+    report = Path(f"{stem}.out")
+    report.write_text(f"exit {status}\n{text}")
+    return report
 
 
 def leaves(doc, path=""):

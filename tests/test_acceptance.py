@@ -107,13 +107,13 @@ def test_04_canonical_correlation_closed_form():
         fam = four_family(k)
         corr = induced_correlation(canonical_strategy(fam))
         ideal = ideal_correlation(4, fam.x)
-        ok = ok and np.max(np.abs(corr.table - ideal.table)) <= 1e-11
+        ok = ok and np.max(np.abs(corr - ideal)) <= 1e-11
         ok = ok and synchronicity_defect(corr) <= 1e-11
         x = float(fam.x)
         for v in range(4):
-            ok = ok and abs(corr.table[v, v, 0, 0] - x / 4.0) <= 1e-11
+            ok = ok and abs(corr[v, v, 0, 0] - x / 4.0) <= 1e-11
             w = (v + 1) % 4
-            ok = ok and abs(corr.table[v, w, 0, 0] - x * (x - 1) / 12.0) <= 1e-11
+            ok = ok and abs(corr[v, w, 0, 0] - x * (x - 1) / 12.0) <= 1e-11
     ok = ok and time.perf_counter() - start < 5.0
     report(4, "canonical correlations hit the closed form, <5s", ok)
 

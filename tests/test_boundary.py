@@ -27,7 +27,7 @@ from projsum.linalg import (
     unvec,
 )
 from projsum.selftest import dilation_epsilon, fit_isometry
-from projsum.strategies import Correlation, Strategy, ideal_correlation
+from projsum.strategies import Strategy
 
 from oracles import find_intertwiner, spearman
 
@@ -45,11 +45,6 @@ ENTRY_POINTS = {
     "Strategy.alice": (
         lambda a: Strategy(state=CANON.state, dim_a=3, dim_b=3, alice=a, bob=CANON.bob),
         CANON.alice,
-        InvalidStrategyError,
-    ),
-    "Correlation": (
-        lambda a: Correlation(n=4, k=2, table=a),
-        ideal_correlation(4, FAM.x).table,
         InvalidStrategyError,
     ),
     "ProjectionFamily": (

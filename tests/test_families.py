@@ -241,7 +241,7 @@ def test_ladder_rungs_have_closed_form_correlations(rung):
     assert report.ranks == (int(fam.x * fam.d / n),) * n
     assert fam.correlation_gap > 0  # SpectralDegeneracyError if the top is not simple
     corr = induced_correlation(fam.canonical_strategy)
-    assert np.abs(corr.table - ideal_correlation(n, fam.x).table).max() < 1e-11
+    assert np.abs(corr - ideal_correlation(n, fam.x)).max() < 1e-11
 
 
 def test_ladder_family_refuses_before_allocating():
@@ -294,21 +294,36 @@ def test_simplex_family_rejects_small_n():
 
 
 def test_family_builders_refuse_counts_that_are_not_integers():
-    # a float raised a bare TypeError, and four_family(True) built k = 1
+    # a float raised a bare TypeError, four_family(True) built k = 1, and
+    # Fraction parsed a string
+    x = Fraction(4, 3)
     cases = (
         (four_family, (1.5,), UnsupportedScalarError, "k must be an integer, got 1.5"),
         (four_family, (True,), UnsupportedScalarError, "k must be an integer, got True"),
         (ladder_family, (4.0, 2), UnsupportedQuestionCountError, "n must be an integer, got 4.0"),
         (simplex_family, (4.5,), UnsupportedQuestionCountError, "n must be an integer, got 4.5"),
         (simplex_family, (True,), UnsupportedQuestionCountError, "n must be an integer, got True"),
+        (simplex_vertices, (4.5,), UnsupportedQuestionCountError, "n must be an integer, got 4.5"),
+        (simplex_vertices, (True,), UnsupportedQuestionCountError, "n must be an integer, got True"),
+        (scalar_is_admissible, (4.0, x), UnsupportedQuestionCountError, "n must be an integer, got 4.0"),
+        (scalar_is_admissible, (4, "4/3"), UnsupportedScalarError, "x must be a number, got '4/3'"),
+        (scalar_is_admissible, (4, False), UnsupportedScalarError, "x must be a number, got False"),
+        (scalar_is_admissible, (4, None), UnsupportedScalarError, "x must be a finite number, got None"),
     )
     for build, args, error, message in cases:
         with pytest.raises(error, match=f"^{message}$"):
             build(*args)
+    p = four_family(1).projections
+    for n, d in ((4.0, 3), (4, 3.0), (True, 3)):
+        with pytest.raises(InvalidFamilyError, match="^n and d must be integers"):
+            ProjectionFamily(n=n, x=x, d=d, projections=p)
     # numpy integers are integers
     fam = ladder_family(np.int64(4), np.uint8(2))
     assert np.array_equal(fam.projections, four_family(2).projections)
     assert simplex_family(np.int32(4)).d == 3
+    assert np.array_equal(simplex_vertices(np.int32(4)), simplex_vertices(4))
+    assert scalar_is_admissible(np.int64(4), x)
+    assert ProjectionFamily(n=np.int64(4), x=x, d=np.uint8(3), projections=p).d == 3
 
 
 def test_ladder_step_refuses_a_rung_of_the_wrong_rank(monkeypatch):

@@ -72,6 +72,11 @@ def test_maximally_entangled_is_vec_of_scaled_identity():
         assert abs(np.linalg.norm(phi) - 1.0) < 1e-14
     with pytest.raises(InvalidDimensionError, match="^dimension must be positive, got 0$"):
         maximally_entangled(0)
+    # np.eye raised a bare TypeError for 2.5 and read True as 1
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(InvalidDimensionError, match=f"^dimension must be an integer, got {bad}$"):
+            maximally_entangled(bad)
+    assert np.array_equal(maximally_entangled(np.int64(3)), maximally_entangled(3))
 
 
 def test_schmidt_known_coefficients():

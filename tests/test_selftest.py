@@ -43,6 +43,7 @@ from projsum.linalg import (
 )
 from projsum.selftest import (
     DilationCertificate,
+    ResidualReport,
     _dilation_residuals,
     approx_rep_residuals,
     compose_dilations,
@@ -263,7 +264,7 @@ def test_tracial_residual_canonical_and_budget():
     for level in (1e-3, 1e-2):
         noisy = perturb(strat, "povm-jitter", level, seed=23)
         delta = np.abs(
-            induced_correlation(noisy).table - ideal.table
+            induced_correlation(noisy) - ideal
         ).sum(axis=(2, 3)).max()
         # words up to degree 2 built from n operators
         budget = 2 * (2 * 2) * np.sqrt(delta)
@@ -1053,6 +1054,25 @@ def test_rep_residuals_match_the_trace_seminorm_oracle(model):
             oracle = seminorm_rep_residuals(noisy, float(fam.x))
             measured = [report.rep_residual_a, report.rep_residual_b]
             assert measured == pytest.approx(oracle, rel=1e-12, abs=0), (base.dim_a, level)
+
+
+@pytest.mark.parametrize("model", NOISE_MODELS)
+def test_reports_and_certificates_hold_plain_floats_and_bools(model):
+    # a numpy bool or float in a sweep row would need a cast before json
+    fam = four_family(1)
+    noisy = perturb(fam.canonical_strategy, model, 1e-2, seed=3)
+    report = approx_rep_residuals(noisy, fam)
+    names = [f.name for f in dataclasses.fields(report) if f.type == "float"]
+    names += [name for name, v in vars(ResidualReport).items() if isinstance(v, property)]
+    assert len(names) == 14
+    for name in names:
+        value = getattr(report, name)
+        assert type(value) is (bool if name.endswith("_pass") else float), name
+    cert = extract_dilation(noisy, fam)
+    for name in ("epsilon", "alpha", "beta", "gap", "state_residual", "delta"):
+        assert type(getattr(cert, name)) is float, name
+    for name in ("ref_dim_a", "ref_dim_b", "anc_dim_a", "anc_dim_b", "source_dim_a", "source_dim_b"):
+        assert type(getattr(cert, name)) is int, name
 
 
 def test_rep_residuals_read_the_sync_report_and_weigh_no_seminorm(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from projsum.errors import (
     InvalidLevelError,
     InvalidStrategyError,
+    UnsupportedQuestionCountError,
     UnsupportedScalarError,
 )
 from projsum.families import four_family, ladder_family, simplex_family
@@ -21,7 +22,6 @@ from projsum.linalg import (
 from projsum.selftest import dilation_epsilon
 from projsum.strategies import (
     NOISE_MODELS,
-    Correlation,
     Strategy,
     canonical_strategy,
     chsh_fixture,
@@ -80,11 +80,12 @@ def loop_ideal_correlation(n, x):
 
 def loop_synchronicity_defect(p):
     worst = 0.0
-    for v in range(p.n):
-        for i in range(p.k):
-            for j in range(p.k):
+    n, _, k, _ = p.shape
+    for v in range(n):
+        for i in range(k):
+            for j in range(k):
                 if i != j:
-                    worst = max(worst, abs(float(p.table[v, v, i, j])))
+                    worst = max(worst, abs(float(p[v, v, i, j])))
     return worst
 
 
@@ -92,7 +93,7 @@ def loop_chsh_win_probability(corr):
     total = 0.0
     for v, w, i, j in np.ndindex(2, 2, 2, 2):
         if (i + j) % 2 == (v * w) % 2:
-            total += corr.table[v, w, i, j]
+            total += corr[v, w, i, j]
     return total / 4.0
 
 
@@ -128,14 +129,14 @@ def loop_perturb(strategy, model, level, seed):
 @pytest.mark.parametrize("n, level", [(3, 1), (4, 1), (4, 6), (5, 3), (7, 4)])
 def test_ideal_correlation_matches_fraction_loop(n, level):
     for x in lambda_sequence(n, level):
-        assert np.array_equal(ideal_correlation(n, x).table, loop_ideal_correlation(n, x))
+        assert np.array_equal(ideal_correlation(n, x), loop_ideal_correlation(n, x))
 
 
 def test_table_reductions_match_entry_loops():
     rng = np.random.default_rng(31)
     for n, k in ((2, 2), (3, 1), (4, 3), (5, 2)):
         for _ in range(20):
-            corr = Correlation(n=n, k=k, table=rng.normal(size=(n, n, k, k)))
+            corr = rng.normal(size=(n, n, k, k))
             assert synchronicity_defect(corr) == loop_synchronicity_defect(corr)
             if n == 2 and k == 2:
                 assert chsh_win_probability(corr) == loop_chsh_win_probability(corr)
@@ -183,8 +184,7 @@ def test_povm_jitter_keeps_povms_without_renormalizing(level, seed):
 
 
 def test_ideal_correlation_tetrahedron_values():
-    corr = ideal_correlation(4, Fraction(4, 3))
-    table = corr.table
+    table = ideal_correlation(4, Fraction(4, 3))
     for v in range(4):
         assert abs(table[v, v, 0, 0] - 1.0 / 3) < 1e-15
         assert table[v, v, 0, 1] == 0.0
@@ -201,10 +201,10 @@ def test_ideal_correlation_tetrahedron_values():
 
 def test_ideal_correlation_triangle_values():
     corr = ideal_correlation(3, Fraction(3, 2))
-    assert abs(corr.table[0, 0, 0, 0] - 0.5) < 1e-15
-    assert abs(corr.table[0, 1, 0, 0] - 0.125) < 1e-15
+    assert abs(corr[0, 0, 0, 0] - 0.5) < 1e-15
+    assert abs(corr[0, 1, 0, 0] - 0.125) < 1e-15
     # rows sum to one
-    assert np.allclose(corr.table.sum(axis=(2, 3)), 1.0, atol=1e-12)
+    assert np.allclose(corr.sum(axis=(2, 3)), 1.0, atol=1e-12)
 
 
 def test_ideal_correlation_rejects_inadmissible_scalar():
@@ -268,7 +268,7 @@ def test_chsh_values():
     corr = induced_correlation(strat)
     win = chsh_win_probability(corr)
     assert abs(win - (2 + np.sqrt(2)) / 4) < 1e-12
-    assert abs(corr.table[0, 0, 0, 0] - (2 + np.sqrt(2)) / 8) < 1e-12
+    assert abs(corr[0, 0, 0, 0] - (2 + np.sqrt(2)) / 8) < 1e-12
     with pytest.raises(InvalidStrategyError, match="needs a 2-question 2-outcome table"):
         chsh_win_probability(ideal_correlation(4, Fraction(4, 3)))
 
@@ -304,14 +304,16 @@ def test_strategy_validate_rejects_bad_inputs():
         bob[2, 1, 0, 0] = bad
         with pytest.raises(InvalidStrategyError, match=r"bob\[2\]\[1\]\[0\]\[0\]: non-finite entry"):
             Strategy(state=strat.state, dim_a=2, dim_b=2, alice=strat.alice, bob=bob)
+    # a float of integral value passed the checks, then crashed in np.eye
+    stacks = {"alice": strat.alice, "bob": strat.bob}
+    for dim_a, dim_b in ((2.0, 2), (2, 2.0), (True, 2)):
+        with pytest.raises(InvalidStrategyError, match="^dim_[ab] must be an integer, got "):
+            Strategy(state=strat.state, dim_a=dim_a, dim_b=dim_b, **stacks)
+    assert Strategy(state=strat.state, dim_a=np.int64(2), dim_b=2, **stacks).dim_a == 2
 
 
 def test_constructors_refuse_strings_and_booleans():
     # a cast to a number would read "0.5" as 0.5 and True as 1
-    for table in ([[[["0.5", "0"], ["0", "0.5"]]]], [[[[True, False], [False, True]]]]):
-        with pytest.raises(InvalidStrategyError, match="table: entries must be numbers"):
-            Correlation(n=1, k=2, table=table)
-    assert Correlation(n=1, k=2, table=[[[[1, 0], [0, 1]]]]).table[0, 0, 0, 0] == 1.0
     eye = [[[[1]]]]
     for field, bad in (("state", ["1"]), ("alice", [[[["1"]]]]), ("bob", [[[[True]]]])):
         fields = {"state": [1], "alice": eye, "bob": eye, field: bad}
@@ -320,12 +322,7 @@ def test_constructors_refuse_strings_and_booleans():
     assert Strategy(state=[1], dim_a=1, dim_b=1, alice=eye, bob=eye).state[0] == 1
 
 
-def test_correlation_refuses_a_ragged_table():
-    for table in ([[[[0.5, 0], [0]]]], [[[[0.5, 0], [0, 0.5]]], [[[0.5]]]]):
-        with pytest.raises(InvalidStrategyError, match="table: entries do not form"):
-            Correlation(n=1, k=2, table=table)
-    with pytest.raises(InvalidStrategyError, match=r"does not match \(n, n, k, k\) = \(2, 2, 2, 2\)"):
-        Correlation(n=2, k=2, table=np.zeros((2, 2, 2, 3)))
+def test_correlation_distance_refuses_tables_of_different_shapes():
     four, five = ideal_correlation(4, Fraction(4, 3)), ideal_correlation(5, Fraction(5, 4))
     with pytest.raises(InvalidStrategyError, match="table shapes differ"):
         correlation_distance(four, five)
@@ -341,7 +338,7 @@ def test_strategy_owns_its_state_matrix_densities_and_correlation():
     for rho, expected in zip(rhos, reduced_densities(strat.state, (6, 3))):
         assert np.array_equal(rho, expected) and not rho.flags.writeable
     assert strat.correlation is strat.correlation
-    assert np.array_equal(strat.correlation.table, induced_correlation(strat).table)
+    assert np.array_equal(strat.correlation, induced_correlation(strat))
     # a perturbed copy derives its own values
     noisy = perturb(strat, "state-mixing", 1e-2, seed=1)
     assert not np.array_equal(noisy.reduced_densities[0], rhos[0])
@@ -361,7 +358,7 @@ def test_induced_correlation_builds_its_table_a_row_at_a_time():
     for base in bases:
         for model in NOISE_MODELS:
             noisy = perturb(base, model, 1e-3, seed=5)
-            assert np.array_equal(induced_correlation(noisy).table, whole_product_correlation(noisy))
+            assert np.array_equal(induced_correlation(noisy), whole_product_correlation(noisy))
     strat = simplex_family(30).canonical_strategy  # d = 29: 1.6 MB of operators
     tracemalloc.start()
     try:
@@ -523,14 +520,22 @@ def test_perturb_rejects_bad_arguments():
 def test_ideal_correlation_is_cached_and_read_only():
     corr = ideal_correlation(4, Fraction(4, 3))
     assert ideal_correlation(4, Fraction(4, 3)) is corr
-    assert ideal_correlation(3, 1.5) is ideal_correlation(3, Fraction(3, 2))
-    with pytest.raises(ValueError, match="read-only"):
-        corr.table[0, 0, 0, 0] = 1.0
-    mine = corr.table.copy()
-    copy = Correlation(n=4, k=2, table=mine)
-    mine[0, 0, 0, 0] = 1.0
-    assert copy.table[0, 0, 0, 0] == corr.table[0, 0, 0, 0]
-    assert not copy.table.flags.writeable
+    # the cache keys on types as well: a float x has an entry of its own, and
+    # an n that is not an integer is refused after an equal integer was cached
+    assert np.array_equal(ideal_correlation(3, 1.5), ideal_correlation(3, Fraction(3, 2)))
+    for n in (4.0, np.float64(4.0), True):
+        with pytest.raises(UnsupportedQuestionCountError, match="^n must be an integer, got "):
+            ideal_correlation(n, Fraction(4, 3))
+    with pytest.raises(UnsupportedScalarError, match="^x must be a number, got '4/3'$"):
+        ideal_correlation(4, "4/3")
+    assert np.array_equal(ideal_correlation(np.int64(4), Fraction(4, 3)), corr)
+    strat = canonical_strategy(four_family(1))
+    # a correlation is its table: read-only, C-ordered float64 of shape (n, n, k, k)
+    for table in (corr, induced_correlation(strat), strat.correlation):
+        assert type(table) is np.ndarray and table.dtype == np.float64
+        assert table.shape == (4, 4, 2, 2) and table.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0, 0] = 1.0
 
 
 def test_strategy_validate_names_each_violation():

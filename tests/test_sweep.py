@@ -130,12 +130,17 @@ def test_trial_seed_is_stable_and_distinct():
     seeds = {trial_seed(5, li, ti) for li in range(3) for ti in range(4)}
     assert len(seeds) == 12
     assert trial_seed(5, 0, 1) != trial_seed(6, 0, 1)
+    assert trial_seed(np.int64(5), np.uint8(1), 0) == trial_seed(5, 1, 0)
 
 
-@pytest.mark.parametrize("args", [(-1, 0, 0), (5, -1, 0), (5, 0, -1)])
+@pytest.mark.parametrize(
+    "args",
+    [(-1, 0, 0), (5, -1, 0), (5, 0, -1), (1.5, 0, 0), (5, 1.0, 0), (True, 0, 0), (5, 0, "1")],
+)
 def test_trial_seed_rejects_negative_arguments(args):
-    # numpy's SeedSequence would raise a bare ValueError
-    with pytest.raises(SerializationError, match="nonnegative"):
+    # numpy's SeedSequence would raise a bare ValueError; a float raised a
+    # bare TypeError, and True was read as 1
+    with pytest.raises(SerializationError, match="^seed and grid position must be nonnegative integers"):
         trial_seed(*args)
 
 
@@ -294,6 +299,19 @@ def test_repeated_strategies_are_certified_once(monkeypatch, model):
     assert len(rows) == len(levels) * trials
     expected = len(levels) if model == "outcome-noise" else 1 + (len(levels) - 1) * trials
     assert calls == {"audit": expected, "extract": expected}
+
+
+@pytest.mark.parametrize("model", NOISE_MODELS)
+def test_rows_hold_plain_values_that_json_writes(model):
+    # the report and the certificate give plain floats and bools, and the
+    # row takes them as they are; outcome noise at level 1 fails to extract
+    rows = run_sweep(small_config(noise_model=model, levels=(0.0, 1e-2, 1.0), trials_per_level=2))
+    if model == "outcome-noise":
+        assert rows[-1].extraction_failed and rows[-1].epsilon is None
+    for row in rows:
+        json.dumps(asdict(row))
+        for name, value in asdict(row).items():
+            assert value is None or type(value) in (int, float, bool), name
 
 
 def fresh_row(fam, model, level, trial, seed, degree) -> dict:
