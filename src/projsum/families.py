@@ -44,10 +44,11 @@ class ProjectionFamily:
 
     d is the ambient matrix dimension; for the canonical constructions it
     equals the denominator of x in lowest terms.  An n or a d that is not an
-    integer (linalg.is_integer) raises InvalidFamilyError.  The constructor
-    reads each projection with linalg.as_array and stores one read-only
-    C-ordered complex128 copy of them, of shape (n, d, d), so the quantities
-    cached below stay true to it.
+    integer (linalg.is_integer) raises InvalidFamilyError; x is read by
+    as_fraction, which raises UnsupportedScalarError, and stored as a
+    Fraction.  The constructor reads each projection with linalg.as_array
+    and stores one read-only C-ordered complex128 copy of them, of shape
+    (n, d, d), so the quantities cached below stay true to it.
     """
 
     n: int
@@ -61,6 +62,7 @@ class ProjectionFamily:
             raise InvalidFamilyError(f"n and d must be integers, got n={n!r}, d={d!r}")
         if n < 1 or len(self.projections) != n:
             raise InvalidFamilyError(f"expected {n} projections, got {len(self.projections)}")
+        object.__setattr__(self, "x", as_fraction(self.x))
         # a sum of n projections is x I only for x in [0, n]; checked first, so
         # a scalar too large for a float never reaches validate_family
         if not 0 <= self.x <= n:

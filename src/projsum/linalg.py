@@ -25,6 +25,11 @@ Conventions used across the package:
   is a ``sandwich_operator``, X -> sum_v L_v X R_v on row-major vec(X); of a
   dense matrix that selftest.fit_isometry builds, ``_hermitian_spectrum``
   computes only the eigenvalues and ``_lowest_eigvec`` the lowest eigenvector
+* the private kernels take stacks (..., m, n) as well as matrices, with one
+  numpy call per step for the whole stack, and give each member the bits it
+  gets alone; ``_frobenius`` is np.linalg.norm of each member so.  A member
+  that fails fails alone: ``_refuse`` raises its error for a single input
+  and records it in the caller's ``failures`` for a stack
 * array arguments are read by ``as_array``: ragged entries, strings,
   booleans, the wrong rank, an empty axis and a non-finite entry are refused
   with a ProjsumError naming the argument (and the entry), never cast; an
@@ -183,19 +188,22 @@ def maximally_entangled(d: int) -> np.ndarray:
 def fix_phases(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive.
 
-    Ties go to the earliest index; zero columns keep their values.  This is the
-    package-wide determinism convention for eigen/singular vectors.
+    Ties go to the earliest index; zero columns keep their values.  A stack
+    (..., rows, columns) is fixed matrix by matrix.  This is the package-wide
+    determinism convention for eigen/singular vectors.
     """
     out = np.array(v, dtype=np.complex128, copy=True)
     cols = out if out.ndim > 1 else out[:, None]
-    cols *= _phase_factors(cols)
+    cols *= _phase_factors(cols)[..., None, :]
     return out
 
 
 def _phase_factors(cols: np.ndarray) -> np.ndarray:
     """conj(t) / |t|, t the first largest-magnitude entry of each column (1 for
-    a zero column).  |t| is np.hypot, as abs() of one entry is."""
-    top = cols[np.abs(cols).argmax(axis=0), np.arange(cols.shape[1])]
+    a zero column), of each matrix of a stack (..., rows, columns).  |t| is
+    np.hypot, as abs() of one entry is."""
+    first = np.abs(cols).argmax(axis=-2)[..., None, :]
+    top = np.take_along_axis(cols, first, axis=-2)[..., 0, :]
     mag = np.hypot(top.real, top.imag)
     return np.divide(top.conj(), mag, out=np.ones_like(top), where=mag > 0)
 
@@ -246,8 +254,13 @@ def schmidt(psi, dims: tuple[int, int]) -> SchmidtDecomposition:
 
 def reduced_densities(psi, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Both reduced density matrices of a bipartite vector, without forming psi psi^*."""
-    m = unvec(psi, dims)
-    return m @ m.conj().T, m.T @ m.conj()
+    return _reduced_densities(unvec(psi, dims))
+
+
+def _reduced_densities(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """reduced_densities of each state matrix M of a stack (..., dim_a, dim_b)
+    already read: M M^* and M^T conj(M)."""
+    return m @ dagger(m), m.swapaxes(-1, -2) @ m.conj()
 
 
 def seminorm(x, rho):
@@ -265,7 +278,8 @@ def seminorm(x, rho):
 
 
 def _seminorm(xm: np.ndarray, rm: np.ndarray):
-    """seminorm of arrays already read and checked."""
+    """seminorm of arrays already read and checked; rm may carry leading axes
+    that broadcast against xm's."""
     val = np.trace(dagger(xm) @ xm @ rm, axis1=-2, axis2=-1).real
     root = np.sqrt(np.maximum(val, 0.0))
     return root if xm.ndim > 2 else float(root)
@@ -455,56 +469,126 @@ def sandwich_operator(left: np.ndarray, right: np.ndarray):
     return apply
 
 
-def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each matrix of a stack (..., rows, columns), bit for
+    bit: its entries' squares summed by one BLAS dot per matrix (of the real
+    parts, plus one of the imaginary parts), as np.linalg.norm sums a whole
+    array, so a matrix gets the same bits alone and in any stack.
+    np.linalg.norm(..., axis=(-2, -1)) is a pairwise sum instead."""
+    flat = a.reshape(*a.shape[:-2], 1, -1)
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    return np.sqrt(sum(p @ p.swapaxes(-1, -2) for p in parts)[..., 0, 0])
+
+
+def _refuse(failures, bad, error) -> None:
+    """The members of a stack whose entry of the boolean array ``bad`` is true
+    fail with ``error(i)``, i the member's index (() for an input that is not
+    a stack).  With ``failures`` None the first one is raised; else each is
+    recorded in its slot of ``failures``, an object array of one slot per
+    member, unless the slot holds that member's earlier failure."""
+    if not bad.any():  # the common case, at a tenth of argwhere's cost
+        return
+    for i in map(tuple, np.argwhere(bad)):
+        if failures is None:
+            raise error(i)
+        if failures[i] is None:
+            failures[i] = error(i)
+
+
+def _hermitian_spectrum(m: np.ndarray, failures=None) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix the caller built, ascending, from its
     lower triangle as np.linalg.eigvalsh reads it, in the matrix's arithmetic
-    (real symmetric for a float64 one); EigensolverError when LAPACK fails or
-    an eigenvalue is not finite."""
+    (real symmetric for a float64 one); of each matrix of a stack (..., dim,
+    dim), in one call.  A matrix whose LAPACK solve fails, or which has an
+    eigenvalue that is not finite, fails with EigensolverError by _refuse; a
+    failed member of a stack gets a spectrum of zeros."""
+    dim = m.shape[-1]
     try:
         w = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigenvalues of a {len(m)}-row matrix: {exc}") from exc
-    if not np.isfinite(w).all():
-        raise EigensolverError(f"a {len(m)}-row matrix has a non-finite eigenvalue")
+        if m.ndim == 2:
+            raise EigensolverError(f"eigenvalues of a {dim}-row matrix: {exc}") from exc
+        # find the members that fail, one at a time
+        w, errors = np.zeros(m.shape[:-1]), np.full(len(m), None, dtype=object)
+        for i, member in enumerate(m):
+            try:
+                w[i] = _hermitian_spectrum(member)
+            except EigensolverError as error:
+                errors[i] = error
+        _refuse(failures, np.not_equal(errors, None), errors.__getitem__)
+        return w
+    bad = ~np.isfinite(w).all(axis=-1)
+    message = f"a {dim}-row matrix has a non-finite eigenvalue"
+    _refuse(failures, bad, lambda i: EigensolverError(message))
+    w[bad] = 0.0
     return w
 
 
-def _lowest_eigvec(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _lowest_eigvec(m: np.ndarray, w: np.ndarray, failures=None) -> np.ndarray:
     """Phase-fixed complex128 eigenvector (one column) of the lowest eigenvalue
     of a Hermitian matrix ``m`` the caller built, complex or real symmetric,
     whose whole ascending spectrum ``w`` _hermitian_spectrum returned, so the
-    caller judges it first.  Shifted inverse iteration (Ipsen, SIAM Review
-    39, 1997): a seeded random vector, real for a real ``m``, is solved in
-    ``m``'s arithmetic against m - sigma I, sigma just below w[0], and
-    normalised, until ||A x - theta x|| <= INVERSE_TOL * max|w|; a shift that
-    makes the solve singular is moved further down.  EigensolverError when
-    the solve stays singular or after INVERSE_MAX_SWEEPS sweeps: an
-    unconverged result is never returned."""
-    dim = len(w)
-    scale = float(np.abs(w).max())
-    if scale == 0.0:  # the zero matrix: any unit vector is an answer
-        return np.eye(dim, 1, dtype=np.complex128)
-    shift = w[0] - INVERSE_SHIFT * scale
-    eye = np.eye(dim)
-    x = _start(dim, 1, m.dtype)
+    caller judges it first; of each matrix of a stack (..., dim, dim), one
+    solve per sweep for the whole stack.  Shifted inverse iteration (Ipsen,
+    SIAM Review 39, 1997): a seeded random vector, real for a real ``m``, is
+    solved in ``m``'s arithmetic against m - sigma I, sigma just below w[0]
+    (_shifted_solve), and normalised, until ||A x - theta x|| <= INVERSE_TOL
+    * max|w|.  Each member stops at its own convergence, so it gets the bits
+    it gets alone.  It fails with EigensolverError, by _refuse, when its
+    solve stays singular or after INVERSE_MAX_SWEEPS sweeps: an unconverged
+    result is never returned.  A member whose slot of ``failures`` already
+    holds a failure is not iterated."""
+    dim = w.shape[-1]
+    scale = np.abs(w).max(axis=-1)
+    # the zero matrix: any unit vector is an answer
+    x = np.where((scale == 0.0)[..., None, None], np.eye(dim, 1), _start(dim, 1, m.dtype))
+    active = scale > 0.0
+    if failures is not None:
+        active = active & np.equal(failures, None)
+    shift = w[..., 0] - INVERSE_SHIFT * scale
     for _ in range(INVERSE_MAX_SWEEPS):
-        for attempt in range(4):
-            try:
-                x = np.linalg.solve(m - shift * eye, x)
-                break
-            except np.linalg.LinAlgError:
-                shift -= 16 * np.spacing(scale)
-        else:
-            raise EigensolverError(f"shifted solves of a {dim}-row matrix stay singular")
-        x /= np.linalg.norm(x)
-        mx = m @ x
-        theta = (dagger(x) @ mx).real
-        if np.linalg.norm(mx - x * theta) <= INVERSE_TOL * scale:
-            return fix_phases(x)
-    raise EigensolverError(
+        if not active.any():
+            break
+        y, shift, singular = _shifted_solve(m, shift, x, scale, active)
+        message = f"shifted solves of a {dim}-row matrix stay singular"
+        _refuse(failures, singular, lambda i: EigensolverError(message))
+        active = active & ~singular
+        y = y / _frobenius(y)[..., None, None]
+        my = m @ y
+        theta = (dagger(y) @ my).real
+        converged = _frobenius(my - y * theta) <= INVERSE_TOL * scale
+        x = np.where(active[..., None, None], y, x)
+        active = active & ~converged
+    message = (
         f"no convergence within {INVERSE_MAX_SWEEPS} inverse-iteration sweeps "
         f"of a {dim}-row matrix"
     )
+    _refuse(failures, active, lambda i: EigensolverError(message))
+    return fix_phases(x)
+
+
+def _shifted_solve(m, shift, x, scale, active):
+    """x solved against m - shift I for each active member of a stack, in one
+    call (the others keep x), with the right-hand sides as (..., dim, 1).
+    When that solve is singular the members are solved one at a time, and a
+    member whose solve is singular moves its shift 16 units in the last place
+    of its ``scale`` further down, up to four tries.  Returns the solutions,
+    the shifts, and which members stayed singular."""
+    eye = np.eye(m.shape[-1])
+    if m.ndim > 2:
+        try:
+            a = np.where(active[..., None, None], m - shift[..., None, None] * eye, eye)
+            return np.linalg.solve(a, x), shift, np.zeros(active.shape, dtype=bool)
+        except np.linalg.LinAlgError:
+            members = [_shifted_solve(*member) for member in zip(m, shift, x, scale, active)]
+            return tuple(map(np.array, zip(*members)))
+    if active:
+        for _ in range(4):
+            try:
+                return np.linalg.solve(m - shift * eye, x), shift, np.False_
+            except np.linalg.LinAlgError:
+                shift = shift - 16 * np.spacing(scale)
+    return x, shift, np.bool_(active)
 
 
 def nearest_isometry(t) -> np.ndarray:

@@ -31,6 +31,23 @@ next eigenvalue; the matrix-free path converges the guard pair only to
 linalg.KRYLOV_GUARD_TOL and takes the residual the solver measured on it
 off the separation it tests.
 
+Many strategies are certified as stacks.  approx_rep_residuals and
+extract_dilation take a sequence of strategies as well as one: _stacks cuts
+it, in order, into _Stacks of equal-shape strategies whose arrays carry a
+leading member axis, and every stage above (the audits, the reduced
+densities and correlations, the dense fit with its eigenvalues, inverse
+iteration and polar factor, the junk and gauge step, the dilation
+residuals) then makes one numpy call for the whole stack; only the
+matrix-free fits run member by member.  A stack holds as many strategies as
+keep its largest array within STACK_ENTRIES entries, so memory stays
+bounded whatever the sequence's length.  Each member gets the bits it gets
+alone: members are solved in the arithmetic each gets alone, every
+reduction is written one way for one strategy and for a stack, and a member
+of an inverse iteration stops at its own convergence.  A member that fails
+fails alone (linalg._refuse): its error is recorded and its arrays are
+filler until the end of the stack.  One strategy runs the same code without
+the member axis, and raises its error where it meets it.
+
 All certified quantities are measured, never assumed: every bound stored in
 a certificate is recomputed from the returned isometries and junk state.
 """
@@ -38,6 +55,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -48,13 +67,17 @@ from .errors import (
     InvalidShapeError,
     InvalidStrategyError,
     JunkExtractionError,
+    ProjsumError,
     UnsupportedOutcomeCountError,
 )
 from .families import ProjectionFamily, top_gap
 from .linalg import (
     KRYLOV_BUDGET,
+    _frobenius,
     _hermitian_spectrum,
     _lowest_eigvec,
+    _reduced_densities,
+    _refuse,
     _seminorm,
     as_array,
     dagger,
@@ -65,7 +88,7 @@ from .linalg import (
     real_if_exact,
     sandwich_operator,
 )
-from .strategies import Strategy, correlation_distance, ideal_correlation
+from .strategies import Strategy, correlation_distance, ideal_correlation, induced_correlation
 
 ALPHA_MIN = 0.1
 PAIR_BUDGET = 1_000_000
@@ -73,6 +96,79 @@ PAIR_BUDGET = 1_000_000
 KRYLOV_MIN_ROWS = 441
 # relative to tr(rho), the scale of the fit form
 FIT_SEPARATION_TOL = 1e-8
+# entries of the largest array one stack of strategies may hold (_stacks),
+# 1 MB complex: 113 trials at d = 3, 4 at d = 11 and one from d = 16 on,
+# where a trial's dense fit form alone has d^4 entries.  Measured on 2
+# cores, medians of in-process passes: the three k = 1 acceptance sweeps took
+# 0.080 s here and 0.081 s at 16,384 entries (28 trials); the three k = 5
+# sweeps took 0.302 s here, with a 4.4 MB peak of traced memory, against
+# 0.358 s and 2.1 MB at 16,384 (one trial) and 0.313 s and 20 MB with each
+# sweep's distinct trials, up to 25, in one stack
+STACK_ENTRIES = 65_536
+
+
+# ---------------------------------------------------------------------------
+# stacks of strategies
+
+
+@dataclass(frozen=True)
+class _Stack:
+    """Strategies of one shape as one stack: their state matrices and both
+    parties' operators with a leading member axis, read as a Strategy is read,
+    with the same derived values, each computed once for the whole stack."""
+
+    state_matrix: np.ndarray
+    alice: np.ndarray
+    bob: np.ndarray
+
+    @classmethod
+    def of(cls, strategies) -> "_Stack":
+        names = ("state_matrix", "alice", "bob")
+        return cls(*(np.stack([getattr(s, name) for s in strategies]) for name in names))
+
+    def __len__(self) -> int:
+        return len(self.state_matrix)
+
+    n_questions = property(lambda self: self.alice.shape[-4])
+    n_outcomes = property(lambda self: self.alice.shape[-3])
+    dim_a = property(lambda self: self.state_matrix.shape[-2])
+    dim_b = property(lambda self: self.state_matrix.shape[-1])
+
+    @cached_property
+    def reduced_densities(self) -> tuple[np.ndarray, np.ndarray]:
+        return _reduced_densities(self.state_matrix)
+
+    @cached_property
+    def correlation(self) -> np.ndarray:
+        return induced_correlation(self)
+
+
+def _shape(strategy: Strategy) -> tuple:
+    if not isinstance(strategy, Strategy):
+        raise InvalidStrategyError(f"expected a Strategy, got {type(strategy).__name__}")
+    return (strategy.dim_a, strategy.dim_b) + strategy.alice.shape + strategy.bob.shape
+
+
+def _member_entries(strategy: Strategy, fam: ProjectionFamily) -> int:
+    """Entries of the largest array one member adds to a stack: the dense fit
+    form of the larger party, (d r)^2, or the (n k)^2 dilation residual
+    matrices, on the isometries' ranges."""
+    d, pairs = fam.d, (strategy.n_questions * strategy.n_outcomes) ** 2
+    dims = (strategy.dim_a, strategy.dim_b)
+    ranges = [d * max(1, -(-r // d)) for r in dims]
+    return max((d * max(dims)) ** 2, pairs * ranges[0] * ranges[1])
+
+
+def _stacks(strategies, fam: ProjectionFamily):
+    """The strategies in order as _Stacks: runs of consecutive strategies of
+    one shape, cut into stacks of at most STACK_ENTRIES // _member_entries
+    members (at least one).  Anything but a Strategy raises
+    InvalidStrategyError."""
+    for _, run in groupby(strategies, key=_shape):
+        run = list(run)
+        size = max(1, STACK_ENTRIES // _member_entries(run[0], fam))
+        for start in range(0, len(run), size):
+            yield _Stack.of(run[start : start + size])
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +202,9 @@ class SyncReport:
         return bool(np.all(self.values <= self.budgets[None, None, :]))
 
 
-def _audit_delta(strategy: Strategy, fam: ProjectionFamily) -> float:
-    """delta = ||p - p_{n,x}||_1, with p_{n,x} = ideal_correlation(fam.n, fam.x).
+def _audit_delta(strategy: Strategy, fam: ProjectionFamily):
+    """delta = ||p - p_{n,x}||_1, with p_{n,x} = ideal_correlation(fam.n, fam.x);
+    of each member of a _Stack, as an array.
 
     The audits' one precondition comes first: a strategy without two outcomes
     raises UnsupportedOutcomeCountError, one without fam.n questions
@@ -122,18 +219,22 @@ def _audit_delta(strategy: Strategy, fam: ProjectionFamily) -> float:
 
 
 def sync_residuals(strategy: Strategy, fam: ProjectionFamily) -> SyncReport:
-    """Agreement residuals of a strategy against the family's p_{n,x}."""
+    """Agreement residuals of a strategy against the family's p_{n,x}; a
+    _Stack gets a list, one report per member."""
     delta = _audit_delta(strategy, fam)
-    m = strategy.state_matrix
+    m = strategy.state_matrix[..., None, None, :, :]
     e, f = strategy.alice, strategy.bob
     em = e @ m
     mft = m @ f.swapaxes(-1, -2)
     emft = e @ mft
     parts = (em - mft, em - emft, mft - emft, (e @ e - e) @ m, m @ (f @ f - f).swapaxes(-1, -2))
-    values = np.linalg.norm(np.stack(parts, axis=2), axis=(-2, -1))
+    values = np.linalg.norm(np.stack(parts, axis=-3), axis=(-2, -1))
     root = np.sqrt(delta)
-    budgets = np.array([root, root, root, 2 * root, 2 * root])
-    return SyncReport(values=values, budgets=budgets, delta=delta)
+    budgets = np.stack([root, root, root, 2 * root, 2 * root], axis=-1)
+    if isinstance(strategy, Strategy):
+        return SyncReport(values=values, budgets=budgets, delta=delta)
+    members = zip(values, budgets, delta)
+    return [SyncReport(values=v, budgets=b, delta=float(dl)) for v, b, dl in members]
 
 
 def check_word_pairs(n: int, degree: int) -> None:
@@ -161,21 +262,23 @@ def tracial_residual(strategy: Strategy, degree: int = 2, party: str = "alice") 
 
     Words are products of the party's first-outcome operators with length
     1..degree; rho is that party's reduced state.  The degree is checked by
-    check_word_pairs.
+    check_word_pairs.  A _Stack gets an array, one defect per member.
     """
     check_word_pairs(strategy.n_questions, degree)
     if party not in ("alice", "bob"):
         raise InvalidStrategyError(f"party must be 'alice' or 'bob', got {party!r}")
-    ops = getattr(strategy, party)[:, 0]
+    ops = getattr(strategy, party)[..., 0, :, :]
     rho = strategy.reduced_densities[party == "bob"]
     words = [ops]
     for _ in range(degree - 1):
         # word w followed by op o sits at index w * n + o
-        words.append((words[-1][:, None] @ ops[None]).reshape(-1, *rho.shape))
-    stacked = np.concatenate(words)
-    weighted = stacked @ rho
-    gram = np.einsum("iab,jba->ij", stacked, weighted)
-    return float(np.abs(gram - gram.T).max())
+        word = words[-1][..., :, None, :, :] @ ops[..., None, :, :, :]
+        words.append(word.reshape(*rho.shape[:-2], -1, *rho.shape[-2:]))
+    stacked = np.concatenate(words, axis=-3)
+    weighted = stacked @ rho[..., None, :, :]
+    gram = np.einsum("...iab,...jba->...ij", stacked, weighted)
+    defect = np.abs(gram - gram.swapaxes(-1, -2)).max(axis=(-2, -1))
+    return float(defect) if defect.ndim == 0 else defect
 
 
 @dataclass(frozen=True)
@@ -245,21 +348,43 @@ def approx_rep_residuals(
     strategy: Strategy, fam: ProjectionFamily, monomial_degree: int = 2
 ) -> ResidualReport:
     """Full residual diagnostics of a strategy against the family's (n, x):
-    sync_residuals' report, the sum rule on M and both tracial defects."""
+    sync_residuals' report, the sum rule on M and both tracial defects.
+
+    A sequence of strategies gets a list, one report per strategy, each
+    equal to its own call's: they are audited as the stacks _stacks cuts.
+    """
+    if isinstance(strategy, Strategy):
+        return _residual_reports(strategy, fam, monomial_degree)[0]
+    stacks = _stacks(strategy, fam)
+    return [r for stack in stacks for r in _residual_reports(stack, fam, monomial_degree)]
+
+
+def _residual_reports(strategy, fam: ProjectionFamily, degree: int) -> list[ResidualReport]:
+    """approx_rep_residuals of a strategy, or of each member of a _Stack."""
     sync = sync_residuals(strategy, fam)
     m, xf = strategy.state_matrix, float(fam.x)
-    total_a = strategy.alice[:, 0].sum(axis=0) - xf * np.eye(strategy.dim_a)
-    total_b = strategy.bob[:, 0].sum(axis=0) - xf * np.eye(strategy.dim_b)
-    return ResidualReport(
-        n=fam.n,
-        x=fam.x,
-        sync=sync,
-        sum_residual_a=float(np.linalg.norm(total_a @ m)),
-        sum_residual_b=float(np.linalg.norm(m @ total_b.T)),
-        tracial_a=tracial_residual(strategy, degree=monomial_degree, party="alice"),
-        tracial_b=tracial_residual(strategy, degree=monomial_degree, party="bob"),
-        monomial_degree=monomial_degree,
+    total_a = strategy.alice[..., 0, :, :].sum(axis=-3) - xf * np.eye(strategy.dim_a)
+    total_b = strategy.bob[..., 0, :, :].sum(axis=-3) - xf * np.eye(strategy.dim_b)
+    columns = (
+        _frobenius(total_a @ m),
+        _frobenius(m @ total_b.swapaxes(-1, -2)),
+        tracial_residual(strategy, degree=degree, party="alice"),
+        tracial_residual(strategy, degree=degree, party="bob"),
     )
+    members = zip(sync, *columns) if isinstance(strategy, _Stack) else [(sync, *columns)]
+    return [
+        ResidualReport(
+            n=fam.n,
+            x=fam.x,
+            sync=report,
+            sum_residual_a=float(sum_a),
+            sum_residual_b=float(sum_b),
+            tracial_a=float(tracial_a),
+            tracial_b=float(tracial_b),
+            monomial_degree=degree,
+        )
+        for report, sum_a, sum_b, tracial_a, tracial_b in members
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +448,22 @@ class IsometryFit:
         return float(self.residuals.max(initial=0.0))
 
 
-def _require_separation(w: np.ndarray, count: int, trace: float, residual: float = 0.0) -> None:
-    """FitDegenerateError unless the ascending w[count - 1] < w[count] - residual
-    by more than FIT_SEPARATION_TOL * trace.  ``residual`` is the measured
+def _require_separation(w, count: int, trace, residual: float = 0.0, failures=None) -> None:
+    """FitDegenerateError, by _refuse, for each member of a stack of ascending
+    spectra (..., m) whose w[count - 1] is not below w[count] - residual by
+    more than FIT_SEPARATION_TOL * trace.  ``residual`` is the measured
     ||A x - w[count] x|| of a Ritz pair, so some eigenvalue lies within it of
     w[count]; an exact spectrum passes 0."""
-    if w[count] - residual - w[count - 1] <= FIT_SEPARATION_TOL * trace:
+    bad = w[..., count] - residual - w[..., count - 1] <= FIT_SEPARATION_TOL * trace
+
+    def error(i):
         measured = f", residual {residual:.1e}" if residual else ""
-        raise FitDegenerateError(
+        return FitDegenerateError(
             f"the fit form's eigenvalues {count} and {count + 1} are not separated "
-            f"({w[count - 1]:.6e} vs {w[count]:.6e}{measured})"
+            f"({w[i][count - 1]:.6e} vs {w[i][count]:.6e}{measured})"
         )
+
+    _refuse(failures, bad, error)
 
 
 def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
@@ -376,52 +506,96 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     rho = as_array(rho, 2, "rho")
     if rho.shape != (r, r):
         raise InvalidShapeError(f"weight shape {rho.shape} does not match operators")
-    d = fam.d
+    return _fit(ops, fam, rho)
+
+
+def _by_arithmetic(terms: np.ndarray):
+    """Selectors of the members of a stack of fit terms (..., n + 1, r, r)
+    whose terms are all exactly real, then of the rest, so that each member
+    is solved in the arithmetic it gets alone; ``...`` for one form."""
+    if terms.ndim == 3:
+        yield ...
+        return
+    exact = ~terms.imag.any(axis=(-3, -2, -1))
+    yield from (group for group in (exact, ~exact) if group.any())
+
+
+def _fit(ops: np.ndarray, fam: ProjectionFamily, rho: np.ndarray, failures=None) -> IsometryFit:
+    """fit_isometry of arrays already read and checked, or of each member of
+    a stack of them, (..., n, r, r) and (..., r, r): the fits' arrays get the
+    same leading axis, and each member the bits it gets alone.  The dense
+    forms of a stack are solved together, in at most two groups
+    (_by_arithmetic); the matrix-free ones one member at a time.  A member
+    fails by _refuse: with ``failures`` None its error is raised, else it is
+    recorded there and the member's arrays are filler."""
+    r, d = ops.shape[-1], fam.d
     s = max(1, -(-r // d))
     rows = r * d
+    batch = rho.shape[:-2]
     # The form is linear in rho, so adding a uniform ridge means: minimize
     # the rho-weighted residual, breaking ties in its null directions by the
     # unweighted residual.  Without it, a rank-deficient rho leaves the
     # eigensolver free to mix kernel junk into the solution block (the
     # mixing error scales like machine epsilon over the eigengap).
     lam = 1e-6
-    trace = float(np.trace(rho).real)
-    rho_reg = (rho + lam * (trace / r) * np.eye(r)) / (1.0 + lam)
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    rho_reg = (rho + (lam * (trace / r))[..., None, None] * np.eye(r)) / (1.0 + lam)
 
     # On column-major vec(T_a) the form is T_a -> sum_v P_v T_a W_v + T_a C,
     # with W_v = rho - E_v rho - rho E_v, C = sum_v E_v rho E_v; W_v and C
     # are made exactly Hermitian, so both paths solve one operator, and
     # stacked transposed: W_1^T .. W_n^T, then C^T, which pairs with I
+    rho_reg = rho_reg[..., None, :, :]
     er = ops @ rho_reg
-    terms = np.concatenate([rho_reg - er - dagger(er), (er @ ops).sum(axis=0)[None]])
+    terms = np.concatenate(
+        [rho_reg - er - dagger(er), (er @ ops).sum(axis=-3, keepdims=True)], axis=-3
+    )
     # in place: this stack is the fit's largest array before the solver's budget check
     terms += dagger(terms)
     terms /= 2.0
     terms = terms.swapaxes(-1, -2)
-    # a real form of a real family is solved in float64
-    terms, projections = real_if_exact(terms, fam.projections)
     if d == 1:  # s = rows: Q's s lowest eigenvectors are all of them
-        vecs = np.eye(rows, dtype=np.complex128)
+        vecs = np.broadcast_to(np.eye(rows, dtype=np.complex128), batch + (rows, rows))
     elif s == 1 and rows <= KRYLOV_MIN_ROWS:
-        # Q = sum_v W_v^T kron P_v + C^T kron I: one matmul over the
-        # flattened stacks
-        right = np.concatenate([projections, np.eye(d)[None]]).reshape(fam.n + 1, -1)
-        quad = terms.reshape(fam.n + 1, -1).T @ right
-        quad = quad.reshape(r, r, d, d).transpose(0, 2, 1, 3).reshape(rows, rows)
-        w = _hermitian_spectrum(quad)
-        _require_separation(w, 1, trace)
-        vecs = _lowest_eigvec(quad, w)
+        vecs = np.empty(batch + (rows, 1), dtype=np.complex128)
+        for members in _by_arithmetic(terms):
+            # a real form of a real family is solved in float64
+            group, projections = real_if_exact(terms[members], fam.projections)
+            fails = None if failures is None else failures[members]
+            # Q = sum_v W_v^T kron P_v + C^T kron I: one matmul over the
+            # flattened stacks
+            right = np.concatenate([projections, np.eye(d)[None]]).reshape(fam.n + 1, -1)
+            lead = group.shape[:-3]
+            quad = group.reshape(*lead, fam.n + 1, -1).swapaxes(-1, -2) @ right
+            quad = quad.reshape(*lead, r, r, d, d).swapaxes(-3, -2).reshape(*lead, rows, rows)
+            w = _hermitian_spectrum(quad, fails)
+            _require_separation(w, 1, trace[members], failures=fails)
+            if failures is None:  # a single form raises its failure
+                vecs[members] = _lowest_eigvec(quad, w)
+            else:
+                vecs[members] = _lowest_eigvec(quad, w, fails)
+                failures[members] = fails
     else:
         # a row is vec(T_a), which reshapes to U = T_a^T, on which the
         # negated transposed map is U -> -(sum_v W_v^T U P_v^T + C^T U); a
         # block of s + 1 measures whether the next eigenvalue coincides, and
         # that guard pair converges only to KRYLOV_GUARD_TOL, so its measured
         # residual is taken off the separation
-        right = -np.concatenate([projections.swapaxes(-1, -2), np.eye(d)[None]])
-        operator = sandwich_operator(terms, right)
-        w, vecs, residuals = krylov_eigh(operator, rows, s + 1, guard=1, dtype=terms.dtype)
-        _require_separation(-w, s, trace, residuals[s])
-        vecs = vecs[:, :s]
+        vecs = np.zeros(batch + (rows, s), dtype=np.complex128)
+        for i in np.ndindex(batch):
+            if failures is not None and failures[i] is not None:
+                continue
+            try:
+                member, projections = real_if_exact(terms[i], fam.projections)
+                right = -np.concatenate([projections.swapaxes(-1, -2), np.eye(d)[None]])
+                operator = sandwich_operator(member, right)
+                w, v, residuals = krylov_eigh(operator, rows, s + 1, guard=1, dtype=member.dtype)
+                _require_separation(-w, s, trace[i], residuals[s])
+                vecs[i] = v[:, :s]
+            except ProjsumError as error:
+                if failures is None:
+                    raise
+                failures[i] = error
 
     if s > 1:
         # any full-rank solution works: project one fixed, reproducible draw
@@ -429,18 +603,19 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
         # returned; read whole, the draw is vec(T)
         rng = np.random.default_rng(7)
         draw = rng.normal(size=(rows, s)) + 1j * rng.normal(size=(rows, s))
-        vecs = vecs @ (vecs.conj().T @ draw)
+        vecs = vecs @ (dagger(vecs) @ draw)
     # column a is vec(T_a)
-    t = vecs.reshape(r, d, s).transpose(1, 2, 0).reshape(d * s, r)
+    t = np.moveaxis(vecs.reshape(*batch, r, d, s), -3, -1).reshape(*batch, d * s, r)
     # the rank check and nearest_isometry's polar factor from one thin SVD
     u, sv, vh = np.linalg.svd(t, full_matrices=False)
-    if sv[0] <= 0 or sv[-1] <= 1e-8 * sv[0]:
-        raise FitDegenerateError("fitted map has a rank-deficient polar factor")
+    degenerate = (sv[..., 0] <= 0) | (sv[..., -1] <= 1e-8 * sv[..., 0])
+    message = "fitted map has a rank-deficient polar factor"
+    _refuse(failures, degenerate, lambda i: FitDegenerateError(message))
     v_iso = u @ vh
     # V^* (P_v kron I_s) V = sum_a V_a^* P_v V_a over the ancilla row blocks
-    v_blocks = v_iso.reshape(d, s, r).swapaxes(0, 1)
-    compressed = (dagger(v_blocks) @ fam.projections[:, None] @ v_blocks).sum(axis=1)
-    residuals = _seminorm(ops - compressed, rho)
+    v_blocks = v_iso.reshape(*batch, d, s, r).swapaxes(-3, -2)[..., None, :, :, :]
+    compressed = (dagger(v_blocks) @ fam.projections[:, None] @ v_blocks).sum(axis=-3)
+    residuals = _seminorm(ops - compressed, rho[..., None, :, :])
     return IsometryFit(isometry=v_iso, s=s, residuals=residuals)
 
 
@@ -497,39 +672,43 @@ def _dilation_residuals(
     The (v, i, w, j) terms are formed at once, in about four stacks of
     (n k)^2 matrices of the isometries' range dimensions; BudgetExceededError
     is raised, before they are allocated, when those stacks would exceed
-    linalg.KRYLOV_BUDGET entries.
+    linalg.KRYLOV_BUDGET entries.  The source may be a _Stack, with v_a, v_b
+    and junk stacked alike: each member gets its own residuals.
     """
     if strategy.n_questions != reference.n_questions:
         raise InvalidStrategyError("question counts differ")
     if strategy.n_outcomes != reference.n_outcomes:
         raise InvalidStrategyError("outcome counts differ")
     da, db = reference.dim_a, reference.dim_b
-    if v_a.shape[0] % da != 0 or v_b.shape[0] % db != 0:
+    (rows_a, cols_a), (rows_b, cols_b) = v_a.shape[-2:], v_b.shape[-2:]
+    if rows_a % da != 0 or rows_b % db != 0:
         raise InvalidShapeError("isometry ranges are not multiples of the reference dims")
-    ka = v_a.shape[0] // da
-    kb = v_b.shape[0] // db
-    if v_a.shape[1] != strategy.dim_a or v_b.shape[1] != strategy.dim_b:
+    ka, kb = rows_a // da, rows_b // db
+    if cols_a != strategy.dim_a or cols_b != strategy.dim_b:
         raise InvalidShapeError("isometry domains do not match the source strategy")
-    if junk.size != ka * kb:
-        raise InvalidShapeError(f"junk length {junk.size} != ancilla product {ka * kb}")
+    if junk.shape[-1] != ka * kb:
+        raise InvalidShapeError(f"junk length {junk.shape[-1]} != ancilla product {ka * kb}")
     pairs = (strategy.n_questions * strategy.n_outcomes) ** 2
-    if 4 * pairs * v_a.shape[0] * v_b.shape[0] > KRYLOV_BUDGET:
+    if 4 * pairs * rows_a * rows_b > KRYLOV_BUDGET:
         raise BudgetExceededError(
-            f"{pairs} dilation residuals of {v_a.shape[0]} x {v_b.shape[0]} matrices "
+            f"{pairs} dilation residuals of {rows_a} x {rows_b} matrices "
             f"exceed the {KRYLOV_BUDGET}-entry budget"
         )
-    junk_m = junk.reshape(ka, kb)
+    junk_m = junk.reshape(*junk.shape[:-1], ka, kb)
     m = strategy.state_matrix
     m0 = reference.state_matrix
+    v_bt = v_b.swapaxes(-1, -2)
     # the kron of two matrices is already in (ref, anc) x (ref, anc) order
-    state = np.linalg.norm(v_a @ m @ v_b.T - np.kron(m0, junk_m))
+    state = _frobenius(v_a @ m @ v_bt - np.kron(m0, junk_m))
     # [v, i, w, j] -> V_A E_vi M F_wj^T V_B^T and P_vi M0 Q_wj^T
-    left = v_a @ strategy.alice @ m
-    right = strategy.bob.swapaxes(-1, -2) @ v_b.T
-    lifted = left[:, :, None, None] @ right[None, None]
+    left = v_a[..., None, None, :, :] @ strategy.alice @ m[..., None, None, :, :]
+    right = strategy.bob.swapaxes(-1, -2) @ v_bt[..., None, None, :, :]
+    lifted = left[..., :, :, None, None, :, :] @ right[..., None, None, :, :, :, :]
     ref = (reference.alice @ m0)[:, :, None, None] @ reference.bob.swapaxes(-1, -2)[None, None]
+    # each member's J, against every (v, i, w, j)
+    junk_m = junk_m[..., None, None, None, None, :, :]
     pairs = np.linalg.norm(lifted - np.kron(ref, junk_m), axis=(-2, -1))
-    return np.concatenate([[state], pairs.reshape(-1)])
+    return np.concatenate([state[..., None], pairs.reshape(*pairs.shape[:-4], -1)], axis=-1)
 
 
 def dilation_epsilon(
@@ -557,56 +736,93 @@ def extract_dilation(strategy: Strategy, fam: ProjectionFamily) -> DilationCerti
     Schmidt-diagonal form, which fixes the gauge freedom of the certificate.
     The precondition is _audit_delta's.  Raises JunkExtractionError when the
     projected weight alpha is at or below ALPHA_MIN, read at call time.
+
+    A sequence of strategies gets a list, one entry per strategy: its
+    certificate, each equal to its own call's, or the FitDegenerateError or
+    JunkExtractionError its own call raises.  They are certified as the
+    stacks _stacks cuts, one stack at a time; any other error a member meets
+    is raised, that of the first such member, before the next stack runs.
     """
-    delta = _audit_delta(strategy, fam)
+    if isinstance(strategy, Strategy):
+        return _certify(strategy, fam)[0]
+    extraction = (FitDegenerateError, JunkExtractionError)
+    results = []
+    for stack in _stacks(strategy, fam):
+        failures = np.full(len(stack), None, dtype=object)
+        for cert, failure in zip(_certify(stack, fam, failures), failures):
+            if failure is not None and not isinstance(failure, extraction):
+                raise failure
+            results.append(cert or failure)
+    return results
+
+
+def _certify(strategy, fam: ProjectionFamily, failures=None) -> list:
+    """extract_dilation of a strategy, or of each member of a _Stack, in a
+    list; a member that fails is None there, its error recorded in
+    ``failures`` (one slot per member) by _refuse, or raised when
+    ``failures`` is None."""
+    delta = np.asarray(_audit_delta(strategy, fam))
     rho_a, rho_b = strategy.reduced_densities
-    fit_a = fit_isometry(strategy.alice[:, 0], fam, rho_a)
-    fit_b = fit_isometry(strategy.bob[:, 0], fam.transposed, rho_b)
+    fit_a = _fit(strategy.alice[..., 0, :, :], fam, rho_a, failures)
+    fit_b = _fit(strategy.bob[..., 0, :, :], fam.transposed, rho_b, failures)
     gap = fam.correlation_gap
-    d = fam.d
+    d, batch = fam.d, delta.shape
     sa, sb = fit_a.s, fit_b.s
 
-    lifted = fit_a.isometry @ strategy.state_matrix @ fit_b.isometry.T
-    junk_block = np.einsum("iaib->ab", lifted.reshape(d, sa, d, sb)) / np.sqrt(d)
-    alpha = float(np.linalg.norm(junk_block))
-    if alpha <= ALPHA_MIN:
-        raise JunkExtractionError(
-            f"projected weight alpha = {alpha:.3e} is at or below {ALPHA_MIN}"
-        )
-    u, sv, vh = np.linalg.svd(junk_block / alpha, full_matrices=True)
+    lifted = fit_a.isometry @ strategy.state_matrix @ fit_b.isometry.swapaxes(-1, -2)
+    junk_block = np.einsum("...iaib->...ab", lifted.reshape(*batch, d, sa, d, sb)) / np.sqrt(d)
+    alpha = _frobenius(junk_block)
+    _refuse(
+        failures,
+        alpha <= ALPHA_MIN,
+        lambda i: JunkExtractionError(
+            f"projected weight alpha = {alpha[i]:.3e} is at or below {ALPHA_MIN}"
+        ),
+    )
+    # a member whose alpha is refused is divided by nothing
+    kept = (alpha > ALPHA_MIN)[..., None, None]
+    normalized = np.zeros_like(junk_block)
+    np.divide(junk_block, alpha[..., None, None], out=normalized, where=kept)
+    u, sv, vh = np.linalg.svd(normalized, full_matrices=True)
     # rotate ancillas so the junk state is Schmidt-diagonal, (I_d kron g) V
     # as g on each (s, r) block of V; the dilation residuals are invariant
     # under this change of gauge
-    v_a = (u.conj().T @ fit_a.isometry.reshape(d, sa, -1)).reshape(d * sa, -1)
-    v_b = (vh.conj() @ fit_b.isometry.reshape(d, sb, -1)).reshape(d * sb, -1)
-    junk = np.zeros(sa * sb, dtype=np.complex128)
+    blocks_a = fit_a.isometry.reshape(*batch, d, sa, -1)
+    blocks_b = fit_b.isometry.reshape(*batch, d, sb, -1)
+    v_a = (dagger(u)[..., None, :, :] @ blocks_a).reshape(*batch, d * sa, -1)
+    v_b = (vh.conj()[..., None, :, :] @ blocks_b).reshape(*batch, d * sb, -1)
+    junk = np.zeros(batch + (sa * sb,), dtype=np.complex128)
     m = min(sa, sb)
-    junk[np.arange(m) * sb + np.arange(m)] = sv[:m]
+    junk[..., np.arange(m) * sb + np.arange(m)] = sv[..., :m]
 
-    reference = fam.canonical_strategy
-    residuals = _dilation_residuals(strategy, reference, v_a, v_b, junk)
-    eps_prime = max(fit_a.max_residual, fit_b.max_residual)
+    residuals = _dilation_residuals(strategy, fam.canonical_strategy, v_a, v_b, junk)
+    eps_prime = np.maximum(*(fit.residuals.max(axis=-1, initial=0.0) for fit in (fit_a, fit_b)))
     # the spectral argument needs the correlation defect as well; folding it
     # into eps_prime makes the beta bound hold unconditionally
-    eps_eff = max(eps_prime, delta)
-    beta = float(np.sqrt(2.0 * (2 * fam.n + 1) * eps_eff / gap))
-    return DilationCertificate(
-        v_a=v_a,
-        v_b=v_b,
-        junk=junk,
-        ref_dim_a=d,
-        ref_dim_b=d,
-        anc_dim_a=sa,
-        anc_dim_b=sb,
-        epsilon=float(residuals.max()),
-        alpha=alpha,
-        beta=beta,
-        gap=gap,
-        state_residual=float(residuals[0]),
-        fit_residuals_a=fit_a.residuals,
-        fit_residuals_b=fit_b.residuals,
-        delta=delta,
-    )
+    eps_eff = np.maximum(eps_prime, delta)
+    beta = np.sqrt(2.0 * (2 * fam.n + 1) * eps_eff / gap)
+    return [
+        None
+        if failures is not None and failures[i] is not None
+        else DilationCertificate(
+            v_a=v_a[i],
+            v_b=v_b[i],
+            junk=junk[i],
+            ref_dim_a=d,
+            ref_dim_b=d,
+            anc_dim_a=sa,
+            anc_dim_b=sb,
+            epsilon=float(residuals[i].max()),
+            alpha=float(alpha[i]),
+            beta=float(beta[i]),
+            gap=gap,
+            state_residual=float(residuals[i][0]),
+            fit_residuals_a=fit_a.residuals[i],
+            fit_residuals_b=fit_b.residuals[i],
+            delta=float(delta[i]),
+        )
+        for i in np.ndindex(batch)
+    ]
 
 
 def compose_dilations(

@@ -192,13 +192,19 @@ def induced_correlation(strategy: Strategy) -> np.ndarray:
     """Correlation table of a strategy, p = <(E kron F) psi, psi>.
 
     Computed through the reshaped state: with M the dim_a x dim_b matrix of
-    psi, p(i,j|v,w) = sum over entries of (M^* E M) .* F.
+    psi, p(i,j|v,w) = sum over entries of (M^* E M) .* F.  A stack of
+    strategies read like one (selftest's), whose arrays carry a leading
+    member axis, gets one table per member.
     """
-    m = strategy.state_matrix
-    kernels = m.conj().T @ strategy.alice @ m
-    bob = strategy.bob[:, None]
-    # row v at a time, peak n k^2 d^2: [w, i, j] -> sum of kernels[v, i] .* bob[w, j]
-    table = np.array([np.sum(kv[None, :, None] * bob, axis=(3, 4)).real for kv in kernels])
+    m = strategy.state_matrix[..., None, None, :, :]
+    kernels = dagger(m) @ strategy.alice @ m
+    bob = strategy.bob[..., :, None, :, :, :]
+    # row v at a time, peak n k^2 d^2 per member: [w, i, j] -> sum of kernels[v, i] .* bob[w, j]
+    rows = [
+        np.sum(kernels[..., v, None, :, None, :, :] * bob, axis=(-2, -1)).real
+        for v in range(strategy.n_questions)
+    ]
+    table = np.stack(rows, axis=-4)
     table.flags.writeable = False
     return table
 
@@ -235,17 +241,28 @@ def chsh_win_probability(p: np.ndarray) -> float:
 
 
 def correlation_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Entrywise 1-norm distance between two tables of equal shape."""
-    if p.shape != q.shape:
+    """Entrywise 1-norm distance between two tables of equal shape; of each
+    table of a stack p, (..., *q.shape), from q, as an array."""
+    if p.shape[p.ndim - q.ndim :] != q.shape:
         raise InvalidStrategyError(f"table shapes differ: {p.shape} vs {q.shape}")
-    return float(np.abs(p - q).sum())
+    distance = np.abs(p - q).sum(axis=tuple(range(p.ndim - q.ndim, p.ndim)))
+    return float(distance) if distance.ndim == 0 else distance
+
+
+def _check_table(p) -> None:
+    """InvalidStrategyError unless p has the (n, n, k, k) shape of a table."""
+    shape = np.shape(p)
+    if len(shape) != 4 or shape[0] != shape[1] or shape[2] != shape[3] or 0 in shape:
+        raise InvalidStrategyError(f"a correlation table has shape (n, n, k, k), got {shape}")
 
 
 def synchronicity_defect(p: np.ndarray) -> float:
     """Largest off-diagonal outcome weight on matching questions.
 
-    Zero iff both parties always agree when asked the same question.
+    Zero iff both parties always agree when asked the same question.  A
+    table that is not (n, n, k, k) raises InvalidStrategyError.
     """
+    _check_table(p)
     off_diagonal = ~np.eye(p.shape[-1], dtype=bool)
     # np.diagonal moves the question axis last: [i, j, v] = p(i, j | v, v)
     return float(np.abs(np.diagonal(p)[off_diagonal]).max(initial=0.0))
@@ -256,8 +273,10 @@ def marginals(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
     Returns (p_a, p_b, residual) where p_a[v, i] averages sum_j p(i,j|v,w)
     over w, and the residual is the largest deviation of any single-w
-    (or single-v) marginal from that average.
+    (or single-v) marginal from that average.  A table that is not
+    (n, n, k, k) raises InvalidStrategyError.
     """
+    _check_table(p)
     row = p.sum(axis=3)                # [v, w, i] = sum_j p(i,j|v,w)
     col = p.sum(axis=2)                # [v, w, j] = sum_i p(i,j|v,w)
     p_a = row.mean(axis=1)             # [v, i]

@@ -9,19 +9,23 @@ but a draw can repeat the strategy of the trial before it bit for bit (every
 trial at level 0, every trial of a level of ``outcome-noise``, which reads
 the level alone); such a trial reuses that trial's row, with its own level,
 trial index and seed, instead of certifying the same strategy again.
+
+Every trial is perturbed first; the distinct strategies are then audited
+and certified as stacks (see selftest): a stack holds as many trials as keep
+its largest array within selftest.STACK_ENTRIES entries, 113 at d = 3 and
+one from d = 16 on, so a sweep makes one numpy call per stack where it made
+one per trial.  A row does not depend on the stack its trial ran in.
 """
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import (
     BudgetExceededError,
-    FitDegenerateError,
-    JunkExtractionError,
     SerializationError,
     UnsupportedQuestionCountError,
 )
@@ -136,14 +140,19 @@ def build_family(n: int, k: int) -> ProjectionFamily:
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Execute every (level, trial) cell; deterministic given the config.
 
-    A trial whose perturbed strategy equals the previous trial's bit for bit
-    takes that trial's row with its own level, trial index and seed, without
-    auditing or extracting again; so a repeated failed extraction is a failed
-    row, not a second attempt.
+    Every trial is perturbed first.  A trial whose perturbed strategy equals
+    the previous trial's bit for bit takes that trial's row with its own
+    level, trial index and seed, so a repeated failed extraction is a failed
+    row, not a second attempt.  The distinct strategies are then audited and
+    certified in one call each, which runs them as stacks
+    (selftest.STACK_ENTRIES); a member's FitDegenerateError or
+    JunkExtractionError makes a failed row, and any other error is raised
+    from the first trial in grid order that meets one.
     """
     fam = build_family(config.n, config.k)
     canon = fam.canonical_strategy
-    rows: list[SweepRow] = []
+    cells = []  # (level, trial, seed, index of the trial's distinct strategy)
+    distinct = []
     previous = None  # the dimensions and array bytes of the last trial's strategy
     for li, level in enumerate(config.levels):
         for ti in range(config.trials_per_level):
@@ -152,38 +161,37 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
             key = (noisy.dim_a, noisy.dim_b) + tuple(
                 a.tobytes() for a in (noisy.state, noisy.alice, noisy.bob)
             )
-            if key == previous:
-                rows.append(replace(rows[-1], level=level, trial=ti, seed=seed))
-                continue
-            previous = key
-            report = approx_rep_residuals(noisy, fam, monomial_degree=config.monomial_degree)
-            try:
-                cert = extract_dilation(noisy, fam)
-                fit_residual = float(max(cert.fit_residuals_a.max(), cert.fit_residuals_b.max()))
-            except (JunkExtractionError, FitDegenerateError):
-                cert = fit_residual = None
-            rows.append(
-                SweepRow(
-                    level=level,
-                    trial=ti,
-                    seed=seed,
-                    delta=report.delta,
-                    epsilon=cert and cert.epsilon,
-                    alpha=cert and cert.alpha,
-                    extraction_failed=cert is None,
-                    rep_residual_a=report.rep_residual_a,
-                    rep_residual_b=report.rep_residual_b,
-                    tracial_residual=report.tracial_residual,
-                    sync_max=report.sync_max,
-                    lemma35_pass=report.lemma35_pass,
-                    lemma63_pass=report.lemma63_pass,
-                    tracial_pass=report.tracial_pass,
-                    beta=cert and cert.beta,
-                    state_residual=cert and cert.state_residual,
-                    fit_residual=fit_residual,
-                )
+            if key != previous:
+                distinct.append(noisy)
+                previous = key
+            cells.append((level, ti, seed, len(distinct) - 1))
+    reports = approx_rep_residuals(distinct, fam, monomial_degree=config.monomial_degree)
+    results = extract_dilation(distinct, fam)
+    measured = []
+    for report, cert in zip(reports, results):
+        if isinstance(cert, Exception):  # a failed extraction
+            cert = fit_residual = None
+        else:
+            fit_residual = float(max(cert.fit_residuals_a.max(), cert.fit_residuals_b.max()))
+        measured.append(
+            dict(
+                delta=report.delta,
+                epsilon=cert and cert.epsilon,
+                alpha=cert and cert.alpha,
+                extraction_failed=cert is None,
+                rep_residual_a=report.rep_residual_a,
+                rep_residual_b=report.rep_residual_b,
+                tracial_residual=report.tracial_residual,
+                sync_max=report.sync_max,
+                lemma35_pass=report.lemma35_pass,
+                lemma63_pass=report.lemma63_pass,
+                tracial_pass=report.tracial_pass,
+                beta=cert and cert.beta,
+                state_residual=cert and cert.state_residual,
+                fit_residual=fit_residual,
             )
-    return rows
+        )
+    return [SweepRow(level=lv, trial=ti, seed=seed, **measured[i]) for lv, ti, seed, i in cells]
 
 
 def _fmt(value: float | None) -> str:

@@ -10,6 +10,7 @@ from projsum.errors import (
     BudgetExceededError,
     DegenerateInputError,
     InvalidFamilyError,
+    ProjsumError,
     UnsupportedQuestionCountError,
     UnsupportedScalarError,
 )
@@ -79,6 +80,22 @@ def test_non_finite_scalar_is_refused(x):
         scalar_is_admissible(4, x)
     with pytest.raises(UnsupportedScalarError, match="finite"):
         ideal_correlation(4, x)
+
+
+def test_family_reads_its_scalar_as_a_fraction():
+    # "4/3" raised a bare TypeError; a float or a bool was stored as it was,
+    # and ladder_step on the family raised AttributeError
+    fam = four_family(1)
+    for x in ("4/3", True):
+        with pytest.raises(UnsupportedScalarError, match=f"^x must be a number, got {x!r}$"):
+            ProjectionFamily(fam.n, x, fam.d, fam.projections)
+    for x in (Fraction(4, 3), 4, np.int64(4)):
+        stored = ProjectionFamily(fam.n, x, fam.d, fam.projections).x
+        assert type(stored) is Fraction and stored == x
+    rounded = ProjectionFamily(fam.n, 4 / 3, fam.d, fam.projections)
+    assert rounded.x == Fraction(4 / 3) and type(rounded.x) is Fraction
+    with pytest.raises(ProjsumError):
+        ladder_step(rounded)
 
 
 def test_simplex_vertices_gram():

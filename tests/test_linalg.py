@@ -595,6 +595,80 @@ def test_lowest_eigvecs_guards(monkeypatch):
         _lowest_eigvec(h, _hermitian_spectrum(h))
 
 
+def stack_members(dim, real):
+    """Matrices whose inverse iterations take different numbers of sweeps,
+    an exact diagonal, whose first shift is singular when INVERSE_SHIFT is
+    0, and the zero matrix, which takes none."""
+    mats = [
+        planted([-1.0, 0.5, 0.5 + 1e-9, 0.5 + 2e-9], seed=14, dim=dim)[0],
+        planted(1e-7 * np.arange(8.0), seed=17, dim=dim)[0],
+        random_hermitian(dim, np.random.default_rng(16)),
+        np.diag(np.arange(float(dim))).astype(complex),
+        np.zeros((dim, dim), complex),
+        random_hermitian(dim, np.random.default_rng(18)),
+    ]
+    return np.stack([m.real if real else m for m in mats])
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("shift", [None, 0.0])
+def test_lowest_eigvec_of_a_stack_equals_its_members(monkeypatch, real, shift):
+    # each member stops at its own convergence and moves its own singular
+    # shift, so it gets the bits it gets alone; the last member failed
+    # before and is not iterated
+    if shift is not None:
+        monkeypatch.setattr(linalg, "INVERSE_SHIFT", shift)
+    stack = stack_members(12, real)
+    w = _hermitian_spectrum(stack)
+    failures = np.full(len(stack), None, dtype=object)
+    failures[-1] = EigensolverError("an earlier failure")
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(len(a)) or solve(a, b))
+    vecs = _lowest_eigvec(stack, w, failures)
+    monkeypatch.undo()
+    if shift is not None:
+        monkeypatch.setattr(linalg, "INVERSE_SHIFT", shift)
+    assert list(failures[:-1]) == [None] * (len(stack) - 1)
+    assert str(failures[-1]) == "an earlier failure"
+    for member, got in zip(stack[:-1], vecs):
+        assert np.array_equal(got, _lowest_eigvec(member, _hermitian_spectrum(member)))
+    # the members need different numbers of sweeps; with a singular shift
+    # the stack's solve is refused and its members are solved one at a time
+    assert solves.count(len(stack)) >= 2
+    assert (12 in solves) == (shift is not None)
+
+
+def test_stacked_solvers_record_the_failures_of_their_members(monkeypatch):
+    # a failed eigenvalue solve is attributed to its member, whose spectrum
+    # is zeros; a member that does not converge fails alone, beside the zero
+    # matrix, which needs no sweep
+    stack = np.stack([np.diag(w) for w in ([1.0, 2.0, 3.0], [2.0, 3.0, 5.0], [3.0, 4.0, 5.0])])
+    eigvalsh = np.linalg.eigvalsh
+
+    def fail(m):
+        if m.ndim > 2 or m[2, 2] == 5.0 and m[0, 0] == 2.0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    failures = np.full(3, None, dtype=object)
+    w = _hermitian_spectrum(stack, failures)
+    assert failures[0] is None and failures[2] is None
+    assert str(failures[1]) == "eigenvalues of a 3-row matrix: Eigenvalues did not converge"
+    assert np.array_equal(w, [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [3.0, 4.0, 5.0]])
+    monkeypatch.undo()
+    h = random_hermitian(20, np.random.default_rng(16))
+    stack = np.stack([h, np.zeros((20, 20), complex)])
+    monkeypatch.setattr(linalg, "INVERSE_SHIFT", 0.5)
+    monkeypatch.setattr(linalg, "INVERSE_MAX_SWEEPS", 1)
+    failures = np.full(2, None, dtype=object)
+    vecs = _lowest_eigvec(stack, _hermitian_spectrum(stack), failures)
+    message = "no convergence within 1 inverse-iteration sweeps of a 20-row matrix"
+    assert str(failures[0]) == message
+    assert failures[1] is None and np.array_equal(vecs[1], np.eye(20, 1))
+
+
 def test_fix_phases_largest_entry_real_positive():
     v = np.array([[0.1 - 0.2j], [-0.9j]])
     fixed = fix_phases(v)

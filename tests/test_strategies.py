@@ -262,6 +262,18 @@ def test_marginals_non_signaling():
     assert np.allclose(pb.sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "shape", [(2, 2), (4, 4, 2), (4, 3, 2, 2), (4, 4, 2, 3), (0, 0, 2, 2), (1, 4, 4, 2, 2)]
+)
+def test_table_readers_refuse_a_table_of_the_wrong_shape(shape):
+    # synchronicity_defect raised a bare IndexError, and marginals an
+    # AxisError, for a table that is not (n, n, k, k)
+    message = r"^a correlation table has shape \(n, n, k, k\), got "
+    for reader in (synchronicity_defect, marginals):
+        with pytest.raises(InvalidStrategyError, match=message):
+            reader(np.zeros(shape))
+
+
 def test_chsh_values():
     strat = chsh_fixture()
     strat.validate()

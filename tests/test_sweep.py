@@ -1,13 +1,17 @@
+import dataclasses
 import json
 from dataclasses import asdict
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from projsum import sweep
+from projsum import selftest, sweep
 from projsum.cli import main
 from projsum.errors import (
     BudgetExceededError,
+    EigensolverError,
     FitDegenerateError,
     InvalidDimensionError,
     InvalidLevelError,
@@ -245,16 +249,17 @@ def test_spearman_values():
 
 
 def count_calls(monkeypatch):
-    """Count the audits and extractions run_sweep makes."""
+    """Count the strategies run_sweep hands to the audits and the extraction;
+    one call takes a sequence of them, which it runs as stacks."""
     calls = {"audit": 0, "extract": 0}
 
-    def audit(*args, **kwargs):
-        calls["audit"] += 1
-        return approx_rep_residuals(*args, **kwargs)
+    def audit(strategies, *args, **kwargs):
+        calls["audit"] += len(strategies)
+        return approx_rep_residuals(strategies, *args, **kwargs)
 
-    def extract(*args, **kwargs):
-        calls["extract"] += 1
-        return extract_dilation(*args, **kwargs)
+    def extract(strategies, *args, **kwargs):
+        calls["extract"] += len(strategies)
+        return extract_dilation(strategies, *args, **kwargs)
 
     monkeypatch.setattr(sweep, "approx_rep_residuals", audit)
     monkeypatch.setattr(sweep, "extract_dilation", extract)
@@ -361,3 +366,136 @@ def test_reused_rows_equal_fresh_ones(model):
     assert [asdict(r) for r in rows] == expected
     if model == "outcome-noise":
         assert [r.extraction_failed for r in rows] == [False] * 4 + [True] * 2
+
+
+# --- stacks: a sweep certifies its distinct strategies as stacks, and each
+# member of a stack gets the bits it gets alone
+
+STACK_LEVELS = (0.0, 1e-4, 1e-2, 1.0)
+
+
+@lru_cache(maxsize=None)
+def sweep_pool(k):
+    """The family of n = 4 at rung k, and 24 strategies a sweep of it meets:
+    each noise model at each of STACK_LEVELS with perturb seeds 1 and 2,
+    model-major, so index 8 m + 2 l + (seed - 1)."""
+    fam = build_family(4, k)
+    pool = [
+        perturb(fam.canonical_strategy, model, level, seed)
+        for model in NOISE_MODELS
+        for level in STACK_LEVELS
+        for seed in (1, 2)
+    ]
+    return fam, pool
+
+
+def assert_same(a, b):
+    """Equal, field by field: == on every float and every array entry."""
+    assert type(a) is type(b)
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if dataclasses.is_dataclass(x):
+            assert_same(x, y)
+        elif isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape, field.name
+            assert (x == y).all(), field.name
+        else:
+            assert type(x) is type(y) and x == y, field.name
+
+
+@settings(max_examples=12)
+@given(
+    k=st.sampled_from([1, 5]),
+    picks=st.lists(st.integers(0, 23), min_size=1, max_size=8),
+    entries=st.sampled_from([selftest.STACK_ENTRIES, 2**40]),
+)
+# 22 is outcome noise at level 1, which fails to extract, between a complex
+# povm-jitter member (12) and real level-0 and level-1e-4 outcome-noise ones
+@example(k=1, picks=[12, 22, 16, 18, 4], entries=selftest.STACK_ENTRIES)
+@example(k=5, picks=[12, 22, 16, 18, 4], entries=2**40)
+def test_a_stack_equals_its_members_bit_for_bit(k, picks, entries):
+    fam, pool = sweep_pool(k)
+    strategies = [pool[i] for i in picks]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selftest, "STACK_ENTRIES", entries)
+        reports = approx_rep_residuals(strategies, fam)
+        results = extract_dilation(strategies, fam)
+    assert len(reports) == len(results) == len(strategies)
+    for strategy, report, result in zip(strategies, reports, results):
+        assert_same(report, approx_rep_residuals(strategy, fam))
+        try:
+            alone = extract_dilation(strategy, fam)
+        except (FitDegenerateError, JunkExtractionError) as error:
+            assert type(result) is type(error) and str(result) == str(error)
+        else:
+            assert_same(result, alone)
+    if 22 in picks:  # its form is degenerate
+        assert isinstance(results[picks.index(22)], FitDegenerateError)
+
+
+@pytest.mark.parametrize("k, trials", [(1, 3), (5, 2)])
+def test_stack_size_leaves_every_report_byte_unchanged(monkeypatch, tmp_path, k, trials):
+    # one member per stack, the default stacks, and every distinct strategy
+    # of a model in one stack; outcome noise at level 1 fails to extract
+    seen = []
+    for entries in (1, selftest.STACK_ENTRIES, 2**40):
+        monkeypatch.setattr(selftest, "STACK_ENTRIES", entries)
+        written = []
+        for model in NOISE_MODELS:
+            rows = run_sweep(
+                small_config(k=k, noise_model=model, levels=STACK_LEVELS, trials_per_level=trials)
+            )
+            for fmt in ("csv", "json"):
+                path = tmp_path / f"{entries}-{model}.{fmt}"
+                emit_report(rows, fmt, path)
+                written.append(path.read_bytes())
+        seen.append(written)
+    assert seen[0] == seen[1] == seen[2]
+
+
+def solver_fingerprint(apply, dim, dtype):
+    """The bytes of a fit operator's image of the all-ones row: which fit it is."""
+    return apply(np.ones((1, dim), dtype=dtype)).tobytes()
+
+
+def test_an_error_surfaces_from_the_first_trial_in_grid_order(monkeypatch):
+    # every fit matrix-free, so its solver runs member by member.  Trial 3
+    # fails in Alice's fit and trial 1 in Bob's: run alone, trial 1 would
+    # raise first, so the stack must too, although it fits every Alice first
+    monkeypatch.setattr(selftest, "KRYLOV_MIN_ROWS", 0)
+    cfg = small_config(noise_model="povm-jitter", levels=(1e-3,), trials_per_level=4)
+    fam = build_family(cfg.n, cfg.k)
+    solve = selftest.krylov_eigh
+    labels = {}
+
+    def record(label):
+        def solver(apply, dim, count, guard=0, dtype=np.complex128):
+            labels[solver_fingerprint(apply, dim, dtype)] = label
+            return solve(apply, dim, count, guard=guard, dtype=dtype)
+
+        return solver
+
+    for ti in range(cfg.trials_per_level):
+        noisy = perturb(fam.canonical_strategy, cfg.noise_model, 1e-3, trial_seed(cfg.seed, 0, ti))
+        rho_a, rho_b = noisy.reduced_densities
+        for party, ops, family, rho in (
+            ("alice", noisy.alice[:, 0], fam, rho_a),
+            ("bob", noisy.bob[:, 0], fam.transposed, rho_b),
+        ):
+            monkeypatch.setattr(selftest, "krylov_eigh", record((ti, party)))
+            selftest.fit_isometry(ops, family, rho)
+    assert len(labels) == 8
+    failing = {(3, "alice"), (1, "bob")}
+
+    def failing_solver(apply, dim, count, guard=0, dtype=np.complex128):
+        label = labels[solver_fingerprint(apply, dim, dtype)]
+        if label in failing:
+            raise EigensolverError(f"trial {label[0]}, {label[1]}")
+        return solve(apply, dim, count, guard=guard, dtype=dtype)
+
+    monkeypatch.setattr(selftest, "krylov_eigh", failing_solver)
+    with pytest.raises(EigensolverError, match="^trial 1, bob$"):
+        run_sweep(cfg)
+    # an extraction error is a failed row, whichever trial meets it
+    failing.clear()
+    assert not any(r.extraction_failed for r in run_sweep(cfg))
