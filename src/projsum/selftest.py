@@ -32,21 +32,23 @@ linalg.KRYLOV_GUARD_TOL and takes the residual the solver measured on it
 off the separation it tests.
 
 Many strategies are certified as stacks.  approx_rep_residuals and
-extract_dilation take a sequence of strategies as well as one: _stacks cuts
-it, in order, into _Stacks of equal-shape strategies whose arrays carry a
-leading member axis, and every stage above (the audits, the reduced
-densities and correlations, the dense fit with its eigenvalues, inverse
-iteration and polar factor, the junk and gauge step, the dilation
+extract_dilation take a strategies.StrategyStack, or a sequence of
+strategies, as well as one strategy.  A StrategyStack is run as the one
+stack it is, so the two calls share its correlation and reduced densities;
+_stacks cuts a sequence, in order, into StrategyStacks of equal-shape
+strategies of at most stack_size members.  Every stage above (the audits,
+the reduced densities and correlations, the dense fit with its eigenvalues,
+inverse iteration and polar factor, the junk and gauge step, the dilation
 residuals) then makes one numpy call for the whole stack; only the
-matrix-free fits run member by member.  A stack holds as many strategies as
-keep its largest array within STACK_ENTRIES entries, so memory stays
-bounded whatever the sequence's length.  Each member gets the bits it gets
-alone: members are solved in the arithmetic each gets alone, every
-reduction is written one way for one strategy and for a stack, and a member
-of an inverse iteration stops at its own convergence.  A member that fails
-fails alone (linalg._refuse): its error is recorded and its arrays are
-filler until the end of the stack.  One strategy runs the same code without
-the member axis, and raises its error where it meets it.
+matrix-free fits run member by member.  stack_size keeps a stack's largest
+array within STACK_ENTRIES entries, so memory stays bounded whatever the
+sequence's length; sweep.run_sweep cuts its grid by it too.  Each member
+gets the bits it gets alone: members are solved in the arithmetic each gets
+alone, every reduction is written one way for one strategy and for a stack,
+and a member of an inverse iteration stops at its own convergence.  A
+member that fails fails alone (linalg._refuse): its error is recorded and
+its arrays are filler until the end of the stack.  One strategy runs the
+same code without the member axis, and raises its error where it meets it.
 
 All certified quantities are measured, never assumed: every bound stored in
 a certificate is recomputed from the returned isometries and junk state.
@@ -55,7 +57,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -76,7 +77,6 @@ from .linalg import (
     _frobenius,
     _hermitian_spectrum,
     _lowest_eigvec,
-    _reduced_densities,
     _refuse,
     _seminorm,
     as_array,
@@ -88,7 +88,7 @@ from .linalg import (
     real_if_exact,
     sandwich_operator,
 )
-from .strategies import Strategy, correlation_distance, ideal_correlation, induced_correlation
+from .strategies import Strategy, StrategyStack, correlation_distance, ideal_correlation
 
 ALPHA_MIN = 0.1
 PAIR_BUDGET = 1_000_000
@@ -96,7 +96,7 @@ PAIR_BUDGET = 1_000_000
 KRYLOV_MIN_ROWS = 441
 # relative to tr(rho), the scale of the fit form
 FIT_SEPARATION_TOL = 1e-8
-# entries of the largest array one stack of strategies may hold (_stacks),
+# entries of the largest array one stack of strategies may hold (stack_size),
 # 1 MB complex: 113 trials at d = 3, 4 at d = 11 and one from d = 16 on,
 # where a trial's dense fit form alone has d^4 entries.  Measured on 2
 # cores, medians of in-process passes: the three k = 1 acceptance sweeps took
@@ -111,45 +111,13 @@ STACK_ENTRIES = 65_536
 # stacks of strategies
 
 
-@dataclass(frozen=True)
-class _Stack:
-    """Strategies of one shape as one stack: their state matrices and both
-    parties' operators with a leading member axis, read as a Strategy is read,
-    with the same derived values, each computed once for the whole stack."""
-
-    state_matrix: np.ndarray
-    alice: np.ndarray
-    bob: np.ndarray
-
-    @classmethod
-    def of(cls, strategies) -> "_Stack":
-        names = ("state_matrix", "alice", "bob")
-        return cls(*(np.stack([getattr(s, name) for s in strategies]) for name in names))
-
-    def __len__(self) -> int:
-        return len(self.state_matrix)
-
-    n_questions = property(lambda self: self.alice.shape[-4])
-    n_outcomes = property(lambda self: self.alice.shape[-3])
-    dim_a = property(lambda self: self.state_matrix.shape[-2])
-    dim_b = property(lambda self: self.state_matrix.shape[-1])
-
-    @cached_property
-    def reduced_densities(self) -> tuple[np.ndarray, np.ndarray]:
-        return _reduced_densities(self.state_matrix)
-
-    @cached_property
-    def correlation(self) -> np.ndarray:
-        return induced_correlation(self)
-
-
 def _shape(strategy: Strategy) -> tuple:
     if not isinstance(strategy, Strategy):
         raise InvalidStrategyError(f"expected a Strategy, got {type(strategy).__name__}")
     return (strategy.dim_a, strategy.dim_b) + strategy.alice.shape + strategy.bob.shape
 
 
-def _member_entries(strategy: Strategy, fam: ProjectionFamily) -> int:
+def _member_entries(strategy, fam: ProjectionFamily) -> int:
     """Entries of the largest array one member adds to a stack: the dense fit
     form of the larger party, (d r)^2, or the (n k)^2 dilation residual
     matrices, on the isometries' ranges."""
@@ -159,16 +127,26 @@ def _member_entries(strategy: Strategy, fam: ProjectionFamily) -> int:
     return max((d * max(dims)) ** 2, pairs * ranges[0] * ranges[1])
 
 
+def stack_size(strategy, fam: ProjectionFamily) -> int:
+    """How many strategies of the shape of ``strategy`` (a Strategy or a
+    StrategyStack) one stack holds: STACK_ENTRIES // _member_entries, read at
+    call time, and at least one."""
+    return max(1, STACK_ENTRIES // _member_entries(strategy, fam))
+
+
 def _stacks(strategies, fam: ProjectionFamily):
-    """The strategies in order as _Stacks: runs of consecutive strategies of
-    one shape, cut into stacks of at most STACK_ENTRIES // _member_entries
-    members (at least one).  Anything but a Strategy raises
-    InvalidStrategyError."""
+    """A StrategyStack as it is; a sequence of strategies in order as
+    StrategyStacks: runs of consecutive strategies of one shape, cut into
+    stacks of at most stack_size members.  Anything but a Strategy in the
+    sequence raises InvalidStrategyError."""
+    if isinstance(strategies, StrategyStack):
+        yield strategies
+        return
     for _, run in groupby(strategies, key=_shape):
         run = list(run)
-        size = max(1, STACK_ENTRIES // _member_entries(run[0], fam))
+        size = stack_size(run[0], fam)
         for start in range(0, len(run), size):
-            yield _Stack.of(run[start : start + size])
+            yield StrategyStack.of(run[start : start + size])
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +182,7 @@ class SyncReport:
 
 def _audit_delta(strategy: Strategy, fam: ProjectionFamily):
     """delta = ||p - p_{n,x}||_1, with p_{n,x} = ideal_correlation(fam.n, fam.x);
-    of each member of a _Stack, as an array.
+    of each member of a StrategyStack, as an array.
 
     The audits' one precondition comes first: a strategy without two outcomes
     raises UnsupportedOutcomeCountError, one without fam.n questions
@@ -220,7 +198,7 @@ def _audit_delta(strategy: Strategy, fam: ProjectionFamily):
 
 def sync_residuals(strategy: Strategy, fam: ProjectionFamily) -> SyncReport:
     """Agreement residuals of a strategy against the family's p_{n,x}; a
-    _Stack gets a list, one report per member."""
+    StrategyStack gets a list, one report per member."""
     delta = _audit_delta(strategy, fam)
     m = strategy.state_matrix[..., None, None, :, :]
     e, f = strategy.alice, strategy.bob
@@ -262,7 +240,7 @@ def tracial_residual(strategy: Strategy, degree: int = 2, party: str = "alice") 
 
     Words are products of the party's first-outcome operators with length
     1..degree; rho is that party's reduced state.  The degree is checked by
-    check_word_pairs.  A _Stack gets an array, one defect per member.
+    check_word_pairs.  A StrategyStack gets an array, one defect per member.
     """
     check_word_pairs(strategy.n_questions, degree)
     if party not in ("alice", "bob"):
@@ -350,8 +328,9 @@ def approx_rep_residuals(
     """Full residual diagnostics of a strategy against the family's (n, x):
     sync_residuals' report, the sum rule on M and both tracial defects.
 
-    A sequence of strategies gets a list, one report per strategy, each
-    equal to its own call's: they are audited as the stacks _stacks cuts.
+    A StrategyStack, or a sequence of strategies, gets a list, one report
+    per strategy, each equal to its own call's: they are audited as the
+    stacks _stacks gives.
     """
     if isinstance(strategy, Strategy):
         return _residual_reports(strategy, fam, monomial_degree)[0]
@@ -360,7 +339,7 @@ def approx_rep_residuals(
 
 
 def _residual_reports(strategy, fam: ProjectionFamily, degree: int) -> list[ResidualReport]:
-    """approx_rep_residuals of a strategy, or of each member of a _Stack."""
+    """approx_rep_residuals of a strategy, or of each member of a StrategyStack."""
     sync = sync_residuals(strategy, fam)
     m, xf = strategy.state_matrix, float(fam.x)
     total_a = strategy.alice[..., 0, :, :].sum(axis=-3) - xf * np.eye(strategy.dim_a)
@@ -371,7 +350,7 @@ def _residual_reports(strategy, fam: ProjectionFamily, degree: int) -> list[Resi
         tracial_residual(strategy, degree=degree, party="alice"),
         tracial_residual(strategy, degree=degree, party="bob"),
     )
-    members = zip(sync, *columns) if isinstance(strategy, _Stack) else [(sync, *columns)]
+    members = zip(sync, *columns) if isinstance(strategy, StrategyStack) else [(sync, *columns)]
     return [
         ResidualReport(
             n=fam.n,
@@ -672,7 +651,7 @@ def _dilation_residuals(
     The (v, i, w, j) terms are formed at once, in about four stacks of
     (n k)^2 matrices of the isometries' range dimensions; BudgetExceededError
     is raised, before they are allocated, when those stacks would exceed
-    linalg.KRYLOV_BUDGET entries.  The source may be a _Stack, with v_a, v_b
+    linalg.KRYLOV_BUDGET entries.  The source may be a StrategyStack, with v_a, v_b
     and junk stacked alike: each member gets its own residuals.
     """
     if strategy.n_questions != reference.n_questions:
@@ -737,10 +716,10 @@ def extract_dilation(strategy: Strategy, fam: ProjectionFamily) -> DilationCerti
     The precondition is _audit_delta's.  Raises JunkExtractionError when the
     projected weight alpha is at or below ALPHA_MIN, read at call time.
 
-    A sequence of strategies gets a list, one entry per strategy: its
-    certificate, each equal to its own call's, or the FitDegenerateError or
-    JunkExtractionError its own call raises.  They are certified as the
-    stacks _stacks cuts, one stack at a time; any other error a member meets
+    A StrategyStack, or a sequence of strategies, gets a list, one entry per
+    strategy: its certificate, each equal to its own call's, or the
+    FitDegenerateError or JunkExtractionError its own call raises.  They are
+    certified as the stacks _stacks gives, one stack at a time; any other error a member meets
     is raised, that of the first such member, before the next stack runs.
     """
     if isinstance(strategy, Strategy):
@@ -757,7 +736,7 @@ def extract_dilation(strategy: Strategy, fam: ProjectionFamily) -> DilationCerti
 
 
 def _certify(strategy, fam: ProjectionFamily, failures=None) -> list:
-    """extract_dilation of a strategy, or of each member of a _Stack, in a
+    """extract_dilation of a strategy, or of each member of a StrategyStack, in a
     list; a member that fails is None there, its error recorded in
     ``failures`` (one slot per member) by _refuse, or raised when
     ``failures`` is None."""

@@ -11,6 +11,13 @@ closed-form synchronous correlation
 with the remaining outcomes filled in by the fixed marginals x/n.  A
 correlation is its read-only float64 table p[v, w, i, j] = p(i, j | v, w),
 C-ordered, of shape (n, n, k, k).
+
+A StrategyStack holds strategies of one shape with a leading member axis on
+each array, and is read as a Strategy is read.  perturb builds one from
+sequences of levels and seeds, and validates it once; selftest certifies
+one with one numpy call per stage.  The noise models and the checks of
+Strategy.validate are written once, for a stack: one strategy is perturbed
+as a stack of one, and validated without the member axis.
 """
 from __future__ import annotations
 
@@ -29,6 +36,8 @@ from .errors import (
 from .families import ProjectionFamily, as_fraction, scalar_is_admissible
 from .linalg import (
     STATE_TOL,
+    _frobenius,
+    _reduced_densities,
     as_array,
     dagger,
     is_integer,
@@ -98,50 +107,124 @@ class Strategy:
     def validate(self) -> None:
         """Raise InvalidStrategyError on any structural violation.
 
-        The constructor calls this once.  Each check covers a party's whole
-        stack at once; the message names the first offending question and
-        outcome.
+        The constructor calls this once.  The checks run in this order, each
+        covering a party's whole stack (and, for a StrategyStack, every
+        member) at once: integer dimensions, the state's length and its norm
+        (within STATE_TOL of 1), both parties' question counts, then per party
+        its outcome count, its operators' shape and its POVMs, each operator
+        Hermitian and with no eigenvalue below -POVM_TOL, and each question's
+        outcomes summing to I, all within POVM_TOL.  The message names the
+        first offending question and outcome; a stack's names first the first
+        member that fails the check.
         """
         for name in ("dim_a", "dim_b"):
             dim = getattr(self, name)
             if not is_integer(dim):
                 raise InvalidStrategyError(f"{name} must be an integer, got {dim!r}")
         psi = self.state
-        if psi.size != self.dim_a * self.dim_b:
+        if psi.shape[-1] != self.dim_a * self.dim_b:
             raise InvalidStrategyError(
-                f"state length {psi.size} != dim_a*dim_b = {self.dim_a * self.dim_b}"
+                f"state length {psi.shape[-1]} != dim_a*dim_b = {self.dim_a * self.dim_b}"
             )
-        if abs(np.linalg.norm(psi) - 1.0) > STATE_TOL:
-            raise InvalidStrategyError("state vector is not normalized")
-        n, k = self.alice.shape[:2]
-        if self.bob.shape[0] != n:
+
+        def first(bad):
+            # the first member where bad is true, and a message prefix naming it
+            if bad.ndim == 0:
+                return (), ""
+            member = int(np.argmax(bad))
+            return member, f"member {member}: "
+
+        # one BLAS dot per member, as np.linalg.norm of one state
+        unnormalized = np.abs(_frobenius(psi[..., None, :]) - 1.0) > STATE_TOL
+        if unnormalized.any():
+            raise InvalidStrategyError(f"{first(unnormalized)[1]}state vector is not normalized")
+        n, k = self.alice.shape[-4:-2]
+        if self.bob.shape[-4] != n:
             raise InvalidStrategyError("parties disagree on the question count")
-        for side, stack, dim in (("alice", self.alice, self.dim_a), ("bob", self.bob, self.dim_b)):
-            if stack.shape[1] != k:
-                raise InvalidStrategyError(f"{side} question 0: outcome count {stack.shape[1]} != {k}")
-            if stack.shape[2:] != (dim, dim):
+        for side, dim in (("alice", self.dim_a), ("bob", self.dim_b)):
+            stack = getattr(self, side)
+            if stack.shape[-3] != k:
                 raise InvalidStrategyError(
-                    f"{side} question 0 outcome 0: shape {stack.shape[2:]}, expected {(dim, dim)}"
+                    f"{side} question 0: outcome count {stack.shape[-3]} != {k}"
+                )
+            if stack.shape[-2:] != (dim, dim):
+                raise InvalidStrategyError(
+                    f"{side} question 0 outcome 0: shape {stack.shape[-2:]}, expected {(dim, dim)}"
                 )
             # not is_hermitian: its as_array would re-read a checked stack
             adjoint = dagger(stack)
-            hermitian = np.abs(stack - adjoint).max(axis=(2, 3)) <= POVM_TOL
+            hermitian = np.abs(stack - adjoint).max(axis=(-2, -1)) <= POVM_TOL
             low = np.linalg.eigvalsh((stack + adjoint) / 2).min(axis=-1)
-            sums = np.abs(stack.sum(axis=1) - np.eye(dim)).max(axis=(1, 2)) <= POVM_TOL
+            sums = np.abs(stack.sum(axis=-3) - np.eye(dim)).max(axis=(-2, -1)) <= POVM_TOL
+            bad = (
+                ~hermitian.all(axis=(-2, -1))
+                | (low < -POVM_TOL).any(axis=(-2, -1))
+                | ~sums.all(axis=-1)
+            )
+            if not bad.any():
+                continue
+            member, prefix = first(bad)
+            hermitian, low, sums = hermitian[member], low[member], sums[member]
             for v in range(n):
                 for i in range(k):
                     if not hermitian[v, i]:
                         raise InvalidStrategyError(
-                            f"{side} question {v} outcome {i}: not Hermitian at tolerance"
+                            f"{prefix}{side} question {v} outcome {i}: not Hermitian at tolerance"
                         )
                     if low[v, i] < -POVM_TOL:
                         raise InvalidStrategyError(
-                            f"{side} question {v} outcome {i}: negative eigenvalue {low[v, i]:.3e}"
+                            f"{prefix}{side} question {v} outcome {i}: "
+                            f"negative eigenvalue {low[v, i]:.3e}"
                         )
                 if not sums[v]:
                     raise InvalidStrategyError(
-                        f"{side} question {v}: POVM does not sum to identity"
+                        f"{prefix}{side} question {v}: POVM does not sum to identity"
                     )
+
+
+@dataclass(frozen=True)
+class StrategyStack:
+    """Strategies of one shape as one stack, read as a Strategy is read.
+
+    ``state`` is (members, dim_a dim_b) and ``alice`` and ``bob`` are
+    (members, n, k, d, d): a Strategy's arrays with a leading member axis.
+    The derived values are those of a Strategy, one per member, each
+    computed once for the whole stack.  The arrays are taken as they are:
+    ``of`` stacks strategies that are valid, and perturb validates each
+    stack it builds before it returns it.
+    """
+
+    state: np.ndarray
+    dim_a: int
+    dim_b: int
+    alice: np.ndarray
+    bob: np.ndarray
+
+    @classmethod
+    def of(cls, strategies) -> "StrategyStack":
+        """The strategies, all of one shape, as one stack."""
+        names = ("state", "alice", "bob")
+        state, alice, bob = (np.stack([getattr(s, name) for s in strategies]) for name in names)
+        return cls(state, strategies[0].dim_a, strategies[0].dim_b, alice, bob)
+
+    def __len__(self) -> int:
+        return len(self.state)
+
+    n_questions = property(lambda self: self.alice.shape[-4])
+    n_outcomes = property(lambda self: self.alice.shape[-3])
+    state_matrix = property(lambda self: self.state.reshape(len(self), self.dim_a, self.dim_b))
+
+    @cached_property
+    def reduced_densities(self) -> tuple[np.ndarray, np.ndarray]:
+        return _reduced_densities(self.state_matrix)
+
+    @cached_property
+    def correlation(self) -> np.ndarray:
+        return induced_correlation(self)
+
+    # Strategy.validate's checks, on every member; a message names the member
+    validate = Strategy.validate
+
 
 
 def canonical_strategy(fam: ProjectionFamily) -> Strategy:
@@ -352,7 +435,7 @@ def check_noise(model: str, level: float, seed: int) -> float:
     return float(level)
 
 
-def perturb(strategy: Strategy, model: str, level: float, seed: int) -> Strategy:
+def perturb(strategy: Strategy, model: str, level, seed):
     """Deterministic noise injection, reproducible from (model, level, seed).
 
     state-mixing   rotates the state by ``level`` radians toward a seeded
@@ -365,44 +448,79 @@ def perturb(strategy: Strategy, model: str, level: float, seed: int) -> Strategy
                    it draws nothing, so its output depends on the level alone
 
     level = 0 returns the strategy unchanged.  The arguments are checked by
-    check_noise, whatever the model.
+    check_noise, whatever the model.  With equal-length, non-empty sequences
+    (lists, tuples or 1-dimensional arrays) of levels and seeds it returns a
+    StrategyStack, member i of which is the strategy perturb(strategy, model,
+    level[i], seed[i]) returns, bit for bit; the stack is validated once.
+    Sequences of other lengths raise InvalidLevelError.
     """
-    level = check_noise(model, level, seed)
-    if level == 0.0:
-        return strategy
+    if not (_is_sequence(level) and _is_sequence(seed)):
+        level = check_noise(model, level, seed)
+        if level == 0.0:
+            return strategy
+        # a stack of one member, whose arrays the strategy takes without the member axis
+        state, alice, bob = _perturbed(strategy, model, np.array([level]), [seed])
+        return replace(strategy, state=state[0], alice=alice[0], bob=bob[0])
+    if len(level) != len(seed) or len(level) == 0:
+        raise InvalidLevelError(
+            f"levels and seeds must be non-empty sequences of one length, got "
+            f"{len(level)} and {len(seed)}"
+        )
+    levels = np.array([check_noise(model, lv, sd) for lv, sd in zip(level, seed)])
+    state, alice, bob = _perturbed(strategy, model, levels, seed)
+    stack = StrategyStack(state, strategy.dim_a, strategy.dim_b, alice, bob)
+    stack.validate()
+    return stack
+
+
+def _is_sequence(value) -> bool:
+    return isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1
+
+
+def _perturbed(strategy: Strategy, model: str, levels: np.ndarray, seeds) -> list[np.ndarray]:
+    """The state and both stacks of ``strategy`` perturbed at each of the
+    checked ``levels`` with its seed, with a leading member axis.  A member
+    at level 0 keeps the strategy's arrays; the others are perturbed
+    together, with one seeded draw each, and each reduction over a member's
+    entries is a BLAS dot of its own, so a member gets the bits it gets
+    alone."""
+    arrays = [
+        np.array(np.broadcast_to(a, levels.shape + a.shape))
+        for a in (strategy.state, strategy.alice, strategy.bob)
+    ]
+    moving = np.flatnonzero(levels)
+    if not moving.size:
+        return arrays
+    level = levels[moving]
+    parties = ((1, strategy.alice), (2, strategy.bob))  # each party's index in arrays
 
     if model == "state-mixing":
-        rng = np.random.default_rng(seed)
         psi = strategy.state
         if psi.size < 2:
             raise InvalidStrategyError("a 1-dimensional state has no direction orthogonal to it")
-        chi = random_state(psi.size, rng)
-        chi = chi - (psi.conj() @ chi) * psi
-        chi = chi / np.linalg.norm(chi)
-        new_state = np.cos(level) * psi + np.sin(level) * chi
-        return replace(strategy, state=new_state)
-
-    if model == "povm-jitter":
-        rng = np.random.default_rng(seed)
-
-        def jitter(stack):
-            n, _, dim, _ = stack.shape
-            # per question, in turn, one complex Gaussian g made Hermitian
-            g = rng.normal(size=(n, 2, dim, dim))
-            g = g[:, 0] + 1j * g[:, 1]
+        chi = np.stack([random_state(psi.size, np.random.default_rng(seeds[t])) for t in moving])
+        chi = chi - np.array([psi.conj() @ c for c in chi])[:, None] * psi
+        chi = chi / _frobenius(chi[:, None, :])[:, None]
+        arrays[0][moving] = np.cos(level)[:, None] * psi + np.sin(level)[:, None] * chi
+    elif model == "povm-jitter":
+        # per member, in turn, one complex Gaussian per question made
+        # Hermitian: Alice's questions, then Bob's
+        draws = ([], [])
+        for t in moving:
+            rng = np.random.default_rng(seeds[t])
+            for drawn, (_, stack) in zip(draws, parties):
+                n, _, dim, _ = stack.shape
+                drawn.append(rng.normal(size=(n, 2, dim, dim)))
+        for (index, stack), drawn in zip(parties, draws):
+            g = np.stack(drawn)
+            g = g[:, :, 0] + 1j * g[:, :, 1]
             w, v = np.linalg.eigh((g + dagger(g)) / 2.0)
-            u = ((v * np.exp(1j * level * w)[:, None, :]) @ dagger(v))[:, None]
-            return u @ stack @ dagger(u)
-
-        # the seeded draws run over Alice's questions, then Bob's
-        return replace(strategy, alice=jitter(strategy.alice), bob=jitter(strategy.bob))
-
-    # outcome-noise
-    k = strategy.n_outcomes
-
-    def mix(stack, dim):
-        return (1.0 - level) * stack + level * (np.eye(dim, dtype=np.complex128) / k)
-
-    return replace(
-        strategy, alice=mix(strategy.alice, strategy.dim_a), bob=mix(strategy.bob, strategy.dim_b)
-    )
+            phases = np.exp(1j * level[:, None, None] * w)
+            u = ((v * phases[..., None, :]) @ dagger(v))[:, :, None]
+            arrays[index][moving] = u @ stack @ dagger(u)
+    else:  # outcome-noise
+        weight = level[:, None, None, None, None]
+        for index, stack in parties:
+            uniform = np.eye(stack.shape[-1], dtype=np.complex128) / strategy.n_outcomes
+            arrays[index][moving] = (1.0 - weight) * stack + weight * uniform
+    return arrays

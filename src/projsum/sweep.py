@@ -10,17 +10,23 @@ trial at level 0, every trial of a level of ``outcome-noise``, which reads
 the level alone); such a trial reuses that trial's row, with its own level,
 trial index and seed, instead of certifying the same strategy again.
 
-Every trial is perturbed first; the distinct strategies are then audited
-and certified as stacks (see selftest): a stack holds as many trials as keep
-its largest array within selftest.STACK_ENTRIES entries, 113 at d = 3 and
-one from d = 16 on, so a sweep makes one numpy call per stack where it made
-one per trial.  A row does not depend on the stack its trial ran in.
+The grid is walked in chunks of consecutive trials.  Each chunk is
+perturbed and validated by one perturb call, as a strategies.StrategyStack,
+and deduplicated against the trial before it; its distinct strategies fill a
+pending stack, which is audited and certified (see selftest) in one call
+each, one stack object for both, once it is full and at the end.  A chunk
+and a stack hold as many trials as keep the stack's largest array within
+selftest.STACK_ENTRIES entries (selftest.stack_size), 113 at d = 3 and one
+from d = 16 on, so a sweep makes one numpy call per chunk or stack where it
+made one per trial, and holds, besides its rows, one chunk and one stack at
+a time.  A row does not depend on the chunk or the stack its trial ran in.
 """
 from __future__ import annotations
 
 import csv
 import json
 from dataclasses import asdict, dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -31,15 +37,18 @@ from .errors import (
 )
 from .families import ProjectionFamily, ladder_family
 from .linalg import is_integer
-from .selftest import approx_rep_residuals, check_word_pairs, extract_dilation
+from .selftest import approx_rep_residuals, check_word_pairs, extract_dilation, stack_size
 from .serialize import from_fields
-from .strategies import check_noise, perturb
+from .strategies import StrategyStack, check_noise, perturb
 
 CSV_HEADER = (
     "level,trial,delta,epsilon,alpha,rep_residual_A,rep_residual_B,"
     "tracial_residual,sync_max,lemma35_pass,lemma63_pass"
 )
-# rows of one sweep: 100,000 SweepRows hold about 56 MB
+# rows of one sweep: 100,000 SweepRows hold about 56 MB.  The rows, plus one
+# chunk of perturbed trials and one stack of distinct ones (at most
+# selftest.STACK_ENTRIES entries in its largest array), are the whole of a
+# sweep's memory
 SWEEP_MAX_ROWS = 100_000
 
 
@@ -140,33 +149,58 @@ def build_family(n: int, k: int) -> ProjectionFamily:
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Execute every (level, trial) cell; deterministic given the config.
 
-    Every trial is perturbed first.  A trial whose perturbed strategy equals
-    the previous trial's bit for bit takes that trial's row with its own
-    level, trial index and seed, so a repeated failed extraction is a failed
-    row, not a second attempt.  The distinct strategies are then audited and
-    certified in one call each, which runs them as stacks
-    (selftest.STACK_ENTRIES); a member's FitDegenerateError or
-    JunkExtractionError makes a failed row, and any other error is raised
-    from the first trial in grid order that meets one.
+    The grid is walked in chunks of selftest.stack_size consecutive trials,
+    each perturbed, and validated, by one perturb call.  A trial whose
+    perturbed strategy equals the previous trial's bit for bit, in its chunk
+    or the one before, takes that trial's row with its own level, trial index
+    and seed, so a repeated failed extraction is a failed row, not a second
+    attempt.  The distinct strategies fill a pending stack of stack_size
+    members, which is audited and certified, in one call each, when it is
+    full and at the end; a member's FitDegenerateError or JunkExtractionError
+    makes a failed row, and any other error is raised from the first trial
+    in grid order that meets one.  So besides the rows a sweep holds one
+    chunk and one stack at a time.
     """
     fam = build_family(config.n, config.k)
     canon = fam.canonical_strategy
-    cells = []  # (level, trial, seed, index of the trial's distinct strategy)
-    distinct = []
-    previous = None  # the dimensions and array bytes of the last trial's strategy
-    for li, level in enumerate(config.levels):
-        for ti in range(config.trials_per_level):
-            seed = trial_seed(config.seed, li, ti)
-            noisy = perturb(canon, config.noise_model, level, seed)
-            key = (noisy.dim_a, noisy.dim_b) + tuple(
-                a.tobytes() for a in (noisy.state, noisy.alice, noisy.bob)
-            )
+    # no chunk or stack is larger than the grid
+    size = min(stack_size(canon, fam), len(config.levels) * config.trials_per_level)
+    grid = (
+        (level, ti, trial_seed(config.seed, li, ti))
+        for li, level in enumerate(config.levels)
+        for ti in range(config.trials_per_level)
+    )
+    # the pending stack's state, alice and bob, of size members each
+    slots = [np.empty((size,) + a.shape, a.dtype) for a in (canon.state, canon.alice, canon.bob)]
+    rows, cells, filled = [], [], 0  # cells: (level, trial, seed, member) of its trials
+    previous = None  # the array bytes of the last trial's strategy
+    while chunk := list(islice(grid, size)):
+        levels, _, seeds = zip(*chunk)
+        noisy = perturb(canon, config.noise_model, levels, seeds)
+        for t, cell in enumerate(chunk):
+            member = (noisy.state[t], noisy.alice[t], noisy.bob[t])
+            key = b"".join(a.tobytes() for a in member)
             if key != previous:
-                distinct.append(noisy)
                 previous = key
-            cells.append((level, ti, seed, len(distinct) - 1))
-    reports = approx_rep_residuals(distinct, fam, monomial_degree=config.monomial_degree)
-    results = extract_dilation(distinct, fam)
+                if filled == size:
+                    rows += _certified_rows(cells, slots, canon, fam, config.monomial_degree)
+                    cells, filled = [], 0
+                for slot, a in zip(slots, member):
+                    slot[filled] = a
+                filled += 1
+            cells.append((*cell, filled - 1))
+    rows += _certified_rows(cells, slots, canon, fam, config.monomial_degree)
+    return rows
+
+
+def _certified_rows(cells, slots, canon, fam, degree) -> list[SweepRow]:
+    """The rows of the trials ``cells``, (level, trial, seed, member), whose
+    distinct strategies fill the first slots of the pending stack: audited
+    and certified as one StrategyStack, in one call each."""
+    state, alice, bob = (slot[: cells[-1][-1] + 1] for slot in slots)
+    stack = StrategyStack(state, canon.dim_a, canon.dim_b, alice, bob)
+    reports = approx_rep_residuals(stack, fam, monomial_degree=degree)
+    results = extract_dilation(stack, fam)
     measured = []
     for report, cert in zip(reports, results):
         if isinstance(cert, Exception):  # a failed extraction

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from projsum.errors import (
     InvalidLevelError,
@@ -23,6 +23,7 @@ from projsum.selftest import dilation_epsilon
 from projsum.strategies import (
     NOISE_MODELS,
     Strategy,
+    StrategyStack,
     canonical_strategy,
     chsh_fixture,
     chsh_win_probability,
@@ -573,3 +574,89 @@ def test_strategy_validate_names_each_violation():
         fields = dict(state=canon.state, dim_a=2, dim_b=2, alice=alice, bob=bob) | change
         with pytest.raises(InvalidStrategyError, match=f"^{re.escape(message)}$"):
             Strategy(**fields)
+
+
+# --- stacks: perturb with sequences of levels and seeds builds a StrategyStack,
+# each member of which is the strategy one perturb call returns, bit for bit
+
+STACK_LEVELS = (0.0, 1e-4, 1e-2, 0.3, 1.0)
+
+
+@settings(max_examples=30)
+@given(
+    k=st.sampled_from([1, 5]),
+    model=st.sampled_from(NOISE_MODELS),
+    members=st.lists(
+        st.tuples(st.sampled_from(STACK_LEVELS), st.integers(0, 2**63)), min_size=1, max_size=8
+    ),
+)
+# level-0 members among moving ones, and state-mixing's norms at d = 11
+@example(k=1, model="state-mixing", members=[(0.0, 1), (1e-2, 2), (0.0, 3), (1.0, 4), (1e-4, 5)])
+@example(k=5, model="state-mixing", members=[(1e-2, seed) for seed in range(8)])
+@example(k=5, model="povm-jitter", members=[(0.0, 1), (1e-2, 2), (0.3, 3), (0.0, 4)])
+@example(k=1, model="outcome-noise", members=[(1e-4, 1), (0.0, 2), (1.0, 3)])
+def test_a_stacked_perturb_equals_its_members_bit_for_bit(k, model, members):
+    canon = canonical_strategy(four_family(k))
+    levels, seeds = zip(*members)
+    stack = perturb(canon, model, levels, np.array(seeds, dtype=np.uint64))
+    assert type(stack) is StrategyStack and len(stack) == len(members)
+    assert (stack.dim_a, stack.dim_b) == (canon.dim_a, canon.dim_b)
+    for i, (level, seed) in enumerate(members):
+        # one strategy runs the stacked code too, so the loop, which reduces
+        # each vector by itself, is the reference for both
+        alone = perturb(canon, model, level, seed)
+        looped = loop_perturb(canon, model, level, seed) if level else canon
+        for name in ("state", "alice", "bob"):
+            mine = getattr(stack, name)[i]
+            for its in (getattr(alone, name), getattr(looped, name)):
+                assert mine.dtype == its.dtype and mine.shape == its.shape, name
+                assert mine.tobytes() == its.tobytes(), (i, name)
+
+
+def test_perturb_refuses_sequences_of_other_lengths():
+    canon = canonical_strategy(four_family(1))
+    lengths = "^levels and seeds must be non-empty sequences of one length, got "
+    for levels, seeds in (([0.1, 0.2], [1]), ([], []), ((0.1,), (1, 2))):
+        with pytest.raises(InvalidLevelError, match=lengths):
+            perturb(canon, "povm-jitter", levels, seeds)
+    # each level and seed is check_noise's; a scalar and a sequence is no stack
+    level = r"^level must be a real number in \[0, 1\], got "
+    with pytest.raises(InvalidLevelError, match=level + "1.5$"):
+        perturb(canon, "povm-jitter", [0.1, 1.5], [1, 2])
+    with pytest.raises(InvalidLevelError, match="^seed must be nonnegative and integral, got -1$"):
+        perturb(canon, "povm-jitter", [0.1, 0.2], [1, -1])
+    with pytest.raises(InvalidLevelError, match=level + r"\[0.1\]$"):
+        perturb(canon, "povm-jitter", [0.1], 1)
+
+
+def bad_members():
+    """(change to the canonical strategy of simplex_family(3), its message):
+    one per check a member of a stack can fail alone."""
+    canon = canonical_strategy(simplex_family(3))
+    skew, negative, short = (canon.alice.copy() for _ in range(3))
+    skew[1, 1, 0, 1] += 1e-3
+    negative[2] = [np.diag([-0.5, 1.0]), np.diag([1.5, 0.0])]
+    short[0, 1] *= 0.5  # still PSD and Hermitian
+    return canon, [
+        (dict(alice=skew), "alice question 1 outcome 1: not Hermitian at tolerance"),
+        (dict(alice=negative), "alice question 2 outcome 0: negative eigenvalue -5.000e-01"),
+        (dict(bob=short.swapaxes(2, 3)), "bob question 0: POVM does not sum to identity"),
+        (dict(state=canon.state * 1.01), "state vector is not normalized"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_a_stack_names_its_invalid_member(case):
+    canon, cases = bad_members()
+    change, message = cases[case]
+    fields = dict(state=canon.state, dim_a=2, dim_b=2, alice=canon.alice, bob=canon.bob)
+    # one strategy keeps its message
+    with pytest.raises(InvalidStrategyError, match=f"^{re.escape(message)}$"):
+        Strategy(**(fields | change))
+    members = [canon] * 4
+    stack = StrategyStack.of(members)
+    stack.validate()  # valid members pass
+    for name, array in change.items():
+        getattr(stack, name)[2] = array
+    with pytest.raises(InvalidStrategyError, match=f"^{re.escape('member 2: ' + message)}$"):
+        stack.validate()

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import tracemalloc
+from collections import Counter
 from dataclasses import asdict
 from functools import lru_cache
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from projsum import selftest, sweep
+from projsum import selftest, strategies, sweep
 from projsum.cli import main
 from projsum.errors import (
     BudgetExceededError,
@@ -21,7 +23,7 @@ from projsum.errors import (
     UnsupportedScalarError,
 )
 from projsum.selftest import approx_rep_residuals, extract_dilation
-from projsum.strategies import NOISE_MODELS, perturb
+from projsum.strategies import NOISE_MODELS, Strategy, StrategyStack, perturb
 from projsum.sweep import (
     CSV_HEADER,
     SWEEP_MAX_ROWS,
@@ -499,3 +501,72 @@ def test_an_error_surfaces_from_the_first_trial_in_grid_order(monkeypatch):
     # an extraction error is a failed row, whichever trial meets it
     failing.clear()
     assert not any(r.extraction_failed for r in run_sweep(cfg))
+
+
+# --- streaming: a sweep perturbs and validates its trials in chunks and
+# certifies its distinct strategies a stack at a time
+
+
+def stack_of(entries_per_member: int) -> int:
+    """STACK_ENTRIES for stacks of that many members at n = 4, k = 1."""
+    fam = build_family(4, 1)
+    return entries_per_member * selftest._member_entries(fam.canonical_strategy, fam)
+
+
+def test_a_sweep_holds_one_chunk_and_one_stack(monkeypatch):
+    # before, every distinct perturbed strategy was held until the end: the
+    # peak beyond the rows grew by about 5 kB a trial
+    monkeypatch.setattr(selftest, "STACK_ENTRIES", stack_of(2))
+    beyond = []
+    for trials in (10, 100):
+        cfg = small_config(noise_model="povm-jitter", levels=(1e-3,), trials_per_level=trials)
+        run_sweep(cfg)  # the caches a first call fills
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rows = run_sweep(cfg)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == trials and kept > start
+        beyond.append(peak - kept)
+    assert beyond[1] < 1.1 * beyond[0], beyond
+
+
+@pytest.mark.parametrize("members", [2, None])
+def test_a_sweep_derives_each_stacks_values_once(monkeypatch, members):
+    # the audits and the extraction read one stack object: its correlation
+    # and reduced densities are computed once.  Each chunk is validated once,
+    # and no Strategy is built per trial
+    if members:
+        monkeypatch.setattr(selftest, "STACK_ENTRIES", stack_of(members))
+    fam = build_family(4, 1)
+    size = selftest.stack_size(fam.canonical_strategy, fam)
+    calls, stacks = Counter(), []
+    for owner, name in (
+        (strategies, "induced_correlation"),
+        (strategies, "_reduced_densities"),
+        (Strategy, "validate"),
+        (StrategyStack, "validate"),
+    ):
+        def counted(*args, _f=getattr(owner, name), _key=f"{owner.__name__}.{name}", **kwargs):
+            calls[_key] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def audit(stack, *args, **kwargs):
+        stacks.append(len(stack))
+        return approx_rep_residuals(stack, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "approx_rep_residuals", audit)
+    cfg = small_config(noise_model="povm-jitter", levels=(0.0, 1e-3, 1e-2), trials_per_level=4)
+    run_sweep(cfg)
+    # level 0 repeats one strategy: 9 distinct of 12 trials
+    assert sum(stacks) == 9 and stacks == [min(size, 9 - i) for i in range(0, 9, size)]
+    assert calls == {
+        "projsum.strategies.induced_correlation": len(stacks),
+        "projsum.strategies._reduced_densities": len(stacks),
+        "Strategy.validate": 1,  # the family's canonical strategy
+        "StrategyStack.validate": -(-12 // size),
+    }
