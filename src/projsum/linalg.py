@@ -577,7 +577,8 @@ def _shifted_solve(m, shift, x, scale, active):
     eye = np.eye(m.shape[-1])
     if m.ndim > 2:
         try:
-            a = np.where(active[..., None, None], m - shift[..., None, None] * eye, eye)
+            a = m - shift[..., None, None] * eye
+            a[~active] = eye  # in place: a is as large as m
             return np.linalg.solve(a, x), shift, np.zeros(active.shape, dtype=bool)
         except np.linalg.LinAlgError:
             members = [_shifted_solve(*member) for member in zip(m, shift, x, scale, active)]

@@ -12,8 +12,8 @@ Residuals are evaluated through the vec identity on the stacks: a bipartite
 vector is its dim_a x dim_b matrix M, on which X kron Y acts as X M Y^T (see
 linalg.vec), and a state-weighted seminorm sqrt(tr(X^* X rho_A)) with
 rho_A = M M^* is ||X M||_F.  M, the weights rho_A, rho_B and the correlation
-come from the Strategy, Bob's target family from ProjectionFamily.transposed;
-each owner derives them once.
+come from the StrategyStack, Bob's target family from
+ProjectionFamily.transposed; each owner derives them once.
 
 The two d^2 x d^2 eigenproblems are solved without forming d^2 x d^2
 matrices once they are large.  The spectral gap of N, which enters beta, is
@@ -31,24 +31,22 @@ next eigenvalue; the matrix-free path converges the guard pair only to
 linalg.KRYLOV_GUARD_TOL and takes the residual the solver measured on it
 off the separation it tests.
 
-Many strategies are certified as stacks.  approx_rep_residuals and
-extract_dilation take a strategies.StrategyStack, or a sequence of
-strategies, as well as one strategy.  A StrategyStack is run as the one
-stack it is, so the two calls share its correlation and reduced densities;
-_stacks cuts a sequence, in order, into StrategyStacks of equal-shape
-strategies of at most stack_size members.  Every stage above (the audits,
-the reduced densities and correlations, the dense fit with its eigenvalues,
-inverse iteration and polar factor, the junk and gauge step, the dilation
-residuals) then makes one numpy call for the whole stack; only the
-matrix-free fits run member by member.  stack_size keeps a stack's largest
-array within STACK_ENTRIES entries, so memory stays bounded whatever the
-sequence's length; sweep.run_sweep cuts its grid by it too.  Each member
-gets the bits it gets alone: members are solved in the arithmetic each gets
-alone, every reduction is written one way for one strategy and for a stack,
-and a member of an inverse iteration stops at its own convergence.  A
-member that fails fails alone (linalg._refuse): its error is recorded and
-its arrays are filler until the end of the stack.  One strategy runs the
-same code without the member axis, and raises its error where it meets it.
+Every stage runs on a strategies.StrategyStack.  A StrategyStack comes in
+as itself and a Strategy as its stack of one (_lifted), and a Strategy's
+call returns member 0 of its stack's results (_unlifted).  So each stage
+(the audits, the reduced densities and correlations, the dense fit with its
+eigenvalues, inverse iteration and polar factor, the junk and gauge step,
+the dilation residuals) makes one numpy call for the whole stack; only the
+matrix-free fits run member by member, and a stack's correlation and
+reduced densities are derived once for both calls.  sweep.run_sweep hands
+the certifier stacks of at most stack_size members, whose largest array
+stays within STACK_ENTRIES entries.  Each member gets the bits it gets
+alone: members are solved in the arithmetic each gets alone, every
+reduction is written one way for any number of members, and a member of an
+inverse iteration stops at its own convergence.  A member of a StrategyStack
+fails alone (linalg._refuse): its error is recorded and its arrays are
+filler until the end of the stack.  A Strategy raises its error where it
+meets it.
 
 All certified quantities are measured, never assumed: every bound stored in
 a certificate is recomputed from the returned isometries and junk state.
@@ -57,7 +55,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 
 import numpy as np
 
@@ -111,10 +108,24 @@ STACK_ENTRIES = 65_536
 # stacks of strategies
 
 
-def _shape(strategy: Strategy) -> tuple:
-    if not isinstance(strategy, Strategy):
-        raise InvalidStrategyError(f"expected a Strategy, got {type(strategy).__name__}")
-    return (strategy.dim_a, strategy.dim_b) + strategy.alice.shape + strategy.bob.shape
+def _lifted(strategy) -> tuple[StrategyStack, np.ndarray | None]:
+    """The one check where strategies come in: (stack, failures) for the
+    stages.  A Strategy gives its stack of one and no failure slots, so its
+    errors are raised where they are met (linalg._refuse); a StrategyStack
+    gives itself and one empty slot per member, so its members fail alone.
+    Anything else raises InvalidStrategyError."""
+    if not isinstance(strategy, (Strategy, StrategyStack)):
+        raise InvalidStrategyError(
+            f"expected a Strategy or a StrategyStack, got {type(strategy).__name__}"
+        )
+    single = isinstance(strategy, Strategy)
+    return strategy.stack, None if single else np.full(len(strategy), None, dtype=object)
+
+
+def _unlifted(strategy, results):
+    """What a call on ``strategy`` returns of its stack's per-member results:
+    member 0 for a Strategy, all of them for a StrategyStack."""
+    return results[0] if isinstance(strategy, Strategy) else results
 
 
 def _member_entries(strategy, fam: ProjectionFamily) -> int:
@@ -132,21 +143,6 @@ def stack_size(strategy, fam: ProjectionFamily) -> int:
     StrategyStack) one stack holds: STACK_ENTRIES // _member_entries, read at
     call time, and at least one."""
     return max(1, STACK_ENTRIES // _member_entries(strategy, fam))
-
-
-def _stacks(strategies, fam: ProjectionFamily):
-    """A StrategyStack as it is; a sequence of strategies in order as
-    StrategyStacks: runs of consecutive strategies of one shape, cut into
-    stacks of at most stack_size members.  Anything but a Strategy in the
-    sequence raises InvalidStrategyError."""
-    if isinstance(strategies, StrategyStack):
-        yield strategies
-        return
-    for _, run in groupby(strategies, key=_shape):
-        run = list(run)
-        size = stack_size(run[0], fam)
-        for start in range(0, len(run), size):
-            yield StrategyStack.of(run[start : start + size])
 
 
 # ---------------------------------------------------------------------------
@@ -180,28 +176,29 @@ class SyncReport:
         return bool(np.all(self.values <= self.budgets[None, None, :]))
 
 
-def _audit_delta(strategy: Strategy, fam: ProjectionFamily):
-    """delta = ||p - p_{n,x}||_1, with p_{n,x} = ideal_correlation(fam.n, fam.x);
-    of each member of a StrategyStack, as an array.
+def _audit_delta(stack: StrategyStack, fam: ProjectionFamily) -> np.ndarray:
+    """delta = ||p - p_{n,x}||_1 of each member of a stack, with
+    p_{n,x} = ideal_correlation(fam.n, fam.x).
 
     The audits' one precondition comes first: a strategy without two outcomes
     raises UnsupportedOutcomeCountError, one without fam.n questions
     InvalidStrategyError.
     """
-    n, k = strategy.n_questions, strategy.n_outcomes
+    n, k = stack.n_questions, stack.n_outcomes
     if k != 2:
         raise UnsupportedOutcomeCountError(f"strategy has {k} outcomes, the audits need 2")
     if n != fam.n:
         raise InvalidStrategyError(f"strategy has {n} questions, family has {fam.n}")
-    return correlation_distance(strategy.correlation, ideal_correlation(fam.n, fam.x))
+    return correlation_distance(stack.correlation, ideal_correlation(fam.n, fam.x))
 
 
 def sync_residuals(strategy: Strategy, fam: ProjectionFamily) -> SyncReport:
     """Agreement residuals of a strategy against the family's p_{n,x}; a
     StrategyStack gets a list, one report per member."""
-    delta = _audit_delta(strategy, fam)
-    m = strategy.state_matrix[..., None, None, :, :]
-    e, f = strategy.alice, strategy.bob
+    stack, _ = _lifted(strategy)
+    delta = _audit_delta(stack, fam)
+    m = stack.state_matrix[..., None, None, :, :]
+    e, f = stack.alice, stack.bob
     em = e @ m
     mft = m @ f.swapaxes(-1, -2)
     emft = e @ mft
@@ -209,10 +206,8 @@ def sync_residuals(strategy: Strategy, fam: ProjectionFamily) -> SyncReport:
     values = np.linalg.norm(np.stack(parts, axis=-3), axis=(-2, -1))
     root = np.sqrt(delta)
     budgets = np.stack([root, root, root, 2 * root, 2 * root], axis=-1)
-    if isinstance(strategy, Strategy):
-        return SyncReport(values=values, budgets=budgets, delta=delta)
     members = zip(values, budgets, delta)
-    return [SyncReport(values=v, budgets=b, delta=float(dl)) for v, b, dl in members]
+    return _unlifted(strategy, [SyncReport(v, b, float(dl)) for v, b, dl in members])
 
 
 def check_word_pairs(n: int, degree: int) -> None:
@@ -240,13 +235,14 @@ def tracial_residual(strategy: Strategy, degree: int = 2, party: str = "alice") 
 
     Words are products of the party's first-outcome operators with length
     1..degree; rho is that party's reduced state.  The degree is checked by
-    check_word_pairs.  A StrategyStack gets an array, one defect per member.
+    check_word_pairs.  A StrategyStack gets a list, one defect per member.
     """
-    check_word_pairs(strategy.n_questions, degree)
+    stack, _ = _lifted(strategy)
+    check_word_pairs(stack.n_questions, degree)
     if party not in ("alice", "bob"):
         raise InvalidStrategyError(f"party must be 'alice' or 'bob', got {party!r}")
-    ops = getattr(strategy, party)[..., 0, :, :]
-    rho = strategy.reduced_densities[party == "bob"]
+    ops = getattr(stack, party)[..., 0, :, :]
+    rho = stack.reduced_densities[party == "bob"]
     words = [ops]
     for _ in range(degree - 1):
         # word w followed by op o sits at index w * n + o
@@ -256,7 +252,7 @@ def tracial_residual(strategy: Strategy, degree: int = 2, party: str = "alice") 
     weighted = stacked @ rho[..., None, :, :]
     gram = np.einsum("...iab,...jba->...ij", stacked, weighted)
     defect = np.abs(gram - gram.swapaxes(-1, -2)).max(axis=(-2, -1))
-    return float(defect) if defect.ndim == 0 else defect
+    return _unlifted(strategy, defect.tolist())
 
 
 @dataclass(frozen=True)
@@ -328,30 +324,21 @@ def approx_rep_residuals(
     """Full residual diagnostics of a strategy against the family's (n, x):
     sync_residuals' report, the sum rule on M and both tracial defects.
 
-    A StrategyStack, or a sequence of strategies, gets a list, one report
-    per strategy, each equal to its own call's: they are audited as the
-    stacks _stacks gives.
+    A StrategyStack gets a list, one report per member, each equal to its
+    own call's.
     """
-    if isinstance(strategy, Strategy):
-        return _residual_reports(strategy, fam, monomial_degree)[0]
-    stacks = _stacks(strategy, fam)
-    return [r for stack in stacks for r in _residual_reports(stack, fam, monomial_degree)]
-
-
-def _residual_reports(strategy, fam: ProjectionFamily, degree: int) -> list[ResidualReport]:
-    """approx_rep_residuals of a strategy, or of each member of a StrategyStack."""
-    sync = sync_residuals(strategy, fam)
-    m, xf = strategy.state_matrix, float(fam.x)
-    total_a = strategy.alice[..., 0, :, :].sum(axis=-3) - xf * np.eye(strategy.dim_a)
-    total_b = strategy.bob[..., 0, :, :].sum(axis=-3) - xf * np.eye(strategy.dim_b)
+    stack, _ = _lifted(strategy)
+    sync = sync_residuals(stack, fam)
+    m, xf = stack.state_matrix, float(fam.x)
+    total_a = stack.alice[..., 0, :, :].sum(axis=-3) - xf * np.eye(stack.dim_a)
+    total_b = stack.bob[..., 0, :, :].sum(axis=-3) - xf * np.eye(stack.dim_b)
     columns = (
         _frobenius(total_a @ m),
         _frobenius(m @ total_b.swapaxes(-1, -2)),
-        tracial_residual(strategy, degree=degree, party="alice"),
-        tracial_residual(strategy, degree=degree, party="bob"),
+        tracial_residual(stack, degree=monomial_degree, party="alice"),
+        tracial_residual(stack, degree=monomial_degree, party="bob"),
     )
-    members = zip(sync, *columns) if isinstance(strategy, StrategyStack) else [(sync, *columns)]
-    return [
+    reports = [
         ResidualReport(
             n=fam.n,
             x=fam.x,
@@ -360,10 +347,11 @@ def _residual_reports(strategy, fam: ProjectionFamily, degree: int) -> list[Resi
             sum_residual_b=float(sum_b),
             tracial_a=float(tracial_a),
             tracial_b=float(tracial_b),
-            monomial_degree=degree,
+            monomial_degree=monomial_degree,
         )
-        for report, sum_a, sum_b, tracial_a, tracial_b in members
+        for report, sum_a, sum_b, tracial_a, tracial_b in zip(sync, *columns)
     ]
+    return _unlifted(strategy, reports)
 
 
 # ---------------------------------------------------------------------------
@@ -485,28 +473,27 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     rho = as_array(rho, 2, "rho")
     if rho.shape != (r, r):
         raise InvalidShapeError(f"weight shape {rho.shape} does not match operators")
-    return _fit(ops, fam, rho)
+    # a stack of one, whose errors are raised where they are met
+    fit = _fit(ops[None], fam, rho[None])
+    return IsometryFit(isometry=fit.isometry[0], s=fit.s, residuals=fit.residuals[0])
 
 
 def _by_arithmetic(terms: np.ndarray):
-    """Selectors of the members of a stack of fit terms (..., n + 1, r, r)
+    """Selectors of the members of a stack of fit terms (members, n + 1, r, r)
     whose terms are all exactly real, then of the rest, so that each member
-    is solved in the arithmetic it gets alone; ``...`` for one form."""
-    if terms.ndim == 3:
-        yield ...
-        return
+    is solved in the arithmetic it gets alone."""
     exact = ~terms.imag.any(axis=(-3, -2, -1))
     yield from (group for group in (exact, ~exact) if group.any())
 
 
 def _fit(ops: np.ndarray, fam: ProjectionFamily, rho: np.ndarray, failures=None) -> IsometryFit:
-    """fit_isometry of arrays already read and checked, or of each member of
-    a stack of them, (..., n, r, r) and (..., r, r): the fits' arrays get the
+    """fit_isometry of each member of a stack of arrays already read and
+    checked, (members, n, r, r) and (members, r, r): the fit's arrays get the
     same leading axis, and each member the bits it gets alone.  The dense
-    forms of a stack are solved together, in at most two groups
-    (_by_arithmetic); the matrix-free ones one member at a time.  A member
-    fails by _refuse: with ``failures`` None its error is raised, else it is
-    recorded there and the member's arrays are filler."""
+    forms are solved together, in at most two groups (_by_arithmetic); the
+    matrix-free ones one member at a time.  A member fails by _refuse: with
+    ``failures`` None its error is raised, else it is recorded there and the
+    member's arrays are filler."""
     r, d = ops.shape[-1], fam.d
     s = max(1, -(-r // d))
     rows = r * d
@@ -549,10 +536,8 @@ def _fit(ops: np.ndarray, fam: ProjectionFamily, rho: np.ndarray, failures=None)
             quad = quad.reshape(*lead, r, r, d, d).swapaxes(-3, -2).reshape(*lead, rows, rows)
             w = _hermitian_spectrum(quad, fails)
             _require_separation(w, 1, trace[members], failures=fails)
-            if failures is None:  # a single form raises its failure
-                vecs[members] = _lowest_eigvec(quad, w)
-            else:
-                vecs[members] = _lowest_eigvec(quad, w, fails)
+            vecs[members] = _lowest_eigvec(quad, w, fails)
+            if failures is not None:  # fails is a copy of the group's slots
                 failures[members] = fails
     else:
         # a row is vec(T_a), which reshapes to U = T_a^T, on which the
@@ -561,7 +546,7 @@ def _fit(ops: np.ndarray, fam: ProjectionFamily, rho: np.ndarray, failures=None)
         # that guard pair converges only to KRYLOV_GUARD_TOL, so its measured
         # residual is taken off the separation
         vecs = np.zeros(batch + (rows, s), dtype=np.complex128)
-        for i in np.ndindex(batch):
+        for i in range(len(rho)):
             if failures is not None and failures[i] is not None:
                 continue
             try:
@@ -698,7 +683,13 @@ def dilation_epsilon(
     junk: np.ndarray,
 ) -> float:
     """Worst dilation-condition residual for the given isometries and junk,
-    each read by linalg.as_array, which raises InvalidShapeError."""
+    each read by linalg.as_array, which raises InvalidShapeError.  Both
+    strategies are checked by _lifted; the reference is one Strategy, and a
+    StrategyStack source gets the worst residual of all its members."""
+    for given in (strategy, reference):
+        _lifted(given)
+    if isinstance(reference, StrategyStack):
+        raise InvalidStrategyError("the reference must be one Strategy, got a StrategyStack")
     v_a, v_b = as_array(v_a, 2, "v_a"), as_array(v_b, 2, "v_b")
     junk = as_array(junk, 1, "junk")
     return float(_dilation_residuals(strategy, reference, v_a, v_b, junk).max())
@@ -716,39 +707,30 @@ def extract_dilation(strategy: Strategy, fam: ProjectionFamily) -> DilationCerti
     The precondition is _audit_delta's.  Raises JunkExtractionError when the
     projected weight alpha is at or below ALPHA_MIN, read at call time.
 
-    A StrategyStack, or a sequence of strategies, gets a list, one entry per
-    strategy: its certificate, each equal to its own call's, or the
-    FitDegenerateError or JunkExtractionError its own call raises.  They are
-    certified as the stacks _stacks gives, one stack at a time; any other error a member meets
-    is raised, that of the first such member, before the next stack runs.
+    A StrategyStack gets a list, one entry per member: its certificate,
+    equal to its own call's, or the FitDegenerateError or JunkExtractionError
+    its own call raises.  Any other error a member meets is raised, that of
+    the first such member.
     """
-    if isinstance(strategy, Strategy):
-        return _certify(strategy, fam)[0]
-    extraction = (FitDegenerateError, JunkExtractionError)
-    results = []
-    for stack in _stacks(strategy, fam):
-        failures = np.full(len(stack), None, dtype=object)
-        for cert, failure in zip(_certify(stack, fam, failures), failures):
-            if failure is not None and not isinstance(failure, extraction):
-                raise failure
-            results.append(cert or failure)
-    return results
+    stack, failures = _lifted(strategy)
+    return _unlifted(strategy, _certify(stack, fam, failures))
 
 
-def _certify(strategy, fam: ProjectionFamily, failures=None) -> list:
-    """extract_dilation of a strategy, or of each member of a StrategyStack, in a
-    list; a member that fails is None there, its error recorded in
-    ``failures`` (one slot per member) by _refuse, or raised when
-    ``failures`` is None."""
-    delta = np.asarray(_audit_delta(strategy, fam))
-    rho_a, rho_b = strategy.reduced_densities
-    fit_a = _fit(strategy.alice[..., 0, :, :], fam, rho_a, failures)
-    fit_b = _fit(strategy.bob[..., 0, :, :], fam.transposed, rho_b, failures)
+def _certify(stack: StrategyStack, fam: ProjectionFamily, failures=None) -> list:
+    """extract_dilation of each member of a stack, in a list.  A member fails
+    by _refuse: with ``failures`` None its error is raised where it is met;
+    else it is recorded in its slot of ``failures``, the member's arrays are
+    filler to the end, and its FitDegenerateError or JunkExtractionError
+    stands in the list in place of its certificate."""
+    delta = _audit_delta(stack, fam)
+    rho_a, rho_b = stack.reduced_densities
+    fit_a = _fit(stack.alice[..., 0, :, :], fam, rho_a, failures)
+    fit_b = _fit(stack.bob[..., 0, :, :], fam.transposed, rho_b, failures)
     gap = fam.correlation_gap
     d, batch = fam.d, delta.shape
     sa, sb = fit_a.s, fit_b.s
 
-    lifted = fit_a.isometry @ strategy.state_matrix @ fit_b.isometry.swapaxes(-1, -2)
+    lifted = fit_a.isometry @ stack.state_matrix @ fit_b.isometry.swapaxes(-1, -2)
     junk_block = np.einsum("...iaib->...ab", lifted.reshape(*batch, d, sa, d, sb)) / np.sqrt(d)
     alpha = _frobenius(junk_block)
     _refuse(
@@ -774,16 +756,20 @@ def _certify(strategy, fam: ProjectionFamily, failures=None) -> list:
     m = min(sa, sb)
     junk[..., np.arange(m) * sb + np.arange(m)] = sv[..., :m]
 
-    residuals = _dilation_residuals(strategy, fam.canonical_strategy, v_a, v_b, junk)
+    residuals = _dilation_residuals(stack, fam.canonical_strategy, v_a, v_b, junk)
     eps_prime = np.maximum(*(fit.residuals.max(axis=-1, initial=0.0) for fit in (fit_a, fit_b)))
     # the spectral argument needs the correlation defect as well; folding it
     # into eps_prime makes the beta bound hold unconditionally
     eps_eff = np.maximum(eps_prime, delta)
     beta = np.sqrt(2.0 * (2 * fam.n + 1) * eps_eff / gap)
+    failed = [None] * len(stack) if failures is None else failures
+    extraction = (FitDegenerateError, JunkExtractionError)
+    for failure in failed:
+        if failure is not None and not isinstance(failure, extraction):
+            raise failure
     return [
-        None
-        if failures is not None and failures[i] is not None
-        else DilationCertificate(
+        failure
+        or DilationCertificate(
             v_a=v_a[i],
             v_b=v_b[i],
             junk=junk[i],
@@ -800,7 +786,7 @@ def _certify(strategy, fam: ProjectionFamily, failures=None) -> list:
             fit_residuals_b=fit_b.residuals[i],
             delta=float(delta[i]),
         )
-        for i in np.ndindex(batch)
+        for i, failure in enumerate(failed)
     ]
 
 

@@ -15,9 +15,12 @@ C-ordered, of shape (n, n, k, k).
 A StrategyStack holds strategies of one shape with a leading member axis on
 each array, and is read as a Strategy is read.  perturb builds one from
 sequences of levels and seeds, and validates it once; selftest certifies
-one with one numpy call per stage.  The noise models and the checks of
-Strategy.validate are written once, for a stack: one strategy is perturbed
-as a stack of one, and validated without the member axis.
+every strategy as a stack, with one numpy call per stage.  A Strategy's
+stack is its stack of one (Strategy.stack), and its correlation and reduced
+densities are member 0 of that stack's, so each is derived in one place.
+The noise models and the checks of Strategy.validate are written once, for
+a stack: one strategy is perturbed as a stack of one, and validated without
+the member axis.
 """
 from __future__ import annotations
 
@@ -43,7 +46,6 @@ from .linalg import (
     is_integer,
     maximally_entangled,
     random_state,
-    reduced_densities,
     schmidt,
 )
 
@@ -93,16 +95,22 @@ class Strategy:
         return self.state.reshape(self.dim_a, self.dim_b)
 
     @cached_property
+    def stack(self) -> StrategyStack:
+        """This strategy as a StrategyStack of one member, whose arrays are
+        read-only views of its own; built once."""
+        state, alice, bob = (a[None] for a in (self.state, self.alice, self.bob))
+        return StrategyStack(state, self.dim_a, self.dim_b, alice, bob)
+
+    @cached_property
     def reduced_densities(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (rho_A, rho_B) from linalg.reduced_densities, computed once."""
-        rho_a, rho_b = reduced_densities(self.state, (self.dim_a, self.dim_b))
-        rho_a.flags.writeable = rho_b.flags.writeable = False
-        return rho_a, rho_b
+        """Read-only (rho_A, rho_B): member 0 of the stack's."""
+        rho_a, rho_b = self.stack.reduced_densities
+        return rho_a[0], rho_b[0]
 
     @cached_property
     def correlation(self) -> np.ndarray:
-        """induced_correlation of this strategy, computed once."""
-        return induced_correlation(self)
+        """induced_correlation of this strategy: member 0 of the stack's."""
+        return self.stack.correlation[0]
 
     def validate(self) -> None:
         """Raise InvalidStrategyError on any structural violation.
@@ -189,9 +197,9 @@ class StrategyStack:
     ``state`` is (members, dim_a dim_b) and ``alice`` and ``bob`` are
     (members, n, k, d, d): a Strategy's arrays with a leading member axis.
     The derived values are those of a Strategy, one per member, each
-    computed once for the whole stack.  The arrays are taken as they are:
-    ``of`` stacks strategies that are valid, and perturb validates each
-    stack it builds before it returns it.
+    computed once for the whole stack; its ``stack`` is itself.  The arrays
+    are taken as they are: ``of`` stacks strategies that are valid, and
+    perturb validates each stack it builds before it returns it.
     """
 
     state: np.ndarray
@@ -213,10 +221,14 @@ class StrategyStack:
     n_questions = property(lambda self: self.alice.shape[-4])
     n_outcomes = property(lambda self: self.alice.shape[-3])
     state_matrix = property(lambda self: self.state.reshape(len(self), self.dim_a, self.dim_b))
+    stack = property(lambda self: self)
 
     @cached_property
     def reduced_densities(self) -> tuple[np.ndarray, np.ndarray]:
-        return _reduced_densities(self.state_matrix)
+        rhos = _reduced_densities(self.state_matrix)
+        for rho in rhos:
+            rho.flags.writeable = False
+        return rhos
 
     @cached_property
     def correlation(self) -> np.ndarray:

@@ -33,6 +33,7 @@ from projsum.families import (
 )
 from projsum.linalg import (
     _lowest_eigvec,
+    _reduced_densities,
     dagger,
     fix_phases,
     maximally_entangled,
@@ -253,6 +254,65 @@ def test_audits_share_one_precondition(audit):
         audit(three_outcome_strategy(fam), fam)
     with pytest.raises(InvalidStrategyError, match="^strategy has 4 questions, family has 5$"):
         audit(fam.canonical_strategy, ladder_family(5, 1))
+
+
+STRATEGY_CALLS = {
+    "sync_residuals": sync_residuals,
+    "approx_rep_residuals": approx_rep_residuals,
+    "extract_dilation": extract_dilation,
+    "tracial_residual": lambda given, fam: tracial_residual(given),
+    "dilation_epsilon": lambda given, fam: dilation_epsilon(
+        given, fam.canonical_strategy, np.eye(3), np.eye(3), [1.0]
+    ),
+    "dilation_epsilon reference": lambda given, fam: dilation_epsilon(
+        fam.canonical_strategy, given, np.eye(3), np.eye(3), [1.0]
+    ),
+}
+
+
+@pytest.mark.parametrize("call", STRATEGY_CALLS)
+@pytest.mark.parametrize("given", [{}, None, 3, "strategies"], ids=["dict", "None", "int", "list"])
+def test_only_a_strategy_or_a_stack_comes_in(call, given):
+    fam = four_family(1)
+    if given == "strategies":
+        given = [fam.canonical_strategy, fam.canonical_strategy]
+    name = type(given).__name__
+    with pytest.raises(
+        InvalidStrategyError, match=f"^expected a Strategy or a StrategyStack, got {name}$"
+    ):
+        STRATEGY_CALLS[call](given, fam)
+
+
+def test_dilation_epsilon_takes_one_reference():
+    fam = four_family(1)
+    stack = perturb(fam.canonical_strategy, "outcome-noise", [0.0, 1e-3], [1, 2])
+    eye = np.eye(3)
+    # a stacked source gets the worst residual of its members
+    worst = dilation_epsilon(stack, fam.canonical_strategy, eye, eye, [1.0])
+    members = [perturb(fam.canonical_strategy, "outcome-noise", lv, 2) for lv in (0.0, 1e-3)]
+    assert worst == max(dilation_epsilon(m, fam.canonical_strategy, eye, eye, [1.0]) for m in members)
+    with pytest.raises(InvalidStrategyError, match="^the reference must be one Strategy, got a "):
+        dilation_epsilon(fam.canonical_strategy, stack, eye, eye, [1.0])
+
+
+def test_a_single_strategy_raises_its_first_error_at_once(monkeypatch):
+    # every fit matrix-free; Alice's solver fails, and Bob's fit must not
+    # then run on filler: a Strategy's errors are raised where they are met
+    monkeypatch.setattr(selftest, "KRYLOV_MIN_ROWS", 0)
+    fam = four_family(1)
+    noisy = perturb(fam.canonical_strategy, "povm-jitter", 1e-3, seed=1)
+    solves, fits = [], []
+
+    def failing_solver(apply, dim, count, **kw):
+        solves.append(dim)
+        raise BudgetExceededError("planted failure")
+
+    fit = selftest._fit
+    monkeypatch.setattr(selftest, "krylov_eigh", failing_solver)
+    monkeypatch.setattr(selftest, "_fit", lambda *args: fits.append(args[1]) or fit(*args))
+    with pytest.raises(BudgetExceededError, match="^planted failure$"):
+        extract_dilation(noisy, fam)
+    assert solves == [9] and fits == [fam]
 
 
 def test_tracial_residual_canonical_and_budget():
@@ -522,7 +582,9 @@ def test_fit_isometry_degenerate_candidate_raises(monkeypatch):
     with pytest.raises(FitDegenerateError):
         fit_isometry(ops, fam, rho)
     # a separated form whose eigenvector is replaced by e_0: T has rank one
-    monkeypatch.setattr(selftest, "_lowest_eigvec", lambda quad, w: np.eye(len(w), 1))
+    monkeypatch.setattr(
+        selftest, "_lowest_eigvec", lambda quad, w, failures: np.eye(w.shape[-1], 1)
+    )
     with pytest.raises(FitDegenerateError, match="^fitted map has a rank-deficient polar factor$"):
         fit_isometry(fam.projections, fam, np.eye(3) / 3)
 
@@ -757,7 +819,7 @@ def test_d31_matrix_free_fit_steps_take_no_wide_svd_and_fewer_checks(monkeypatch
     assert len(rows) <= 33 and max(rows) == 100
     assert sum(m**3 for m in rows) <= 6.0e6
     # the only SVD wider than the block of 2 is the fit's own polar factor
-    assert [shape for shape in shapes if max(shape) > 2] == [(31, 31)]
+    assert [shape for shape in shapes if max(shape) > 2] == [(1, 31, 31)]
 
 
 def test_fit_isometry_reads_only_the_callers_arrays(monkeypatch):
@@ -782,9 +844,10 @@ def test_fit_isometry_reads_only_the_callers_arrays(monkeypatch):
         assert reads == ["ops", "rho"]
 
 
-def full_eigh_vector(quad, w):
-    """The dense fit's eigenvector from a full eigendecomposition: the oracle."""
-    return fix_phases(np.linalg.eigh(quad)[1][:, :1])
+def full_eigh_vector(quad, w, failures):
+    """The dense fit's eigenvector of each member from a full
+    eigendecomposition: the oracle."""
+    return fix_phases(np.linalg.eigh(quad)[1][..., :1])
 
 
 @pytest.mark.parametrize(
@@ -814,11 +877,14 @@ def test_dense_fit_matches_full_eigh_oracle(monkeypatch, k, ka, model, level):
 
 
 def recorded_fit_forms(monkeypatch, fits):
-    """Run fits(); return (quad, w) of every dense fit it made."""
+    """Run fits(); return (quad, w) of every dense fit it made, member by
+    member."""
     forms = []
     real = selftest._lowest_eigvec
     monkeypatch.setattr(
-        selftest, "_lowest_eigvec", lambda *form: forms.append(form) or real(*form)
+        selftest,
+        "_lowest_eigvec",
+        lambda quad, w, failures: forms.extend(zip(quad, w)) or real(quad, w, failures),
     )
     fits()
     monkeypatch.undo()
@@ -847,7 +913,7 @@ def test_dense_fit_vectors_match_the_loop_on_ladder_fits(monkeypatch, k):
 
 
 def test_dense_fit_checks_separation_before_vectors(monkeypatch):
-    def unreachable(quad, w):
+    def unreachable(quad, w, failures):
         raise AssertionError("eigenvectors computed for a degenerate form")
 
     monkeypatch.setattr(selftest, "_lowest_eigvec", unreachable)
@@ -1269,14 +1335,14 @@ def count_projsum_calls(monkeypatch, *functions):
 def test_certificate_derives_each_strategy_quantity_once(monkeypatch):
     fam = four_family(2)
     first, second = (perturb(fam.canonical_strategy, "povm-jitter", 1e-3, seed) for seed in (2, 3))
-    calls = count_projsum_calls(monkeypatch, reduced_densities, induced_correlation)
+    calls = count_projsum_calls(monkeypatch, _reduced_densities, induced_correlation)
     report = approx_rep_residuals(first, fam)
     cert = extract_dilation(first, fam)
     # the first certificate builds the family's transpose, which Bob's fit keeps
-    assert calls == {"reduced_densities": 1, "induced_correlation": 1, "ProjectionFamily": 1}
+    assert calls == {"_reduced_densities": 1, "induced_correlation": 1, "ProjectionFamily": 1}
     calls.clear()
     extract_dilation(second, fam)
-    assert calls == {"reduced_densities": 1, "induced_correlation": 1}
+    assert calls == {"_reduced_densities": 1, "induced_correlation": 1}
     # both stages read one correlation, so they report one delta
     assert cert.delta == report.delta
 
