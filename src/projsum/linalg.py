@@ -27,9 +27,8 @@ Conventions used across the package:
   computes only the eigenvalues and ``_lowest_eigvec`` the lowest eigenvector
 * the private kernels take stacks (..., m, n) as well as matrices, with one
   numpy call per step for the whole stack, and give each member the bits it
-  gets alone; ``_frobenius`` is np.linalg.norm of each member so.  A member
-  that fails fails alone: ``_refuse`` raises its error for a single input
-  and records it in the caller's ``failures`` for a stack
+  gets alone; ``_frobenius`` is np.linalg.norm of each member so.  A stack
+  fails whole: ``_refuse`` raises the error of its first failing member
 * array arguments are read by ``as_array``: ragged entries, strings,
   booleans, the wrong rank, an empty axis and a non-finite entry are refused
   with a ProjsumError naming the argument (and the entry), never cast; an
@@ -480,51 +479,30 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
     return np.sqrt(sum(p @ p.swapaxes(-1, -2) for p in parts)[..., 0, 0])
 
 
-def _refuse(failures, bad, error) -> None:
-    """The members of a stack whose entry of the boolean array ``bad`` is true
-    fail with ``error(i)``, i the member's index (() for an input that is not
-    a stack).  With ``failures`` None the first one is raised; else each is
-    recorded in its slot of ``failures``, an object array of one slot per
-    member, unless the slot holds that member's earlier failure."""
-    if not bad.any():  # the common case, at a tenth of argwhere's cost
-        return
-    for i in map(tuple, np.argwhere(bad)):
-        if failures is None:
-            raise error(i)
-        if failures[i] is None:
-            failures[i] = error(i)
+def _refuse(bad, error) -> None:
+    """Raises ``error(i)`` for the first member i of a stack whose entry of the
+    boolean array ``bad`` is true (i is () for an input that is not a stack)."""
+    if bad.any():  # the common case, at a tenth of argwhere's cost
+        raise error(tuple(np.argwhere(bad)[0]))
 
 
-def _hermitian_spectrum(m: np.ndarray, failures=None) -> np.ndarray:
+def _hermitian_spectrum(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix the caller built, ascending, from its
     lower triangle as np.linalg.eigvalsh reads it, in the matrix's arithmetic
     (real symmetric for a float64 one); of each matrix of a stack (..., dim,
-    dim), in one call.  A matrix whose LAPACK solve fails, or which has an
-    eigenvalue that is not finite, fails with EigensolverError by _refuse; a
-    failed member of a stack gets a spectrum of zeros."""
+    dim), in one call.  A failed LAPACK solve, or an eigenvalue that is not
+    finite, raises EigensolverError (_refuse): a stack fails whole."""
     dim = m.shape[-1]
     try:
         w = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
-        if m.ndim == 2:
-            raise EigensolverError(f"eigenvalues of a {dim}-row matrix: {exc}") from exc
-        # find the members that fail, one at a time
-        w, errors = np.zeros(m.shape[:-1]), np.full(len(m), None, dtype=object)
-        for i, member in enumerate(m):
-            try:
-                w[i] = _hermitian_spectrum(member)
-            except EigensolverError as error:
-                errors[i] = error
-        _refuse(failures, np.not_equal(errors, None), errors.__getitem__)
-        return w
-    bad = ~np.isfinite(w).all(axis=-1)
+        raise EigensolverError(f"eigenvalues of a {dim}-row matrix: {exc}") from exc
     message = f"a {dim}-row matrix has a non-finite eigenvalue"
-    _refuse(failures, bad, lambda i: EigensolverError(message))
-    w[bad] = 0.0
+    _refuse(~np.isfinite(w).all(axis=-1), lambda i: EigensolverError(message))
     return w
 
 
-def _lowest_eigvec(m: np.ndarray, w: np.ndarray, failures=None) -> np.ndarray:
+def _lowest_eigvec(m: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Phase-fixed complex128 eigenvector (one column) of the lowest eigenvalue
     of a Hermitian matrix ``m`` the caller built, complex or real symmetric,
     whose whole ascending spectrum ``w`` _hermitian_spectrum returned, so the
@@ -534,25 +512,21 @@ def _lowest_eigvec(m: np.ndarray, w: np.ndarray, failures=None) -> np.ndarray:
     solved in ``m``'s arithmetic against m - sigma I, sigma just below w[0]
     (_shifted_solve), and normalised, until ||A x - theta x|| <= INVERSE_TOL
     * max|w|.  Each member stops at its own convergence, so it gets the bits
-    it gets alone.  It fails with EigensolverError, by _refuse, when its
-    solve stays singular or after INVERSE_MAX_SWEEPS sweeps: an unconverged
-    result is never returned.  A member whose slot of ``failures`` already
-    holds a failure is not iterated."""
+    it gets alone.  EigensolverError is raised, by _refuse for the first
+    failing member of a stack, when a solve stays singular or after
+    INVERSE_MAX_SWEEPS sweeps: an unconverged result is never returned."""
     dim = w.shape[-1]
     scale = np.abs(w).max(axis=-1)
     # the zero matrix: any unit vector is an answer
     x = np.where((scale == 0.0)[..., None, None], np.eye(dim, 1), _start(dim, 1, m.dtype))
     active = scale > 0.0
-    if failures is not None:
-        active = active & np.equal(failures, None)
     shift = w[..., 0] - INVERSE_SHIFT * scale
     for _ in range(INVERSE_MAX_SWEEPS):
         if not active.any():
             break
         y, shift, singular = _shifted_solve(m, shift, x, scale, active)
         message = f"shifted solves of a {dim}-row matrix stay singular"
-        _refuse(failures, singular, lambda i: EigensolverError(message))
-        active = active & ~singular
+        _refuse(singular, lambda i: EigensolverError(message))
         y = y / _frobenius(y)[..., None, None]
         my = m @ y
         theta = (dagger(y) @ my).real
@@ -563,7 +537,7 @@ def _lowest_eigvec(m: np.ndarray, w: np.ndarray, failures=None) -> np.ndarray:
         f"no convergence within {INVERSE_MAX_SWEEPS} inverse-iteration sweeps "
         f"of a {dim}-row matrix"
     )
-    _refuse(failures, active, lambda i: EigensolverError(message))
+    _refuse(active, lambda i: EigensolverError(message))
     return fix_phases(x)
 
 

@@ -43,10 +43,10 @@ the certifier stacks of at most stack_size members, whose largest array
 stays within STACK_ENTRIES entries.  Each member gets the bits it gets
 alone: members are solved in the arithmetic each gets alone, every
 reduction is written one way for any number of members, and a member of an
-inverse iteration stops at its own convergence.  A member of a StrategyStack
-fails alone (linalg._refuse): its error is recorded and its arrays are
-filler until the end of the stack.  A Strategy raises its error where it
-meets it.
+inverse iteration stops at its own convergence.  A stack fails whole
+(linalg._refuse raises its first failing member's error), and its members
+are then certified again, each alone (extract_dilation); only a refused
+alpha, the last stage, stays a member's own result.
 
 All certified quantities are measured, never assumed: every bound stored in
 a certificate is recomputed from the returned isometries and junk state.
@@ -108,18 +108,15 @@ STACK_ENTRIES = 65_536
 # stacks of strategies
 
 
-def _lifted(strategy) -> tuple[StrategyStack, np.ndarray | None]:
-    """The one check where strategies come in: (stack, failures) for the
-    stages.  A Strategy gives its stack of one and no failure slots, so its
-    errors are raised where they are met (linalg._refuse); a StrategyStack
-    gives itself and one empty slot per member, so its members fail alone.
-    Anything else raises InvalidStrategyError."""
+def _lifted(strategy) -> StrategyStack:
+    """The one check where strategies come in: the stack the stages run on, a
+    Strategy's stack of one or a StrategyStack itself.  Anything else raises
+    InvalidStrategyError."""
     if not isinstance(strategy, (Strategy, StrategyStack)):
         raise InvalidStrategyError(
             f"expected a Strategy or a StrategyStack, got {type(strategy).__name__}"
         )
-    single = isinstance(strategy, Strategy)
-    return strategy.stack, None if single else np.full(len(strategy), None, dtype=object)
+    return strategy.stack
 
 
 def _unlifted(strategy, results):
@@ -195,7 +192,7 @@ def _audit_delta(stack: StrategyStack, fam: ProjectionFamily) -> np.ndarray:
 def sync_residuals(strategy: Strategy, fam: ProjectionFamily) -> SyncReport:
     """Agreement residuals of a strategy against the family's p_{n,x}; a
     StrategyStack gets a list, one report per member."""
-    stack, _ = _lifted(strategy)
+    stack = _lifted(strategy)
     delta = _audit_delta(stack, fam)
     m = stack.state_matrix[..., None, None, :, :]
     e, f = stack.alice, stack.bob
@@ -237,7 +234,7 @@ def tracial_residual(strategy: Strategy, degree: int = 2, party: str = "alice") 
     1..degree; rho is that party's reduced state.  The degree is checked by
     check_word_pairs.  A StrategyStack gets a list, one defect per member.
     """
-    stack, _ = _lifted(strategy)
+    stack = _lifted(strategy)
     check_word_pairs(stack.n_questions, degree)
     if party not in ("alice", "bob"):
         raise InvalidStrategyError(f"party must be 'alice' or 'bob', got {party!r}")
@@ -327,7 +324,7 @@ def approx_rep_residuals(
     A StrategyStack gets a list, one report per member, each equal to its
     own call's.
     """
-    stack, _ = _lifted(strategy)
+    stack = _lifted(strategy)
     sync = sync_residuals(stack, fam)
     m, xf = stack.state_matrix, float(fam.x)
     total_a = stack.alice[..., 0, :, :].sum(axis=-3) - xf * np.eye(stack.dim_a)
@@ -415,10 +412,10 @@ class IsometryFit:
         return float(self.residuals.max(initial=0.0))
 
 
-def _require_separation(w, count: int, trace, residual: float = 0.0, failures=None) -> None:
-    """FitDegenerateError, by _refuse, for each member of a stack of ascending
-    spectra (..., m) whose w[count - 1] is not below w[count] - residual by
-    more than FIT_SEPARATION_TOL * trace.  ``residual`` is the measured
+def _require_separation(w, count: int, trace, residual: float = 0.0) -> None:
+    """FitDegenerateError, by _refuse, for the first member of a stack of
+    ascending spectra (..., m) whose w[count - 1] is not below w[count] -
+    residual by more than FIT_SEPARATION_TOL * trace.  ``residual`` is the measured
     ||A x - w[count] x|| of a Ritz pair, so some eigenvalue lies within it of
     w[count]; an exact spectrum passes 0."""
     bad = w[..., count] - residual - w[..., count - 1] <= FIT_SEPARATION_TOL * trace
@@ -430,7 +427,7 @@ def _require_separation(w, count: int, trace, residual: float = 0.0, failures=No
             f"({w[i][count - 1]:.6e} vs {w[i][count]:.6e}{measured})"
         )
 
-    _refuse(failures, bad, error)
+    _refuse(bad, error)
 
 
 def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
@@ -486,14 +483,13 @@ def _by_arithmetic(terms: np.ndarray):
     yield from (group for group in (exact, ~exact) if group.any())
 
 
-def _fit(ops: np.ndarray, fam: ProjectionFamily, rho: np.ndarray, failures=None) -> IsometryFit:
+def _fit(ops: np.ndarray, fam: ProjectionFamily, rho: np.ndarray) -> IsometryFit:
     """fit_isometry of each member of a stack of arrays already read and
     checked, (members, n, r, r) and (members, r, r): the fit's arrays get the
     same leading axis, and each member the bits it gets alone.  The dense
     forms are solved together, in at most two groups (_by_arithmetic); the
-    matrix-free ones one member at a time.  A member fails by _refuse: with
-    ``failures`` None its error is raised, else it is recorded there and the
-    member's arrays are filler."""
+    matrix-free ones one member at a time.  The stack fails whole: the first
+    failing member's error is raised."""
     r, d = ops.shape[-1], fam.d
     s = max(1, -(-r // d))
     rows = r * d
@@ -527,39 +523,29 @@ def _fit(ops: np.ndarray, fam: ProjectionFamily, rho: np.ndarray, failures=None)
         for members in _by_arithmetic(terms):
             # a real form of a real family is solved in float64
             group, projections = real_if_exact(terms[members], fam.projections)
-            fails = None if failures is None else failures[members]
             # Q = sum_v W_v^T kron P_v + C^T kron I: one matmul over the
             # flattened stacks
             right = np.concatenate([projections, np.eye(d)[None]]).reshape(fam.n + 1, -1)
             lead = group.shape[:-3]
             quad = group.reshape(*lead, fam.n + 1, -1).swapaxes(-1, -2) @ right
             quad = quad.reshape(*lead, r, r, d, d).swapaxes(-3, -2).reshape(*lead, rows, rows)
-            w = _hermitian_spectrum(quad, fails)
-            _require_separation(w, 1, trace[members], failures=fails)
-            vecs[members] = _lowest_eigvec(quad, w, fails)
-            if failures is not None:  # fails is a copy of the group's slots
-                failures[members] = fails
+            w = _hermitian_spectrum(quad)
+            _require_separation(w, 1, trace[members])
+            vecs[members] = _lowest_eigvec(quad, w)
     else:
         # a row is vec(T_a), which reshapes to U = T_a^T, on which the
         # negated transposed map is U -> -(sum_v W_v^T U P_v^T + C^T U); a
         # block of s + 1 measures whether the next eigenvalue coincides, and
         # that guard pair converges only to KRYLOV_GUARD_TOL, so its measured
         # residual is taken off the separation
-        vecs = np.zeros(batch + (rows, s), dtype=np.complex128)
+        vecs = np.empty(batch + (rows, s), dtype=np.complex128)
         for i in range(len(rho)):
-            if failures is not None and failures[i] is not None:
-                continue
-            try:
-                member, projections = real_if_exact(terms[i], fam.projections)
-                right = -np.concatenate([projections.swapaxes(-1, -2), np.eye(d)[None]])
-                operator = sandwich_operator(member, right)
-                w, v, residuals = krylov_eigh(operator, rows, s + 1, guard=1, dtype=member.dtype)
-                _require_separation(-w, s, trace[i], residuals[s])
-                vecs[i] = v[:, :s]
-            except ProjsumError as error:
-                if failures is None:
-                    raise
-                failures[i] = error
+            member, projections = real_if_exact(terms[i], fam.projections)
+            right = -np.concatenate([projections.swapaxes(-1, -2), np.eye(d)[None]])
+            operator = sandwich_operator(member, right)
+            w, v, residuals = krylov_eigh(operator, rows, s + 1, guard=1, dtype=member.dtype)
+            _require_separation(-w, s, trace[i], residuals[s])
+            vecs[i] = v[:, :s]
 
     if s > 1:
         # any full-rank solution works: project one fixed, reproducible draw
@@ -574,7 +560,7 @@ def _fit(ops: np.ndarray, fam: ProjectionFamily, rho: np.ndarray, failures=None)
     u, sv, vh = np.linalg.svd(t, full_matrices=False)
     degenerate = (sv[..., 0] <= 0) | (sv[..., -1] <= 1e-8 * sv[..., 0])
     message = "fitted map has a rank-deficient polar factor"
-    _refuse(failures, degenerate, lambda i: FitDegenerateError(message))
+    _refuse(degenerate, lambda i: FitDegenerateError(message))
     v_iso = u @ vh
     # V^* (P_v kron I_s) V = sum_a V_a^* P_v V_a over the ancilla row blocks
     v_blocks = v_iso.reshape(*batch, d, s, r).swapaxes(-3, -2)[..., None, :, :, :]
@@ -709,23 +695,43 @@ def extract_dilation(strategy: Strategy, fam: ProjectionFamily) -> DilationCerti
 
     A StrategyStack gets a list, one entry per member: its certificate,
     equal to its own call's, or the FitDegenerateError or JunkExtractionError
-    its own call raises.  Any other error a member meets is raised, that of
-    the first such member.
+    its own call raises.  The stack is certified whole; when that raises, it
+    fails whole, and its members are certified again, each as a stack of
+    one, in member order: the first member whose error is of another class
+    raises it.
     """
-    stack, failures = _lifted(strategy)
-    return _unlifted(strategy, _certify(stack, fam, failures))
+    stack = _lifted(strategy)
+    try:
+        results = _certify(stack, fam)
+    except ProjsumError:
+        if isinstance(strategy, Strategy):
+            raise
+        results = [_certify_alone(stack, i, fam) for i in range(len(stack))]
+    if isinstance(strategy, Strategy) and isinstance(results[0], JunkExtractionError):
+        raise results[0]
+    return _unlifted(strategy, results)
 
 
-def _certify(stack: StrategyStack, fam: ProjectionFamily, failures=None) -> list:
-    """extract_dilation of each member of a stack, in a list.  A member fails
-    by _refuse: with ``failures`` None its error is raised where it is met;
-    else it is recorded in its slot of ``failures``, the member's arrays are
-    filler to the end, and its FitDegenerateError or JunkExtractionError
-    stands in the list in place of its certificate."""
+def _certify_alone(stack: StrategyStack, i: int, fam: ProjectionFamily):
+    """_certify's entry for member i of a stack, certified as a stack of one:
+    its certificate, or its FitDegenerateError or JunkExtractionError."""
+    state, alice, bob = (a[i : i + 1] for a in (stack.state, stack.alice, stack.bob))
+    try:
+        return _certify(StrategyStack(state, stack.dim_a, stack.dim_b, alice, bob), fam)[0]
+    except FitDegenerateError as error:
+        return error
+
+
+def _certify(stack: StrategyStack, fam: ProjectionFamily) -> list:
+    """extract_dilation of each member of a stack, in a list.  A stage that
+    fails raises the first failing member's error (_refuse), so the stack
+    fails whole.  Only alpha, the last stage, is judged per member: a member
+    whose alpha is at or below ALPHA_MIN gets its JunkExtractionError in the
+    list in place of its certificate."""
     delta = _audit_delta(stack, fam)
     rho_a, rho_b = stack.reduced_densities
-    fit_a = _fit(stack.alice[..., 0, :, :], fam, rho_a, failures)
-    fit_b = _fit(stack.bob[..., 0, :, :], fam.transposed, rho_b, failures)
+    fit_a = _fit(stack.alice[..., 0, :, :], fam, rho_a)
+    fit_b = _fit(stack.bob[..., 0, :, :], fam.transposed, rho_b)
     gap = fam.correlation_gap
     d, batch = fam.d, delta.shape
     sa, sb = fit_a.s, fit_b.s
@@ -733,17 +739,10 @@ def _certify(stack: StrategyStack, fam: ProjectionFamily, failures=None) -> list
     lifted = fit_a.isometry @ stack.state_matrix @ fit_b.isometry.swapaxes(-1, -2)
     junk_block = np.einsum("...iaib->...ab", lifted.reshape(*batch, d, sa, d, sb)) / np.sqrt(d)
     alpha = _frobenius(junk_block)
-    _refuse(
-        failures,
-        alpha <= ALPHA_MIN,
-        lambda i: JunkExtractionError(
-            f"projected weight alpha = {alpha[i]:.3e} is at or below {ALPHA_MIN}"
-        ),
-    )
     # a member whose alpha is refused is divided by nothing
-    kept = (alpha > ALPHA_MIN)[..., None, None]
+    refused = alpha <= ALPHA_MIN
     normalized = np.zeros_like(junk_block)
-    np.divide(junk_block, alpha[..., None, None], out=normalized, where=kept)
+    np.divide(junk_block, alpha[..., None, None], out=normalized, where=~refused[..., None, None])
     u, sv, vh = np.linalg.svd(normalized, full_matrices=True)
     # rotate ancillas so the junk state is Schmidt-diagonal, (I_d kron g) V
     # as g on each (s, r) block of V; the dilation residuals are invariant
@@ -762,14 +761,10 @@ def _certify(stack: StrategyStack, fam: ProjectionFamily, failures=None) -> list
     # into eps_prime makes the beta bound hold unconditionally
     eps_eff = np.maximum(eps_prime, delta)
     beta = np.sqrt(2.0 * (2 * fam.n + 1) * eps_eff / gap)
-    failed = [None] * len(stack) if failures is None else failures
-    extraction = (FitDegenerateError, JunkExtractionError)
-    for failure in failed:
-        if failure is not None and not isinstance(failure, extraction):
-            raise failure
     return [
-        failure
-        or DilationCertificate(
+        JunkExtractionError(f"projected weight alpha = {alpha[i]:.3e} is at or below {ALPHA_MIN}")
+        if refused[i]
+        else DilationCertificate(
             v_a=v_a[i],
             v_b=v_b[i],
             junk=junk[i],
@@ -786,7 +781,7 @@ def _certify(stack: StrategyStack, fam: ProjectionFamily, failures=None) -> list
             fit_residuals_b=fit_b.residuals[i],
             delta=float(delta[i]),
         )
-        for i, failure in enumerate(failed)
+        for i in range(len(stack))
     ]
 
 

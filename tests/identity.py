@@ -10,6 +10,10 @@ The first form writes into the directory OUT, for each ladder level k in
   seed 1234, one per noise model, where k has one: k=1 runs the zero level
   and 7 log-spaced levels from 1e-4 to 1e-1 with 10 trials each, k=5 the
   zero level and 3 log-spaced levels with 8 trials each
+* ``sweep-k{k}-{model}-failure-heavy.csv`` and ``.json``: at the same k, n
+  and seed, the levels 0.3, 0.6 and 1.0 with 10 trials each, where many
+  extractions fail, so that a stack that fails whole and is certified
+  again member by member is covered too
 * ``strategy-k{k}-{name}.json``, ``selftest-k{k}-{name}.out`` and
   ``.cert.json``, ``correlate-k{k}-{name}.out`` and ``.json``: ``projsum
   selftest`` and ``projsum correlate`` on the canonical strategy and on it
@@ -50,6 +54,8 @@ SWEEPS = {
     1: ((0.0,) + tuple(float(l) for l in np.logspace(-4, -1, 7)), 10),
     5: ((0.0,) + tuple(float(l) for l in np.logspace(-4, -1, 3)), 8),
 }
+# (levels, trials per level) of the failure-heavy sweeps, at every k of SWEEPS
+FAILURE_HEAVY = ((0.3, 0.6, 1.0), 10)
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -68,13 +74,12 @@ def write_outputs(out, ks=KS) -> list[Path]:
     written[0].write_text(json.dumps(dict(blas, numpy=np.__version__), sort_keys=True) + "\n")
     for k in ks:
         if k in SWEEPS:
-            levels, trials = SWEEPS[k]
-            for model in NOISE_MODELS:
-                config = SweepConfig(4, k, model, levels, trials, SEED)
-                rows = run_sweep(config)
-                for fmt in ("csv", "json"):
-                    written.append(out / f"sweep-k{k}-{model}.{fmt}")
-                    emit_report(rows, fmt, written[-1])
+            for suffix, (levels, trials) in (("", SWEEPS[k]), ("-failure-heavy", FAILURE_HEAVY)):
+                for model in NOISE_MODELS:
+                    rows = run_sweep(SweepConfig(4, k, model, levels, trials, SEED))
+                    for fmt in ("csv", "json"):
+                        written.append(out / f"sweep-k{k}-{model}{suffix}.{fmt}")
+                        emit_report(rows, fmt, written[-1])
         canonical = four_family(k).canonical_strategy
         strategies = {"canonical": canonical}
         for model in NOISE_MODELS:

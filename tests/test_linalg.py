@@ -614,24 +614,19 @@ def stack_members(dim, real):
 @pytest.mark.parametrize("shift", [None, 0.0])
 def test_lowest_eigvec_of_a_stack_equals_its_members(monkeypatch, real, shift):
     # each member stops at its own convergence and moves its own singular
-    # shift, so it gets the bits it gets alone; the last member failed
-    # before and is not iterated
+    # shift, so it gets the bits it gets alone
     if shift is not None:
         monkeypatch.setattr(linalg, "INVERSE_SHIFT", shift)
     stack = stack_members(12, real)
     w = _hermitian_spectrum(stack)
-    failures = np.full(len(stack), None, dtype=object)
-    failures[-1] = EigensolverError("an earlier failure")
     solves = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(len(a)) or solve(a, b))
-    vecs = _lowest_eigvec(stack, w, failures)
+    vecs = _lowest_eigvec(stack, w)
     monkeypatch.undo()
     if shift is not None:
         monkeypatch.setattr(linalg, "INVERSE_SHIFT", shift)
-    assert list(failures[:-1]) == [None] * (len(stack) - 1)
-    assert str(failures[-1]) == "an earlier failure"
-    for member, got in zip(stack[:-1], vecs):
+    for member, got in zip(stack, vecs):
         assert np.array_equal(got, _lowest_eigvec(member, _hermitian_spectrum(member)))
     # the members need different numbers of sweeps; with a singular shift
     # the stack's solve is refused and its members are solved one at a time
@@ -639,10 +634,10 @@ def test_lowest_eigvec_of_a_stack_equals_its_members(monkeypatch, real, shift):
     assert (12 in solves) == (shift is not None)
 
 
-def test_stacked_solvers_record_the_failures_of_their_members(monkeypatch):
-    # a failed eigenvalue solve is attributed to its member, whose spectrum
-    # is zeros; a member that does not converge fails alone, beside the zero
-    # matrix, which needs no sweep
+def test_stacked_solvers_raise_the_error_of_their_first_failing_member(monkeypatch):
+    # a stack fails whole, with the error its first failing member raises
+    # alone: a failed eigenvalue solve, and an inverse iteration that does
+    # not converge beside the zero matrix, which needs no sweep
     stack = np.stack([np.diag(w) for w in ([1.0, 2.0, 3.0], [2.0, 3.0, 5.0], [3.0, 4.0, 5.0])])
     eigvalsh = np.linalg.eigvalsh
 
@@ -652,21 +647,20 @@ def test_stacked_solvers_record_the_failures_of_their_members(monkeypatch):
         return eigvalsh(m)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    failures = np.full(3, None, dtype=object)
-    w = _hermitian_spectrum(stack, failures)
-    assert failures[0] is None and failures[2] is None
-    assert str(failures[1]) == "eigenvalues of a 3-row matrix: Eigenvalues did not converge"
-    assert np.array_equal(w, [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [3.0, 4.0, 5.0]])
+    message = "^eigenvalues of a 3-row matrix: Eigenvalues did not converge$"
+    for failing in (stack[1], stack):
+        with pytest.raises(EigensolverError, match=message):
+            _hermitian_spectrum(failing)
     monkeypatch.undo()
     h = random_hermitian(20, np.random.default_rng(16))
-    stack = np.stack([h, np.zeros((20, 20), complex)])
+    stack = np.stack([np.zeros((20, 20), complex), h, h])
+    w = _hermitian_spectrum(stack)
     monkeypatch.setattr(linalg, "INVERSE_SHIFT", 0.5)
     monkeypatch.setattr(linalg, "INVERSE_MAX_SWEEPS", 1)
-    failures = np.full(2, None, dtype=object)
-    vecs = _lowest_eigvec(stack, _hermitian_spectrum(stack), failures)
-    message = "no convergence within 1 inverse-iteration sweeps of a 20-row matrix"
-    assert str(failures[0]) == message
-    assert failures[1] is None and np.array_equal(vecs[1], np.eye(20, 1))
+    message = "^no convergence within 1 inverse-iteration sweeps of a 20-row matrix$"
+    for failing, spectrum in ((stack[1], w[1]), (stack, w)):
+        with pytest.raises(EigensolverError, match=message):
+            _lowest_eigvec(failing, spectrum)
 
 
 def test_fix_phases_largest_entry_real_positive():

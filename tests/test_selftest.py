@@ -582,9 +582,7 @@ def test_fit_isometry_degenerate_candidate_raises(monkeypatch):
     with pytest.raises(FitDegenerateError):
         fit_isometry(ops, fam, rho)
     # a separated form whose eigenvector is replaced by e_0: T has rank one
-    monkeypatch.setattr(
-        selftest, "_lowest_eigvec", lambda quad, w, failures: np.eye(w.shape[-1], 1)
-    )
+    monkeypatch.setattr(selftest, "_lowest_eigvec", lambda quad, w: np.eye(w.shape[-1], 1))
     with pytest.raises(FitDegenerateError, match="^fitted map has a rank-deficient polar factor$"):
         fit_isometry(fam.projections, fam, np.eye(3) / 3)
 
@@ -844,7 +842,7 @@ def test_fit_isometry_reads_only_the_callers_arrays(monkeypatch):
         assert reads == ["ops", "rho"]
 
 
-def full_eigh_vector(quad, w, failures):
+def full_eigh_vector(quad, w):
     """The dense fit's eigenvector of each member from a full
     eigendecomposition: the oracle."""
     return fix_phases(np.linalg.eigh(quad)[1][..., :1])
@@ -884,7 +882,7 @@ def recorded_fit_forms(monkeypatch, fits):
     monkeypatch.setattr(
         selftest,
         "_lowest_eigvec",
-        lambda quad, w, failures: forms.extend(zip(quad, w)) or real(quad, w, failures),
+        lambda quad, w: forms.extend(zip(quad, w)) or real(quad, w),
     )
     fits()
     monkeypatch.undo()
@@ -913,7 +911,7 @@ def test_dense_fit_vectors_match_the_loop_on_ladder_fits(monkeypatch, k):
 
 
 def test_dense_fit_checks_separation_before_vectors(monkeypatch):
-    def unreachable(quad, w, failures):
+    def unreachable(quad, w):
         raise AssertionError("eigenvectors computed for a degenerate form")
 
     monkeypatch.setattr(selftest, "_lowest_eigvec", unreachable)

@@ -411,6 +411,10 @@ def assert_same(a, b):
 # povm-jitter member (12) and real level-0 and level-1e-4 outcome-noise ones
 @example(k=1, picks=[12, 22, 16, 18, 4])
 @example(k=5, picks=[12, 22, 16, 18, 4])
+# every member fails, 22 and 23 to fit and 15 on alpha
+@example(k=1, picks=[22, 15, 23])
+# failures first, in the middle and last, around the good member 0
+@example(k=5, picks=[14, 22, 0, 15])
 def test_a_stack_equals_its_members_bit_for_bit(k, picks):
     fam, pool = sweep_pool(k)
     strategies = [pool[i] for i in picks]
