@@ -225,11 +225,6 @@ class SchmidtDecomposition:
     def rank(self) -> int:
         return int(self.coefficients.size)
 
-    def reconstruct(self) -> np.ndarray:
-        return np.einsum(
-            "l,al,bl->ab", self.coefficients, self.left, self.right
-        ).reshape(-1)
-
 
 def schmidt(psi, dims: tuple[int, int]) -> SchmidtDecomposition:
     """Schmidt decomposition of a bipartite vector.
@@ -512,9 +507,10 @@ def _lowest_eigvec(m: np.ndarray, w: np.ndarray) -> np.ndarray:
     solved in ``m``'s arithmetic against m - sigma I, sigma just below w[0]
     (_shifted_solve), and normalised, until ||A x - theta x|| <= INVERSE_TOL
     * max|w|.  Each member stops at its own convergence, so it gets the bits
-    it gets alone.  EigensolverError is raised, by _refuse for the first
-    failing member of a stack, when a solve stays singular or after
-    INVERSE_MAX_SWEEPS sweeps: an unconverged result is never returned."""
+    it gets alone.  EigensolverError is raised when a solve stays singular
+    (_shifted_solve) and, by _refuse for the first failing member of a
+    stack, after INVERSE_MAX_SWEEPS sweeps: an unconverged result is never
+    returned."""
     dim = w.shape[-1]
     scale = np.abs(w).max(axis=-1)
     # the zero matrix: any unit vector is an answer
@@ -524,9 +520,7 @@ def _lowest_eigvec(m: np.ndarray, w: np.ndarray) -> np.ndarray:
     for _ in range(INVERSE_MAX_SWEEPS):
         if not active.any():
             break
-        y, shift, singular = _shifted_solve(m, shift, x, scale, active)
-        message = f"shifted solves of a {dim}-row matrix stay singular"
-        _refuse(singular, lambda i: EigensolverError(message))
+        y, shift = _shifted_solve(m, shift, x, scale, active)
         y = y / _frobenius(y)[..., None, None]
         my = m @ y
         theta = (dagger(y) @ my).real
@@ -544,26 +538,20 @@ def _lowest_eigvec(m: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _shifted_solve(m, shift, x, scale, active):
     """x solved against m - shift I for each active member of a stack, in one
     call (the others keep x), with the right-hand sides as (..., dim, 1).
-    When that solve is singular the members are solved one at a time, and a
-    member whose solve is singular moves its shift 16 units in the last place
-    of its ``scale`` further down, up to four tries.  Returns the solutions,
-    the shifts, and which members stayed singular."""
-    eye = np.eye(m.shape[-1])
-    if m.ndim > 2:
+    One matrix, or a stack of one, whose solve is singular moves its shift 16
+    units in the last place of its ``scale`` further down, up to four tries;
+    a larger stack fails whole at once.  A solve that stays singular raises
+    EigensolverError.  Returns the solutions and the shifts."""
+    dim = m.shape[-1]
+    eye = np.eye(dim)
+    for _ in range(4 if m.size == dim * dim else 1):
+        a = m - shift[..., None, None] * eye
+        a[~active] = eye  # in place: a is as large as m
         try:
-            a = m - shift[..., None, None] * eye
-            a[~active] = eye  # in place: a is as large as m
-            return np.linalg.solve(a, x), shift, np.zeros(active.shape, dtype=bool)
+            return np.linalg.solve(a, x), shift
         except np.linalg.LinAlgError:
-            members = [_shifted_solve(*member) for member in zip(m, shift, x, scale, active)]
-            return tuple(map(np.array, zip(*members)))
-    if active:
-        for _ in range(4):
-            try:
-                return np.linalg.solve(m - shift * eye, x), shift, np.False_
-            except np.linalg.LinAlgError:
-                shift = shift - 16 * np.spacing(scale)
-    return x, shift, np.bool_(active)
+            shift = shift - 16 * np.spacing(scale)
+    raise EigensolverError(f"shifted solves of a {dim}-row matrix stay singular")
 
 
 def nearest_isometry(t) -> np.ndarray:

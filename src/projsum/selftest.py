@@ -110,13 +110,16 @@ STACK_ENTRIES = 65_536
 
 def _lifted(strategy) -> StrategyStack:
     """The one check where strategies come in: the stack the stages run on, a
-    Strategy's stack of one or a StrategyStack itself.  Anything else raises
-    InvalidStrategyError."""
+    Strategy's stack of one or a StrategyStack itself.  Anything else, and a
+    StrategyStack of no members, raises InvalidStrategyError."""
     if not isinstance(strategy, (Strategy, StrategyStack)):
         raise InvalidStrategyError(
             f"expected a Strategy or a StrategyStack, got {type(strategy).__name__}"
         )
-    return strategy.stack
+    stack = strategy.stack
+    if len(stack) == 0:
+        raise InvalidStrategyError("a StrategyStack needs at least one member, got none")
+    return stack
 
 
 def _unlifted(strategy, results):
@@ -407,10 +410,6 @@ class IsometryFit:
     s: int
     residuals: np.ndarray
 
-    @property
-    def max_residual(self) -> float:
-        return float(self.residuals.max(initial=0.0))
-
 
 def _require_separation(w, count: int, trace, residual: float = 0.0) -> None:
     """FitDegenerateError, by _refuse, for the first member of a stack of
@@ -580,7 +579,7 @@ class DilationCertificate:
     v_a maps the source's Alice space into (reference Alice space) kron
     (ancilla); likewise v_b.  ``epsilon`` is the worst of the 1 + 4 n^2
     dilation-condition residuals, evaluated with exactly these isometries
-    and this junk state.
+    and this junk state.  extract_dilation fills every field.
     """
 
     v_a: np.ndarray
@@ -591,21 +590,13 @@ class DilationCertificate:
     anc_dim_a: int
     anc_dim_b: int
     epsilon: float
-    alpha: float | None = None
-    beta: float | None = None
-    gap: float | None = None
-    state_residual: float | None = None
-    fit_residuals_a: np.ndarray | None = None
-    fit_residuals_b: np.ndarray | None = None
-    delta: float | None = None
-
-    @property
-    def source_dim_a(self) -> int:
-        return int(self.v_a.shape[1])
-
-    @property
-    def source_dim_b(self) -> int:
-        return int(self.v_b.shape[1])
+    alpha: float
+    beta: float
+    gap: float
+    state_residual: float
+    fit_residuals_a: np.ndarray
+    fit_residuals_b: np.ndarray
+    delta: float
 
 
 def _dilation_residuals(
@@ -784,40 +775,3 @@ def _certify(stack: StrategyStack, fam: ProjectionFamily) -> list:
         for i in range(len(stack))
     ]
 
-
-def compose_dilations(
-    inner: DilationCertificate, outer: DilationCertificate, source: Strategy, reference: Strategy
-) -> DilationCertificate:
-    """Chain two dilation certificates into one.
-
-    ``inner`` exhibits the middle strategy as a dilation of ``source``,
-    ``outer`` exhibits ``reference`` as a dilation of the middle one.  The
-    composed isometries are (V kron I) W and the junk states tensor; the
-    residuals are measured on them, and epsilon is at most the parts' sum.
-    """
-    if inner.ref_dim_a != outer.source_dim_a or inner.ref_dim_b != outer.source_dim_b:
-        raise InvalidShapeError(
-            "middle strategy dimensions of the two certificates do not match"
-        )
-    ka1, kb1 = outer.anc_dim_a, outer.anc_dim_b
-    ka2, kb2 = inner.anc_dim_a, inner.anc_dim_b
-    v_a = np.kron(outer.v_a, np.eye(ka2)) @ inner.v_a
-    v_b = np.kron(outer.v_b, np.eye(kb2)) @ inner.v_b
-    junk = (
-        np.kron(outer.junk, inner.junk)
-        .reshape(ka1, kb1, ka2, kb2)
-        .transpose(0, 2, 1, 3)
-        .reshape(-1)
-    )
-    residuals = _dilation_residuals(source, reference, v_a, v_b, junk)
-    return DilationCertificate(
-        v_a=v_a,
-        v_b=v_b,
-        junk=junk,
-        ref_dim_a=outer.ref_dim_a,
-        ref_dim_b=outer.ref_dim_b,
-        anc_dim_a=ka1 * ka2,
-        anc_dim_b=kb1 * kb2,
-        epsilon=float(residuals.max()),
-        state_residual=float(residuals[0]),
-    )

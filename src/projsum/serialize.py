@@ -213,12 +213,8 @@ def certificate_to_dict(
     residuals = {
         "state": cert.state_residual,
         "delta": cert.delta,
-        "fitA": None
-        if cert.fit_residuals_a is None
-        else np.asarray(cert.fit_residuals_a, dtype=float).tolist(),
-        "fitB": None
-        if cert.fit_residuals_b is None
-        else np.asarray(cert.fit_residuals_b, dtype=float).tolist(),
+        "fitA": cert.fit_residuals_a.tolist(),
+        "fitB": cert.fit_residuals_b.tolist(),
     }
     if report is not None:
         residuals.update(

@@ -198,8 +198,8 @@ class StrategyStack:
     (members, n, k, d, d): a Strategy's arrays with a leading member axis.
     The derived values are those of a Strategy, one per member, each
     computed once for the whole stack; its ``stack`` is itself.  The arrays
-    are taken as they are: ``of`` stacks strategies that are valid, and
-    perturb validates each stack it builds before it returns it.
+    are taken as they are: perturb validates each stack it builds before it
+    returns it.
     """
 
     state: np.ndarray
@@ -207,13 +207,6 @@ class StrategyStack:
     dim_b: int
     alice: np.ndarray
     bob: np.ndarray
-
-    @classmethod
-    def of(cls, strategies) -> "StrategyStack":
-        """The strategies, all of one shape, as one stack."""
-        names = ("state", "alice", "bob")
-        state, alice, bob = (np.stack([getattr(s, name) for s in strategies]) for name in names)
-        return cls(state, strategies[0].dim_a, strategies[0].dim_b, alice, bob)
 
     def __len__(self) -> int:
         return len(self.state)

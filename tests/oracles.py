@@ -7,12 +7,18 @@
   eigenspace next to its spectral lower bound, the inequality behind beta
 * ``aligned_junk_fidelity``: two ancilla states compared modulo the local
   unitary gauge, for junk recovered from planted and composed dilations
+* ``compose_dilations``: the isometries and junk state of two chained
+  dilations, which the tests measure with ``dilation_epsilon``; the package
+  builds no certificate but ``extract_dilation``'s
+* ``max_residual``: the worst of a fit's residuals
 * ``spearman``: the rank correlation of the noise-robustness trend
 * ``lambda_sequence``: the admissible scalars listed by their recurrence,
   the reference for ``scalar_is_admissible`` and the ladder's x
 * ``partial_trace`` and ``state_seminorm``: the reduced densities and the
   state-weighted seminorm as their definitions state them, the references
   for ``reduced_densities`` and the residuals' ``||X M||_F``
+* ``schmidt_reconstruct``: the vector a ``SchmidtDecomposition`` sums to
+* ``stack_strategies``: strategies of one shape as one ``StrategyStack``
 * ``random_unitary`` and ``random_hermitian``: seeded draws for planted
   strategies and gauge changes; ``perturb``'s ``povm-jitter`` makes the
   draws of one ``random_hermitian`` per question
@@ -34,8 +40,9 @@ from projsum.errors import (
     UnsupportedScalarError,
 )
 from projsum.families import ProjectionFamily, _next_scalar
-from projsum.linalg import as_array, dagger, hermitian_eig, unvec
-from projsum.selftest import fit_isometry
+from projsum.linalg import SchmidtDecomposition, as_array, dagger, hermitian_eig, unvec
+from projsum.selftest import IsometryFit, fit_isometry
+from projsum.strategies import StrategyStack
 
 
 class NotARepresentationError(ProjsumError, RuntimeError):
@@ -123,6 +130,32 @@ def aligned_junk_fidelity(
     return float(np.dot(s1[:m], s2[:m]))
 
 
+def compose_dilations(inner, outer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The isometries and junk state (v_a, v_b, junk) of two chained dilations.
+
+    ``inner`` exhibits a middle strategy as a dilation of a source, and
+    ``outer`` the reference as a dilation of the middle one; each is a
+    DilationCertificate, or any object with its v_a, v_b, junk, anc_dim_a and
+    anc_dim_b.  The composed isometries are (V kron I) W and the junk states
+    tensor, reordered so the outer ancilla comes first on each side.  Middle
+    dimensions that differ raise InvalidShapeError.
+    """
+    ka1, kb1 = outer.anc_dim_a, outer.anc_dim_b
+    ka2, kb2 = inner.anc_dim_a, inner.anc_dim_b
+    middle_a, middle_b = outer.v_a.shape[1], outer.v_b.shape[1]
+    if inner.v_a.shape[0] != middle_a * ka2 or inner.v_b.shape[0] != middle_b * kb2:
+        raise InvalidShapeError("middle strategy dimensions of the two certificates do not match")
+    v_a = np.kron(outer.v_a, np.eye(ka2)) @ inner.v_a
+    v_b = np.kron(outer.v_b, np.eye(kb2)) @ inner.v_b
+    junk = np.kron(outer.junk, inner.junk).reshape(ka1, kb1, ka2, kb2).transpose(0, 2, 1, 3)
+    return v_a, v_b, junk.reshape(-1)
+
+
+def max_residual(fit: IsometryFit) -> float:
+    """The worst of a fit's residuals."""
+    return float(fit.residuals.max(initial=0.0))
+
+
 # --- from projsum.sweep
 
 
@@ -207,6 +240,11 @@ def state_seminorm(x, psi, dims: tuple[int, int], side: str = "A") -> float:
     return float(np.linalg.norm(m @ xm.T))
 
 
+def schmidt_reconstruct(dec: SchmidtDecomposition) -> np.ndarray:
+    """The vector sum_l coefficients[l] left[:, l] kron right[:, l]."""
+    return np.einsum("l,al,bl->ab", dec.coefficients, dec.left, dec.right).reshape(-1)
+
+
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """GUE-style random Hermitian matrix with O(1) entries."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -218,3 +256,13 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# --- from projsum.strategies
+
+
+def stack_strategies(strategies) -> StrategyStack:
+    """The strategies, all of one shape, as one stack."""
+    names = ("state", "alice", "bob")
+    state, alice, bob = (np.stack([getattr(s, name) for s in strategies]) for name in names)
+    return StrategyStack(state, strategies[0].dim_a, strategies[0].dim_b, alice, bob)

@@ -34,7 +34,13 @@ from projsum.linalg import (
     vec,
 )
 
-from oracles import partial_trace, random_hermitian, random_unitary, state_seminorm
+from oracles import (
+    partial_trace,
+    random_hermitian,
+    random_unitary,
+    schmidt_reconstruct,
+    state_seminorm,
+)
 
 
 def test_vec_matrix_unit_convention():
@@ -84,7 +90,7 @@ def test_schmidt_known_coefficients():
     dec = schmidt(psi, (2, 2))
     assert dec.rank == 2
     assert np.allclose(dec.coefficients, [0.8, 0.6])
-    assert np.allclose(dec.reconstruct(), psi)
+    assert np.allclose(schmidt_reconstruct(dec), psi)
 
 
 def test_schmidt_reconstructs_random_states():
@@ -93,7 +99,7 @@ def test_schmidt_reconstructs_random_states():
         da, db = rng.integers(2, 6), rng.integers(2, 6)
         psi = random_state(da * db, rng)
         dec = schmidt(psi, (da, db))
-        assert np.allclose(dec.reconstruct(), psi, atol=1e-12)
+        assert np.allclose(schmidt_reconstruct(dec), psi, atol=1e-12)
         # coefficients sorted descending and normalized
         assert np.all(np.diff(dec.coefficients) <= 1e-15)
         assert abs(np.sum(dec.coefficients**2) - 1.0) < 1e-12
@@ -613,25 +619,29 @@ def stack_members(dim, real):
 @pytest.mark.parametrize("real", [False, True])
 @pytest.mark.parametrize("shift", [None, 0.0])
 def test_lowest_eigvec_of_a_stack_equals_its_members(monkeypatch, real, shift):
-    # each member stops at its own convergence and moves its own singular
-    # shift, so it gets the bits it gets alone
+    # each member stops at its own convergence, so it gets the bits it gets
+    # alone; with no shift offset the exact diagonal's solve is singular
     if shift is not None:
         monkeypatch.setattr(linalg, "INVERSE_SHIFT", shift)
     stack = stack_members(12, real)
     w = _hermitian_spectrum(stack)
+    alone = [_lowest_eigvec(member, _hermitian_spectrum(member)) for member in stack]
+    if shift is not None:
+        # the stack fails whole, and each member alone moves its own shift
+        message = "^shifted solves of a 12-row matrix stay singular$"
+        with pytest.raises(EigensolverError, match=message):
+            _lowest_eigvec(stack, w)
+        for member, got in zip(stack, alone):
+            assert np.array_equal(got, loop_lowest_eigvec(member, _hermitian_spectrum(member)))
+        return
     solves = []
     solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(len(a)) or solve(a, b))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
     vecs = _lowest_eigvec(stack, w)
-    monkeypatch.undo()
-    if shift is not None:
-        monkeypatch.setattr(linalg, "INVERSE_SHIFT", shift)
-    for member, got in zip(stack, vecs):
-        assert np.array_equal(got, _lowest_eigvec(member, _hermitian_spectrum(member)))
-    # the members need different numbers of sweeps; with a singular shift
-    # the stack's solve is refused and its members are solved one at a time
-    assert solves.count(len(stack)) >= 2
-    assert (12 in solves) == (shift is not None)
+    for got, want in zip(vecs, alone):
+        assert np.array_equal(got, want)
+    # the members need different numbers of sweeps, all solved as one stack
+    assert solves.count(stack.shape) >= 2 and set(solves) == {stack.shape}
 
 
 def test_stacked_solvers_raise_the_error_of_their_first_failing_member(monkeypatch):

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,11 +44,9 @@ from projsum.linalg import (
     seminorm,
 )
 from projsum.selftest import (
-    DilationCertificate,
     ResidualReport,
     _dilation_residuals,
     approx_rep_residuals,
-    compose_dilations,
     dilation_epsilon,
     extract_dilation,
     fit_isometry,
@@ -58,6 +57,7 @@ from projsum.selftest import (
 from projsum.strategies import (
     NOISE_MODELS,
     Strategy,
+    StrategyStack,
     canonical_strategy,
     ideal_correlation,
     induced_correlation,
@@ -67,8 +67,10 @@ from oracles import (
     IntertwinerError,
     NotARepresentationError,
     aligned_junk_fidelity,
+    compose_dilations,
     eigvec_overlap_bound,
     find_intertwiner,
+    max_residual,
     partial_trace,
     random_unitary,
 )
@@ -281,6 +283,17 @@ def test_only_a_strategy_or_a_stack_comes_in(call, given):
         InvalidStrategyError, match=f"^expected a Strategy or a StrategyStack, got {name}$"
     ):
         STRATEGY_CALLS[call](given, fam)
+
+
+@pytest.mark.parametrize("call", STRATEGY_CALLS)
+def test_an_empty_stack_is_refused(call):
+    # a stack of no members has nothing to audit or certify
+    fam = four_family(1)
+    one = fam.canonical_strategy.stack
+    empty = StrategyStack(one.state[:0], one.dim_a, one.dim_b, one.alice[:0], one.bob[:0])
+    message = "^a StrategyStack needs at least one member, got none$"
+    with pytest.raises(InvalidStrategyError, match=message):
+        STRATEGY_CALLS[call](empty, fam)
 
 
 def test_dilation_epsilon_takes_one_reference():
@@ -537,7 +550,7 @@ def test_fit_isometry_exact_conjugated_family():
         rho = np.eye(fam.d * s) / (fam.d * s)
         fit = fit_isometry(ops, fam, rho)
         assert fit.s == s
-        assert fit.max_residual < 1e-8
+        assert max_residual(fit) < 1e-8
         v = fit.isometry
         assert np.allclose(v.conj().T @ v, np.eye(fam.d * s), atol=1e-10)
 
@@ -603,7 +616,7 @@ def test_fit_isometry_against_a_one_dimensional_family(monkeypatch):
     rng = np.random.default_rng(7)
     draw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     assert np.abs(fit.isometry - nearest_isometry(draw.T)).max() < 1e-15
-    assert fit.max_residual < 1e-15
+    assert max_residual(fit) < 1e-15
 
 
 def kron_fit_isometry(ops, fam, rho):
@@ -1135,7 +1148,7 @@ def test_reports_and_certificates_hold_plain_floats_and_bools(model):
     cert = extract_dilation(noisy, fam)
     for name in ("epsilon", "alpha", "beta", "gap", "state_residual", "delta"):
         assert type(getattr(cert, name)) is float, name
-    for name in ("ref_dim_a", "ref_dim_b", "anc_dim_a", "anc_dim_b", "source_dim_a", "source_dim_b"):
+    for name in ("ref_dim_a", "ref_dim_b", "anc_dim_a", "anc_dim_b"):
         assert type(getattr(cert, name)) is int, name
 
 
@@ -1407,30 +1420,22 @@ def test_compose_dilations_chain(k, outer_shape, inner_shape, level, seed):
         alice=ua @ np.kron(strat1.alice, np.eye(ka2)) @ ua.conj().T,
         bob=ub @ np.kron(strat1.bob, np.eye(kb2)) @ ub.conj().T,
     )
-    inner_eps = dilation_epsilon(strat2, strat1, ua.conj().T, ub.conj().T, junk2)
-    assert inner_eps < 1e-10
-    inner = DilationCertificate(
-        v_a=ua.conj().T,
-        v_b=ub.conj().T,
-        junk=junk2,
-        ref_dim_a=da,
-        ref_dim_b=db,
-        anc_dim_a=ka2,
-        anc_dim_b=kb2,
-        epsilon=inner_eps,
+    inner = SimpleNamespace(
+        v_a=ua.conj().T, v_b=ub.conj().T, junk=junk2, anc_dim_a=ka2, anc_dim_b=kb2
     )
+    inner_eps = dilation_epsilon(strat2, strat1, inner.v_a, inner.v_b, inner.junk)
+    assert inner_eps < 1e-10
     outer = extract_dilation(strat1, fam)
     reference = fam.canonical_strategy
-    composed = compose_dilations(inner, outer, strat2, reference)
-    assert composed.ref_dim_a == composed.ref_dim_b == fam.d
-    assert composed.anc_dim_a == outer.anc_dim_a * ka2
-    assert composed.anc_dim_b == outer.anc_dim_b * kb2
-    for v in (composed.v_a, composed.v_b):
+    v_a, v_b, junk = compose_dilations(inner, outer)
+    anc_a, anc_b = outer.anc_dim_a * ka2, outer.anc_dim_b * kb2
+    assert v_a.shape == (fam.d * anc_a, strat2.dim_a) and v_b.shape == (fam.d * anc_b, strat2.dim_b)
+    assert junk.shape == (anc_a * anc_b,)
+    for v in (v_a, v_b):
         assert np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() <= 1e-12
-    parts = (composed.v_a, composed.v_b, composed.junk)
-    assert composed.epsilon == dilation_epsilon(strat2, reference, *parts)
-    assert composed.state_residual == _dilation_residuals(strat2, reference, *parts)[0]
-    assert composed.epsilon <= inner.epsilon + outer.epsilon + 1e-12
+    epsilon = dilation_epsilon(strat2, reference, v_a, v_b, junk)
+    assert epsilon == _dilation_residuals(strat2, reference, v_a, v_b, junk).max()
+    assert epsilon <= inner_eps + outer.epsilon + 1e-12
 
 
 def test_compose_dilations_refuses_middle_dimensions_that_differ():
@@ -1439,10 +1444,9 @@ def test_compose_dilations_refuses_middle_dimensions_that_differ():
     fam = four_family(1)
     strat, _ = planted_strategy(fam, 1, 2, seed=1)
     outer = extract_dilation(strat, fam)
-    canon = fam.canonical_strategy
-    inner = extract_dilation(canon, fam)
+    inner = extract_dilation(fam.canonical_strategy, fam)
     with pytest.raises(InvalidShapeError, match="middle strategy dimensions"):
-        compose_dilations(inner, outer, canon, canon)
+        compose_dilations(inner, outer)
 
 
 def test_aligned_junk_fidelity_gauge_invariance():

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from projsum.errors import InvalidFamilyError, InvalidStrategyError, SerializationError
 from projsum.families import ProjectionFamily, four_family, validate_family
-from projsum.selftest import compose_dilations, extract_dilation
+from projsum.selftest import extract_dilation
 from projsum.serialize import (
     certificate_to_dict,
     correlation_to_dict,
@@ -244,13 +244,13 @@ def test_certificate_to_dict_shape():
     va = lists_to_matrix(doc["VA"])
     assert np.array_equal(va, cert.v_a)
     assert "state" in doc["residuals"]
-    # a composed certificate carries no fits and no spectral data: those
-    # fields are null, and its measured residuals are numbers, never NaN
-    composed = certificate_to_dict(compose_dilations(cert, cert, strat, strat))
-    assert composed["residuals"]["fitA"] is None and composed["residuals"]["fitB"] is None
-    assert composed["alpha"] is composed["beta"] is composed["gap"] is None
-    assert composed["epsilon"] < 1e-10 and composed["residuals"]["state"] < 1e-10
-    json.dumps(composed, allow_nan=False)
+    # every field is measured: numbers and lists of numbers, never null or NaN
+    residuals = doc["residuals"]
+    for value in (doc["alpha"], doc["beta"], doc["gap"], residuals["state"], residuals["delta"]):
+        assert type(value) is float
+    for name in ("fitA", "fitB"):
+        assert len(residuals[name]) == fam.n and {type(r) for r in residuals[name]} == {float}
+    json.dumps(doc, allow_nan=False)
 
 
 def test_writers_match_the_per_entry_writer_byte_for_byte(tmp_path):

@@ -36,7 +36,7 @@ from projsum.strategies import (
     synchronicity_defect,
 )
 
-from oracles import lambda_sequence, random_hermitian, random_unitary
+from oracles import lambda_sequence, random_hermitian, random_unitary, stack_strategies
 
 
 def planted_strategy(fam, ka, kb, seed):
@@ -654,7 +654,7 @@ def test_a_stack_names_its_invalid_member(case):
     with pytest.raises(InvalidStrategyError, match=f"^{re.escape(message)}$"):
         Strategy(**(fields | change))
     members = [canon] * 4
-    stack = StrategyStack.of(members)
+    stack = stack_strategies(members)
     stack.validate()  # valid members pass
     for name, array in change.items():
         getattr(stack, name)[2] = array

@@ -35,7 +35,7 @@ from projsum.sweep import (
     trial_seed,
 )
 
-from oracles import spearman
+from oracles import spearman, stack_strategies
 
 
 def small_config(**overrides):
@@ -418,7 +418,7 @@ def assert_same(a, b):
 def test_a_stack_equals_its_members_bit_for_bit(k, picks):
     fam, pool = sweep_pool(k)
     strategies = [pool[i] for i in picks]
-    stack = StrategyStack.of(strategies)
+    stack = stack_strategies(strategies)
     reports = approx_rep_residuals(stack, fam)
     results = extract_dilation(stack, fam)
     assert len(reports) == len(results) == len(strategies)
@@ -432,6 +432,34 @@ def test_a_stack_equals_its_members_bit_for_bit(k, picks):
             assert_same(result, alone)
     if 22 in picks:  # its form is degenerate
         assert isinstance(results[picks.index(22)], FitDegenerateError)
+
+
+def test_a_stack_whose_stacked_solve_is_singular_equals_its_members(monkeypatch):
+    # a singular stacked solve of the inverse iteration fails the stack
+    # whole, and its members are certified again alone; the povm-jitter
+    # members at every level, the last of which fails on alpha
+    fam, pool = sweep_pool(1)
+    strategies = pool[8:16]
+    solve, refused = np.linalg.solve, []
+
+    def singular_once(a, b):
+        if a.ndim > 2 and len(a) > 1 and not refused:
+            refused.append(len(a))
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    results = extract_dilation(stack_strategies(strategies), fam)
+    monkeypatch.undo()
+    assert refused
+    for strategy, result in zip(strategies, results):
+        try:
+            alone = extract_dilation(strategy, fam)
+        except JunkExtractionError as error:
+            assert type(result) is type(error) and str(result) == str(error)
+        else:
+            assert_same(result, alone)
+    assert isinstance(results[-1], JunkExtractionError)
 
 
 @pytest.mark.parametrize("k, trials", [(1, 3), (5, 2)])
