@@ -262,13 +262,26 @@ def seminorm(x, rho):
 
     Vanishes exactly on the kernel of rho; tiny negative traces from roundoff
     are clipped to zero.  A stack x of shape (..., m, m) gets one value per
-    matrix, as a float array, all weighted by the same rho.
+    matrix, as a float array, all weighted by the same rho, which
+    check_weight checks.
     """
     xm = as_array(x, None, "x")
     rm = as_array(rho, 2, "rho")
     if xm.ndim < 2 or xm.shape[-2:] != rm.shape or rm.shape[0] != rm.shape[1]:
         raise InvalidShapeError(f"operator {xm.shape} and weight {rm.shape} must be square and equal")
+    check_weight(rm)
     return _seminorm(xm, rm)
+
+
+def check_weight(rho: np.ndarray) -> None:
+    """The rule for a seminorm's weight, a square matrix read by as_array: it
+    is Hermitian at HERMITIAN_TOL (else NonHermitianError) and has no
+    eigenvalue below -STATE_TOL times its largest (else InvalidStateError)."""
+    if np.abs(rho - dagger(rho)).max() > HERMITIAN_TOL:
+        raise NonHermitianError("weight rho is not Hermitian at tolerance")
+    w = np.linalg.eigvalsh(rho)
+    if w[0] < -STATE_TOL * np.abs(w).max():
+        raise InvalidStateError(f"weight rho has a negative eigenvalue {w[0]:.3e}")
 
 
 def _seminorm(xm: np.ndarray, rm: np.ndarray):

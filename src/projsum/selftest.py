@@ -44,12 +44,13 @@ stays within STACK_ENTRIES entries.  Each member gets the bits it gets
 alone: members are solved in the arithmetic each gets alone, every
 reduction is written one way for any number of members, and a member of an
 inverse iteration stops at its own convergence.  A stack fails whole
-(linalg._refuse raises its first failing member's error), and its members
-are then certified again, each alone (extract_dilation); only a refused
-alpha, the last stage, stays a member's own result.
+(linalg._refuse raises its first failing member's error); when its fits
+fail, extract_dilation certifies its halves again, down to stacks of one,
+and only a refused alpha stays a member's own result.
 
-All certified quantities are measured, never assumed: every bound stored in
-a certificate is recomputed from the returned isometries and junk state.
+All certified quantities are measured, never assumed: one measuring step
+(_measured) recomputes every certificate number from isometries of any
+source and the junk state, and the fits (_fit) only supply the isometries.
 """
 from __future__ import annotations
 
@@ -62,6 +63,7 @@ from .errors import (
     BudgetExceededError,
     FitDegenerateError,
     InvalidDimensionError,
+    InvalidFamilyError,
     InvalidShapeError,
     InvalidStrategyError,
     JunkExtractionError,
@@ -77,6 +79,7 @@ from .linalg import (
     _refuse,
     _seminorm,
     as_array,
+    check_weight,
     dagger,
     hermitian_eig,
     is_integer,
@@ -122,6 +125,13 @@ def _lifted(strategy) -> StrategyStack:
     return stack
 
 
+def _check_family(fam) -> None:
+    """The one check where families come in: anything but a ProjectionFamily
+    raises InvalidFamilyError."""
+    if not isinstance(fam, ProjectionFamily):
+        raise InvalidFamilyError(f"expected a ProjectionFamily, got {type(fam).__name__}")
+
+
 def _unlifted(strategy, results):
     """What a call on ``strategy`` returns of its stack's per-member results:
     member 0 for a Strategy, all of them for a StrategyStack."""
@@ -142,6 +152,7 @@ def stack_size(strategy, fam: ProjectionFamily) -> int:
     """How many strategies of the shape of ``strategy`` (a Strategy or a
     StrategyStack) one stack holds: STACK_ENTRIES // _member_entries, read at
     call time, and at least one."""
+    _check_family(fam)
     return max(1, STACK_ENTRIES // _member_entries(strategy, fam))
 
 
@@ -180,10 +191,12 @@ def _audit_delta(stack: StrategyStack, fam: ProjectionFamily) -> np.ndarray:
     """delta = ||p - p_{n,x}||_1 of each member of a stack, with
     p_{n,x} = ideal_correlation(fam.n, fam.x).
 
-    The audits' one precondition comes first: a strategy without two outcomes
-    raises UnsupportedOutcomeCountError, one without fam.n questions
+    The audits' one precondition comes first: a family is checked by
+    _check_family, a strategy without two outcomes raises
+    UnsupportedOutcomeCountError, one without fam.n questions
     InvalidStrategyError.
     """
+    _check_family(fam)
     n, k = stack.n_questions, stack.n_outcomes
     if k != 2:
         raise UnsupportedOutcomeCountError(f"strategy has {k} outcomes, the audits need 2")
@@ -457,9 +470,11 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     matrix-free path: the solution would then be an arbitrary pick from a
     larger eigenspace, and when the solution's smallest singular value is at
     most 1e-8 of its largest.  Only ``ops`` and ``rho`` are read by
-    linalg.as_array; the arrays the fit builds go to unchecked kernels, and
-    the form is applied only inside krylov_eigh.
+    linalg.as_array, and ``rho`` is then checked by linalg.check_weight; the
+    arrays the fit builds go to unchecked kernels, and the form is applied
+    only inside krylov_eigh.
     """
+    _check_family(fam)
     ops = as_array(ops, 3, "ops")
     if ops.shape[1] != ops.shape[2]:
         raise InvalidShapeError("operators must share a square shape")
@@ -469,9 +484,11 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     rho = as_array(rho, 2, "rho")
     if rho.shape != (r, r):
         raise InvalidShapeError(f"weight shape {rho.shape} does not match operators")
+    check_weight(rho)
     # a stack of one, whose errors are raised where they are met
-    fit = _fit(ops[None], fam, rho[None])
-    return IsometryFit(isometry=fit.isometry[0], s=fit.s, residuals=fit.residuals[0])
+    v = _fit(ops[None], fam, rho[None])
+    residuals = _fit_residuals(ops[None], fam, rho[None], v)[0]
+    return IsometryFit(isometry=v[0], s=v.shape[-2] // fam.d, residuals=residuals)
 
 
 def _by_arithmetic(terms: np.ndarray):
@@ -482,10 +499,10 @@ def _by_arithmetic(terms: np.ndarray):
     yield from (group for group in (exact, ~exact) if group.any())
 
 
-def _fit(ops: np.ndarray, fam: ProjectionFamily, rho: np.ndarray) -> IsometryFit:
-    """fit_isometry of each member of a stack of arrays already read and
-    checked, (members, n, r, r) and (members, r, r): the fit's arrays get the
-    same leading axis, and each member the bits it gets alone.  The dense
+def _fit(ops: np.ndarray, fam: ProjectionFamily, rho: np.ndarray) -> np.ndarray:
+    """fit_isometry's isometries (members, d s, r) of a stack of arrays read
+    and checked, (members, n, r, r) and (members, r, r): the fit's arrays get
+    the same leading axis, and each member the bits it gets alone.  The dense
     forms are solved together, in at most two groups (_by_arithmetic); the
     matrix-free ones one member at a time.  The stack fails whole: the first
     failing member's error is raised."""
@@ -560,12 +577,16 @@ def _fit(ops: np.ndarray, fam: ProjectionFamily, rho: np.ndarray) -> IsometryFit
     degenerate = (sv[..., 0] <= 0) | (sv[..., -1] <= 1e-8 * sv[..., 0])
     message = "fitted map has a rank-deficient polar factor"
     _refuse(degenerate, lambda i: FitDegenerateError(message))
-    v_iso = u @ vh
+    return u @ vh
+
+
+def _fit_residuals(ops: np.ndarray, fam: ProjectionFamily, rho: np.ndarray, v: np.ndarray):
+    """The weighted seminorms of E_v - V^* (P_v kron I_s) V of each member of
+    stacks (members, n, r, r), (members, r, r) and (members, d s, r)."""
     # V^* (P_v kron I_s) V = sum_a V_a^* P_v V_a over the ancilla row blocks
-    v_blocks = v_iso.reshape(*batch, d, s, r).swapaxes(-3, -2)[..., None, :, :, :]
+    v_blocks = v.reshape(*v.shape[:-2], fam.d, -1, v.shape[-1]).swapaxes(-3, -2)[..., None, :, :, :]
     compressed = (dagger(v_blocks) @ fam.projections[:, None] @ v_blocks).sum(axis=-3)
-    residuals = _seminorm(ops - compressed, rho[..., None, :, :])
-    return IsometryFit(isometry=v_iso, s=s, residuals=residuals)
+    return _seminorm(ops - compressed, rho[..., None, :, :])
 
 
 # ---------------------------------------------------------------------------
@@ -677,57 +698,48 @@ def extract_dilation(strategy: Strategy, fam: ProjectionFamily) -> DilationCerti
 
     Each party's first-outcome operators are compressed onto the family
     (Bob against fam.transposed), weighted by the strategy's reduced
-    densities; the compressed state is projected onto the top eigenspace of
-    the correlation operator, and the remainder is normalized into the junk
-    state.  The ancilla bases are rotated so the junk state comes out in
-    Schmidt-diagonal form, which fixes the gauge freedom of the certificate.
-    The precondition is _audit_delta's.  Raises JunkExtractionError when the
-    projected weight alpha is at or below ALPHA_MIN, read at call time.
+    densities (_fit); the measuring step (_measured) then reads every
+    certificate number off the two isometries.  The precondition is
+    _audit_delta's.  Raises JunkExtractionError when the projected weight
+    alpha is at or below ALPHA_MIN, read at call time.
 
     A StrategyStack gets a list, one entry per member: its certificate,
     equal to its own call's, or the FitDegenerateError or JunkExtractionError
-    its own call raises.  The stack is certified whole; when that raises, it
-    fails whole, and its members are certified again, each as a stack of
-    one, in member order: the first member whose error is of another class
-    raises it.
+    its own call raises.  When a stack's fits raise, its two halves are
+    certified again, each by this call, down to stacks of one: a member alone
+    gets its FitDegenerateError in the list, and in member order the first
+    member whose error is of another class raises it.
     """
     stack = _lifted(strategy)
+    delta = _audit_delta(stack, fam)
     try:
-        results = _certify(stack, fam)
-    except ProjsumError:
-        if isinstance(strategy, Strategy):
+        v_a = _fit(stack.alice[..., 0, :, :], fam, stack.reduced_densities[0])
+        v_b = _fit(stack.bob[..., 0, :, :], fam.transposed, stack.reduced_densities[1])
+    except ProjsumError as error:
+        if len(stack) > 1:
+            half = len(stack) // 2
+            return extract_dilation(stack[:half], fam) + extract_dilation(stack[half:], fam)
+        if isinstance(strategy, Strategy) or not isinstance(error, FitDegenerateError):
             raise
-        results = [_certify_alone(stack, i, fam) for i in range(len(stack))]
+        return [error]
+    results = _measured(stack, fam, delta, v_a, v_b)
     if isinstance(strategy, Strategy) and isinstance(results[0], JunkExtractionError):
         raise results[0]
     return _unlifted(strategy, results)
 
 
-def _certify_alone(stack: StrategyStack, i: int, fam: ProjectionFamily):
-    """_certify's entry for member i of a stack, certified as a stack of one:
-    its certificate, or its FitDegenerateError or JunkExtractionError."""
-    state, alice, bob = (a[i : i + 1] for a in (stack.state, stack.alice, stack.bob))
-    try:
-        return _certify(StrategyStack(state, stack.dim_a, stack.dim_b, alice, bob), fam)[0]
-    except FitDegenerateError as error:
-        return error
-
-
-def _certify(stack: StrategyStack, fam: ProjectionFamily) -> list:
-    """extract_dilation of each member of a stack, in a list.  A stage that
-    fails raises the first failing member's error (_refuse), so the stack
-    fails whole.  Only alpha, the last stage, is judged per member: a member
-    whose alpha is at or below ALPHA_MIN gets its JunkExtractionError in the
-    list in place of its certificate."""
-    delta = _audit_delta(stack, fam)
+def _measured(stack: StrategyStack, fam: ProjectionFamily, delta, v_a, v_b) -> list:
+    """The certificates of a stack's members, measured from their delta and
+    isometries (members, d s, dim) of any source: both fit residuals, the junk
+    state and its Schmidt gauge, alpha, the dilation residuals and beta.  A
+    member whose alpha is at or below ALPHA_MIN gets its JunkExtractionError."""
+    d, batch, gap = fam.d, delta.shape, fam.correlation_gap
+    sa, sb = v_a.shape[-2] // d, v_b.shape[-2] // d
     rho_a, rho_b = stack.reduced_densities
-    fit_a = _fit(stack.alice[..., 0, :, :], fam, rho_a)
-    fit_b = _fit(stack.bob[..., 0, :, :], fam.transposed, rho_b)
-    gap = fam.correlation_gap
-    d, batch = fam.d, delta.shape
-    sa, sb = fit_a.s, fit_b.s
+    fit_residuals_a = _fit_residuals(stack.alice[..., 0, :, :], fam, rho_a, v_a)
+    fit_residuals_b = _fit_residuals(stack.bob[..., 0, :, :], fam.transposed, rho_b, v_b)
 
-    lifted = fit_a.isometry @ stack.state_matrix @ fit_b.isometry.swapaxes(-1, -2)
+    lifted = v_a @ stack.state_matrix @ v_b.swapaxes(-1, -2)
     junk_block = np.einsum("...iaib->...ab", lifted.reshape(*batch, d, sa, d, sb)) / np.sqrt(d)
     alpha = _frobenius(junk_block)
     # a member whose alpha is refused is divided by nothing
@@ -738,16 +750,13 @@ def _certify(stack: StrategyStack, fam: ProjectionFamily) -> list:
     # rotate ancillas so the junk state is Schmidt-diagonal, (I_d kron g) V
     # as g on each (s, r) block of V; the dilation residuals are invariant
     # under this change of gauge
-    blocks_a = fit_a.isometry.reshape(*batch, d, sa, -1)
-    blocks_b = fit_b.isometry.reshape(*batch, d, sb, -1)
-    v_a = (dagger(u)[..., None, :, :] @ blocks_a).reshape(*batch, d * sa, -1)
-    v_b = (vh.conj()[..., None, :, :] @ blocks_b).reshape(*batch, d * sb, -1)
+    v_a = (dagger(u)[..., None, :, :] @ v_a.reshape(*batch, d, sa, -1)).reshape(*batch, d * sa, -1)
+    v_b = (vh.conj()[..., None, :, :] @ v_b.reshape(*batch, d, sb, -1)).reshape(*batch, d * sb, -1)
     junk = np.zeros(batch + (sa * sb,), dtype=np.complex128)
-    m = min(sa, sb)
-    junk[..., np.arange(m) * sb + np.arange(m)] = sv[..., :m]
+    junk[..., np.arange(min(sa, sb)) * (sb + 1)] = sv[..., : min(sa, sb)]
 
     residuals = _dilation_residuals(stack, fam.canonical_strategy, v_a, v_b, junk)
-    eps_prime = np.maximum(*(fit.residuals.max(axis=-1, initial=0.0) for fit in (fit_a, fit_b)))
+    eps_prime = np.maximum(fit_residuals_a.max(axis=-1), fit_residuals_b.max(axis=-1))
     # the spectral argument needs the correlation defect as well; folding it
     # into eps_prime makes the beta bound hold unconditionally
     eps_eff = np.maximum(eps_prime, delta)
@@ -768,10 +777,9 @@ def _certify(stack: StrategyStack, fam: ProjectionFamily) -> list:
             beta=float(beta[i]),
             gap=gap,
             state_residual=float(residuals[i][0]),
-            fit_residuals_a=fit_a.residuals[i],
-            fit_residuals_b=fit_b.residuals[i],
+            fit_residuals_a=fit_residuals_a[i],
+            fit_residuals_b=fit_residuals_b[i],
             delta=float(delta[i]),
         )
         for i in range(len(stack))
     ]
-

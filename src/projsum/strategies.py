@@ -211,6 +211,13 @@ class StrategyStack:
     def __len__(self) -> int:
         return len(self.state)
 
+    def __getitem__(self, members: slice) -> StrategyStack:
+        """The members a slice selects, as a stack of their own."""
+        if not isinstance(members, slice):
+            raise InvalidStrategyError(f"a stack takes a slice, got {type(members).__name__}")
+        state, alice, bob = (a[members] for a in (self.state, self.alice, self.bob))
+        return StrategyStack(state, self.dim_a, self.dim_b, alice, bob)
+
     n_questions = property(lambda self: self.alice.shape[-4])
     n_outcomes = property(lambda self: self.alice.shape[-3])
     state_matrix = property(lambda self: self.state.reshape(len(self), self.dim_a, self.dim_b))
@@ -457,8 +464,11 @@ def perturb(strategy: Strategy, model: str, level, seed):
     (lists, tuples or 1-dimensional arrays) of levels and seeds it returns a
     StrategyStack, member i of which is the strategy perturb(strategy, model,
     level[i], seed[i]) returns, bit for bit; the stack is validated once.
-    Sequences of other lengths raise InvalidLevelError.
+    Sequences of other lengths raise InvalidLevelError, and anything but a
+    Strategy, a StrategyStack among them, InvalidStrategyError.
     """
+    if not isinstance(strategy, Strategy):
+        raise InvalidStrategyError(f"perturb takes a Strategy, got {type(strategy).__name__}")
     if not (_is_sequence(level) and _is_sequence(seed)):
         level = check_noise(model, level, seed)
         if level == 0.0:

@@ -12,8 +12,8 @@ The first form writes into the directory OUT, for each ladder level k in
   zero level and 3 log-spaced levels with 8 trials each
 * ``sweep-k{k}-{model}-failure-heavy.csv`` and ``.json``: at the same k, n
   and seed, the levels 0.3, 0.6 and 1.0 with 10 trials each, where many
-  extractions fail, so that a stack that fails whole and is certified
-  again member by member is covered too
+  extractions fail, so that a stack whose fits fail and whose halves are
+  certified again is covered too
 * ``strategy-k{k}-{name}.json``, ``selftest-k{k}-{name}.out`` and
   ``.cert.json``, ``correlate-k{k}-{name}.out`` and ``.json``: ``projsum
   selftest`` and ``projsum correlate`` on the canonical strategy and on it

@@ -12,7 +12,9 @@ from projsum.errors import (
     EigensolverError,
     InvalidFamilyError,
     InvalidShapeError,
+    InvalidStateError,
     InvalidStrategyError,
+    NonHermitianError,
     ProjsumError,
     SerializationError,
 )
@@ -83,6 +85,46 @@ ENTRY_POINTS = {
         SerializationError,
     ),
 }
+
+
+# name: a call with the weight under test
+WEIGHTED = {
+    "fit_isometry.rho": lambda rho: fit_isometry(FAM.projections, FAM, rho),
+    "seminorm.rho": lambda rho: seminorm(EYE, rho),
+}
+
+# a weight that is not Hermitian PSD, and the error it documents
+BAD_WEIGHTS = {
+    "negative": (-EYE / 3, InvalidStateError),
+    "one negative eigenvalue": (np.diag([0.5, 0.5, -1e-6]), InvalidStateError),
+    "non-Hermitian": (EYE / 3 + np.triu(np.ones((3, 3)), 1) / 3, NonHermitianError),
+}
+
+
+@pytest.mark.parametrize("point", WEIGHTED)
+@pytest.mark.parametrize("kind", BAD_WEIGHTS)
+def test_a_weight_that_is_not_hermitian_psd_is_refused(point, kind):
+    # -I/3 read residuals of 0 off the family, and a non-Hermitian weight
+    # ended in an arbitrary FitDegenerateError
+    weight, error = BAD_WEIGHTS[kind]
+    with pytest.raises(error, match="^weight rho "):
+        WEIGHTED[point](weight)
+
+
+@pytest.mark.parametrize("point", WEIGHTED)
+def test_a_weight_within_the_tolerances_is_accepted(point):
+    # roundoff: a negative eigenvalue of 1e-12 against 0.5, an asymmetry of 1e-12
+    WEIGHTED[point](np.diag([0.5, 0.5, -1e-12]))
+    WEIGHTED[point](EYE / 3 + 1e-12 * np.triu(np.ones((3, 3)), 1))
+
+
+def test_fit_residuals_are_read_under_a_psd_weight():
+    ops = FAM.projections + 0.3 * EYE
+    fit = fit_isometry(ops, FAM, EYE / 3)
+    assert np.abs(fit.residuals - 0.3).max() < 1e-12
+    message = "^weight rho has a negative eigenvalue -3.333e-01$"
+    with pytest.raises(InvalidStateError, match=message):
+        fit_isometry(ops, FAM, -EYE / 3)
 
 
 def innermost(rows, ndim):

@@ -20,6 +20,7 @@ from projsum.errors import (
     BudgetExceededError,
     FitDegenerateError,
     InvalidDimensionError,
+    InvalidFamilyError,
     InvalidShapeError,
     InvalidStrategyError,
     JunkExtractionError,
@@ -283,6 +284,27 @@ def test_only_a_strategy_or_a_stack_comes_in(call, given):
         InvalidStrategyError, match=f"^expected a Strategy or a StrategyStack, got {name}$"
     ):
         STRATEGY_CALLS[call](given, fam)
+
+
+FAMILY_CALLS = {
+    "extract_dilation": extract_dilation,
+    "sync_residuals": sync_residuals,
+    "approx_rep_residuals": approx_rep_residuals,
+    "stack_size": selftest.stack_size,
+    "fit_isometry": lambda given, fam: fit_isometry(
+        given.alice[:, 0], fam, given.reduced_densities[0]
+    ),
+}
+
+
+@pytest.mark.parametrize("call", FAMILY_CALLS)
+@pytest.mark.parametrize("fam", [None, {}, "four_family(1)"], ids=["None", "dict", "str"])
+def test_only_a_projection_family_comes_in(call, fam):
+    # each raised a bare AttributeError
+    canon = four_family(1).canonical_strategy
+    message = f"^expected a ProjectionFamily, got {type(fam).__name__}$"
+    with pytest.raises(InvalidFamilyError, match=message):
+        FAMILY_CALLS[call](canon, fam)
 
 
 @pytest.mark.parametrize("call", STRATEGY_CALLS)
@@ -1198,6 +1220,51 @@ def test_extract_dilation_planted_round_trip():
             sv = np.diag(mat[: min(ka, kb), : min(ka, kb)]).real
             assert np.all(sv >= -1e-12)
             assert np.all(np.diff(sv) <= 1e-12)
+
+
+def planted_isometries(fam, dims, seed):
+    """The inverses of the unitaries planted_strategy(fam, *dims, seed) plants,
+    each as a stack of one."""
+    rng = np.random.default_rng(seed)
+    return [random_unitary(fam.d * k, rng).conj().T[None] for k in dims]
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 3), (2, 2)])
+def test_planted_isometries_measure_exactly(dims):
+    # a second isometry source: the planted strategy's own isometries, fed
+    # straight to the measuring step, with no fit
+    fam = four_family(1)
+    strat, _ = planted_strategy(fam, *dims, seed=5)
+    stack = strat.stack
+    v_a, v_b = planted_isometries(fam, dims, seed=5)
+    (cert,) = selftest._measured(stack, fam, selftest._audit_delta(stack, fam), v_a, v_b)
+    assert cert.epsilon <= 1e-12
+    assert max(cert.fit_residuals_a.max(), cert.fit_residuals_b.max()) <= 1e-12
+    assert cert.alpha == pytest.approx(1.0, abs=1e-12)
+    direct = dilation_epsilon(strat, fam.canonical_strategy, cert.v_a, cert.v_b, cert.junk)
+    assert cert.epsilon == direct
+
+
+@given(
+    dims=st.sampled_from([(1, 1), (2, 1), (1, 3), (2, 2), (3, 2)]),
+    model=st.sampled_from(NOISE_MODELS),
+    level=st.sampled_from([1e-3, 1e-2, 1e-1]),
+    seed=st.integers(0, 2**16),
+)
+def test_measured_numbers_are_gauge_invariant(dims, model, level, seed):
+    # (I_d kron g) V for seeded ancilla unitaries g measures as V does
+    fam, noisy = noisy_planted(dims, seed, model, level)
+    stack = noisy.stack
+    delta = selftest._audit_delta(stack, fam)
+    v_a, v_b = planted_isometries(fam, dims, seed)
+    rng = np.random.default_rng([seed, 3])
+    gauged = [np.kron(np.eye(fam.d), random_unitary(k, rng)) @ v for k, v in zip(dims, (v_a, v_b))]
+    (ref,) = selftest._measured(stack, fam, delta, v_a, v_b)
+    (cert,) = selftest._measured(stack, fam, delta, *gauged)
+    for field in ("epsilon", "alpha", "beta", "state_residual"):
+        assert abs(getattr(cert, field) - getattr(ref, field)) <= 1e-12, field
+    for field in ("fit_residuals_a", "fit_residuals_b"):
+        assert np.abs(getattr(cert, field) - getattr(ref, field)).max() <= 1e-12, field
 
 
 def test_extract_dilation_epsilon_matches_direct_check():

@@ -629,6 +629,30 @@ def test_perturb_refuses_sequences_of_other_lengths():
         perturb(canon, "povm-jitter", [0.1], 1)
 
 
+@pytest.mark.parametrize("given", [None, "stack", {}], ids=["None", "stack", "dict"])
+def test_perturb_takes_only_a_strategy(given):
+    # a stack raised a bare ValueError ("too many values to unpack"), and
+    # None an AttributeError
+    canon = canonical_strategy(four_family(1))
+    if given == "stack":
+        given = canon.stack
+    message = f"^perturb takes a Strategy, got {type(given).__name__}$"
+    for levels, seeds in ((1e-3, 1), ([1e-3, 0.0], [1, 2])):
+        with pytest.raises(InvalidStrategyError, match=message):
+            perturb(given, "povm-jitter", levels, seeds)
+
+
+def test_a_stack_slice_is_a_stack_of_those_members():
+    canon = canonical_strategy(four_family(1))
+    stack = perturb(canon, "povm-jitter", [1e-3, 1e-2, 0.0], [1, 2, 3])
+    part = stack[1:]
+    assert type(part) is StrategyStack and len(part) == 2
+    for name in ("state", "alice", "bob"):
+        assert getattr(part, name).tobytes() == getattr(stack, name)[1:].tobytes()
+    with pytest.raises(InvalidStrategyError, match="^a stack takes a slice, got int$"):
+        stack[0]
+
+
 def bad_members():
     """(change to the canonical strategy of simplex_family(3), its message):
     one per check a member of a stack can fail alone."""

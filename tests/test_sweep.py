@@ -462,6 +462,27 @@ def test_a_stack_whose_stacked_solve_is_singular_equals_its_members(monkeypatch)
     assert isinstance(results[-1], JunkExtractionError)
 
 
+def test_a_failed_stack_is_certified_in_halves(monkeypatch):
+    # a full k = 1 stack of povm-jitter members whose last member, outcome
+    # noise at level 1, fails to fit: only the halves that hold it are fitted
+    # again, 22 fits where certifying every member again alone took 226
+    fam = build_family(4, 1)
+    size = selftest.stack_size(fam.canonical_strategy, fam)
+    canon = fam.canonical_strategy
+    strategies = [perturb(canon, "povm-jitter", 1e-3, seed) for seed in range(size - 1)]
+    strategies.append(perturb(canon, "outcome-noise", 1.0, 0))
+    fit, fits = selftest._fit, []
+    monkeypatch.setattr(selftest, "_fit", lambda *args: fits.append(len(args[0])) or fit(*args))
+    results = extract_dilation(stack_strategies(strategies), fam)
+    monkeypatch.undo()
+    assert size == 113 and len(fits) <= 30
+    for strategy, result in zip(strategies[:-1], results):
+        assert_same(result, extract_dilation(strategy, fam))
+    with pytest.raises(FitDegenerateError) as alone:
+        extract_dilation(strategies[-1], fam)
+    assert type(results[-1]) is FitDegenerateError and str(results[-1]) == str(alone.value)
+
+
 @pytest.mark.parametrize("k, trials", [(1, 3), (5, 2)])
 def test_stack_size_leaves_every_report_byte_unchanged(monkeypatch, tmp_path, k, trials):
     # one member per stack, the default stacks, and every distinct strategy
