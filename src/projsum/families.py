@@ -113,6 +113,13 @@ class ProjectionFamily:
         return canonical_strategy(self)
 
 
+def _check_family(fam) -> None:
+    """The one check where families come in: anything but a ProjectionFamily
+    raises InvalidFamilyError."""
+    if not isinstance(fam, ProjectionFamily):
+        raise InvalidFamilyError(f"expected a ProjectionFamily, got {type(fam).__name__}")
+
+
 def top_gap(w: np.ndarray) -> float:
     """w[0] - w[1] of a descending spectrum; SpectralDegeneracyError if the
     top eigenvalue is not simple at GAP_DEGENERACY_TOL."""
@@ -318,12 +325,14 @@ def four_family(k: int) -> ProjectionFamily:
 
 
 def validate_family(fam: ProjectionFamily, tol: float = PROJECTION_TOL) -> FamilyReport:
-    """Measure every structural invariant; never raises, the report decides.
+    """Measure every structural invariant of a family; the report decides.
 
     Checks hermiticity and idempotency per projection, the scalar sum
     identity, ranks against x*d/n, and the pairwise normalized trace table
-    against its two predicted values x/n and x(x-1)/(n(n-1)).
+    against its two predicted values x/n and x(x-1)/(n(n-1)).  Anything but
+    a ProjectionFamily raises InvalidFamilyError; a family never raises.
     """
+    _check_family(fam)
     n, d, x = fam.n, fam.d, fam.x
     p = fam.projections
     herm = np.linalg.norm(p - dagger(p), axis=(1, 2))

@@ -16,8 +16,11 @@ Conventions used across the package:
 * operators too large to form densely are applied matrix-free and
   diagonalized by ``krylov_eigh``, thick-restart block Lanczos whose basis
   holds KRYLOV_BASIS_BLOCKS (50) blocks, so its memory is O(basis * dim)
-  and its Rayleigh-Ritz problems have at most 100 rows for a block of 2; its
-  rank test on each block is a QR and an SVD of the block's small factor
+  and its Rayleigh-Ritz problems have at most 100 rows for a block of 2;
+  each block step projects the block's images on its window (the previous
+  block and itself) and reorthogonalises once against the whole basis, two
+  passes over the basis; its rank test on each block is a QR and an SVD of
+  the block's small factor
   (``_wide_svd``), its convergence checks estimate the Ritz residuals from
   the last block's coupling and apply the operator to Ritz vectors only to
   accept them, returning the residuals so measured, and a caller may hold
@@ -345,6 +348,16 @@ def krylov_eigh(
     real half of the complex one; the eigenvectors come back complex128
     either way.
 
+    Each block step makes two passes over the basis.  The block's images
+    are projected on its window only, the previous block as it was built
+    (blocks shrink when the rank test drops directions, and at the dim edge)
+    and the block itself: by the three-term block recurrence (Golub &
+    Underwood, 1977; Parlett, The Symmetric Eigenvalue Problem, 1998, ch.
+    13) every other coupling is zero in exact arithmetic, and is written as
+    an exact zero in the projected matrix.  After the rank test the new
+    directions are reorthogonalised once against every basis vector, which
+    removes what the window left and the orthogonality lost to cancellation.
+
     At each Rayleigh-Ritz check the residuals are first estimated for free:
     A x - theta x = y_last^T R for the Ritz vector x = y^T basis, where R
     is what the last block's images add to the basis and y_last the last
@@ -362,7 +375,8 @@ def krylov_eigh(
     larger than cap.  When the next block would not fit, the basis restarts
     from its top KRYLOV_KEEP_BLOCKS * count Ritz vectors, whose projected
     block is diag(theta), and goes on from that block, which is orthogonal
-    to them.  Until the basis is full, and for an operator with dim <= cap
+    to them; they are its previous block, so its window is the whole basis.
+    Until the basis is full, and for an operator with dim <= cap
     throughout, the steps are those of unrestarted block Lanczos.
     BudgetExceededError is raised, before allocating, when the basis and
     its projected matrix would exceed KRYLOV_BUDGET entries, and when the
@@ -392,23 +406,30 @@ def krylov_eigh(
         spacing = max(count, m // 4)
         return m + spacing if m + 2 * spacing <= cap else cap
 
-    m = 0
+    m = lo = 0  # lo: the first row of the block before the new one
     check_at = count
     steps = generated = 0
     while True:
         b = len(new)
         basis[m : m + b] = new
         image = apply(new)
+        start, lo = lo, m
         m += b
         steps += 1
         generated += b
         q = basis[:m]
-        coeff = (image.conj() @ q.T).conj()
-        proj[:m, m - b : m] = coeff.T
-        proj[m - b : m, : m - b] = coeff[:, : m - b].conj()
+        # the three-term block recurrence: the images couple only to the
+        # window of the previous block and this one, and every other entry of
+        # the new columns is an exact zero
+        window = q[start:]
+        coeff = (image.conj() @ window.T).conj()
+        proj[:start, m - b : m] = 0
+        proj[m - b : m, :start] = 0
+        proj[start:m, m - b : m] = coeff.T
+        proj[m - b : m, start : m - b] = coeff[:, : m - b - start].conj()
         # what the images add to the basis; none left means an invariant
         # subspace, on which the Ritz pairs are exact
-        u, sv, vh = _wide_svd(image - coeff @ q)
+        u, sv, vh = _wide_svd(image - coeff @ window)
         fresh = vh[sv > KRYLOV_TOL * np.linalg.norm(image, axis=1).max()][: dim - m]
         full = m + len(fresh) > cap
         if m >= check_at or len(fresh) == 0 or full or steps >= KRYLOV_MAX_BLOCKS:
@@ -426,14 +447,15 @@ def krylov_eigh(
                     f"no convergence within {generated} basis vectors of a {dim}-row operator"
                 )
             check_at = next_check(m)
-        # a second projection restores the orthogonality lost to cancellation
+        # the one full reorthogonalisation, against every basis vector
         fresh -= (fresh.conj() @ q.T).conj() @ q
         if full:
             # thick restart: the top Ritz vectors span part of the old basis,
-            # so the fresh block is orthogonal to them too
+            # so the fresh block is orthogonal to them too, and they are the
+            # previous block of the next one, whose images couple to them all
             basis[:keep] = y[:, :keep].T @ q
             proj[:keep, :keep] = np.diag(theta[:keep])
-            m = keep
+            m, lo = keep, 0
             check_at = next_check(m)
         new = np.linalg.qr(fresh.T)[0].T
 

@@ -21,9 +21,10 @@ ProjectionFamily.correlation_gap: measured matrix-free once per family, as a
 sum of squares on an eigenvector, not a difference of eigenvalues, with
 n_operator kept as the dense reference.  fit_isometry needs only the s
 lowest eigenpairs of its form on one d x r ancilla row block (s is the
-ancilla dimension).  For s = 1 up to KRYLOV_MIN_ROWS rows it forms the
-matrix, takes its eigenvalues alone and then linalg._lowest_eigvec; every
-other form is applied as the gap's is (linalg.sandwich_operator) to
+ancilla dimension).  For s = 1 up to KRYLOV_MIN_ROWS rows (225, the d <= 15
+ladder fits) it forms the matrix, takes its eigenvalues alone and then
+linalg._lowest_eigvec; every other form, the d = 21 and d = 31 ladder fits
+among them, is applied as the gap's is (linalg.sandwich_operator) to
 linalg.krylov_eigh, with one guard pair beyond the s wanted ones.  Both
 paths return phase-fixed eigenvectors, so they give the same isometry, and
 both refuse a form whose solution eigenspace is not separated from the
@@ -63,14 +64,13 @@ from .errors import (
     BudgetExceededError,
     FitDegenerateError,
     InvalidDimensionError,
-    InvalidFamilyError,
     InvalidShapeError,
     InvalidStrategyError,
     JunkExtractionError,
     ProjsumError,
     UnsupportedOutcomeCountError,
 )
-from .families import ProjectionFamily, top_gap
+from .families import ProjectionFamily, _check_family, top_gap
 from .linalg import (
     KRYLOV_BUDGET,
     _frobenius,
@@ -92,8 +92,11 @@ from .strategies import Strategy, StrategyStack, correlation_distance, ideal_cor
 
 ALPHA_MIN = 0.1
 PAIR_BUDGET = 1_000_000
-# s = 1 fit forms with more rows go matrix-free, as all ancilla fits do; measured crossover
-KRYLOV_MIN_ROWS = 441
+# s = 1 fit forms with more rows go matrix-free, as all ancilla fits do.  The
+# measured crossover (README): on povm-jitter and state-mixing strategies the
+# dense path wins at 225 rows, the two are level at 289 and matrix-free wins
+# from 361 on
+KRYLOV_MIN_ROWS = 225
 # relative to tr(rho), the scale of the fit form
 FIT_SEPARATION_TOL = 1e-8
 # entries of the largest array one stack of strategies may hold (stack_size),
@@ -123,13 +126,6 @@ def _lifted(strategy) -> StrategyStack:
     if len(stack) == 0:
         raise InvalidStrategyError("a StrategyStack needs at least one member, got none")
     return stack
-
-
-def _check_family(fam) -> None:
-    """The one check where families come in: anything but a ProjectionFamily
-    raises InvalidFamilyError."""
-    if not isinstance(fam, ProjectionFamily):
-        raise InvalidFamilyError(f"expected a ProjectionFamily, got {type(fam).__name__}")
 
 
 def _unlifted(strategy, results):
@@ -391,8 +387,10 @@ def n_operator(fam: ProjectionFamily) -> CorrelationOperator:
     """Assemble and diagonalize the family's correlation operator densely.
 
     The dense reference for ProjectionFamily.correlation_gap, which
-    extract_dilation uses instead.
+    extract_dilation uses instead.  Anything but a ProjectionFamily raises
+    InvalidFamilyError.
     """
+    _check_family(fam)
     mat = sum(np.kron(p, p.T) for p in fam.projections)
     w, v = hermitian_eig(mat)
     gap = top_gap(w)
@@ -457,7 +455,8 @@ def fit_isometry(ops, fam: ProjectionFamily, rho) -> IsometryFit:
     the family's projections have exactly zero imaginary parts
     (linalg.real_if_exact), as for a real family and a real strategy, and
     in complex128 otherwise; either way the isometry is complex128.  For
-    s = 1, a Q of up to KRYLOV_MIN_ROWS rows is formed densely: its
+    s = 1, a Q of up to KRYLOV_MIN_ROWS (225) rows, as of a ladder fit up to
+    d = 15, is formed densely: its
     spectrum comes from linalg._hermitian_spectrum and its lowest
     eigenvector from linalg._lowest_eigvec.  Every other Q,
     each with s > 1 among them, is applied matrix-free

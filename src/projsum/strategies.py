@@ -36,7 +36,7 @@ from .errors import (
     InvalidStrategyError,
     UnsupportedScalarError,
 )
-from .families import ProjectionFamily, as_fraction, scalar_is_admissible
+from .families import ProjectionFamily, _check_family, as_fraction, scalar_is_admissible
 from .linalg import (
     STATE_TOL,
     _frobenius,
@@ -244,8 +244,10 @@ def canonical_strategy(fam: ProjectionFamily) -> Strategy:
 
     Alice measures {P_v, I - P_v}, Bob the transposes.  The induced
     correlation is synchronous and matches ideal_correlation(n, x).
-    ProjectionFamily.canonical_strategy builds it once per family.
+    ProjectionFamily.canonical_strategy builds it once per family.  Anything
+    but a ProjectionFamily raises InvalidFamilyError.
     """
+    _check_family(fam)
     d = fam.d
     p = fam.projections
     alice = np.stack([p, np.eye(d, dtype=np.complex128) - p], axis=1)

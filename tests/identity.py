@@ -31,7 +31,10 @@ identical; for a JSON file that is not, the largest absolute and relative
 difference of each numeric field (list positions are pooled, so
 ``[].epsilon`` is the epsilon of every sweep row), and the number of changed
 entries of each other field; for a text file, the number of changed lines.
-It exits 0 when every file is identical and 1 otherwise.
+Its last line sums up: the number of identical and of differing files, and
+for each numeric field that changed, its largest absolute and relative
+difference over all files.  It exits 0 when every file is identical and 1
+otherwise.
 """
 from __future__ import annotations
 
@@ -126,12 +129,13 @@ def leaves(doc, path=""):
         yield path, doc
 
 
-def json_differences(a, b) -> list[str]:
-    """One line per field of two JSON documents whose values differ."""
+def json_differences(a, b) -> dict | None:
+    """field: [max abs, max rel, changed numbers, other changed entries,
+    entries] of two JSON documents, for every field; None when their fields
+    are not the same."""
     left, right = list(leaves(a)), list(leaves(b))
     if [f for f, _ in left] != [f for f, _ in right]:
-        return ["    layout differs"]
-    # field: [max abs, max rel, changed numbers, other changed entries, entries]
+        return None
     fields: dict[str, list] = {}
     for (field, x), (_, y) in zip(left, right):
         entry = fields.setdefault(field, [0.0, 0.0, 0, 0, 0])
@@ -145,6 +149,13 @@ def json_differences(a, b) -> list[str]:
             entry[2] += 1
         else:  # a boolean, a string or a None that changed
             entry[3] += 1
+    return fields
+
+
+def difference_lines(fields: dict | None) -> list[str]:
+    """One line per field of json_differences whose values differ."""
+    if fields is None:
+        return ["    layout differs"]
     lines = []
     for field, (gap, rel, changed, other, total) in fields.items():
         if changed:
@@ -157,29 +168,40 @@ def json_differences(a, b) -> list[str]:
 
 
 def compare(a, b) -> bool:
-    """Print the comparison of two output directories; True if all files are identical."""
+    """Print the comparison of two output directories, ending with a summary
+    line: the counts of identical and differing files, and for each numeric
+    field that changed its largest absolute and relative difference over all
+    files.  True if all files are identical."""
     a, b = Path(a), Path(b)
     names = sorted({p.name for p in a.iterdir()} | {p.name for p in b.iterdir()})
-    same = True
+    identical = 0
+    worst: dict[str, tuple] = {}  # field: (max abs, max rel) over all files
     for name in names:
         left, right = a / name, b / name
         if not (left.exists() and right.exists()):
             print(f"only in {a if left.exists() else b}: {name}")
-            same = False
             continue
         x, y = left.read_bytes(), right.read_bytes()
         if x == y:
             print(f"identical  {name}")
+            identical += 1
             continue
-        same = False
         print(f"DIFFERS    {name}")
         if name.endswith(".json"):
-            print("\n".join(json_differences(json.loads(x), json.loads(y))))
+            fields = json_differences(json.loads(x), json.loads(y))
+            print("\n".join(difference_lines(fields)))
+            for field, (gap, rel, changed, _, _) in (fields or {}).items():
+                if changed:
+                    old = worst.get(field, (0.0, 0.0))
+                    worst[field] = (max(old[0], gap), max(old[1], rel))
         else:
             lines = list(zip(x.decode().splitlines(), y.decode().splitlines()))
             changed = sum(1 for p, q in lines if p != q)
             print(f"    {changed} of {len(lines)} lines changed")
-    return same
+    summary = [f"{identical} identical, {len(names) - identical} differ"]
+    summary += [f"{f} max abs {g:.3e} rel {r:.3e}" for f, (g, r) in sorted(worst.items())]
+    print("summary: " + "; ".join(summary))
+    return identical == len(names)
 
 
 def main(argv=None) -> int:

@@ -462,3 +462,12 @@ def test_validate_family_peak_memory_stays_near_family_size():
     assert report.passed
     # all n^2 products of the trace table at once would take n = 60 times the family
     assert peak < 4 * fam.projections.nbytes
+
+
+@pytest.mark.parametrize("call", [n_operator, validate_family, canonical_strategy])
+@pytest.mark.parametrize("fam", [None, {}, "four_family(1)"], ids=["None", "dict", "str"])
+def test_every_family_reader_refuses_what_is_not_a_family(call, fam):
+    # each raised a bare AttributeError
+    message = f"^expected a ProjectionFamily, got {type(fam).__name__}$"
+    with pytest.raises(InvalidFamilyError, match=message):
+        call(fam)

@@ -328,6 +328,29 @@ def test_krylov_eigh_planted_pair_across_restarts(monkeypatch):
     assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
 
 
+@pytest.mark.parametrize("restart", [False, True], ids=["one basis", "restarted"])
+def test_krylov_eigh_window_follows_a_block_that_shrank(monkeypatch, restart):
+    # five distinct eigenvalues of multiplicities 1, 1, 5, 1, 32: a block of
+    # 2 spans a 7-dimensional invariant space, through blocks of 2, 2, 2 and
+    # 1, so each block's coefficients come from a window that starts at the
+    # previous block as it was built, not two full blocks back.  A basis of
+    # 3 blocks restarts from 2 Ritz vectors, the window of the next block
+    rng = np.random.default_rng(29)
+    dim = 40
+    u = random_unitary(dim, rng)
+    spectrum = np.repeat([5.0, 4.0, 2.0, 1.0, -1.0], [1, 1, 5, 1, 32])
+    h = (u * spectrum) @ u.conj().T
+    if restart:
+        monkeypatch.setattr(linalg, "KRYLOV_BASIS_BLOCKS", 3)
+        monkeypatch.setattr(linalg, "KRYLOV_KEEP_BLOCKS", 1)
+    rows = []
+    w, v, _ = krylov_eigh(recorded_action(h, rows), dim, 2)
+    assert rows[:4] == [2, 2, 2, 1]
+    assert restarted(rows) == restart
+    assert np.allclose(w, [5.0, 4.0], rtol=0, atol=1e-12)
+    assert np.abs(v - fix_phases(u[:, :2])).max() < 1e-12
+
+
 @pytest.mark.parametrize("top", [1.0, 0.5 + 1e-4])
 def test_krylov_eigh_guard_pair_meets_its_own_tolerance(top):
     # the wanted eigenvalue sits above a 3-fold cluster at 0.5 split by 1e-6,

@@ -1337,7 +1337,8 @@ def test_dilation_residuals_budget_refuses_before_allocating(monkeypatch):
 
 
 def test_extract_dilation_matrix_free_matches_dense_oracle(monkeypatch):
-    # d = 21: both 441-row fits forced matrix-free, as larger ones are by default
+    # d = 21: both 441-row fits matrix-free, as they are by default, against
+    # the dense path forced on them
     fam = four_family(10)
     noisy = perturb(canonical_strategy(fam), "povm-jitter", 1e-3, seed=23)
     monkeypatch.setattr(selftest, "KRYLOV_MIN_ROWS", 0)
