@@ -46,9 +46,10 @@ class ProjectionFamily:
     equals the denominator of x in lowest terms.  An n or a d that is not an
     integer (linalg.is_integer) raises InvalidFamilyError; x is read by
     as_fraction, which raises UnsupportedScalarError, and stored as a
-    Fraction.  The constructor reads each projection with linalg.as_array
-    and stores one read-only C-ordered complex128 copy of them, of shape
-    (n, d, d), so the quantities cached below stay true to it.
+    Fraction.  The constructor reads each of the n projections (a sequence,
+    or InvalidFamilyError) with linalg.as_array and stores one read-only
+    C-ordered complex128 copy of them, of shape (n, d, d), so the
+    quantities cached below stay true to it.
     """
 
     n: int
@@ -60,8 +61,13 @@ class ProjectionFamily:
         n, d = self.n, self.d
         if not (is_integer(n) and is_integer(d)):
             raise InvalidFamilyError(f"n and d must be integers, got n={n!r}, d={d!r}")
-        if n < 1 or len(self.projections) != n:
-            raise InvalidFamilyError(f"expected {n} projections, got {len(self.projections)}")
+        try:
+            count = len(self.projections)
+        except TypeError as exc:  # None, a number, a 0-d array
+            kind = type(self.projections).__name__
+            raise InvalidFamilyError(f"projections must be a sequence, got {kind}") from exc
+        if n < 1 or count != n:
+            raise InvalidFamilyError(f"expected {n} projections, got {count}")
         object.__setattr__(self, "x", as_fraction(self.x))
         # a sum of n projections is x I only for x in [0, n]; checked first, so
         # a scalar too large for a float never reaches validate_family
@@ -175,13 +181,19 @@ def as_fraction(x) -> Fraction:
         raise UnsupportedScalarError(f"x must be a finite number, got {x}") from exc
 
 
-def scalar_is_admissible(n: int, x: Fraction) -> bool:
-    """Exact membership test for x (read by as_fraction) in the admissible scalars of n;
-    UnsupportedQuestionCountError unless n is an integer >= 3."""
+def check_question_count(n, least: int = 3) -> None:
+    """The one reader of a question count: UnsupportedQuestionCountError
+    unless n is an integer (linalg.is_integer) of at least ``least``."""
     if not is_integer(n):
         raise UnsupportedQuestionCountError(f"n must be an integer, got {n!r}")
-    if n < 3:
-        raise UnsupportedQuestionCountError(f"need n >= 3, got {n}")
+    if n < least:
+        raise UnsupportedQuestionCountError(f"need n >= {least}, got {n}")
+
+
+def scalar_is_admissible(n: int, x: Fraction) -> bool:
+    """Exact membership test for x (read by as_fraction) in the admissible scalars of n;
+    check_question_count reads n."""
+    check_question_count(n)
     x = as_fraction(x)
     if n == 3:
         return x == Fraction(3, 2)
@@ -204,12 +216,9 @@ def simplex_vertices(n: int) -> np.ndarray:
     are an (n-1)-vertex simplex scaled by c_n = sqrt(1 - 1/(n-1)^2).  So
     column j holds 1 on the diagonal and -1/(n-1-j) below it, both scaled by
     c_m for m = n-j+1..n.  Pairwise inner products are -1/(n-1).
-    UnsupportedQuestionCountError unless n is an integer >= 2.
+    check_question_count reads n, which may be 2.
     """
-    if not is_integer(n):
-        raise UnsupportedQuestionCountError(f"n must be an integer, got {n!r}")
-    if n < 2:
-        raise UnsupportedQuestionCountError(f"need n >= 2, got {n}")
+    check_question_count(n, least=2)
     diag = np.ones(n - 1)
     below = -1.0 / np.arange(n - 1, 0, -1)
     for m in range(3, n + 1):
@@ -223,11 +232,8 @@ def simplex_vertices(n: int) -> np.ndarray:
 
 def simplex_family(n: int) -> ProjectionFamily:
     """n rank-one projections in M_(n-1) summing to (n/(n-1)) * I.
-    UnsupportedQuestionCountError unless n is an integer >= 3."""
-    if not is_integer(n):
-        raise UnsupportedQuestionCountError(f"n must be an integer, got {n!r}")
-    if n < 3:
-        raise UnsupportedQuestionCountError(f"need n >= 3, got {n}")
+    check_question_count reads n."""
+    check_question_count(n)
     verts = simplex_vertices(n)
     projs = verts[:, :, None] * verts[:, None, :]
     return ProjectionFamily(n=n, x=Fraction(n, n - 1), d=n - 1, projections=projs)
@@ -287,17 +293,13 @@ def ladder_family(n: int, level: int) -> ProjectionFamily:
     level applies ladder_step, which takes d to d(n - 1 - x).  n = 3 has
     level 1 only.  The dimensions are first run through exactly, and
     BudgetExceededError is raised before anything is built once a rung's
-    n d^2 entries would exceed linalg.KRYLOV_BUDGET.  An n that is not an
-    integer >= 3 raises UnsupportedQuestionCountError, a level that is not an
-    admissible integer UnsupportedScalarError (linalg.is_integer: a bool or a
-    float is not one).
+    n d^2 entries would exceed linalg.KRYLOV_BUDGET.  check_question_count
+    reads n first; a level that is not an admissible integer raises
+    UnsupportedScalarError (linalg.is_integer: a bool or a float is not one).
     """
-    if not is_integer(n):
-        raise UnsupportedQuestionCountError(f"n must be an integer, got {n!r}")
+    check_question_count(n)
     if not is_integer(level):
         raise UnsupportedScalarError(f"k must be an integer, got {level!r}")
-    if n < 3:
-        raise UnsupportedQuestionCountError(f"need n >= 3, got {n}")
     if level < 1:
         raise UnsupportedScalarError(f"need k >= 1, got {level}")
     if n == 3 and level > 1:

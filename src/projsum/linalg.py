@@ -144,8 +144,8 @@ def real_if_exact(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(np.ascontiguousarray(a.real) for a in arrays)
 
 
-def is_hermitian(a, tol: float = HERMITIAN_TOL):
-    """Max-entry check against the conjugate transpose.
+def is_hermitian(a):
+    """Max-entry check against the conjugate transpose, at HERMITIAN_TOL.
 
     A stack of shape (..., m, m) gets one verdict per matrix, as a bool array.
     ``a`` is read by as_array, which raises InvalidShapeError.
@@ -155,7 +155,7 @@ def is_hermitian(a, tol: float = HERMITIAN_TOL):
         raise InvalidShapeError(f"expected a matrix, got ndim={m.ndim}")
     if m.shape[-1] != m.shape[-2]:
         return False
-    ok = np.abs(m - dagger(m)).max(axis=(-2, -1), initial=0.0) <= tol
+    ok = np.abs(m - dagger(m)).max(axis=(-2, -1), initial=0.0) <= HERMITIAN_TOL
     return ok if m.ndim > 2 else bool(ok)
 
 

@@ -41,6 +41,7 @@ from .linalg import (
     STATE_TOL,
     _frobenius,
     _reduced_densities,
+    _refuse,
     as_array,
     dagger,
     is_integer,
@@ -121,9 +122,9 @@ class Strategy:
         (within STATE_TOL of 1), both parties' question counts, then per party
         its outcome count, its operators' shape and its POVMs, each operator
         Hermitian and with no eigenvalue below -POVM_TOL, and each question's
-        outcomes summing to I, all within POVM_TOL.  The message names the
-        first offending question and outcome; a stack's names first the first
-        member that fails the check.
+        outcomes summing to I, all within POVM_TOL.  The norm and the POVMs are
+        boolean tables that linalg._refuse reads: the message names the first
+        offending question and outcome, a stack's first the failing member.
         """
         for name in ("dim_a", "dim_b"):
             dim = getattr(self, name)
@@ -134,18 +135,15 @@ class Strategy:
             raise InvalidStrategyError(
                 f"state length {psi.shape[-1]} != dim_a*dim_b = {self.dim_a * self.dim_b}"
             )
+        lead = psi.ndim - 1  # a stack's member axis, which its messages name first
 
-        def first(bad):
-            # the first member where bad is true, and a message prefix naming it
-            if bad.ndim == 0:
-                return (), ""
-            member = int(np.argmax(bad))
-            return member, f"member {member}: "
+        def refuse(bad, message):  # _refuse, with message(index) of the first failure
+            _refuse(bad, lambda at: InvalidStrategyError(
+                "".join(f"member {m}: " for m in at[:lead]) + message(at)))
 
         # one BLAS dot per member, as np.linalg.norm of one state
         unnormalized = np.abs(_frobenius(psi[..., None, :]) - 1.0) > STATE_TOL
-        if unnormalized.any():
-            raise InvalidStrategyError(f"{first(unnormalized)[1]}state vector is not normalized")
+        refuse(unnormalized, lambda at: "state vector is not normalized")
         n, k = self.alice.shape[-4:-2]
         if self.bob.shape[-4] != n:
             raise InvalidStrategyError("parties disagree on the question count")
@@ -161,33 +159,24 @@ class Strategy:
                 )
             # not is_hermitian: its as_array would re-read a checked stack
             adjoint = dagger(stack)
-            hermitian = np.abs(stack - adjoint).max(axis=(-2, -1)) <= POVM_TOL
             low = np.linalg.eigvalsh((stack + adjoint) / 2).min(axis=-1)
-            sums = np.abs(stack.sum(axis=-3) - np.eye(dim)).max(axis=(-2, -1)) <= POVM_TOL
-            bad = (
-                ~hermitian.all(axis=(-2, -1))
-                | (low < -POVM_TOL).any(axis=(-2, -1))
-                | ~sums.all(axis=-1)
-            )
-            if not bad.any():
-                continue
-            member, prefix = first(bad)
-            hermitian, low, sums = hermitian[member], low[member], sums[member]
-            for v in range(n):
-                for i in range(k):
-                    if not hermitian[v, i]:
-                        raise InvalidStrategyError(
-                            f"{prefix}{side} question {v} outcome {i}: not Hermitian at tolerance"
-                        )
-                    if low[v, i] < -POVM_TOL:
-                        raise InvalidStrategyError(
-                            f"{prefix}{side} question {v} outcome {i}: "
-                            f"negative eigenvalue {low[v, i]:.3e}"
-                        )
-                if not sums[v]:
-                    raise InvalidStrategyError(
-                        f"{prefix}{side} question {v}: POVM does not sum to identity"
-                    )
+            # [..., question, slot, check]: outcome i < k not Hermitian (check 0)
+            # or with an eigenvalue below -POVM_TOL (check 1); slot k, check 0,
+            # the question's sum, so argwhere reads a question's outcomes first
+            bad = np.zeros(low.shape[:-1] + (k + 1, 2), dtype=bool)
+            bad[..., :k, 0] = ~(np.abs(stack - adjoint).max(axis=(-2, -1)) <= POVM_TOL)
+            bad[..., :k, 1] = low < -POVM_TOL
+            sums = np.abs(stack.sum(axis=-3) - np.eye(dim)).max(axis=(-2, -1))
+            bad[..., k, 0] = ~(sums <= POVM_TOL)
+
+            def message(at):
+                v, i, check = at[lead:]
+                if i == k:
+                    return f"{side} question {v}: POVM does not sum to identity"
+                fault = ("not Hermitian at tolerance", f"negative eigenvalue {low[at[:-1]]:.3e}")
+                return f"{side} question {v} outcome {i}: {fault[check]}"
+
+            refuse(bad, message)
 
 
 @dataclass(frozen=True)
@@ -328,6 +317,7 @@ def chsh_fixture() -> Strategy:
 
 def chsh_win_probability(p: np.ndarray) -> float:
     """Winning probability of the xor game under uniform question pairs."""
+    p = _check_table(p)
     if p.shape != (2, 2, 2, 2):
         raise InvalidStrategyError("the xor game needs a 2-question 2-outcome table")
     v, w, i, j = np.indices(p.shape)
@@ -339,18 +329,27 @@ def chsh_win_probability(p: np.ndarray) -> float:
 
 def correlation_distance(p: np.ndarray, q: np.ndarray) -> float:
     """Entrywise 1-norm distance between two tables of equal shape; of each
-    table of a stack p, (..., *q.shape), from q, as an array."""
+    table of a stack p, (..., *q.shape), from q, as an array.  Both are read
+    by _check_table."""
+    p, q = _check_table(p, stacked=True), _check_table(q)
     if p.shape[p.ndim - q.ndim :] != q.shape:
         raise InvalidStrategyError(f"table shapes differ: {p.shape} vs {q.shape}")
     distance = np.abs(p - q).sum(axis=tuple(range(p.ndim - q.ndim, p.ndim)))
     return float(distance) if distance.ndim == 0 else distance
 
 
-def _check_table(p) -> None:
-    """InvalidStrategyError unless p has the (n, n, k, k) shape of a table."""
-    shape = np.shape(p)
-    if len(shape) != 4 or shape[0] != shape[1] or shape[2] != shape[3] or 0 in shape:
+def _check_table(p, stacked: bool = False) -> np.ndarray:
+    """The one reader of a table: p by as_array, as finite float64, with
+    InvalidStrategyError unless it has the (n, n, k, k) shape of a table (with
+    any leading axes, when stacked)."""
+    try:
+        shape = np.shape(p)
+    except ValueError:  # ragged entries, which as_array refuses by name
+        shape = as_array(p, None, "table", InvalidStrategyError).shape
+    square = len(shape) >= 4 and shape[-4] == shape[-3] and shape[-2] == shape[-1]
+    if not square or len(shape) > 4 and not stacked or 0 in shape:
         raise InvalidStrategyError(f"a correlation table has shape (n, n, k, k), got {shape}")
+    return as_array(p, None, "table", InvalidStrategyError, dtype=float)
 
 
 def synchronicity_defect(p: np.ndarray) -> float:
@@ -359,7 +358,7 @@ def synchronicity_defect(p: np.ndarray) -> float:
     Zero iff both parties always agree when asked the same question.  A
     table that is not (n, n, k, k) raises InvalidStrategyError.
     """
-    _check_table(p)
+    p = _check_table(p)
     off_diagonal = ~np.eye(p.shape[-1], dtype=bool)
     # np.diagonal moves the question axis last: [i, j, v] = p(i, j | v, v)
     return float(np.abs(np.diagonal(p)[off_diagonal]).max(initial=0.0))
@@ -373,7 +372,7 @@ def marginals(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     (or single-v) marginal from that average.  A table that is not
     (n, n, k, k) raises InvalidStrategyError.
     """
-    _check_table(p)
+    p = _check_table(p)
     row = p.sum(axis=3)                # [v, w, i] = sum_j p(i,j|v,w)
     col = p.sum(axis=2)                # [v, w, j] = sum_i p(i,j|v,w)
     p_a = row.mean(axis=1)             # [v, i]

@@ -30,12 +30,8 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    SerializationError,
-    UnsupportedQuestionCountError,
-)
-from .families import ProjectionFamily, ladder_family
+from .errors import BudgetExceededError, SerializationError
+from .families import ProjectionFamily, check_question_count, ladder_family
 from .linalg import is_integer
 from .selftest import approx_rep_residuals, check_word_pairs, extract_dilation, stack_size
 from .serialize import from_fields
@@ -96,8 +92,7 @@ class SweepConfig:
                 f"{len(levels)} levels x {self.trials_per_level} trials make {rows} rows, "
                 f"over the {SWEEP_MAX_ROWS}-row sweep budget"
             )
-        if self.n < 3:  # as ladder_family would, before counting words in n letters
-            raise UnsupportedQuestionCountError(f"need n >= 3, got {self.n}")
+        check_question_count(self.n)  # as ladder_family would, before counting words in n letters
         check_word_pairs(self.n, self.monomial_degree)
         object.__setattr__(self, "levels", levels)
 

@@ -27,14 +27,16 @@ The first form writes into the directory OUT, for each ladder level k in
   with the thread count pinned (OPENBLAS_NUM_THREADS=1, say)
 
 The second form prints, for each file of either directory, whether it is
-identical; for a JSON file that is not, the largest absolute and relative
-difference of each numeric field (list positions are pooled, so
-``[].epsilon`` is the epsilon of every sweep row), and the number of changed
-entries of each other field; for a text file, the number of changed lines.
-Its last line sums up: the number of identical and of differing files, and
-for each numeric field that changed, its largest absolute and relative
-difference over all files.  It exits 0 when every file is identical and 1
-otherwise.
+identical; for a JSON file that is not, the largest absolute difference of
+each numeric field and its normwise relative difference ||a - b|| /
+max(||a||, ||b||) over the field's entries (list positions are pooled, so
+``[].epsilon`` is the epsilon of every sweep row, and an entry of roundoff
+size whose sign flips does not read as a change of 2), and the number of
+changed entries of each other field; for a text file, the number of changed
+lines.  Its last line sums up: the number of identical and of differing
+files, and for each numeric field that changed, its largest absolute and
+largest normwise relative difference over all files.  It exits 0 when every
+file is identical and 1 otherwise.
 """
 from __future__ import annotations
 
@@ -130,25 +132,32 @@ def leaves(doc, path=""):
 
 
 def json_differences(a, b) -> dict | None:
-    """field: [max abs, max rel, changed numbers, other changed entries,
-    entries] of two JSON documents, for every field; None when their fields
-    are not the same."""
+    """field: [max abs, normwise rel, changed numbers, other changed entries,
+    entries] of two JSON documents, for every field, where normwise rel is
+    ||x - y|| / max(||x||, ||y||) over the field's numeric entries x and y (0
+    when both are 0); None when their fields are not the same."""
     left, right = list(leaves(a)), list(leaves(b))
     if [f for f, _ in left] != [f for f, _ in right]:
         return None
     fields: dict[str, list] = {}
+    numbers: dict[str, list] = {}  # field: its numeric (x, y) pairs
     for (field, x), (_, y) in zip(left, right):
         entry = fields.setdefault(field, [0.0, 0.0, 0, 0, 0])
         entry[4] += 1
+        numeric = all(type(v) in (int, float) for v in (x, y))
+        if numeric:
+            numbers.setdefault(field, []).append((x, y))
         if x == y and type(x) is type(y):
             continue
-        if all(type(v) in (int, float) for v in (x, y)):
-            gap = abs(x - y)
-            entry[0] = max(entry[0], gap)
-            entry[1] = max(entry[1], gap / max(abs(x), abs(y)))
+        if numeric:
+            entry[0] = max(entry[0], abs(x - y))
             entry[2] += 1
         else:  # a boolean, a string or a None that changed
             entry[3] += 1
+    for field, pairs in numbers.items():
+        x, y = np.array(pairs, dtype=float).T
+        scale = max(np.linalg.norm(x), np.linalg.norm(y))
+        fields[field][1] = float(np.linalg.norm(x - y) / scale) if scale else 0.0
     return fields
 
 
@@ -160,7 +169,8 @@ def difference_lines(fields: dict | None) -> list[str]:
     for field, (gap, rel, changed, other, total) in fields.items():
         if changed:
             lines.append(
-                f"    {field}: max abs {gap:.3e}, max rel {rel:.3e} ({changed} of {total} entries)"
+                f"    {field}: max abs {gap:.3e}, normwise rel {rel:.3e} "
+                f"({changed} of {total} entries)"
             )
         if other:
             lines.append(f"    {field}: {other} of {total} non-numeric entries changed")
@@ -170,12 +180,12 @@ def difference_lines(fields: dict | None) -> list[str]:
 def compare(a, b) -> bool:
     """Print the comparison of two output directories, ending with a summary
     line: the counts of identical and differing files, and for each numeric
-    field that changed its largest absolute and relative difference over all
-    files.  True if all files are identical."""
+    field that changed its largest absolute and largest normwise relative
+    difference over all files.  True if all files are identical."""
     a, b = Path(a), Path(b)
     names = sorted({p.name for p in a.iterdir()} | {p.name for p in b.iterdir()})
     identical = 0
-    worst: dict[str, tuple] = {}  # field: (max abs, max rel) over all files
+    worst: dict[str, tuple] = {}  # field: (max abs, max normwise rel) over all files
     for name in names:
         left, right = a / name, b / name
         if not (left.exists() and right.exists()):
@@ -199,7 +209,9 @@ def compare(a, b) -> bool:
             changed = sum(1 for p, q in lines if p != q)
             print(f"    {changed} of {len(lines)} lines changed")
     summary = [f"{identical} identical, {len(names) - identical} differ"]
-    summary += [f"{f} max abs {g:.3e} rel {r:.3e}" for f, (g, r) in sorted(worst.items())]
+    summary += [
+        f"{f} max abs {g:.3e} normwise rel {r:.3e}" for f, (g, r) in sorted(worst.items())
+    ]
     print("summary: " + "; ".join(summary))
     return identical == len(names)
 

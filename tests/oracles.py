@@ -19,6 +19,8 @@
   for ``reduced_densities`` and the residuals' ``||X M||_F``
 * ``schmidt_reconstruct``: the vector a ``SchmidtDecomposition`` sums to
 * ``stack_strategies``: strategies of one shape as one ``StrategyStack``
+* ``loop_validate``: ``Strategy.validate``'s checks as a loop over members,
+  questions and outcomes, the reference for the message of its first failure
 * ``random_unitary`` and ``random_hermitian``: seeded draws for planted
   strategies and gauge changes; ``perturb``'s ``povm-jitter`` makes the
   draws of one ``random_hermitian`` per question
@@ -33,6 +35,7 @@ from projsum.errors import (
     FitDegenerateError,
     InvalidShapeError,
     InvalidStateError,
+    InvalidStrategyError,
     ProjsumError,
     SerializationError,
     SpectralDegeneracyError,
@@ -40,9 +43,18 @@ from projsum.errors import (
     UnsupportedScalarError,
 )
 from projsum.families import ProjectionFamily, _next_scalar
-from projsum.linalg import SchmidtDecomposition, as_array, dagger, hermitian_eig, unvec
+from projsum.linalg import (
+    STATE_TOL,
+    SchmidtDecomposition,
+    _frobenius,
+    as_array,
+    dagger,
+    hermitian_eig,
+    is_integer,
+    unvec,
+)
 from projsum.selftest import IsometryFit, fit_isometry
-from projsum.strategies import StrategyStack
+from projsum.strategies import POVM_TOL, StrategyStack
 
 
 class NotARepresentationError(ProjsumError, RuntimeError):
@@ -266,3 +278,73 @@ def stack_strategies(strategies) -> StrategyStack:
     names = ("state", "alice", "bob")
     state, alice, bob = (np.stack([getattr(s, name) for s in strategies]) for name in names)
     return StrategyStack(state, strategies[0].dim_a, strategies[0].dim_b, alice, bob)
+
+
+def loop_validate(self) -> None:
+    """InvalidStrategyError, with the message Strategy.validate gives, for the
+    first failing check of a Strategy or a StrategyStack: the checks in
+    Strategy.validate's order, the first failing member found by argmax and
+    its questions and outcomes read in a loop."""
+    for name in ("dim_a", "dim_b"):
+        dim = getattr(self, name)
+        if not is_integer(dim):
+            raise InvalidStrategyError(f"{name} must be an integer, got {dim!r}")
+    psi = self.state
+    if psi.shape[-1] != self.dim_a * self.dim_b:
+        raise InvalidStrategyError(
+            f"state length {psi.shape[-1]} != dim_a*dim_b = {self.dim_a * self.dim_b}"
+        )
+
+    def first(bad):
+        # the first member where bad is true, and a message prefix naming it
+        if bad.ndim == 0:
+            return (), ""
+        member = int(np.argmax(bad))
+        return member, f"member {member}: "
+
+    # one BLAS dot per member, as np.linalg.norm of one state
+    unnormalized = np.abs(_frobenius(psi[..., None, :]) - 1.0) > STATE_TOL
+    if unnormalized.any():
+        raise InvalidStrategyError(f"{first(unnormalized)[1]}state vector is not normalized")
+    n, k = self.alice.shape[-4:-2]
+    if self.bob.shape[-4] != n:
+        raise InvalidStrategyError("parties disagree on the question count")
+    for side, dim in (("alice", self.dim_a), ("bob", self.dim_b)):
+        stack = getattr(self, side)
+        if stack.shape[-3] != k:
+            raise InvalidStrategyError(
+                f"{side} question 0: outcome count {stack.shape[-3]} != {k}"
+            )
+        if stack.shape[-2:] != (dim, dim):
+            raise InvalidStrategyError(
+                f"{side} question 0 outcome 0: shape {stack.shape[-2:]}, expected {(dim, dim)}"
+            )
+        # not is_hermitian: its as_array would re-read a checked stack
+        adjoint = dagger(stack)
+        hermitian = np.abs(stack - adjoint).max(axis=(-2, -1)) <= POVM_TOL
+        low = np.linalg.eigvalsh((stack + adjoint) / 2).min(axis=-1)
+        sums = np.abs(stack.sum(axis=-3) - np.eye(dim)).max(axis=(-2, -1)) <= POVM_TOL
+        bad = (
+            ~hermitian.all(axis=(-2, -1))
+            | (low < -POVM_TOL).any(axis=(-2, -1))
+            | ~sums.all(axis=-1)
+        )
+        if not bad.any():
+            continue
+        member, prefix = first(bad)
+        hermitian, low, sums = hermitian[member], low[member], sums[member]
+        for v in range(n):
+            for i in range(k):
+                if not hermitian[v, i]:
+                    raise InvalidStrategyError(
+                        f"{prefix}{side} question {v} outcome {i}: not Hermitian at tolerance"
+                    )
+                if low[v, i] < -POVM_TOL:
+                    raise InvalidStrategyError(
+                        f"{prefix}{side} question {v} outcome {i}: "
+                        f"negative eigenvalue {low[v, i]:.3e}"
+                    )
+            if not sums[v]:
+                raise InvalidStrategyError(
+                    f"{prefix}{side} question {v}: POVM does not sum to identity"
+                )

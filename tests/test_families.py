@@ -310,6 +310,15 @@ def test_simplex_family_rejects_small_n():
         simplex_family(2)
 
 
+def test_ladder_family_reads_n_before_the_level():
+    # check_question_count reads n first, so an n below 3 is named even when
+    # the level is not an integer either
+    with pytest.raises(UnsupportedQuestionCountError, match="^need n >= 3, got 2$"):
+        ladder_family(2, 1.5)
+    with pytest.raises(UnsupportedScalarError, match="^k must be an integer, got 1.5$"):
+        ladder_family(4, 1.5)
+
+
 def test_family_builders_refuse_counts_that_are_not_integers():
     # a float raised a bare TypeError, four_family(True) built k = 1, and
     # Fraction parsed a string
@@ -424,6 +433,14 @@ def test_validate_family_matches_loop_oracle():
         np.testing.assert_allclose(report.sum_residual, sum_residual, rtol=1e-15, atol=0)
         np.testing.assert_allclose(report.trace_table, table, rtol=1e-15, atol=0)
     assert not report.passed and report.hermiticity[1] > 0.1 and report.ranks[1] != 2
+
+
+@pytest.mark.parametrize("projections", [5, None, np.array(1.0)], ids=["int", "None", "0-d"])
+def test_family_refuses_projections_that_are_not_a_sequence(projections):
+    # len() raised a bare TypeError
+    kind = type(projections).__name__
+    with pytest.raises(InvalidFamilyError, match=f"^projections must be a sequence, got {kind}$"):
+        ProjectionFamily(1, 1, 1, projections)
 
 
 def test_family_is_one_read_only_stack():

@@ -2,6 +2,7 @@ import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,7 +37,13 @@ from projsum.strategies import (
     synchronicity_defect,
 )
 
-from oracles import lambda_sequence, random_hermitian, random_unitary, stack_strategies
+from oracles import (
+    lambda_sequence,
+    loop_validate,
+    random_hermitian,
+    random_unitary,
+    stack_strategies,
+)
 
 
 def planted_strategy(fam, ka, kb, seed):
@@ -273,6 +280,36 @@ def test_table_readers_refuse_a_table_of_the_wrong_shape(shape):
     for reader in (synchronicity_defect, marginals):
         with pytest.raises(InvalidStrategyError, match=message):
             reader(np.zeros(shape))
+
+
+def test_table_readers_read_a_table_as_finite_real_numbers():
+    # a nested list raised a bare AttributeError, and a NaN table gave nan
+    p = induced_correlation(canonical_strategy(four_family(1)))
+    assert synchronicity_defect(p.tolist()) == synchronicity_defect(p)
+    assert all(np.array_equal(a, b) for a, b in zip(marginals(p.tolist()), marginals(p)))
+    assert correlation_distance(p.tolist(), p) == 0.0
+    assert correlation_distance(np.stack([p, p]).tolist(), p.tolist()).tolist() == [0.0, 0.0]
+    assert chsh_win_probability(np.zeros((2,) * 4).tolist()) == 0.0
+    uniform = np.full((2,) * 4, 0.25)
+    readers = (
+        synchronicity_defect,
+        marginals,
+        chsh_win_probability,
+        lambda t: correlation_distance(t, uniform),
+        lambda t: correlation_distance(uniform, t),
+    )
+    for reader in readers:
+        for bad in (np.nan, np.inf):
+            table = np.full((2,) * 4, 0.25)
+            table[1, 0, 1, 1] = bad
+            with pytest.raises(InvalidStrategyError, match=r"^table\[1\]\[0\]\[1\]\[1\]: non-finite"):
+                reader(table)
+        with pytest.raises(InvalidStrategyError, match="^table: entries must be real, got complex"):
+            reader(np.full((2,) * 4, 0.25 + 0j))
+        with pytest.raises(InvalidStrategyError, match="^table: entries do not form an array$"):
+            reader([[[[0.25, 0.25]]], [[[0.25]]]])
+        with pytest.raises(InvalidStrategyError, match="^table: entries must be numbers"):
+            reader([[[["0.25"]]]])
 
 
 def test_chsh_values():
@@ -667,6 +704,49 @@ def bad_members():
         (dict(bob=short.swapaxes(2, 3)), "bob question 0: POVM does not sum to identity"),
         (dict(state=canon.state * 1.01), "state vector is not normalized"),
     ]
+
+
+def assert_refused_as_the_loop_refuses(strategy, validate):
+    """validate() raises the message loop_validate raises for the strategy,
+    or passes as it does."""
+    try:
+        loop_validate(strategy)
+    except InvalidStrategyError as exc:
+        with pytest.raises(InvalidStrategyError, match=f"^{re.escape(str(exc))}$"):
+            validate()
+    else:
+        validate()
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_validate_raises_the_first_failure_the_loop_finds(data):
+    # 1-3 planted failures in random members, questions and outcomes of a
+    # stack, each of a kind a member can fail alone
+    make, arg = data.draw(st.sampled_from([(four_family, 1), (four_family, 2), (simplex_family, 3)]))
+    canon = canonical_strategy(make(arg))
+    n, k, d = canon.n_questions, canon.n_outcomes, canon.dim_a
+    stack = stack_strategies([canon] * data.draw(st.integers(1, 4)))
+    kinds = ("not Hermitian", "negative eigenvalue", "wrong sum", "unnormalized state")
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(kinds))
+        member = data.draw(st.integers(0, len(stack) - 1))
+        povms = getattr(stack, data.draw(st.sampled_from(("alice", "bob"))))[member]
+        v, i = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, k - 1))
+        size = data.draw(st.floats(1e-6, 3.0))
+        if kind == "not Hermitian":
+            povms[v, i, 0, d - 1] += size
+        elif kind == "negative eigenvalue":  # the question's sum stays I
+            povms[v, i, 0, 0] -= 1.0 + size
+            povms[v, (i + 1) % k, 0, 0] += 1.0 + size
+        elif kind == "wrong sum":  # still Hermitian and PSD
+            povms[v, i] *= 1.0 - min(size, 0.5)
+        else:
+            stack.state[member] *= 1.0 + size
+    assert_refused_as_the_loop_refuses(stack, stack.validate)
+    # member 0 alone, as one strategy
+    fields = dict(state=stack.state[0], dim_a=d, dim_b=d, alice=stack.alice[0], bob=stack.bob[0])
+    assert_refused_as_the_loop_refuses(SimpleNamespace(**fields), lambda: Strategy(**fields))
 
 
 @pytest.mark.parametrize("case", range(4))
