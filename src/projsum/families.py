@@ -14,6 +14,7 @@ per step.  Every function here works on a family's (n, d, d) stack whole.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -44,12 +45,12 @@ class ProjectionFamily:
 
     d is the ambient matrix dimension; for the canonical constructions it
     equals the denominator of x in lowest terms.  An n or a d that is not an
-    integer (linalg.is_integer) raises InvalidFamilyError; x is read by
-    as_fraction, which raises UnsupportedScalarError, and stored as a
-    Fraction.  The constructor reads each of the n projections (a sequence,
-    or InvalidFamilyError) with linalg.as_array and stores one read-only
-    C-ordered complex128 copy of them, of shape (n, d, d), so the
-    quantities cached below stay true to it.
+    integer (linalg.is_integer) raises InvalidFamilyError, and a numpy
+    integer is stored as an int; x is read by as_fraction, which raises
+    UnsupportedScalarError, and stored as a Fraction.  The constructor reads
+    each of the n projections (a sequence, or InvalidFamilyError) with
+    linalg.as_array and stores one read-only C-ordered complex128 copy of
+    them, of shape (n, d, d), so the quantities cached below stay true to it.
     """
 
     n: int
@@ -61,6 +62,9 @@ class ProjectionFamily:
         n, d = self.n, self.d
         if not (is_integer(n) and is_integer(d)):
             raise InvalidFamilyError(f"n and d must be integers, got n={n!r}, d={d!r}")
+        n, d = int(n), int(d)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
         try:
             count = len(self.projections)
         except TypeError as exc:  # None, a number, a 0-d array
@@ -170,15 +174,19 @@ def _next_scalar(n: int, x: Fraction) -> Fraction:
 
 
 def as_fraction(x) -> Fraction:
-    """x exactly, as a Fraction; UnsupportedScalarError for a NaN, an infinity
-    or anything but a number, which Fraction refuses with a bare error, and
-    for a string or a bool, which Fraction would parse or read as 0 or 1."""
+    """x exactly, as a Fraction of two ints; UnsupportedScalarError for a NaN,
+    an infinity or anything but a number, which Fraction refuses with a bare
+    error, and for a string or a bool, which Fraction would parse or read as
+    0 or 1.  Fraction keeps the numpy integers of a numpy integer or of a
+    Fraction built from them, so its numerator and denominator are read as
+    ints."""
     if isinstance(x, (str, bool)):
         raise UnsupportedScalarError(f"x must be a number, got {x!r}")
     try:
-        return Fraction(x)
+        x = Fraction(x)
     except (TypeError, ValueError, OverflowError) as exc:
         raise UnsupportedScalarError(f"x must be a finite number, got {x}") from exc
+    return Fraction(int(x.numerator), int(x.denominator))
 
 
 def check_question_count(n, least: int = 3) -> None:
@@ -332,9 +340,12 @@ def validate_family(fam: ProjectionFamily, tol: float = PROJECTION_TOL) -> Famil
     Checks hermiticity and idempotency per projection, the scalar sum
     identity, ranks against x*d/n, and the pairwise normalized trace table
     against its two predicted values x/n and x(x-1)/(n(n-1)).  Anything but
-    a ProjectionFamily raises InvalidFamilyError; a family never raises.
+    a ProjectionFamily, and a tol that is not a finite real number >= 0 (a
+    bool is not one), raises InvalidFamilyError; a family never raises.
     """
     _check_family(fam)
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < np.inf:
+        raise InvalidFamilyError(f"tol must be a finite real number >= 0, got {tol!r}")
     n, d, x = fam.n, fam.d, fam.x
     p = fam.projections
     herm = np.linalg.norm(p - dagger(p), axis=(1, 2))

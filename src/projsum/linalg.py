@@ -169,10 +169,17 @@ def vec(d) -> np.ndarray:
 
 
 def unvec(psi, dims: tuple[int, int]) -> np.ndarray:
-    """Inverse of vec for a bipartite vector with the given factor dims."""
+    """Inverse of vec for a bipartite vector with the given factor dims, two
+    integers >= 1 (is_integer); InvalidShapeError for any other dims, and for
+    a vector whose length is not their product."""
     v = as_array(psi, 1, "psi")
-    da, db = dims
-    if da <= 0 or db <= 0 or v.size != da * db:
+    try:
+        da, db = dims
+    except (TypeError, ValueError):  # None, a number, or not two entries
+        da = db = None
+    if not all(is_integer(m) and m >= 1 for m in (da, db)):
+        raise InvalidShapeError(f"dims must be two integers >= 1, got {dims!r}")
+    if v.size != da * db:
         raise InvalidShapeError(f"cannot reshape length {v.size} to {dims}")
     return v.reshape(da, db)
 
@@ -246,7 +253,7 @@ def schmidt(psi, dims: tuple[int, int]) -> SchmidtDecomposition:
     factors = _phase_factors(u)
     u *= factors
     vh *= factors.conj()[:, None]
-    return SchmidtDecomposition(coefficients=s, left=u, right=vh.T.copy(), dims=(dims[0], dims[1]))
+    return SchmidtDecomposition(coefficients=s, left=u, right=vh.T.copy(), dims=m.shape)
 
 
 def reduced_densities(psi, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:

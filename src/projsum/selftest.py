@@ -146,10 +146,10 @@ def _member_entries(strategy, fam: ProjectionFamily) -> int:
 
 def stack_size(strategy, fam: ProjectionFamily) -> int:
     """How many strategies of the shape of ``strategy`` (a Strategy or a
-    StrategyStack) one stack holds: STACK_ENTRIES // _member_entries, read at
-    call time, and at least one."""
+    StrategyStack, read by _lifted after the family's check) one stack holds:
+    STACK_ENTRIES // _member_entries, read at call time, and at least one."""
     _check_family(fam)
-    return max(1, STACK_ENTRIES // _member_entries(strategy, fam))
+    return max(1, STACK_ENTRIES // _member_entries(_lifted(strategy), fam))
 
 
 # ---------------------------------------------------------------------------

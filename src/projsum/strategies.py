@@ -63,8 +63,9 @@ class Strategy:
     and ``bob`` are (n, k, d, d) complex128 stacks, so every question has
     the same number of outcomes and both parties answer the same question
     set.  The constructor reads any nested sequence of that shape by as_array,
-    stores read-only copies of the state and both stacks, validates them once;
-    a constructed strategy, and each value it derives once below, stays valid.
+    stores read-only copies of the state and both stacks, validates them once
+    and stores each dimension, a numpy integer too, as an int; a constructed
+    strategy, and each value it derives once below, stays valid.
     """
 
     state: np.ndarray
@@ -81,6 +82,8 @@ class Strategy:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         self.validate()
+        object.__setattr__(self, "dim_a", int(self.dim_a))
+        object.__setattr__(self, "dim_b", int(self.dim_b))
 
     @property
     def n_questions(self) -> int:

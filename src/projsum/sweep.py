@@ -12,14 +12,15 @@ trial index and seed, instead of certifying the same strategy again.
 
 The grid is walked in chunks of consecutive trials.  Each chunk is
 perturbed and validated by one perturb call, as a strategies.StrategyStack,
-and deduplicated against the trial before it; its distinct strategies fill a
-pending stack, which is audited and certified (see selftest) in one call
-each, one stack object for both, once it is full and at the end.  A chunk
-and a stack hold as many trials as keep the stack's largest array within
-selftest.STACK_ENTRIES entries (selftest.stack_size), 113 at d = 3 and one
-from d = 16 on, so a sweep makes one numpy call per chunk or stack where it
-made one per trial, and holds, besides its rows, one chunk and one stack at
-a time.  A row does not depend on the chunk or the stack its trial ran in.
+and deduplicated against the trial before it; its distinct strategies are
+audited and certified (see selftest) in one call each, one stack object for
+both, before the next chunk is perturbed.  A chunk holds as many trials as
+keep a stack's largest array within selftest.STACK_ENTRIES entries
+(selftest.stack_size), 113 at d = 3 and one from d = 16 on, so a sweep
+makes one numpy call per chunk where it made one per trial, and holds,
+besides its rows, one chunk and the stack of that chunk's distinct trials
+at a time.  A row does not depend on the chunk or the stack its trial ran
+in.
 """
 from __future__ import annotations
 
@@ -42,9 +43,9 @@ CSV_HEADER = (
     "tracial_residual,sync_max,lemma35_pass,lemma63_pass"
 )
 # rows of one sweep: 100,000 SweepRows hold about 56 MB.  The rows, plus one
-# chunk of perturbed trials and one stack of distinct ones (at most
-# selftest.STACK_ENTRIES entries in its largest array), are the whole of a
-# sweep's memory
+# chunk of perturbed trials and the stack of that chunk's distinct ones (at
+# most selftest.STACK_ENTRIES entries in its largest array), are the whole
+# of a sweep's memory
 SWEEP_MAX_ROWS = 100_000
 
 
@@ -149,59 +150,48 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     perturbed strategy equals the previous trial's bit for bit, in its chunk
     or the one before, takes that trial's row with its own level, trial index
     and seed, so a repeated failed extraction is a failed row, not a second
-    attempt.  The distinct strategies fill a pending stack of stack_size
-    members, which is audited and certified, in one call each, when it is
-    full and at the end; a member's FitDegenerateError or JunkExtractionError
-    makes a failed row, and any other error is raised from the first trial
-    in grid order that meets one.  So besides the rows a sweep holds one
-    chunk and one stack at a time.
+    attempt.  The chunk's other trials are audited and certified as one
+    stack, in one call each, before the next chunk is perturbed; a member's
+    FitDegenerateError or JunkExtractionError makes a failed row, and any
+    other error is raised from the first trial in grid order that meets one.
+    So besides the rows a sweep holds one chunk and one stack at a time.
     """
     fam = build_family(config.n, config.k)
     canon = fam.canonical_strategy
-    # no chunk or stack is larger than the grid
-    size = min(stack_size(canon, fam), len(config.levels) * config.trials_per_level)
+    size = stack_size(canon, fam)
     grid = (
         (level, ti, trial_seed(config.seed, li, ti))
         for li, level in enumerate(config.levels)
         for ti in range(config.trials_per_level)
     )
-    # the pending stack's state, alice and bob, of size members each
-    slots = [np.empty((size,) + a.shape, a.dtype) for a in (canon.state, canon.alice, canon.bob)]
-    rows, cells, filled = [], [], 0  # cells: (level, trial, seed, member) of its trials
-    previous = None  # the array bytes of the last trial's strategy
+    rows, previous, values = [], None, None  # previous: the last trial's array bytes
     while chunk := list(islice(grid, size)):
         levels, _, seeds = zip(*chunk)
         noisy = perturb(canon, config.noise_model, levels, seeds)
-        for t, cell in enumerate(chunk):
-            member = (noisy.state[t], noisy.alice[t], noisy.bob[t])
-            key = b"".join(a.tobytes() for a in member)
-            if key != previous:
-                previous = key
-                if filled == size:
-                    rows += _certified_rows(cells, slots, canon, fam, config.monomial_degree)
-                    cells, filled = [], 0
-                for slot, a in zip(slots, member):
-                    slot[filled] = a
-                filled += 1
-            cells.append((*cell, filled - 1))
-    rows += _certified_rows(cells, slots, canon, fam, config.monomial_degree)
+        keys = [b"".join(a.tobytes() for a in m) for m in zip(noisy.state, noisy.alice, noisy.bob)]
+        fresh = np.array([key != last for key, last in zip(keys, [previous, *keys])])
+        previous = keys[-1]
+        measured = iter(_row_values(noisy, fresh, fam, config.monomial_degree))
+        for (level, ti, seed), new in zip(chunk, fresh):
+            values = next(measured) if new else values
+            rows.append(SweepRow(level=level, trial=ti, seed=seed, **values))
     return rows
 
 
-def _certified_rows(cells, slots, canon, fam, degree) -> list[SweepRow]:
-    """The rows of the trials ``cells``, (level, trial, seed, member), whose
-    distinct strategies fill the first slots of the pending stack: audited
-    and certified as one StrategyStack, in one call each."""
-    state, alice, bob = (slot[: cells[-1][-1] + 1] for slot in slots)
-    stack = StrategyStack(state, canon.dim_a, canon.dim_b, alice, bob)
+def _row_values(noisy, fresh, fam, degree) -> list[dict]:
+    """The row values of the trials of the chunk ``noisy`` that the boolean
+    array ``fresh`` marks, audited and certified as one StrategyStack, in one
+    call each; none when it marks none."""
+    if not fresh.any():
+        return []
+    state, alice, bob = (a[fresh] for a in (noisy.state, noisy.alice, noisy.bob))
+    stack = StrategyStack(state, noisy.dim_a, noisy.dim_b, alice, bob)
     reports = approx_rep_residuals(stack, fam, monomial_degree=degree)
     results = extract_dilation(stack, fam)
     measured = []
     for report, cert in zip(reports, results):
-        if isinstance(cert, Exception):  # a failed extraction
-            cert = fit_residual = None
-        else:
-            fit_residual = float(max(cert.fit_residuals_a.max(), cert.fit_residuals_b.max()))
+        cert = None if isinstance(cert, Exception) else cert  # None: a failed extraction
+        fit_residual = cert and float(max(cert.fit_residuals_a.max(), cert.fit_residuals_b.max()))
         measured.append(
             dict(
                 delta=report.delta,
@@ -220,7 +210,7 @@ def _certified_rows(cells, slots, canon, fam, degree) -> list[SweepRow]:
                 fit_residual=fit_residual,
             )
         )
-    return [SweepRow(level=lv, trial=ti, seed=seed, **measured[i]) for lv, ti, seed, i in cells]
+    return measured
 
 
 def _fmt(value: float | None) -> str:

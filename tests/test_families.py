@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -488,3 +489,27 @@ def test_every_family_reader_refuses_what_is_not_a_family(call, fam):
     message = f"^expected a ProjectionFamily, got {type(fam).__name__}$"
     with pytest.raises(InvalidFamilyError, match=message):
         call(fam)
+
+
+def test_numpy_integers_are_stored_as_ints():
+    # n, d and the scalar's numerator and denominator kept their numpy type
+    fam = ladder_family(np.int64(4), np.int64(2))
+    given = ProjectionFamily(
+        np.int64(4), Fraction(np.int64(4), np.int64(3)), np.int64(3), simplex_family(4).projections
+    )
+    for f in (fam, fam.transposed, given):
+        assert [type(v) for v in (f.n, f.d, f.x.numerator, f.x.denominator)] == [int] * 4
+    assert (fam.n, fam.x, fam.d) == (4, Fraction(8, 5), 5) and given.x == Fraction(4, 3)
+
+
+@pytest.mark.parametrize(
+    "tol", [None, "x", float("nan"), -1e-9, float("inf"), True],
+    ids=["None", "str", "nan", "negative", "inf", "bool"],
+)
+def test_validate_family_refuses_a_tol_that_is_not_a_finite_number(tol):
+    # None and a string gave a report whose .passed raised a bare TypeError,
+    # and NaN or a negative tol failed every family without a word
+    message = f"^tol must be a finite real number >= 0, got {re.escape(repr(tol))}$"
+    with pytest.raises(InvalidFamilyError, match=message):
+        validate_family(four_family(1), tol)
+    assert validate_family(four_family(1), np.float64(1e-9)).passed

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -739,3 +740,19 @@ def test_is_hermitian_and_dagger():
 def test_state_checks_raise():
     with pytest.raises(InvalidStateError):
         schmidt(np.zeros(4), (2, 2))
+
+
+@pytest.mark.parametrize(
+    "dims", [(4,), None, 4, (2.0, 2.0), (True, 4), (0, 4), (2, 2, 1)],
+    ids=["one", "None", "int", "floats", "bool", "zero", "three"],
+)
+@pytest.mark.parametrize("call", [unvec, schmidt, reduced_densities])
+def test_unvec_refuses_dims_that_are_not_two_positive_integers(call, dims):
+    # each raised a bare ValueError or TypeError, or reshaped to a zero dim
+    psi = maximally_entangled(2)
+    message = f"^dims must be two integers >= 1, got {re.escape(repr(dims))}$"
+    with pytest.raises(InvalidShapeError, match=message):
+        call(psi, dims)
+    with pytest.raises(InvalidShapeError, match=r"^cannot reshape length 4 to \(2, 3\)$"):
+        call(psi, (2, 3))
+    assert np.array_equal(unvec(psi, (np.int64(2), np.int64(2))), unvec(psi, (2, 2)))

@@ -1532,3 +1532,21 @@ def test_aligned_junk_fidelity_gauge_invariance():
     ent[0] = ent[3] = 1.0 / np.sqrt(2)  # e_0 x e_0 + e_1 x e_1
     fid2 = aligned_junk_fidelity(a, (ka, kb), ent, (ka, kb))
     assert abs(fid2 - 1.0 / np.sqrt(2)) < 1e-12
+
+
+@pytest.mark.parametrize("given", [{}, None, "x"], ids=["dict", "None", "str"])
+def test_stack_size_reads_its_strategy_as_the_stages_do(given):
+    # each raised a bare AttributeError, and a stack of no members got a size
+    fam = four_family(1)
+    name = type(given).__name__
+    with pytest.raises(
+        InvalidStrategyError, match=f"^expected a Strategy or a StrategyStack, got {name}$"
+    ):
+        selftest.stack_size(given, fam)
+    with pytest.raises(InvalidFamilyError, match="^expected a ProjectionFamily, got NoneType$"):
+        selftest.stack_size(given, None)  # the family is read first
+    one = fam.canonical_strategy.stack
+    empty = StrategyStack(one.state[:0], one.dim_a, one.dim_b, one.alice[:0], one.bob[:0])
+    with pytest.raises(InvalidStrategyError, match="^a StrategyStack needs at least one member, got none$"):
+        selftest.stack_size(empty, fam)
+    assert selftest.stack_size(one, fam) == selftest.stack_size(fam.canonical_strategy, fam) == 113

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from projsum.errors import InvalidFamilyError, InvalidStrategyError, SerializationError
-from projsum.families import ProjectionFamily, four_family, validate_family
+from projsum.families import ProjectionFamily, four_family, ladder_family, validate_family
 from projsum.selftest import extract_dilation
 from projsum.serialize import (
     certificate_to_dict,
@@ -283,3 +285,18 @@ def test_writers_match_the_per_entry_writer_byte_for_byte(tmp_path):
         save_json(doc, new)
         save_json(dict(doc, **oracle_fields), old)
         assert new.read_bytes() == old.read_bytes()
+
+
+def test_what_numpy_integers_build_is_written():
+    # json.dumps raised a bare TypeError: the family, the strategy and the
+    # certificate kept the numpy integers they were built from
+    fam = ladder_family(np.int64(4), 2)
+    given = ProjectionFamily(np.int64(4), Fraction(4, 3), np.int64(3), four_family(1).projections)
+    canon = fam.canonical_strategy
+    jittered = perturb(canon, "povm-jitter", 1e-3, 7)
+    strat = dataclasses.replace(canon, dim_a=np.int64(5), dim_b=np.int64(5))
+    cert = extract_dilation(jittered, fam)
+    given_cert = extract_dilation(given.canonical_strategy, given)
+    json.dumps([family_to_dict(fam), family_to_dict(given), strategy_to_dict(canon)])
+    json.dumps([strategy_to_dict(strat), certificate_to_dict(cert), certificate_to_dict(given_cert)])
+    assert [type(v) for v in (strat.dim_a, strat.dim_b, given_cert.ref_dim_a)] == [int] * 3
